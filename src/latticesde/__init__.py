@@ -53,7 +53,6 @@ from .sde import (
 )
 from .convergence import (
     MomentField,
-    cauchy_diagnostic,
     moment_field,
     tail_bound_check,
     uniqueness_crosscheck,

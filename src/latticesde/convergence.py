@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import Configuration, estimate_growth_constant
 from .ovsjannikov import norm_bound_series, norm_bound_series_log10, ovs_constant
 from .sde import ModelSpec, PathEnsemble, simulate_truncated
-from .spaces import WeightedSeq
+from .spaces import weighted_sum
 
 __all__ = [
     "MomentField",
@@ -37,7 +37,6 @@ __all__ = [
     "CauchyRow",
     "CauchyReport",
     "cauchy_table",
-    "cauchy_diagnostic",
     "UniquenessReport",
     "uniqueness_crosscheck",
 ]
@@ -84,10 +83,7 @@ def moment_field(ensemble: PathEnsemble, p: float) -> MomentField:
 
 def z_norm(field: MomentField, alpha: float) -> float:
     """(sum_x e^(-alpha |x|) per_site_x)^(1/p), the upper-bound process norm."""
-    if field.config.n_sites == 0:
-        return 0.0
-    terms = np.exp(-alpha * field.config.radii) * field.per_site
-    return math.fsum(terms.tolist()) ** (1.0 / field.p)
+    return weighted_sum(field.config.radii, alpha, field.per_site) ** (1.0 / field.p)
 
 
 def moment_constants(model: ModelSpec, T: float) -> dict:
@@ -129,11 +125,7 @@ def moment_ceiling(model, config, zeta, a_low, alpha, T):
     L = ovs_constant(band_c, 4.0, n_hat, config.rho, a_low)
     K = norm_bound_series(L, T, 0.5, a_low, alpha)
     log10_K = norm_bound_series_log10(L, T, 0.5, a_low, alpha)
-    if config.n_sites:
-        base = np.exp(-a_low * config.radii) * (np.abs(zeta.values) ** p + consts["A4"])
-        weighted = math.fsum(base.tolist())
-    else:
-        weighted = 0.0
+    weighted = weighted_sum(config.radii, a_low, np.abs(zeta.values) ** p + consts["A4"])
     return K * weighted if weighted else 0.0, K, log10_K, L
 
 
@@ -167,12 +159,9 @@ def tail_bound_check(fields, alpha, *, model, zeta, a_low, T) -> TailBoundReport
     if not alpha > a_low:
         raise ValueError("need alpha > a_low")
 
-    weights = np.exp(-alpha * config.radii) if config.n_sites else np.zeros(0)
-    level_sums = tuple(
-        math.fsum((weights * f.per_site).tolist()) for f in fields
-    )
+    level_sums = tuple(weighted_sum(config.radii, alpha, f.per_site) for f in fields)
     stacked = np.stack([f.per_site for f in fields])
-    sup_sum = math.fsum((weights * stacked.max(axis=0)).tolist())
+    sup_sum = weighted_sum(config.radii, alpha, stacked.max(axis=0))
 
     def rel_change(a, b):
         base = max(abs(b), 1e-300)
@@ -243,7 +232,7 @@ class CauchyReport:
     L: float
 
 
-def cauchy_table(ensembles, levels, alpha, *, model, a_low) -> CauchyReport:
+def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyReport:
     """Pairwise level distances against the weighted tail dominator.
 
     For each reported pair (n, m) the distance is the weighted sum of the
@@ -251,7 +240,8 @@ def cauchy_table(ensembles, levels, alpha, *, model, a_low) -> CauchyReport:
     trajectories directly (identical levels therefore give exactly zero).
     The dominator charges only the sites thawed between the two levels:
     2^p K(mid, alpha) sum_{tail} e^(-mid |x|) * (max-over-level moment), with
-    mid the midpoint weight between a_low and alpha.
+    mid the midpoint weight between a_low and alpha.  ``fields`` are the
+    p-th moment fields of the ensembles, one per level.
     """
     if not alpha > a_low:
         raise ValueError("need alpha > a_low")
@@ -262,6 +252,8 @@ def cauchy_table(ensembles, levels, alpha, *, model, a_low) -> CauchyReport:
         if e.config is not config:
             raise ValueError("level ensembles live on different configurations")
     p = model.p
+    if len(fields) != len(ensembles) or any(f.p != p for f in fields):
+        raise ValueError("need one p-th moment field per level ensemble")
     alpha_mid = 0.5 * (a_low + alpha)
     consts = cauchy_constants(model)
     band_c = p**2 * consts["B1"] + consts["B2"]
@@ -271,10 +263,7 @@ def cauchy_table(ensembles, levels, alpha, *, model, a_low) -> CauchyReport:
     K = norm_bound_series(L, T, 0.5, alpha_mid, alpha)
     log10_K = norm_bound_series_log10(L, T, 0.5, alpha_mid, alpha)
 
-    fields = [moment_field(e, p) for e in ensembles]
     moment_sup = np.stack([f.per_site for f in fields]).max(axis=0)
-    weights_alpha = np.exp(-alpha * config.radii)
-    weights_mid = np.exp(-alpha_mid * config.radii)
 
     k = len(ensembles)
     pairs = [(j, j + 1) for j in range(k - 1)]
@@ -282,12 +271,12 @@ def cauchy_table(ensembles, levels, alpha, *, model, a_low) -> CauchyReport:
 
     rows = []
     for n_idx, m_idx in pairs:
-        dist = math.fsum(
-            (weights_alpha * _pair_moment_sup(ensembles[n_idx], ensembles[m_idx], p)).tolist()
+        dist = weighted_sum(
+            config.radii, alpha, _pair_moment_sup(ensembles[n_idx], ensembles[m_idx], p)
         )
         tail = np.setdiff1d(levels[m_idx], levels[n_idx])
         if tail.size:
-            tail_sum = math.fsum((weights_mid[tail] * moment_sup[tail]).tolist())
+            tail_sum = weighted_sum(config.radii[tail], alpha_mid, moment_sup[tail])
             dominator = 2.0**p * K * tail_sum
         else:
             dominator = 0.0
@@ -314,18 +303,6 @@ def cauchy_table(ensembles, levels, alpha, *, model, a_low) -> CauchyReport:
         log10_K=log10_K,
         L=L,
     )
-
-
-def cauchy_diagnostic(
-    model, config, levels, zeta, T, dt, n_paths, seed, alpha, *,
-    a_low, scheme="tamed", threads=1,
-):
-    """Simulate nested truncations with coupled noise and tabulate distances."""
-    ensembles = simulate_levels(
-        model, config, levels, zeta, T, dt, n_paths, seed,
-        scheme=scheme, threads=threads,
-    )
-    return cauchy_table(ensembles, levels, alpha, model=model, a_low=a_low)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 A configuration is a finite set of points in R^d together with the closed-ball
 neighbor relation at interaction radius rho.  Points are sampled from a
-homogeneous Poisson process on a centered box; the neighbor table is built with
-a uniform cell grid so construction stays linear in the number of points.
+homogeneous Poisson process on a centered box.  The relation is stored once,
+as a sparse band in compressed-row form, built with a vectorized cell list so
+construction stays near-linear in the number of points.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "Configuration",
+    "check_sampling_args",
     "sample_configuration",
     "configuration_from_points",
     "build_neighborhoods",
@@ -30,11 +32,12 @@ _SUPPORTED_DIMS = (1, 2, 3)
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """Finite point set with a precomputed closed-ball neighbor table.
+    """Finite point set with its closed-ball neighbor band.
 
-    ``neighbors[i]`` lists the indices of all sites within distance ``rho`` of
-    site ``i`` (itself included), sorted ascending; ``degrees[i]`` is its
-    length.  Instances are immutable and safe to share across threads.
+    The band is compressed-row: the neighbors of site ``x`` (itself included)
+    are ``indices[indptr[x]:indptr[x + 1]]``, sorted ascending, and
+    ``distances`` holds the matching pair distances.  Instances are immutable
+    and safe to share across threads.
     """
 
     dim: int
@@ -42,13 +45,28 @@ class Configuration:
     rho: float
     box_halfwidth: float
     seed: int                     # -1 when built directly from points
-    neighbors: tuple = field(repr=False)
-    degrees: np.ndarray = field(repr=False)
-    radii: np.ndarray = field(repr=False)   # Euclidean |x| per site
+    indptr: np.ndarray = field(repr=False)      # shape (n + 1,)
+    indices: np.ndarray = field(repr=False)     # shape (nnz,)
+    distances: np.ndarray = field(repr=False)   # shape (nnz,)
+    radii: np.ndarray = field(repr=False)       # Euclidean |x| per site
 
     @property
     def n_sites(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """n_x = |B_x|, the row lengths of the band."""
+        return np.diff(self.indptr)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row (site) index of every band entry."""
+        return np.repeat(np.arange(self.n_sites, dtype=np.int64), self.degrees)
+
+    def row(self, x: int) -> slice:
+        """Band positions of site x: its neighbors are ``indices[row(x)]``."""
+        return slice(int(self.indptr[x]), int(self.indptr[x + 1]))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -59,14 +77,8 @@ def _check_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def sample_configuration(intensity, box_halfwidth, dim, rho, seed) -> Configuration:
-    """Sample a Poisson configuration on the box [-S, S]^d and build its table.
-
-    The site count is Poisson(intensity * (2S)^d) and points are i.i.d.
-    uniform in the box.  Exact duplicate points (a probability-zero event that
-    float rounding can nonetheless produce) are resampled so the point set is
-    genuinely a set.  Fully deterministic for a fixed seed.
-    """
+def check_sampling_args(intensity, box_halfwidth, dim, rho, seed) -> None:
+    """Raise ValueError unless :func:`sample_configuration` accepts the arguments."""
     for name, value in (("intensity", intensity), ("box_halfwidth", box_halfwidth), ("rho", rho)):
         _check_finite(name, value)
     if dim not in _SUPPORTED_DIMS:
@@ -75,26 +87,35 @@ def sample_configuration(intensity, box_halfwidth, dim, rho, seed) -> Configurat
         raise ValueError("intensity must be >= 0")
     if box_halfwidth <= 0 or rho <= 0:
         raise ValueError("box_halfwidth and rho must be > 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
+
+def _first_copies(points) -> np.ndarray:
+    """Index of the first copy of every distinct point."""
+    return np.unique(points, axis=0, return_index=True)[1]
+
+
+def sample_configuration(intensity, box_halfwidth, dim, rho, seed) -> Configuration:
+    """Sample a Poisson configuration on the box [-S, S]^d and build its band.
+
+    The site count is Poisson(intensity * (2S)^d) and points are i.i.d.
+    uniform in the box.  Exact duplicate points (a probability-zero event that
+    float rounding can nonetheless produce) are resampled so the point set is
+    genuinely a set: every later copy of a point is redrawn, in index order.
+    Fully deterministic for a fixed seed.
+    """
+    check_sampling_args(intensity, box_halfwidth, dim, rho, seed)
     rng = np.random.default_rng(seed)
     volume = (2.0 * box_halfwidth) ** dim
     count = int(rng.poisson(intensity * volume))
     points = rng.uniform(-box_halfwidth, box_halfwidth, size=(count, dim))
-
-    # Duplicate rejection: redraw colliding rows until all points are distinct.
-    if count > 1:
-        seen = {tuple(row) for row in points}
-        while len(seen) < count:
-            fresh = {}
-            seen = set()
-            for i, row in enumerate(map(tuple, points)):
-                if row in seen:
-                    fresh[i] = True
-                seen.add(row)
-            for i in fresh:
-                points[i] = rng.uniform(-box_halfwidth, box_halfwidth, size=dim)
-            seen = {tuple(row) for row in points}
-
+    while count > 1:
+        first = _first_copies(points)
+        if first.size == count:
+            break
+        later = np.setdiff1d(np.arange(count), first)
+        points[later] = rng.uniform(-box_halfwidth, box_halfwidth, size=(later.size, dim))
     return configuration_from_points(points, rho, box_halfwidth, seed=seed)
 
 
@@ -108,12 +129,12 @@ def configuration_from_points(points, rho, box_halfwidth=None, seed=-1) -> Confi
         raise ValueError("points must be finite")
     if rho <= 0 or not math.isfinite(rho):
         raise ValueError("rho must be positive and finite")
-    if points.shape[0] > 1 and len({tuple(row) for row in points}) < points.shape[0]:
+    if _first_copies(points).size < points.shape[0]:
         raise ValueError("points must be pairwise distinct")
     if box_halfwidth is None:
         box_halfwidth = float(np.max(np.abs(points))) if points.size else 1.0
         box_halfwidth = max(box_halfwidth, 1.0)
-    neighbors, degrees = build_neighborhoods(points, rho)
+    indptr, indices, distances = build_neighborhoods(points, rho)
     radii = np.sqrt(np.sum(points * points, axis=1))
     return Configuration(
         dim=dim,
@@ -121,49 +142,63 @@ def configuration_from_points(points, rho, box_halfwidth=None, seed=-1) -> Confi
         rho=float(rho),
         box_halfwidth=float(box_halfwidth),
         seed=int(seed),
-        neighbors=neighbors,
-        degrees=degrees,
+        indptr=indptr,
+        indices=indices,
+        distances=distances,
         radii=radii,
     )
 
 
 def build_neighborhoods(points, rho):
-    """Closed-ball neighbor table: B_x = {y : |x - y| <= rho}, x included.
+    """Closed-ball neighbor band: B_x = {y : |x - y| <= rho}, x included.
 
-    Uses a uniform cell grid with cell size rho, so only the 3^d surrounding
-    cells are scanned per site; expected linear time for bounded local
-    density.  Ties at distance exactly rho are included.
+    Returns ``(indptr, indices, distances)`` in compressed-row form, indices
+    sorted within each row.  A cell list with cell size rho: sites are sorted
+    by cell, and each of the 3^d neighboring cells is located for all sites
+    at once by binary search, so only nearby pairs are ever compared.  Ties at
+    distance exactly rho are included.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
+    n, dim = points.shape
     if n == 0:
-        return tuple(), np.zeros(0, dtype=np.int64)
-    dim = points.shape[1]
+        return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
 
-    cells: dict[tuple, list] = {}
-    keys = np.floor(points / rho).astype(np.int64)
-    for i in range(n):
-        cells.setdefault(tuple(keys[i]), []).append(i)
+    # Per axis, rank the occupied cell coordinates so that adjacent cells stay
+    # one apart and farther ones two apart; the linear cell ids then stay small
+    # however far the points spread.  The margin of 1 keeps every offset cell
+    # id inside the grid, so no two cells alias.
+    coords = np.empty((n, dim), dtype=np.int64)
+    shape = []
+    for k in range(dim):
+        cells, inverse = np.unique(np.floor(points[:, k] / rho), return_inverse=True)
+        ranks = np.concatenate(([1], 1 + np.cumsum(np.minimum(np.diff(cells), 2))))
+        coords[:, k] = ranks.astype(np.int64)[inverse]
+        shape.append(int(ranks[-1]) + 2)
+    strides = np.cumprod([1] + shape[:0:-1])[::-1].astype(np.int64)
+    # work in cell order: the searches below then get ascending keys
+    order = np.argsort(coords @ strides, kind="stable")
+    cell_id = coords[order] @ strides
+    ordered = points[order]
 
-    offsets = list(itertools.product((-1, 0, 1), repeat=dim))
-    neighbors = []
-    degrees = np.empty(n, dtype=np.int64)
-    rho2 = rho * rho
-    for i in range(n):
-        base = keys[i]
-        candidates = []
-        for off in offsets:
-            cell = tuple(base + np.asarray(off))
-            bucket = cells.get(cell)
-            if bucket:
-                candidates.extend(bucket)
-        cand = np.asarray(candidates, dtype=np.int64)
-        diff = points[cand] - points[i]
-        inside = cand[np.einsum("ij,ij->i", diff, diff) <= rho2]
-        inside.sort()
-        neighbors.append(inside)
-        degrees[i] = inside.size
-    return tuple(neighbors), degrees
+    sites = np.arange(n, dtype=np.int64)
+    rows, cols = [], []
+    for offset in itertools.product((-1, 0, 1), repeat=dim):
+        target = cell_id + np.asarray(offset, dtype=np.int64) @ strides
+        start = np.searchsorted(cell_id, target, side="left")
+        count = np.searchsorted(cell_id, target, side="right") - start
+        row = np.repeat(sites, count)
+        rows.append(row)
+        cols.append(np.repeat(start - (np.cumsum(count) - count), count) + np.arange(row.size))
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    diff = ordered[cols] - ordered[rows]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    inside = d2 <= rho * rho
+    rows, cols, d2 = order[rows[inside]], order[cols[inside]], d2[inside]
+    band = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[band], np.sqrt(d2[band])
 
 
 def estimate_growth_constant(config: Configuration) -> float:

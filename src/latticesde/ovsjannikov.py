@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Configuration, estimate_growth_constant
-from .spaces import WeightedSeq
+from .spaces import WeightedSeq, weighted_sum
 
 __all__ = [
     "BandedOperator",
@@ -62,13 +62,19 @@ __all__ = [
 _ENTRY_TOL = 1e-9  # relative play when validating |Q_xy| <= C n_x^q
 
 
+def _sum_by(index: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """out[i] = sum of terms[k] with index[k] == i, added in entry order."""
+    return np.bincount(index, weights=terms, minlength=n).astype(float, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
     """Sparse operator whose pattern is contained in the neighbor relation.
 
-    Entries are stored as row-major sorted triplets.  ``band_constant`` (C)
-    and ``band_exponent`` (q) certify the entry growth bound
-    |Q_{xy}| <= C n_x^q; both are validated at construction time.
+    Entries are stored as row-major sorted triplets, each of which must lie
+    on the configuration's neighbor band.  ``band_constant`` (C) and
+    ``band_exponent`` (q) certify the entry growth bound |Q_{xy}| <= C n_x^q;
+    both are validated at construction time.
     """
 
     config: Configuration
@@ -88,17 +94,25 @@ class BandedOperator:
             raise ValueError("band_constant must be >= 0")
         if self.band_exponent < 1:
             raise ValueError("band_exponent must be >= 1")
+        n = self.config.n_sites
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            raise ValueError("entry indices must be site indices")
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
-        degrees = self.config.degrees
-        for r, c, v in zip(rows, cols, vals):
-            if c not in self.config.neighbors[r]:
-                raise ValueError(f"entry ({r},{c}) lies outside the neighbor band")
-            cap = self.band_constant * float(degrees[r]) ** self.band_exponent
-            if abs(v) > cap * (1.0 + _ENTRY_TOL) + _ENTRY_TOL:
-                raise ValueError(
-                    f"entry ({r},{c})={v} violates |Q| <= C n_x^q = {cap}"
-                )
+        # (row, col) keys of the band ascend, so membership is a binary search
+        band = self.config.rows * n + self.config.indices
+        keys = rows * n + cols
+        found = band[np.minimum(np.searchsorted(band, keys), band.size - 1)] == keys
+        caps = self.band_constant * self.config.degrees[rows].astype(float) ** self.band_exponent
+        over = np.abs(vals) > caps * (1.0 + _ENTRY_TOL) + _ENTRY_TOL
+        if not np.all(found):
+            i = int(np.argmin(found))
+            raise ValueError(f"entry ({rows[i]},{cols[i]}) lies outside the neighbor band")
+        if np.any(over):
+            i = int(np.argmax(over))
+            raise ValueError(
+                f"entry ({rows[i]},{cols[i]})={vals[i]} violates |Q| <= C n_x^q = {caps[i]}"
+            )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "vals", vals)
@@ -108,21 +122,10 @@ class BandedOperator:
         return self.config.n_sites
 
     def matvec(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_sites)
-        if self.vals.size:
-            np.add.at(out, self.rows, self.vals * values[self.cols])
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_sites, self.n_sites))
-        dense[self.rows, self.cols] = self.vals
-        return dense
+        return _sum_by(self.rows, self.vals * values[self.cols], self.n_sites)
 
     def column_abs_sums(self) -> np.ndarray:
-        out = np.zeros(self.n_sites)
-        if self.vals.size:
-            np.add.at(out, self.cols, np.abs(self.vals))
-        return out
+        return _sum_by(self.cols, np.abs(self.vals), self.n_sites)
 
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.vals >= 0.0))
@@ -141,25 +144,15 @@ def identity_operator(config: Configuration) -> BandedOperator:
 def random_banded_operator(config, band_constant, band_exponent, seed, nonnegative=False):
     """Fill the whole neighbor band with entries u * C n_x^q, u uniform.
 
-    u is drawn from (-1, 1), or (0, 1) when a nonnegative kernel is requested.
+    u is drawn from (-1, 1), or (0, 1) when a nonnegative kernel is requested,
+    one draw per band entry in row-major order.
     """
     rng = np.random.default_rng(seed)
-    rows, cols, vals = [], [], []
-    for x in range(config.n_sites):
-        cap = band_constant * float(config.degrees[x]) ** band_exponent
-        for y in config.neighbors[x]:
-            u = rng.uniform(0.0, 1.0) if nonnegative else rng.uniform(-1.0, 1.0)
-            rows.append(x)
-            cols.append(int(y))
-            vals.append(cap * u)
-    return BandedOperator(
-        config,
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(vals, dtype=float),
-        band_constant,
-        band_exponent,
-    )
+    rows = config.rows
+    # scalar pow per site: numpy's vectorized power can differ in the last bit
+    caps = band_constant * np.array([float(n) ** band_exponent for n in config.degrees.tolist()])
+    u = rng.uniform(0.0 if nonnegative else -1.0, 1.0, size=rows.size)
+    return BandedOperator(config, rows, config.indices, caps[rows] * u, band_constant, band_exponent)
 
 
 def apply(Q: BandedOperator, z: WeightedSeq) -> WeightedSeq:
@@ -167,16 +160,6 @@ def apply(Q: BandedOperator, z: WeightedSeq) -> WeightedSeq:
     if z.config is not Q.config:
         raise ValueError("operator and sequence live on different configurations")
     return WeightedSeq(Q.config, Q.matvec(z.values))
-
-
-def _weighted_l1(config: Configuration, values: np.ndarray, weight: float) -> float:
-    if config.n_sites == 0:
-        return 0.0
-    if weight == 0.0:
-        terms = np.abs(values)
-    else:
-        terms = np.exp(-weight * config.radii) * np.abs(values)
-    return math.fsum(terms.tolist())
 
 
 def ovs_constant(C, q, N_hat, rho, a_low) -> float:
@@ -217,10 +200,10 @@ def verify_ovs_bound(Q: BandedOperator, alpha, beta, trials, seed, a_low=None) -
     max_ratio = 0.0
     for _ in range(trials):
         values = rng.standard_normal(Q.config.n_sites)
-        denom = _weighted_l1(Q.config, values, alpha)
+        denom = weighted_sum(Q.config.radii, alpha, np.abs(values))
         if denom == 0.0:
             continue
-        numer = _weighted_l1(Q.config, Q.matvec(values), beta)
+        numer = weighted_sum(Q.config.radii, beta, np.abs(Q.matvec(values)))
         max_ratio = max(max_ratio, numer / denom)
     return OvsBoundReport(max_ratio, bound, max_ratio <= bound, L, alpha, beta, trials)
 
@@ -300,7 +283,7 @@ def solve_linear_evolution(Q: BandedOperator, z0: WeightedSeq, T, tol, beta=0.0,
         power = Q.matvec(power)
         coeff = coeff * times / k
         total += np.outer(coeff, power)
-        increment = coeff[-1] * _weighted_l1(Q.config, power, beta)
+        increment = coeff[-1] * weighted_sum(Q.config.radii, beta, np.abs(power))
         below = below + 1 if increment < tol else 0
         if below >= 2:
             return GridFunction(Q.config, times, total)

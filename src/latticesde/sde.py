@@ -36,12 +36,11 @@ __all__ = [
     "make_model",
     "drift",
     "diffusion",
-    "interaction_matrix",
-    "adjacency_matrix",
     "a_tilde",
     "check_dissipativity",
     "DissipativityReport",
     "PathEnsemble",
+    "step_count",
     "simulate_truncated",
     "wiener_increments",
     "ou_moment_oracle",
@@ -189,54 +188,29 @@ def make_model(
     )
 
 
-def _pair_distances(config: Configuration, x: int) -> np.ndarray:
-    nbrs = config.neighbors[x]
-    diff = config.points[nbrs] - config.points[x]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
 def drift(model: ModelSpec, x: int, q: float, Z: WeightedSeq) -> float:
     """Phi_x(q, Z) = V(q) + sum_{y in B_x} a(x-y) z_y (self term included)."""
     config = Z.config
-    nbrs = config.neighbors[x]
-    weights = model.kernel(_pair_distances(config, x))
-    return float(model.potential(q)) + float(np.dot(weights, Z.values[nbrs]))
+    band = config.row(x)
+    weights = model.kernel(config.distances[band])
+    return float(model.potential(q)) + float(np.dot(weights, Z.values[config.indices[band]]))
 
 
 def diffusion(model: ModelSpec, x: int, q: float, Z: WeightedSeq) -> float:
     """Psi_x(q, Z) = sigma0 + sigma1 q + sigma2 n_x sum_{y in B_x} z_y."""
     config = Z.config
-    nbrs = config.neighbors[x]
+    band = config.row(x)
     return float(
         model.sigma0
         + model.sigma1 * q
-        + model.sigma2 * config.degrees[x] * np.sum(Z.values[nbrs])
+        + model.sigma2 * (band.stop - band.start) * np.sum(Z.values[config.indices[band]])
     )
-
-
-def interaction_matrix(model: ModelSpec, config: Configuration) -> np.ndarray:
-    """Dense kernel matrix K[x, y] = a(x - y) on the neighbor band."""
-    K = np.zeros((config.n_sites, config.n_sites))
-    for x in range(config.n_sites):
-        nbrs = config.neighbors[x]
-        K[x, nbrs] = model.kernel(_pair_distances(config, x))
-    return K
-
-
-def adjacency_matrix(config: Configuration) -> np.ndarray:
-    A = np.zeros((config.n_sites, config.n_sites))
-    for x in range(config.n_sites):
-        A[x, config.neighbors[x]] = 1.0
-    return A
 
 
 def a_tilde(model: ModelSpec, config: Configuration) -> np.ndarray:
     """Per-site kernel l2 mass (sum_{y in B_x} a^2(x-y))^(1/2)."""
-    out = np.empty(config.n_sites)
-    for x in range(config.n_sites):
-        w = model.kernel(_pair_distances(config, x))
-        out[x] = math.sqrt(float(np.dot(w, w)))
-    return out
+    w = model.kernel(config.distances)
+    return np.sqrt(np.bincount(config.rows, weights=w * w, minlength=config.n_sites))
 
 
 @dataclass(frozen=True)
@@ -307,10 +281,10 @@ def check_dissipativity(model: ModelSpec, samples, q_range, seed, config=None) -
             za = WeightedSeq(config, rng.uniform(-q_range, q_range, config.n_sites))
             zb = WeightedSeq(config, rng.uniform(-q_range, q_range, config.n_sites))
             lhs_e = abs(diffusion(model, x, qa, za) - diffusion(model, x, qb, zb))
-            nbrs = config.neighbors[x]
-            rhs_e = model.lipschitz_m1 * abs(qa - qb) + model.lipschitz_m2 * config.degrees[
-                x
-            ] * float(np.sum(np.abs(za.values[nbrs] - zb.values[nbrs])))
+            nbrs = config.indices[config.row(x)]
+            rhs_e = model.lipschitz_m1 * abs(qa - qb) + model.lipschitz_m2 * nbrs.size * float(
+                np.sum(np.abs(za.values[nbrs] - zb.values[nbrs]))
+            )
             if lhs_e > rhs_e + slack:
                 e_ok = False
                 witnesses.append(("E", {"site": x, "lhs": lhs_e, "rhs": rhs_e}))
@@ -394,11 +368,40 @@ class PathEnsemble:
         return bool(np.any(self.blowup))
 
 
+def step_count(T, dt) -> int:
+    """Number of dt steps that make up the horizon T; ValueError unless dt divides T."""
+    if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T <= 0:
+        raise ValueError("need finite dt > 0 and T > 0")
+    n_steps = int(round(T / dt))
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError("dt must divide T")
+    return n_steps
+
+
 def _validate_active(config: Configuration, lambda_n) -> np.ndarray:
-    active = np.asarray(sorted(set(int(i) for i in lambda_n)), dtype=np.int64)
+    active = np.unique(np.asarray(lambda_n, dtype=np.int64))
     if active.size and (active[0] < 0 or active[-1] >= config.n_sites):
         raise ValueError("active set contains out-of-range site indices")
     return active
+
+
+def _band_slots(model: ModelSpec, config: Configuration, active: np.ndarray):
+    """The band rows of the active sites, padded to one width.
+
+    Row i of ``slots`` lists the neighbors of site ``active[i]``, padded up
+    to the largest active degree with the site itself.  ``weights[i]`` stacks
+    the kernel weights a(x - y) over the adjacency indicator, both 0 on the
+    padding, so that one batched product yields the drift and diffusion sums.
+    """
+    start = config.indptr[active]
+    degree = config.indptr[active + 1] - start
+    width = np.arange(int(degree.max()) if active.size else 0)
+    real = width < degree[:, None]
+    pos = np.where(real, start[:, None] + width, 0)
+    slots = np.where(real, config.indices[pos], active[:, None])
+    kernel = np.where(real, model.kernel(config.distances)[pos], 0.0)
+    weights = np.stack([kernel, real.astype(float)], axis=1)
+    return slots, weights, degree.astype(float)
 
 
 def simulate_truncated(
@@ -427,11 +430,7 @@ def simulate_truncated(
         raise ValueError(f"scheme must be one of {_SCHEMES}")
     if zeta.config is not config:
         raise ValueError("initial data lives on a different configuration")
-    if dt <= 0 or T <= 0:
-        raise ValueError("need dt > 0 and T > 0")
-    n_steps = int(round(T / dt))
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("dt must divide T")
+    n_steps = step_count(T, dt)
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
 
@@ -440,9 +439,7 @@ def simulate_truncated(
     times = np.linspace(0.0, T, n_steps + 1)
     paths = np.empty((n_paths, n_sites, n_steps + 1))
 
-    K = interaction_matrix(model, config)
-    adj = adjacency_matrix(config)
-    degrees = config.degrees.astype(float)
+    slots, weights, degrees = _band_slots(model, config, active)
     tamed = scheme == "tamed"
 
     source = _NoiseSource(seed)
@@ -452,6 +449,7 @@ def simulate_truncated(
         # cap the raw-draw buffer at ~256 MB per block
         cap = max(1, (1 << 25) // (active.size * draws_per_stream))
         path_block = min(path_block, cap)
+    blowup = np.empty(n_paths, dtype=bool)
     for start in range(0, n_paths, path_block):
         stop = min(start + path_block, n_paths)
         block = stop - start
@@ -459,43 +457,35 @@ def simulate_truncated(
         for bi in range(block):
             for si, site in enumerate(active):
                 source.fill_normals(start + bi, int(site), raw[bi, si])
-        fine = scale * raw
-        noise = fine.reshape(block, active.size, n_steps, noise_refine).sum(axis=3)
-        # time-first layout keeps the per-step writes contiguous
-        noise = np.ascontiguousarray(noise.transpose(2, 0, 1))
-        state = np.tile(zeta.values, (block, 1))
-        block_paths = np.empty((n_steps + 1, block, n_sites))
-        block_paths[0] = state
+        raw *= scale
+        noise = raw.reshape(block, active.size, n_steps, noise_refine).sum(axis=3)
+        del raw
+        # step-major, then (site, path): each step reads one contiguous slab
+        noise = np.ascontiguousarray(noise.transpose(2, 1, 0))
+        state = np.repeat(zeta.values[:, None], block, axis=1)   # (site, path)
+        out = paths[start:stop]
+        bounded = np.ones(block, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps):
-                if active.size:
-                    phi = model.potential(state) + state @ K.T
+            for k in range(n_steps + 1):
+                if k and active.size:
+                    sums = np.matmul(weights, np.take(state, slots, axis=0))   # (active, 2, path)
+                    own = state[active]
+                    phi = model.potential(own) + sums[:, 0]
                     psi = (
                         model.sigma0
-                        + model.sigma1 * state
-                        + model.sigma2 * degrees * (state @ adj.T)
+                        + model.sigma1 * own
+                        + model.sigma2 * degrees[:, None] * sums[:, 1]
                     )
                     if tamed:
                         inc = phi * dt / (1.0 + dt * np.abs(phi))
                     else:
                         inc = phi * dt
-                    state[:, active] = (
-                        state[:, active]
-                        + inc[:, active]
-                        + psi[:, active] * noise[k]
-                    )
-                block_paths[k + 1] = state
-        paths[start:stop] = block_paths.transpose(1, 2, 0)
+                    state[active] = own + inc + psi * noise[k - 1]
+                out[:, :, k] = state.T
+                # NaN fails the comparison too
+                bounded &= np.all(np.abs(state) <= _BLOWUP_LIMIT, axis=0)
+        blowup[start:stop] = ~bounded
 
-    if paths.size:
-        finite = np.isfinite(paths).all(axis=(1, 2))
-        small = (
-            np.nanmax(np.abs(np.where(np.isfinite(paths), paths, 0.0)), axis=(1, 2))
-            <= _BLOWUP_LIMIT
-        )
-        blowup = ~(finite & small)
-    else:
-        blowup = np.zeros(n_paths, dtype=bool)
     return PathEnsemble(
         config=config,
         active=active,

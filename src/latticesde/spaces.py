@@ -20,6 +20,7 @@ from .geometry import Configuration, estimate_growth_constant
 __all__ = [
     "ScaleParams",
     "WeightedSeq",
+    "weighted_sum",
     "lp_norm",
     "verify_scale_monotonicity",
     "degree_summability_check",
@@ -71,16 +72,18 @@ class WeightedSeq:
         object.__setattr__(self, "values", values)
 
 
+def weighted_sum(radii: np.ndarray, a: float, values) -> float:
+    """Compensated sum of e^(-a |x|) v_x over sites with the given radii."""
+    return math.fsum((np.exp(-a * radii) * values).tolist())
+
+
 def lp_norm(z: WeightedSeq, a: float, p: float) -> float:
     """Weighted norm (sum_x e^(-a|x|) |z_x|^p)^(1/p)."""
     if a <= 0.0:
         raise ValueError("weight a must be > 0")
     if p < 1.0:
         raise ValueError("need p >= 1")
-    if z.config.n_sites == 0:
-        return 0.0
-    terms = np.exp(-a * z.config.radii) * np.abs(z.values) ** p
-    return math.fsum(terms.tolist()) ** (1.0 / p)
+    return weighted_sum(z.config.radii, a, np.abs(z.values) ** p) ** (1.0 / p)
 
 
 def verify_scale_monotonicity(z: WeightedSeq, alpha: float, beta: float, p: float):
@@ -119,13 +122,9 @@ def degree_summability_check(config: Configuration, a_low: float):
     """
     if a_low <= 0.0:
         raise ValueError("a_low must be > 0")
-    if config.n_sites:
-        weights = np.exp(-a_low * config.radii) * config.degrees
-        partial_sum = math.fsum(weights.tolist())
-        n_hat = estimate_growth_constant(config)
-    else:
-        partial_sum = 0.0
-        n_hat = 1.0  # formula still yields a finite tail for the empty window
+    partial_sum = weighted_sum(config.radii, a_low, config.degrees)
+    # the formula still yields a finite tail for the empty window
+    n_hat = estimate_growth_constant(config) if config.n_sites else 1.0
 
     k = _grid_partition_exponent(config.dim if config.dim else 1, config.rho)
     m = math.ceil(max(1.0 / a_low, 2.0))

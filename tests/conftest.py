@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import latticesde as lat
 
@@ -17,6 +18,12 @@ def brute_force_neighbors(points, rho):
         d2 = np.sum((points - points[i]) ** 2, axis=1)
         neighbors.append(np.flatnonzero(d2 <= rho * rho).astype(np.int64))
     return neighbors
+
+
+def dense_operator(Q):
+    """Dense matrix of a banded operator, assembled by scipy.sparse."""
+    n = Q.config.n_sites
+    return scipy.sparse.coo_matrix((Q.vals, (Q.rows, Q.cols)), shape=(n, n)).toarray()
 
 
 def lattice_1d(lo=-10, hi=10, rho=1.5):

@@ -113,6 +113,26 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"intensity": "nan"},
+            {"horizon": "nan"},
+            {"horizon": "inf"},
+            {"zeta": "nan"},
+            {"kernel_cap": "-1"},
+            {"sigma0": "-0.1"},
+            {"potential": "linear", "potential_param": "0"},
+        ],
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_library_rejections_exit_2(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, **overrides)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_blowup_flagged_as_failure(self, tmp_path):
         # explicit scheme + cubic decay + large initial value diverges
         path = write_config(tmp_path, scheme="explicit", zeta="60.0", dump_paths="false")

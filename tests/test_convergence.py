@@ -153,6 +153,10 @@ class TestTailBound:
             lat.tail_bound_check(fields, 0.5, model=model, zeta=zeta, a_low=0.25, T=0.5)
 
 
+def moments(ensembles, model):
+    return [lat.moment_field(e, model.p) for e in ensembles]
+
+
 class TestCauchy:
     def test_identical_levels_give_exact_zero(self, decoupled_setup):
         config, model, zeta = decoupled_setup
@@ -161,7 +165,8 @@ class TestCauchy:
             model, config, [full, full, full], zeta, 0.5, 0.01, 16, 9
         )
         report = cauchy_table(
-            ensembles, [full, full, full], 0.5, model=model, a_low=0.25
+            ensembles, [full, full, full], 0.5, fields=moments(ensembles, model),
+            model=model, a_low=0.25,
         )
         for row in report.rows:
             assert row.distance == 0.0
@@ -177,7 +182,9 @@ class TestCauchy:
             model, config, levels, zeta, 0.5, 0.01, 64, 10
         )
         p = model.p
-        report = cauchy_table(ensembles, levels, 0.5, model=model, a_low=0.25)
+        report = cauchy_table(
+            ensembles, levels, 0.5, fields=moments(ensembles, model), model=model, a_low=0.25
+        )
         weights = np.exp(-0.5 * config.radii)
         for row in report.rows:
             big = ensembles[row.level_m]
@@ -189,7 +196,9 @@ class TestCauchy:
 
     def test_coupled_levels_decrease(self, level_ensembles):
         config, model, zeta, levels, ensembles = level_ensembles
-        report = cauchy_table(ensembles, levels, 0.5, model=model, a_low=0.25)
+        report = cauchy_table(
+            ensembles, levels, 0.5, fields=moments(ensembles, model), model=model, a_low=0.25
+        )
         assert report.decreasing_ok
 
     def test_weight_order_enforced(self, decoupled_setup):
@@ -197,7 +206,10 @@ class TestCauchy:
         full = np.arange(config.n_sites)
         ensembles = simulate_levels(model, config, [full, full], zeta, 0.5, 0.01, 8, 11)
         with pytest.raises(ValueError):
-            cauchy_table(ensembles, [full, full], 0.2, model=model, a_low=0.25)
+            cauchy_table(
+                ensembles, [full, full], 0.2, fields=moments(ensembles, model),
+                model=model, a_low=0.25,
+            )
 
     def test_mismatched_seeds_rejected(self, decoupled_setup):
         config, model, zeta = decoupled_setup
@@ -205,7 +217,10 @@ class TestCauchy:
         a = lat.simulate_truncated(model, config, full, zeta, 0.25, 0.01, 4, 1)
         b = lat.simulate_truncated(model, config, full, zeta, 0.25, 0.01, 4, 2)
         with pytest.raises(ValueError, match="seed"):
-            cauchy_table([a, b], [full, full], 0.5, model=model, a_low=0.25)
+            cauchy_table(
+                [a, b], [full, full], 0.5, fields=moments([a, b], model),
+                model=model, a_low=0.25,
+            )
 
     def test_non_nested_levels_rejected(self, decoupled_setup):
         config, model, zeta = decoupled_setup

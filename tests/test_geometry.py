@@ -11,6 +11,12 @@ from conftest import brute_force_neighbors, lattice_1d
 LOG2 = math.log(2.0)
 
 
+def band_lists(points, rho):
+    """Per-site neighbor arrays and degrees from build_neighborhoods."""
+    indptr, indices, _ = lat.build_neighborhoods(points, rho)
+    return [indices[a:b] for a, b in zip(indptr[:-1], indptr[1:])], np.diff(indptr)
+
+
 class TestSampleConfiguration:
     def test_zero_intensity_gives_empty_configuration(self):
         cfg = lat.sample_configuration(0.0, 5.0, 1, 1.0, 7)
@@ -60,19 +66,19 @@ class TestSampleConfiguration:
 
 class TestNeighborhoods:
     def test_single_point_self_inclusion(self):
-        nbrs, deg = lat.build_neighborhoods([[0.0]], 1.0)
+        nbrs, deg = band_lists([[0.0]], 1.0)
         assert list(nbrs[0]) == [0]
         assert deg[0] == 1
 
     def test_boundary_distance_included(self):
-        nbrs, deg = lat.build_neighborhoods([[0.0], [1.0]], 1.0)
+        nbrs, deg = band_lists([[0.0], [1.0]], 1.0)
         assert deg[0] == 2 and deg[1] == 2
 
     def test_three_collinear_points(self):
         # spacing 0.6 rho: middle sees both ends, ends see only the middle
         rho = 1.0
         pts = [[0.0], [0.6 * rho], [1.2 * rho]]
-        nbrs, deg = lat.build_neighborhoods(pts, rho)
+        nbrs, deg = band_lists(pts, rho)
         assert deg[1] == 3
         assert deg[0] == 2 and deg[2] == 2
         oracle = brute_force_neighbors(pts, rho)
@@ -80,8 +86,8 @@ class TestNeighborhoods:
             assert np.array_equal(got, want)
 
     def test_empty_input(self):
-        nbrs, deg = lat.build_neighborhoods(np.zeros((0, 2)), 1.0)
-        assert nbrs == tuple() and deg.size == 0
+        indptr, indices, distances = lat.build_neighborhoods(np.zeros((0, 2)), 1.0)
+        assert indptr.tolist() == [0] and indices.size == 0 and distances.size == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cell_grid_matches_brute_force(self, seed):
@@ -90,18 +96,35 @@ class TestNeighborhoods:
         n = int(rng.integers(2, 120))
         pts = rng.uniform(-4, 4, size=(n, dim))
         rho = float(rng.uniform(0.3, 2.5))
-        nbrs, _ = lat.build_neighborhoods(pts, rho)
+        nbrs, _ = band_lists(pts, rho)
         oracle = brute_force_neighbors(pts, rho)
         for got, want in zip(nbrs, oracle):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_band_matches_brute_force_with_ties(self, dim):
+        # integer lattice at rho = 1: every axis neighbor sits at exactly rho
+        # and on a cell boundary; far-out points spread the cell grid widely
+        axis = np.arange(-3.0, 4.0)
+        lattice = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), -1).reshape(-1, dim)
+        far = np.array([[1e12] * dim, [1e12 + 1.0] + [1e12] * (dim - 1), [-7e11] * dim])
+        pts = np.concatenate([lattice, far])
+        indptr, indices, distances = lat.build_neighborhoods(pts, 1.0)
+        oracle = brute_force_neighbors(pts, 1.0)
+        assert np.array_equal(np.diff(indptr), [row.size for row in oracle])
+        assert np.array_equal(indices, np.concatenate(oracle))
+        rows = np.repeat(np.arange(len(pts)), np.diff(indptr))
+        want = np.sqrt(np.sum((pts[indices] - pts[rows]) ** 2, axis=1))
+        assert np.array_equal(distances, want)
+        assert np.all(distances <= 1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_neighbor_symmetry(self, seed):
         cfg = lat.sample_configuration(1.5, 3.0, 2, 0.8, seed)
-        for x in range(cfg.n_sites):
-            for y in cfg.neighbors[x]:
-                assert x in cfg.neighbors[y]
+        pairs = dict(zip(zip(cfg.rows.tolist(), cfg.indices.tolist()), cfg.distances))
+        for (x, y), r in pairs.items():
+            assert pairs[(y, x)] == r
 
 
 class TestGrowthConstant:
@@ -177,9 +200,10 @@ class TestSerialization:
         assert back.rho == cfg.rho
         assert back.seed == cfg.seed
         assert np.array_equal(back.points, cfg.points)
-        # neighbor tables are recomputed, never stored
-        for a, b in zip(back.neighbors, cfg.neighbors):
-            assert np.array_equal(a, b)
+        # the neighbor band is recomputed, never stored
+        assert np.array_equal(back.indptr, cfg.indptr)
+        assert np.array_equal(back.indices, cfg.indices)
+        assert np.array_equal(back.distances, cfg.distances)
 
     def test_empty_roundtrip(self, tmp_path):
         cfg = lat.sample_configuration(0.0, 5.0, 1, 1.0, 7)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import latticesde as lat
+from conftest import brute_force_neighbors, dense_operator
 from latticesde.ovsjannikov import (
     BandedOperator,
     load_grid_function,
@@ -75,8 +76,39 @@ class TestBandedOperator:
         rng = np.random.default_rng(seed)
         z = rng.standard_normal(cfg.n_sites)
         got = Q.matvec(z)
-        want = Q.to_dense() @ z
+        want = dense_operator(Q) @ z
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+        # same entry order as an unbuffered scatter-add, so bitwise equal
+        scattered = np.zeros(cfg.n_sites)
+        np.add.at(scattered, Q.rows, Q.vals * z[Q.cols])
+        assert np.array_equal(got, scattered)
+        columns = np.zeros(cfg.n_sites)
+        np.add.at(columns, Q.cols, np.abs(Q.vals))
+        assert np.array_equal(Q.column_abs_sums(), columns)
+
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_random_operator_matches_per_entry_draws(self, nonnegative):
+        cfg = lat.sample_configuration(1.5, 3.0, 2, 0.9, 21)
+        Q = lat.random_banded_operator(cfg, 0.7, 1.5, 22, nonnegative=nonnegative)
+        rng = np.random.default_rng(22)
+        rows, cols, vals = [], [], []
+        for x, nbrs in enumerate(brute_force_neighbors(cfg.points, 0.9)):
+            cap = 0.7 * float(nbrs.size) ** 1.5
+            for y in nbrs:
+                u = rng.uniform(0.0, 1.0) if nonnegative else rng.uniform(-1.0, 1.0)
+                rows.append(x)
+                cols.append(y)
+                vals.append(cap * u)
+        assert np.array_equal(Q.rows, rows)
+        assert np.array_equal(Q.cols, cols)
+        assert np.array_equal(Q.vals, vals)
+
+    def test_out_of_range_entry_rejected(self):
+        cfg = make_pair_config()
+        with pytest.raises(ValueError):
+            BandedOperator(cfg, np.array([0]), np.array([2]), np.array([0.1]), 1.0, 1.0)
+        with pytest.raises(ValueError):
+            BandedOperator(cfg, np.array([-1]), np.array([0]), np.array([0.1]), 1.0, 1.0)
 
 
 class TestOvsConstant:
@@ -110,15 +142,9 @@ class TestVerifyOvsBound:
 
     def test_degree_valued_entries(self, poisson_1d):
         # Q_{xy} = n_x on the whole band, C = 1, q = 1
-        rows, cols, vals = [], [], []
-        for x in range(poisson_1d.n_sites):
-            for y in poisson_1d.neighbors[x]:
-                rows.append(x)
-                cols.append(int(y))
-                vals.append(float(poisson_1d.degrees[x]))
-        Q = BandedOperator(
-            poisson_1d, np.array(rows), np.array(cols), np.array(vals), 1.0, 1.0
-        )
+        rows = poisson_1d.rows
+        vals = poisson_1d.degrees[rows].astype(float)
+        Q = BandedOperator(poisson_1d, rows, poisson_1d.indices, vals, 1.0, 1.0)
         r = lat.verify_ovs_bound(Q, 0.5, 1.5, 200, 3)
         assert r.ok
 
@@ -151,7 +177,7 @@ class TestPicard:
         z0 = lat.WeightedSeq(poisson_1d, rng.standard_normal(poisson_1d.n_sites))
         n = 7
         f = lat.picard_iterate(Q, z0, 0.8, n, n_nodes=9)
-        dense = Q.to_dense()
+        dense = dense_operator(Q)
         for j, t in enumerate(f.times):
             acc = np.zeros_like(z0.values)
             power = z0.values.copy()
@@ -169,7 +195,7 @@ class TestPicard:
         rng = np.random.default_rng(3)
         z0 = lat.WeightedSeq(cfg, rng.standard_normal(cfg.n_sites))
         f = lat.picard_iterate(Q, z0, 1.0, 40, n_nodes=5)
-        ref = scipy.linalg.expm(Q.to_dense()) @ z0.values
+        ref = scipy.linalg.expm(dense_operator(Q)) @ z0.values
         err = np.max(np.abs(f.values[-1] - ref)) / np.max(np.abs(ref))
         assert err < 1e-10
 
@@ -194,7 +220,7 @@ class TestSolveLinearEvolution:
         z0 = lat.WeightedSeq(cfg, rng.standard_normal(cfg.n_sites))
         f = lat.solve_linear_evolution(Q, z0, 1.0, 1e-12, n_nodes=9)
         for j, t in enumerate(f.times):
-            ref = scipy.linalg.expm(t * Q.to_dense()) @ z0.values
+            ref = scipy.linalg.expm(t * dense_operator(Q)) @ z0.values
             assert np.allclose(f.values[j], ref, rtol=1e-9, atol=1e-11)
 
     def test_tolerance_validated(self, poisson_1d):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import latticesde as lat
-from latticesde.sde import a_tilde, interaction_matrix
+from latticesde.sde import a_tilde
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +61,11 @@ class TestDriftDiffusion:
         model = lat.make_model(
             "linear", 1.0, kernel="triangular", kernel_cap=2.0, rho=1.0, p=2.0
         )
-        K = interaction_matrix(model, cfg)
-        assert K[0, 0] == pytest.approx(2.0)
-        assert K[0, 1] == pytest.approx(0.0)
+        # V(0) = 0, so the drift at q = 0 is the kernel-weighted neighbor sum
+        self_only = lat.WeightedSeq(cfg, np.array([1.0, 0.0]))
+        other_only = lat.WeightedSeq(cfg, np.array([0.0, 1.0]))
+        assert lat.drift(model, 0, 0.0, self_only) == pytest.approx(2.0)
+        assert lat.drift(model, 0, 0.0, other_only) == pytest.approx(0.0)
 
 
 class TestDissipativity:
@@ -112,7 +115,7 @@ class TestDriftLemmaInequalities:
         b = model.dissipativity_b
         for _ in range(300):
             x = int(rng.integers(cfg.n_sites))
-            nbrs = cfg.neighbors[x]
+            nbrs = cfg.indices[cfg.row(x)]
             q1, q2 = rng.uniform(-3, 3, size=2)
             Z1 = lat.WeightedSeq(cfg, rng.uniform(-3, 3, cfg.n_sites))
             Z2 = lat.WeightedSeq(cfg, rng.uniform(-3, 3, cfg.n_sites))
@@ -173,6 +176,49 @@ class TestSimulation:
         e2 = lat.simulate_truncated(model, poisson_1d, big, zeta, 0.5, 0.01, 12, 77)
         for x in small:
             assert np.array_equal(e1.paths[:, x, :], e2.paths[:, x, :])
+
+    def test_one_step_matches_dense_reference(self):
+        cfg = lat.sample_configuration(2.0, 4.0, 2, 1.0, 12)
+        model = lat.make_model(
+            "cubic", 0.5, kernel="triangular", kernel_cap=0.3, rho=1.0,
+            sigma0=0.2, sigma1=0.1, sigma2=0.05, p=4.0,
+        )
+        rng = np.random.default_rng(13)
+        zeta = lat.WeightedSeq(cfg, rng.uniform(-1.0, 1.0, cfg.n_sites))
+        active = np.flatnonzero(cfg.radii <= 3.0)
+        dt = 0.01
+        ens = lat.simulate_truncated(model, cfg, active, zeta, dt, dt, 3, 14)
+        # dense all-pairs reference, independent of the band
+        diff = cfg.points[:, None, :] - cfg.points[None, :, :]
+        d2 = np.sum(diff**2, axis=2)
+        K = np.where(d2 <= 1.0, model.kernel(np.sqrt(d2)), 0.0)
+        adj = (d2 <= 1.0).astype(float)
+        x0 = zeta.values
+        phi = model.potential(x0) + K @ x0
+        psi = model.sigma0 + model.sigma1 * x0 + model.sigma2 * adj.sum(axis=1) * (adj @ x0)
+        for path in range(3):
+            dw = np.array([lat.wiener_increments(14, path, int(x), 1, dt)[0] for x in active])
+            want = x0.copy()
+            want[active] += (phi * dt / (1.0 + dt * np.abs(phi)))[active] + psi[active] * dw
+            got = ens.paths[path, :, 1]
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_memory_stays_below_one_dense_matrix(self):
+        # 2-d window with S = 32: about 8k sites, so one n x n float64 matrix
+        # would take about 0.5 GB
+        tracemalloc.start()
+        try:
+            cfg = lat.sample_configuration(2.0, 32.0, 2, 1.0, 3)
+            model = lat.make_model("cubic", 0.0, kernel_cap=0.05, rho=1.0, sigma0=0.1,
+                                   sigma2=0.02, p=4.0)
+            zeta = lat.WeightedSeq(cfg, np.ones(cfg.n_sites))
+            lat.random_banded_operator(cfg, 0.5, 1.0, 4)
+            lat.simulate_truncated(model, cfg, np.arange(cfg.n_sites), zeta, 0.02, 0.01, 2, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cfg.n_sites > 7000
+        assert peak < cfg.n_sites**2 * 8 / 20
 
     def test_wiener_increment_grid_compatibility(self):
         # dt grid with refine 2 carries the same Brownian path as dt/2 with refine 1
