@@ -218,8 +218,8 @@ def _write_json(payload: dict, path: Path) -> None:
 def _write_moments_csv(field, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("site,per_site,stderr\n")
-        for i in range(field.config.n_sites):
-            fh.write(f"{i},{float(field.per_site[i])!r},{float(field.stderr[i])!r}\n")
+        rows = zip(field.per_site.tolist(), field.stderr.tolist())
+        fh.write("".join([f"{i},{m!r},{e!r}\n" for i, (m, e) in enumerate(rows)]))
 
 
 def _write_paths_csv(ensemble, path: Path) -> None:
@@ -496,6 +496,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a solver left its convergent regime: a failed check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

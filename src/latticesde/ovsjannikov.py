@@ -28,6 +28,7 @@ into a verifiable grid computation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 _ENTRY_TOL = 1e-9  # relative play when validating |Q_xy| <= C n_x^q
+_WINDOW_NATS = 40.0  # window half-depth of the exact log-sum, in nats below the peak
 
 
 def _sum_by(index: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
@@ -265,8 +267,9 @@ def solve_linear_evolution(Q: BandedOperator, z0: WeightedSeq, T, tol, beta=0.0,
     l1 norm, maximized over the grid (it peaks at t = T); iteration stops once
     two consecutive increments are below tol, which guards against a
     transiently small term of a nonnormal operator.  A hard cap derived from
-    the plain l1 operator norm bounds the work; exceeding it signals
-    parameters outside the convergent regime.
+    the plain l1 operator norm bounds the work; exceeding it, or an iterate
+    whose norm leaves the float range, signals parameters outside the
+    convergent regime and raises RuntimeError.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -279,35 +282,85 @@ def solve_linear_evolution(Q: BandedOperator, z0: WeightedSeq, T, tol, beta=0.0,
     coeff = np.ones(times.size)
     total = np.outer(coeff, power)
     below = 0
-    for k in range(1, max_iter + 1):
-        power = Q.matvec(power)
-        coeff = coeff * times / k
-        total += np.outer(coeff, power)
-        increment = coeff[-1] * weighted_sum(Q.config.radii, beta, np.abs(power))
-        below = below + 1 if increment < tol else 0
-        if below >= 2:
-            return GridFunction(Q.config, times, total)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the increment
+        for k in range(1, max_iter + 1):
+            power = Q.matvec(power)
+            coeff = coeff * times / k
+            try:
+                increment = coeff[-1] * weighted_sum(Q.config.radii, beta, np.abs(power))
+            except OverflowError:
+                increment = math.inf
+            if not math.isfinite(increment):
+                raise RuntimeError(
+                    f"Picard iterate {k} left the float range; "
+                    "parameters lie outside the convergent series regime"
+                )
+            total += np.outer(coeff, power)
+            below = below + 1 if increment < tol else 0
+            if below >= 2:
+                return GridFunction(Q.config, times, total)
     raise RuntimeError(
         f"no convergence within {max_iter} iterations; "
         "parameters lie outside the convergent series regime"
     )
 
 
-def _series_terms_log(A: float, q: float):
-    """Generator of log-terms log(A^n n^(qn) / n!) starting at n = 0."""
-    yield 0.0  # n = 0, with 0^0 = 1
-    log_a = math.log(A)
-    n = 1
-    while True:
-        yield n * log_a + q * n * math.log(n) - math.lgamma(n + 1)
-        n += 1
+def _log_term(n: int, log_a: float, power: float) -> float:
+    """log(A^n n^power / n!), with 0^0 = 1 at n = 0."""
+    if n == 0:
+        return 0.0
+    return n * log_a + power * math.log(n) - math.lgamma(n + 1)
 
 
 def _series_peak(A: float, q: float) -> float:
-    """Saddle-point location of the series term sequence."""
+    """Saddle-point location of the series term sequence (inf past the float range)."""
     if A <= 0.0:
         return 0.0
-    return math.exp((math.log(A) + q) / (1.0 - q))
+    try:
+        return math.exp((math.log(A) + q) / (1.0 - q))
+    except OverflowError:
+        return math.inf
+
+
+def _series_argmax(log_a: float, q: float, start: int) -> tuple[int, float]:
+    """Index and log of the largest term, climbing from the saddle estimate.
+
+    The log-terms are concave past their first few indices, so the climb ends
+    within O(1/(1-q)) steps of the start.
+    """
+    c, top = start, _log_term(start, log_a, q * start)
+    for step in (1, -1):
+        while c + step >= 0:
+            log_t = _log_term(c + step, log_a, q * (c + step))
+            if log_t <= top:
+                break
+            c, top = c + step, log_t
+    return c, top
+
+
+def _log_sum_window(log_a: float, q: float, start: int) -> float:
+    """Natural log of sum_n A^n n^(qn) / n!, summed over the peak's window.
+
+    Walks outward from the largest term c and stops on each side once a term
+    is _WINDOW_NATS below l(c) and still falling.  Past that point the log-terms
+    are concave (for q > 1/2 up to a dip of at most 2.3 nats over the first
+    few indices), so the rest of the side is below a geometric tail of that
+    term, which stays under half an ulp of the sum.
+    """
+    c, top = _series_argmax(log_a, q, start)
+    floor = top - _WINDOW_NATS
+    scaled = []  # terms other than the largest, relative to it
+    for step in (1, -1):
+        prev = top
+        n = c + step
+        while n >= 0:
+            log_t = _log_term(n, log_a, q * n)
+            scaled.append(math.exp(log_t - top))
+            if log_t < floor and log_t < prev:
+                break
+            prev = log_t
+            n += step
+    return top + math.log1p(math.fsum(scaled))
 
 
 def norm_bound_series(L, T, q, alpha, beta, tol=1e-12) -> float:
@@ -333,11 +386,12 @@ def norm_bound_series(L, T, q, alpha, beta, tol=1e-12) -> float:
     peak = _series_peak(A, q)
     if (1.0 - q) * peak > 700.0:
         return math.inf
+    log_a = math.log(A)
     terms = []
     prev = math.inf
     cap = int(max(1000, 50 * peak))
-    for n, log_t in enumerate(_series_terms_log(A, q)):
-        term = math.exp(log_t)
+    for n in itertools.count():
+        term = math.exp(_log_term(n, log_a, q * n))
         terms.append(term)
         if term < tol and term < prev:
             break
@@ -363,22 +417,22 @@ def norm_bound_series_alt(L, T, q, alpha, beta, tol=1e-12) -> float:
         return 1.0 / (beta - alpha) ** q
     if A > 690.0:
         return math.inf
+    log_a = math.log(A)
     terms = [1.0]
-    n = 1
-    while True:
-        term = math.exp(n * math.log(A) + q * math.log(n) - math.lgamma(n + 1))
+    for n in itertools.count(1):
+        term = math.exp(_log_term(n, log_a, q))
         terms.append(term)
         if term < tol and n > A:
             break
-        n += 1
     return math.fsum(terms) / (beta - alpha) ** q
 
 
 def norm_bound_series_log10(L, T, q, alpha, beta) -> float:
     """Magnitude estimate log10(K), usable even when K overflows floats.
 
-    Exact streaming log-sum-exp when the series is short enough; otherwise a
-    saddle-point estimate (the peak term dominates the sum).
+    Exact log-sum-exp over the window of terms around the largest one while
+    the saddle point lies at index 1e6 or below; beyond it a saddle-point
+    estimate (the peak term dominates the sum), inf if even that overflows.
     """
     if q >= 1.0 or q < 0.0:
         raise ValueError("series order q must lie in [0, 1)")
@@ -390,14 +444,7 @@ def norm_bound_series_log10(L, T, q, alpha, beta) -> float:
     peak = _series_peak(A, q)
     if peak > 1e6:
         return (1.0 - q) * peak / math.log(10.0)
-    running = -math.inf
-    prev = math.inf
-    for n, log_t in enumerate(_series_terms_log(A, q)):
-        running = max(running, log_t) + math.log1p(math.exp(-abs(running - log_t)))
-        if log_t < math.log(1e-16) and log_t < prev:
-            break
-        prev = log_t
-    return running / math.log(10.0)
+    return _log_sum_window(math.log(A), q, int(peak)) / math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -496,9 +543,10 @@ def save_grid_function(f: GridFunction, path) -> None:
     """CSV serialization 't,site_index,value'."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,site_index,value\n")
-        for j, t in enumerate(f.times):
-            for i in range(f.config.n_sites):
-                fh.write(f"{float(t)!r},{i},{float(f.values[j, i])!r}\n")
+        sites = [f",{i}," for i in range(f.config.n_sites)]
+        for t, row in zip(f.times.tolist(), f.values.tolist()):
+            t = repr(t)
+            fh.write("".join([f"{t}{i}{v!r}\n" for i, v in zip(sites, row)]))
 
 
 def load_grid_function(config, path) -> GridFunction:

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latticesde.cli import main, parse_config, ConfigError
+from latticesde.cli import ConfigError, _write_moments_csv, main, parse_config
+from latticesde.convergence import MomentField
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
 
@@ -133,6 +134,27 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_order_near_one_exits_by_verdicts(self, tmp_path, capsys):
+        # the saddle-point location of the series overflows floats at order 0.99
+        path = write_config(tmp_path, text=DEMO.read_text(), order="0.99")
+        out = tmp_path / "o"
+        code = main(["verify", "--config", str(path), "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "verify_report.json").read_text())
+        assert code == (0 if all(c["ok"] for c in report["checks"]) else 1)
+        assert report["constants"]["K"] == "inf"
+        assert report["constants"]["log10_K"] == "inf"
+
+    @pytest.mark.parametrize("command, horizon", [("verify", "50"), ("picard", "2000")])
+    def test_solver_failure_exits_1(self, tmp_path, capsys, command, horizon):
+        # the Picard iterates leave the float range before the iteration cap
+        path = write_config(tmp_path, text=DEMO.read_text(), dt="0.5", horizon=horizon)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "convergent series regime" in err
+
     def test_blowup_flagged_as_failure(self, tmp_path):
         # explicit scheme + cubic decay + large initial value diverges
         path = write_config(tmp_path, scheme="explicit", zeta="60.0", dump_paths="false")
@@ -189,6 +211,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         for j in range(3):
             assert (out / f"moments_level{j}.csv").exists()
+
+    def test_moments_csv_bytes_match_per_value_writer(self, tmp_path, poisson_1d):
+        rng = np.random.default_rng(3)
+        per_site = np.abs(rng.standard_normal(poisson_1d.n_sites)) * 10.0 ** rng.integers(
+            -300, 300, poisson_1d.n_sites
+        )
+        per_site[:2] = [0.0, 5e-324]
+        stderr = rng.standard_normal(poisson_1d.n_sites) ** 2
+        field = MomentField(poisson_1d, 4.0, per_site, stderr, 40)
+        _write_moments_csv(field, tmp_path / "moments.csv")
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
+            fh.write("site,per_site,stderr\n")
+            for i in range(poisson_1d.n_sites):
+                fh.write(f"{i},{float(per_site[i])!r},{float(stderr[i])!r}\n")
+        assert (tmp_path / "moments.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,117 @@ class TestSolveLinearEvolution:
         with pytest.raises(ValueError):
             lat.solve_linear_evolution(Q, z0, 1.0, 0.0)
 
+    def test_overflowing_iterates_raise_without_warnings(self, poisson_1d):
+        # iterates grow like (C n_x)^k t^k / k! and leave the float range
+        # long before the iteration cap
+        Q = lat.random_banded_operator(poisson_1d, 1e3, 1.0, 12, nonnegative=True)
+        z0 = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="float range"):
+                lat.solve_linear_evolution(Q, z0, 50.0, 1e-12)
+
+
+def mpmath_log10_series(A, q):
+    """log10 of sum_n A^n n^(qn) / n! at 40 digits (0^0 = 1).
+
+    Log-terms are stepped by their exact increments outward from the largest
+    term, on each side until 104 nats (1e-45) below it.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        log_a, q = mp.log(A), mp.mpf(q)
+        logs = {}
+
+        def x_log_x(n):
+            if n not in logs:
+                logs[n] = mp.log(n) if n else mp.mpf(0)
+            return n * logs[n]
+
+        def rise(n):  # l(n + 1) - l(n)
+            return log_a + q * (x_log_x(n + 1) - x_log_x(n)) - logs[n + 1]
+
+        c = int(mp.exp((log_a + q) / (1 - q)))
+        while rise(c) > 0:
+            c += 1
+        while c > 0 and rise(c - 1) < 0:
+            c -= 1
+        top = c * log_a + q * x_log_x(c) - mp.loggamma(c + 1)
+        total = mp.mpf(1)
+        for step in (1, -1):
+            n, log_t = c, top
+            while n + step >= 0:
+                log_t += rise(n) if step == 1 else -rise(n - 1)
+                n += step
+                total += mp.exp(log_t - top)
+                if log_t < top - 104:
+                    break
+        return float((top + mp.log(total)) / mp.log(10))
+
+
+def _reference_log_terms(A, q):
+    yield 0.0
+    log_a = math.log(A)
+    n = 1
+    while True:
+        yield n * log_a + q * n * math.log(n) - math.lgamma(n + 1)
+        n += 1
+
+
+def reference_series(L, T, q, alpha, beta, tol=1e-12):
+    """Term loop of norm_bound_series as first written, for bitwise checks."""
+    A = L * T / (beta - alpha) ** q
+    if A == 0.0:
+        return 1.0
+    peak = math.exp((math.log(A) + q) / (1.0 - q))
+    if (1.0 - q) * peak > 700.0:
+        return math.inf
+    terms = []
+    prev = math.inf
+    for log_t in _reference_log_terms(A, q):
+        term = math.exp(log_t)
+        terms.append(term)
+        if term < tol and term < prev:
+            break
+        prev = term
+    total = math.fsum(terms)
+    return total if total < math.inf else math.inf
+
+
+def reference_series_alt(L, T, q, alpha, beta, tol=1e-12):
+    """Term loop of norm_bound_series_alt as first written, for bitwise checks."""
+    A = L * T
+    if A == 0.0:
+        return 1.0 / (beta - alpha) ** q
+    if A > 690.0:
+        return math.inf
+    terms = [1.0]
+    n = 1
+    while True:
+        term = math.exp(n * math.log(A) + q * math.log(n) - math.lgamma(n + 1))
+        terms.append(term)
+        if term < tol and n > A:
+            break
+        n += 1
+    return math.fsum(terms) / (beta - alpha) ** q
+
+
+ORACLE_CASES = [
+    (A, q)
+    for A in (1e-3, 1e-1, 1.0, 10.0, 361.0, 1e3)
+    for q in (0.0, 0.25, 0.5, 0.75, 0.9)
+    if math.exp((math.log(A) + q) / (1.0 - q)) <= 1e6  # exact branch only
+]
+
+SERIES_ARGS = [
+    (L, T, q, alpha, beta)
+    for L in (0.0, 1e-3, 0.7, 3.0, 40.0, 361.0, 5e3)
+    for T in (0.1, 0.5, 1.0)
+    for q in (0.0, 0.3, 0.5, 0.75, 0.9, 0.99)
+    for alpha, beta in ((0.0, 1.0), (0.25, 0.5), (0.5, 2.0))
+]
+
 
 class TestNormBoundSeries:
     def test_q_zero_is_plain_exponential(self):
@@ -289,6 +401,44 @@ class TestNormBoundSeries:
         got = norm_bound_series_alt(1.0, 1.0, 0.0, 0.0, 1.0)
         assert got == pytest.approx(math.e, rel=1e-10)
         assert norm_bound_series_alt(2.0, 1.0, 0.5, 0.0, 1.0) > 0.0
+
+    @pytest.mark.parametrize("A, q", ORACLE_CASES)
+    def test_log10_against_mpmath_oracle(self, A, q):
+        got = norm_bound_series_log10(A, 1.0, q, 0.0, 1.0)
+        assert got == pytest.approx(mpmath_log10_series(A, q), rel=1e-13)
+
+    def test_log10_frozen_demo_value(self):
+        # verify's log10_K on configs/demo.cfg; equals the 40-digit sum, while
+        # a streaming log-sum-exp from n = 0 drifted to 76922.83067960729
+        got = norm_bound_series_log10(360.9963452130178, 0.5, 0.5, 0.25, 0.5)
+        assert got == pytest.approx(76922.83067960788, rel=4e-15)
+
+    def test_values_bitwise_equal_to_reference_loops(self):
+        for args in SERIES_ARGS:
+            for tol in (1e-12, 1e-14):
+                try:
+                    expected = reference_series(*args, tol=tol)
+                except OverflowError:  # its saddle-point location overflowed
+                    expected = math.inf
+                assert lat.norm_bound_series(*args, tol=tol) == expected, args
+                assert norm_bound_series_alt(*args, tol=tol) == reference_series_alt(
+                    *args, tol=tol
+                ), args
+
+    def test_saddle_branch_unchanged(self):
+        # peak index beyond 1e6: the saddle estimate (1 - q) peak / ln 10
+        for L, q in ((1e4, 0.5), (50.0, 0.75), (3.0, 0.9)):
+            A = L * 0.5 / 0.25**q
+            peak = math.exp((math.log(A) + q) / (1.0 - q))
+            assert peak > 1e6
+            assert norm_bound_series_log10(L, 0.5, q, 0.25, 0.5) == (
+                (1.0 - q) * peak / math.log(10.0)
+            )
+
+    def test_order_near_one_overflows_to_inf(self):
+        # the saddle-point location exp((log A + q)/(1 - q)) leaves the float range
+        assert lat.norm_bound_series(361.0, 0.5, 0.99, 0.25, 0.5) == math.inf
+        assert norm_bound_series_log10(361.0, 0.5, 0.99, 0.25, 0.5) == math.inf
 
 
 @pytest.fixture(scope="module")
@@ -404,3 +554,18 @@ class TestSerialization:
         back = load_grid_function(poisson_1d, path)
         assert np.array_equal(back.times, f.times)
         assert np.array_equal(back.values, f.values)
+
+    def test_grid_function_bytes_match_per_value_writer(self, tmp_path, poisson_1d):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((9, poisson_1d.n_sites)) * 10.0 ** rng.integers(
+            -300, 300, (9, poisson_1d.n_sites)
+        )
+        values[0, :3] = [-0.0, 5e-324, 1.0]
+        f = lat.GridFunction(poisson_1d, np.linspace(0.0, 0.7, 9), values)
+        save_grid_function(f, tmp_path / "grid.csv")
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
+            fh.write("t,site_index,value\n")
+            for j, t in enumerate(f.times):
+                for i in range(poisson_1d.n_sites):
+                    fh.write(f"{float(t)!r},{i},{float(f.values[j, i])!r}\n")
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
