@@ -14,14 +14,13 @@ they are never treated as tight targets.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Configuration, estimate_growth_constant
 from .ovsjannikov import norm_bound_series, norm_bound_series_log10, ovs_constant
-from .sde import ModelSpec, PathEnsemble, simulate_truncated
+from .sde import ModelSpec, PathEnsemble, simulate_coupled, simulate_truncated
 from .spaces import weighted_sum
 
 __all__ = [
@@ -186,24 +185,17 @@ def tail_bound_check(fields, alpha, *, model, zeta, a_low, T) -> TailBoundReport
 
 def simulate_levels(
     model, config, levels, zeta, T, dt, n_paths, seed, scheme="tamed",
-    noise_refine=1, threads=1,
+    noise_refine=1, threads=1, path_block=4096,
 ):
-    """One coupled ensemble per truncation level (identical seed throughout)."""
+    """One coupled ensemble per nested truncation level, from one noise draw."""
     levels = [np.asarray(lv, dtype=np.int64) for lv in levels]
     for smaller, larger in zip(levels, levels[1:]):
         if not set(smaller.tolist()) <= set(larger.tolist()):
             raise ValueError("truncation levels must be nested")
-
-    def run(lv):
-        return simulate_truncated(
-            model, config, lv, zeta, T, dt, n_paths, seed,
-            scheme=scheme, noise_refine=noise_refine,
-        )
-
-    if threads > 1 and len(levels) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, levels))
-    return [run(lv) for lv in levels]
+    return simulate_coupled(
+        model, config, levels, zeta, T, dt, n_paths, seed, scheme=scheme,
+        noise_refine=noise_refine, path_block=path_block, threads=threads,
+    )
 
 
 def _pair_moment_sup(a: PathEnsemble, b: PathEnsemble, p: float) -> np.ndarray:

@@ -21,6 +21,8 @@ diagnostics rely on.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +43,8 @@ __all__ = [
     "DissipativityReport",
     "PathEnsemble",
     "step_count",
+    "simulation_bytes",
+    "simulate_coupled",
     "simulate_truncated",
     "wiener_increments",
     "ou_moment_oracle",
@@ -49,6 +53,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BLOWUP_LIMIT = 1e75
+_DRAW_CAP = 1 << 25   # raw draws per noise block, ~256 MB
 _SCHEMES = ("explicit", "tamed")
 
 
@@ -322,20 +327,31 @@ class _NoiseSource:
         self._gen.standard_normal(out=out)
 
 
-def wiener_increments(seed, path, site, n_steps, dt, refine=1) -> np.ndarray:
-    """Brownian increments for one (path, site) stream on an n_steps grid.
+def _noise_block(seed, paths, sites, n_steps, dt, refine=1) -> np.ndarray:
+    """Brownian increments of the (path, site) streams, shaped (n_steps, sites, paths).
 
-    Draws are taken at resolution dt/refine and summed in blocks of
-    ``refine``, so runs at compatible step sizes (dt with refine 2r versus
+    Each stream is drawn once, at resolution dt/refine, and summed in blocks
+    of ``refine``, so runs at compatible step sizes (dt with refine 2r versus
     dt/2 with refine r, same seed) are driven by bitwise the same underlying
-    Brownian path.
+    Brownian path.  The step-major layout lets each time step read one
+    contiguous (site, path) slab.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    draws = np.empty(n_steps * refine)
-    _NoiseSource(seed).fill_normals(path, site, draws)
-    fine = math.sqrt(dt / refine) * draws
-    return fine.reshape(n_steps, refine).sum(axis=1)
+    source = _NoiseSource(seed)
+    raw = np.empty((len(paths), len(sites), n_steps * refine))
+    for bi, path in enumerate(paths):
+        for si, site in enumerate(sites):
+            source.fill_normals(int(path), int(site), raw[bi, si])
+    raw *= math.sqrt(dt / refine)
+    if refine > 1:
+        raw = raw.reshape(len(paths), len(sites), n_steps, refine).sum(axis=3)
+    return np.ascontiguousarray(raw.reshape(len(paths), len(sites), n_steps).transpose(2, 1, 0))
+
+
+def wiener_increments(seed, path, site, n_steps, dt, refine=1) -> np.ndarray:
+    """Brownian increments for one (path, site) stream on an n_steps grid."""
+    return _noise_block(seed, [path], [site], n_steps, dt, refine)[:, 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,6 +420,142 @@ def _band_slots(model: ModelSpec, config: Configuration, active: np.ndarray):
     return slots, weights, degree.astype(float)
 
 
+def _block_paths(n_sites, n_steps, noise_refine, path_block) -> int:
+    """Paths per noise block: ``path_block``, capped at _DRAW_CAP raw draws."""
+    if n_sites:
+        return min(path_block, max(1, _DRAW_CAP // (n_sites * n_steps * noise_refine)))
+    return path_block
+
+
+def simulation_bytes(
+    n_sites, active_sets, n_paths, n_steps, noise_refine=1, path_block=4096
+) -> int:
+    """Bytes :func:`simulate_coupled` allocates for its arrays.
+
+    One path tensor per active set, plus one noise block over the union of
+    the sets, counted twice because it is copied into step-major layout.
+    """
+    union = np.unique(np.concatenate([np.asarray(a, dtype=np.int64) for a in active_sets]))
+    block = min(n_paths, _block_paths(union.size, n_steps, noise_refine, path_block))
+    tensors = len(active_sets) * n_paths * n_sites * (n_steps + 1)
+    noise = 2 * block * union.size * n_steps * noise_refine
+    return 8 * (tensors + noise)
+
+
+def _step_block(model, tamed, dt, band, state, noise, rows, out) -> np.ndarray:
+    """Step one path block of one truncation; returns its blow-up flags.
+
+    ``state`` is the (site, path) start state, updated in place; ``noise``
+    holds the block's increments over a superset of the active sites, of
+    which ``rows`` (None for all) are this truncation's.
+    """
+    active, slots, weights, degrees = band
+    bounded = np.ones(state.shape[1], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(out.shape[2]):
+            if k and active.size:
+                sums = np.matmul(weights, np.take(state, slots, axis=0))   # (active, 2, path)
+                own = state[active]
+                phi = model.potential(own) + sums[:, 0]
+                psi = (
+                    model.sigma0
+                    + model.sigma1 * own
+                    + model.sigma2 * degrees[:, None] * sums[:, 1]
+                )
+                if tamed:
+                    inc = phi * dt / (1.0 + dt * np.abs(phi))
+                else:
+                    inc = phi * dt
+                dw = noise[k - 1] if rows is None else noise[k - 1][rows]
+                state[active] = own + inc + psi * dw
+            out[:, :, k] = state.T
+            # NaN fails the comparison too
+            bounded &= np.all(np.abs(state) <= _BLOWUP_LIMIT, axis=0)
+    return ~bounded
+
+
+def simulate_coupled(
+    model: ModelSpec,
+    config: Configuration,
+    active_sets,
+    zeta: WeightedSeq,
+    T,
+    dt,
+    n_paths,
+    seed,
+    scheme="tamed",
+    noise_refine=1,
+    path_block=4096,
+    threads=1,
+) -> list:
+    """Euler-Maruyama ensembles of several truncations, driven by one noise draw.
+
+    Every truncation's path tensor is allocated first.  Then, per block of
+    paths, the streams of the union of the active sets are drawn once and
+    each truncation steps from its own rows of that block; with
+    ``threads > 1`` the truncations of a block are stepped in a thread pool.
+    Under the tamed scheme the drift increment is Phi dt / (1 + dt |Phi|),
+    which keeps the superlinear cubic decay stable where the explicit scheme
+    can blow up.  Sites outside a truncation's active set stay bitwise frozen
+    at their initial value.  A truncation's paths are those of a lone run
+    with the same path blocks, so sets with a common site share its
+    increments bitwise.
+    """
+    if scheme not in _SCHEMES:
+        raise ValueError(f"scheme must be one of {_SCHEMES}")
+    if zeta.config is not config:
+        raise ValueError("initial data lives on a different configuration")
+    n_steps = step_count(T, dt)
+    if n_paths < 1 or noise_refine < 1:
+        raise ValueError("need n_paths >= 1 and noise_refine >= 1")
+    actives = [_validate_active(config, lv) for lv in active_sets]
+    if not actives:
+        return []
+
+    union = np.unique(np.concatenate(actives))
+    rows = [None if a.size == union.size else np.searchsorted(union, a) for a in actives]
+    bands = [(a, *_band_slots(model, config, a)) for a in actives]
+    tensors = [np.empty((n_paths, config.n_sites, n_steps + 1)) for _ in actives]
+    blowups = [np.empty(n_paths, dtype=bool) for _ in actives]
+    tamed = scheme == "tamed"
+    path_block = _block_paths(union.size, n_steps, noise_refine, path_block)
+
+    with ThreadPoolExecutor(threads) if threads > 1 and len(actives) > 1 else nullcontext() as pool:
+        for start in range(0, n_paths, path_block):
+            stop = min(start + path_block, n_paths)
+            noise = _noise_block(seed, range(start, stop), union, n_steps, dt, noise_refine)
+
+            def step(j):
+                state = np.repeat(zeta.values[:, None], stop - start, axis=1)   # (site, path)
+                blowups[j][start:stop] = _step_block(
+                    model, tamed, dt, bands[j], state, noise, rows[j], tensors[j][start:stop]
+                )
+
+            if pool is None:
+                for j in range(len(actives)):
+                    step(j)
+            else:
+                list(pool.map(step, range(len(actives))))
+            del noise   # freed before the next block is drawn
+
+    times = np.linspace(0.0, T, n_steps + 1)
+    return [
+        PathEnsemble(
+            config=config,
+            active=active,
+            times=times,
+            paths=paths,
+            seed=int(seed),
+            scheme=scheme,
+            dt=float(dt),
+            noise_refine=int(noise_refine),
+            zeta_values=zeta.values.copy(),
+            blowup=blowup,
+        )
+        for active, paths, blowup in zip(actives, tensors, blowups)
+    ]
+
+
 def simulate_truncated(
     model: ModelSpec,
     config: Configuration,
@@ -417,87 +569,16 @@ def simulate_truncated(
     noise_refine=1,
     path_block=4096,
 ) -> PathEnsemble:
-    """Euler-Maruyama time stepping of the truncated system.
+    """Euler-Maruyama time stepping of one truncated system.
 
-    Sites in the active set take one step per grid interval; under the tamed
-    scheme the drift increment is Phi dt / (1 + dt |Phi|), which keeps the
-    superlinear cubic decay stable where the explicit scheme can blow up.
-    All other sites stay bitwise frozen at their initial value.  The noise
-    stream of a (path, site) pair depends only on (seed, path, site index),
-    so ensembles with different active sets share increments sitewise.
+    The one-set case of :func:`simulate_coupled`.  The noise stream of a
+    (path, site) pair depends only on (seed, path, site index), so
+    ensembles with different active sets share increments sitewise.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}")
-    if zeta.config is not config:
-        raise ValueError("initial data lives on a different configuration")
-    n_steps = step_count(T, dt)
-    if n_paths < 1:
-        raise ValueError("need n_paths >= 1")
-
-    active = _validate_active(config, lambda_n)
-    n_sites = config.n_sites
-    times = np.linspace(0.0, T, n_steps + 1)
-    paths = np.empty((n_paths, n_sites, n_steps + 1))
-
-    slots, weights, degrees = _band_slots(model, config, active)
-    tamed = scheme == "tamed"
-
-    source = _NoiseSource(seed)
-    scale = math.sqrt(dt / noise_refine)
-    draws_per_stream = n_steps * noise_refine
-    if active.size:
-        # cap the raw-draw buffer at ~256 MB per block
-        cap = max(1, (1 << 25) // (active.size * draws_per_stream))
-        path_block = min(path_block, cap)
-    blowup = np.empty(n_paths, dtype=bool)
-    for start in range(0, n_paths, path_block):
-        stop = min(start + path_block, n_paths)
-        block = stop - start
-        raw = np.empty((block, active.size, draws_per_stream))
-        for bi in range(block):
-            for si, site in enumerate(active):
-                source.fill_normals(start + bi, int(site), raw[bi, si])
-        raw *= scale
-        noise = raw.reshape(block, active.size, n_steps, noise_refine).sum(axis=3)
-        del raw
-        # step-major, then (site, path): each step reads one contiguous slab
-        noise = np.ascontiguousarray(noise.transpose(2, 1, 0))
-        state = np.repeat(zeta.values[:, None], block, axis=1)   # (site, path)
-        out = paths[start:stop]
-        bounded = np.ones(block, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps + 1):
-                if k and active.size:
-                    sums = np.matmul(weights, np.take(state, slots, axis=0))   # (active, 2, path)
-                    own = state[active]
-                    phi = model.potential(own) + sums[:, 0]
-                    psi = (
-                        model.sigma0
-                        + model.sigma1 * own
-                        + model.sigma2 * degrees[:, None] * sums[:, 1]
-                    )
-                    if tamed:
-                        inc = phi * dt / (1.0 + dt * np.abs(phi))
-                    else:
-                        inc = phi * dt
-                    state[active] = own + inc + psi * noise[k - 1]
-                out[:, :, k] = state.T
-                # NaN fails the comparison too
-                bounded &= np.all(np.abs(state) <= _BLOWUP_LIMIT, axis=0)
-        blowup[start:stop] = ~bounded
-
-    return PathEnsemble(
-        config=config,
-        active=active,
-        times=times,
-        paths=paths,
-        seed=int(seed),
-        scheme=scheme,
-        dt=float(dt),
-        noise_refine=int(noise_refine),
-        zeta_values=zeta.values.copy(),
-        blowup=blowup,
-    )
+    return simulate_coupled(
+        model, config, [lambda_n], zeta, T, dt, n_paths, seed,
+        scheme=scheme, noise_refine=noise_refine, path_block=path_block,
+    )[0]
 
 
 def ou_moment_oracle(lambda_, sigma, xi0, t):

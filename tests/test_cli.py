@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latticesde.cli import ConfigError, _write_moments_csv, main, parse_config
+import latticesde as lat
+from latticesde.cli import ConfigError, _write_moments_csv, _write_paths_csv, main, parse_config
 from latticesde.convergence import MomentField
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
@@ -155,6 +156,29 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "convergent series regime" in err
 
+    def test_verify_reports_solver_failure(self, tmp_path, capsys):
+        # the comparison check's Picard solve fails; the other checks still run
+        path = write_config(tmp_path, text=DEMO.read_text(), dt="0.5", horizon="50")
+        out = tmp_path / "o"
+        code = main(["verify", "--config", str(path), "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "verify_report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        assert not checks["comparison"]["ok"]
+        assert "left the float range" in checks["comparison"]["error"]
+        assert "cauchy" in checks and "tail_bound" in checks
+        assert code == 1 == (0 if all(c["ok"] for c in report["checks"]) else 1)
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_oversized_ensemble_refused(self, tmp_path, capsys, command):
+        # the path tensors alone would take terabytes
+        path = write_config(tmp_path, text=DEMO.read_text(), n_paths="1000000000")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: simulating needs ") and "bytes" in err
+        assert "Traceback" not in err
+
     def test_blowup_flagged_as_failure(self, tmp_path):
         # explicit scheme + cubic decay + large initial value diverges
         path = write_config(tmp_path, scheme="explicit", zeta="60.0", dump_paths="false")
@@ -226,6 +250,25 @@ class TestSimulate:
             for i in range(poisson_1d.n_sites):
                 fh.write(f"{i},{float(per_site[i])!r},{float(stderr[i])!r}\n")
         assert (tmp_path / "moments.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_paths_csv_bytes_match_per_value_writer(self, tmp_path, poisson_1d):
+        rng = np.random.default_rng(4)
+        n_sites, nodes = poisson_1d.n_sites, 6
+        values = rng.standard_normal((3, n_sites, nodes)) * 10.0 ** rng.integers(
+            -300, 300, (3, n_sites, nodes)
+        )
+        values[0, 0, :3] = [0.0, -0.0, 5e-324]
+        times = np.linspace(0.0, 0.05, nodes)
+        ens = lat.PathEnsemble(poisson_1d, np.arange(n_sites), times, values, 1, "tamed",
+                               0.01, 1, np.zeros(n_sites), np.zeros(3, dtype=bool))
+        _write_paths_csv(ens, tmp_path / "paths.csv")
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
+            fh.write("path,site,t,value\n")
+            for pi in range(3):
+                for si in range(n_sites):
+                    for ti, t in enumerate(times):
+                        fh.write(f"{pi},{si},{float(t)!r},{float(values[pi, si, ti])!r}\n")
+        assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import latticesde as lat
+from latticesde.sde import _NoiseSource
 from latticesde.convergence import (
     cauchy_constants,
     cauchy_table,
@@ -237,6 +238,61 @@ class TestCauchy:
         par = simulate_levels(model, config, levels, zeta, 0.25, 0.01, 8, 13, threads=3)
         for a, b in zip(seq, par):
             assert np.array_equal(a.paths, b.paths)
+
+
+@pytest.fixture(scope="module")
+def coupled_setup():
+    """Interacting model with state-dependent diffusion on a short window."""
+    config = lat.sample_configuration(2.0, 5.0, 1, 1.0, 400)
+    model = lat.make_model("cubic", 0.0, kernel="triangular", kernel_cap=0.3, rho=1.0,
+                           sigma0=0.2, sigma1=0.1, sigma2=0.05, p=4.0)
+    rng = np.random.default_rng(17)
+    zeta = lat.WeightedSeq(config, rng.uniform(-1.0, 1.0, config.n_sites))
+    return config, model, zeta
+
+
+class TestSharedDraw:
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("noise_refine", [1, 2])
+    @pytest.mark.parametrize("path_block", [1, 3, None])
+    @pytest.mark.parametrize("depth", ["full", "partial"])
+    def test_levels_match_lone_runs(self, coupled_setup, depth, path_block, noise_refine,
+                                    threads):
+        config, model, zeta = coupled_setup
+        levels = lat.exhaustion_sequence(config, 3)
+        if depth == "partial":
+            # the union of these levels leaves the outer sites out
+            levels = lat.exhaustion_sequence(config, 4)[:2]
+            assert levels[-1].size < config.n_sites
+        block = {} if path_block is None else {"path_block": path_block}
+        ensembles = simulate_levels(
+            model, config, levels, zeta, 0.1, 0.01, 7, 21, noise_refine=noise_refine,
+            threads=threads, **block,
+        )
+        for level, ens in zip(levels, ensembles):
+            lone = lat.simulate_truncated(
+                model, config, level, zeta, 0.1, 0.01, 7, 21, noise_refine=noise_refine,
+                **block,
+            )
+            assert np.array_equal(ens.active, lone.active)
+            assert np.array_equal(ens.paths, lone.paths)
+            assert np.array_equal(ens.blowup, lone.blowup)
+
+    def test_each_stream_keyed_once(self, coupled_setup, monkeypatch):
+        config, model, zeta = coupled_setup
+        levels = lat.exhaustion_sequence(config, 4)[:3]
+        calls = []
+        fill = _NoiseSource.fill_normals
+
+        def counted(source, path, site, out):
+            calls.append((path, site))
+            fill(source, path, site, out)
+
+        monkeypatch.setattr(_NoiseSource, "fill_normals", counted)
+        n_paths = 9
+        simulate_levels(model, config, levels, zeta, 0.05, 0.01, n_paths, 22, path_block=4)
+        assert len(calls) == n_paths * levels[-1].size
+        assert len(set(calls)) == len(calls)
 
 
 class TestUniqueness:

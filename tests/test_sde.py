@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import latticesde as lat
-from latticesde.sde import a_tilde
+from latticesde.sde import (
+    _noise_block,
+    _NoiseSource,
+    a_tilde,
+    simulate_coupled,
+    simulation_bytes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +237,46 @@ class TestSimulation:
         assert not np.array_equal(base, lat.wiener_increments(5, 2, 4, 50, 0.1))
         assert not np.array_equal(base, lat.wiener_increments(5, 3, 3, 50, 0.1))
         assert not np.array_equal(base, lat.wiener_increments(6, 2, 3, 50, 0.1))
+
+    @pytest.mark.parametrize("refine", [1, 2, 16])
+    def test_wiener_increments_match_direct_draw(self, refine):
+        # one stream drawn at dt/refine, scaled, then summed in blocks of refine
+        draws = np.empty(20 * refine)
+        _NoiseSource(5).fill_normals(3, 7, draws)
+        want = (math.sqrt(0.1 / refine) * draws).reshape(20, refine).sum(axis=1)
+        assert np.array_equal(lat.wiener_increments(5, 3, 7, 20, 0.1, refine=refine), want)
+
+    @pytest.mark.parametrize("refine", [1, 3])
+    def test_noise_block_is_the_wiener_streams(self, refine):
+        paths, sites = [2, 3, 4], [1, 3, 7, 9]
+        block = _noise_block(5, paths, sites, 20, 0.1, refine)
+        assert block.shape == (20, len(sites), len(paths)) and block.flags.c_contiguous
+        for pi, path in enumerate(paths):
+            for si, site in enumerate(sites):
+                want = lat.wiener_increments(5, path, site, 20, 0.1, refine=refine)
+                assert np.array_equal(block[:, si, pi], want)
+
+    def test_coupled_sets_need_not_nest(self, poisson_1d):
+        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3,
+                               sigma2=0.05, p=4.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        sets = [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7, 8], []]
+        ensembles = simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 5, 31,
+                                     path_block=2, threads=2)
+        for active, ens in zip(sets, ensembles):
+            lone = lat.simulate_truncated(model, poisson_1d, active, zeta, 0.1, 0.01, 5, 31,
+                                          path_block=2)
+            assert np.array_equal(ens.paths, lone.paths)
+
+    def test_simulation_bytes_counts_tensors_and_one_block(self, poisson_1d):
+        n, steps = poisson_1d.n_sites, 10
+        sets = [np.arange(4), np.arange(n)]
+        # two path tensors, plus 5 paths x n sites x 20 draws held twice
+        want = 8 * (2 * 7 * n * (steps + 1) + 2 * 5 * n * steps * 2)
+        assert simulation_bytes(n, sets, 7, steps, noise_refine=2, path_block=5) == want
+        # the raw-draw cap limits the block to 2^25 draws over the union
+        big = simulation_bytes(n, sets, 10**9, steps)
+        assert big - 8 * 2 * 10**9 * n * (steps + 1) <= 8 * 2 * (1 << 25)
 
     def test_dt_must_divide_horizon(self, single_site_config):
         model = lat.make_model("linear", 1.0, p=2.0)
