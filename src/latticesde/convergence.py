@@ -185,7 +185,7 @@ def tail_bound_check(fields, alpha, *, model, zeta, a_low, T) -> TailBoundReport
 
 def simulate_levels(
     model, config, levels, zeta, T, dt, n_paths, seed, scheme="tamed",
-    noise_refine=1, threads=1, path_block=4096,
+    noise_refine=1, threads=1,
 ):
     """One coupled ensemble per nested truncation level, from one noise draw."""
     levels = [np.asarray(lv, dtype=np.int64) for lv in levels]
@@ -194,7 +194,7 @@ def simulate_levels(
             raise ValueError("truncation levels must be nested")
     return simulate_coupled(
         model, config, levels, zeta, T, dt, n_paths, seed, scheme=scheme,
-        noise_refine=noise_refine, path_block=path_block, threads=threads,
+        noise_refine=noise_refine, threads=threads,
     )
 
 

@@ -54,6 +54,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _BLOWUP_LIMIT = 1e75
 _DRAW_CAP = 1 << 25   # raw draws per noise block, ~256 MB
+_PATH_BLOCK = 4096    # paths per noise block, unless _DRAW_CAP binds first
 _SCHEMES = ("explicit", "tamed")
 
 
@@ -421,14 +422,20 @@ def _band_slots(model: ModelSpec, config: Configuration, active: np.ndarray):
 
 
 def _block_paths(n_sites, n_steps, noise_refine, path_block) -> int:
-    """Paths per noise block: ``path_block``, capped at _DRAW_CAP raw draws."""
+    """Paths per noise block: ``path_block``, capped at _DRAW_CAP raw draws.
+
+    ``n_sites`` is the size of the configuration, not of an active set, so
+    every truncation of one configuration is stepped in the same path
+    blocks.  That matters for bitwise reproducibility: the batched
+    ``np.matmul`` of the step rounds differently for different block widths.
+    """
     if n_sites:
         return min(path_block, max(1, _DRAW_CAP // (n_sites * n_steps * noise_refine)))
     return path_block
 
 
 def simulation_bytes(
-    n_sites, active_sets, n_paths, n_steps, noise_refine=1, path_block=4096
+    n_sites, active_sets, n_paths, n_steps, noise_refine=1, path_block=_PATH_BLOCK
 ) -> int:
     """Bytes :func:`simulate_coupled` allocates for its arrays.
 
@@ -436,7 +443,7 @@ def simulation_bytes(
     the sets, counted twice because it is copied into step-major layout.
     """
     union = np.unique(np.concatenate([np.asarray(a, dtype=np.int64) for a in active_sets]))
-    block = min(n_paths, _block_paths(union.size, n_steps, noise_refine, path_block))
+    block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine, path_block))
     tensors = len(active_sets) * n_paths * n_sites * (n_steps + 1)
     noise = 2 * block * union.size * n_steps * noise_refine
     return 8 * (tensors + noise)
@@ -485,7 +492,7 @@ def simulate_coupled(
     seed,
     scheme="tamed",
     noise_refine=1,
-    path_block=4096,
+    path_block=_PATH_BLOCK,
     threads=1,
 ) -> list:
     """Euler-Maruyama ensembles of several truncations, driven by one noise draw.
@@ -497,9 +504,10 @@ def simulate_coupled(
     Under the tamed scheme the drift increment is Phi dt / (1 + dt |Phi|),
     which keeps the superlinear cubic decay stable where the explicit scheme
     can blow up.  Sites outside a truncation's active set stay bitwise frozen
-    at their initial value.  A truncation's paths are those of a lone run
-    with the same path blocks, so sets with a common site share its
-    increments bitwise.
+    at their initial value.  Path blocks depend on the configuration, not on
+    the sets, so each truncation's paths are bitwise those of a lone
+    :func:`simulate_truncated` run with the same ``path_block``, and sets
+    with a common site share its increments bitwise.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}")
@@ -518,7 +526,7 @@ def simulate_coupled(
     tensors = [np.empty((n_paths, config.n_sites, n_steps + 1)) for _ in actives]
     blowups = [np.empty(n_paths, dtype=bool) for _ in actives]
     tamed = scheme == "tamed"
-    path_block = _block_paths(union.size, n_steps, noise_refine, path_block)
+    path_block = _block_paths(config.n_sites, n_steps, noise_refine, path_block)
 
     with ThreadPoolExecutor(threads) if threads > 1 and len(actives) > 1 else nullcontext() as pool:
         for start in range(0, n_paths, path_block):
@@ -567,7 +575,7 @@ def simulate_truncated(
     seed,
     scheme="tamed",
     noise_refine=1,
-    path_block=4096,
+    path_block=_PATH_BLOCK,
 ) -> PathEnsemble:
     """Euler-Maruyama time stepping of one truncated system.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import latticesde as lat
-from latticesde.sde import _NoiseSource
+from latticesde import sde
 from latticesde.convergence import (
     cauchy_constants,
     cauchy_table,
@@ -264,11 +264,15 @@ class TestSharedDraw:
             # the union of these levels leaves the outer sites out
             levels = lat.exhaustion_sequence(config, 4)[:2]
             assert levels[-1].size < config.n_sites
-        block = {} if path_block is None else {"path_block": path_block}
-        ensembles = simulate_levels(
-            model, config, levels, zeta, 0.1, 0.01, 7, 21, noise_refine=noise_refine,
-            threads=threads, **block,
-        )
+        if path_block is None:
+            block = {}
+            ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, 7, 21,
+                                        noise_refine=noise_refine, threads=threads)
+        else:
+            block = {"path_block": path_block}
+            ensembles = sde.simulate_coupled(model, config, levels, zeta, 0.1, 0.01, 7, 21,
+                                             noise_refine=noise_refine, threads=threads,
+                                             **block)
         for level, ens in zip(levels, ensembles):
             lone = lat.simulate_truncated(
                 model, config, level, zeta, 0.1, 0.01, 7, 21, noise_refine=noise_refine,
@@ -278,19 +282,46 @@ class TestSharedDraw:
             assert np.array_equal(ens.paths, lone.paths)
             assert np.array_equal(ens.blowup, lone.blowup)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draw_cap_blocks_by_configuration(self, coupled_setup, monkeypatch, threads):
+        # With the raw-draw cap binding, every level and every lone run steps
+        # in blocks sized for the whole configuration, so they stay bitwise equal.
+        config, model, zeta = coupled_setup
+        levels = lat.exhaustion_sequence(config, 4)[:3]
+        n_steps, n_paths = 10, 11
+        monkeypatch.setattr(sde, "_DRAW_CAP", 3 * config.n_sites * n_steps)
+        blocks = []
+        noise_block = sde._noise_block
+
+        def recorded(seed, paths, sites, *args):
+            blocks.append((len(paths), len(sites)))
+            return noise_block(seed, paths, sites, *args)
+
+        monkeypatch.setattr(sde, "_noise_block", recorded)
+        ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, n_paths, 23,
+                                    threads=threads)
+        assert blocks == [(3, levels[-1].size)] * 3 + [(2, levels[-1].size)]
+        for level, ens in zip(levels, ensembles):
+            blocks.clear()
+            lone = lat.simulate_truncated(model, config, level, zeta, 0.1, 0.01, n_paths, 23)
+            assert [b for b, _ in blocks] == [3, 3, 3, 2]
+            assert np.array_equal(ens.paths, lone.paths)
+
     def test_each_stream_keyed_once(self, coupled_setup, monkeypatch):
         config, model, zeta = coupled_setup
         levels = lat.exhaustion_sequence(config, 4)[:3]
+        n_paths, n_steps = 9, 5
+        # four paths per noise block, so streams are drawn over three blocks
+        monkeypatch.setattr(sde, "_DRAW_CAP", 4 * config.n_sites * n_steps)
         calls = []
-        fill = _NoiseSource.fill_normals
+        fill = sde._NoiseSource.fill_normals
 
         def counted(source, path, site, out):
             calls.append((path, site))
             fill(source, path, site, out)
 
-        monkeypatch.setattr(_NoiseSource, "fill_normals", counted)
-        n_paths = 9
-        simulate_levels(model, config, levels, zeta, 0.05, 0.01, n_paths, 22, path_block=4)
+        monkeypatch.setattr(sde._NoiseSource, "fill_normals", counted)
+        simulate_levels(model, config, levels, zeta, 0.05, 0.01, n_paths, 22)
         assert len(calls) == n_paths * levels[-1].size
         assert len(set(calls)) == len(calls)
 
