@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from .convergence import (
 )
 from .geometry import (
     check_sampling_args,
+    configuration_bytes,
     estimate_growth_constant,
     exhaustion_sequence,
     sample_configuration,
@@ -103,9 +104,17 @@ class ExperimentConfig:
         try:
             check_sampling_args(self.intensity, self.box_halfwidth, self.dim, self.rho, self.seed)
             step_count(self.horizon, self.dt)
-            self.build_model()
+            model = self.build_model()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        try:  # the report's constants and the initial moments must be floats
+            moment_constants(model, self.horizon)
+            cauchy_constants(model)
+            abs(self.zeta) ** self.p
+        except OverflowError as exc:
+            raise ConfigError(
+                "the constants A1..A4, B1, B2 or |zeta|^p leave the float range"
+            ) from exc
         if not (0 < self.a_low <= self.a_high):
             raise ConfigError("need 0 < a_low <= a_high")
         if not (0 <= self.order < 1):
@@ -232,27 +241,37 @@ def _write_paths_csv(ensemble, path: Path) -> None:
                 fh.write("".join([f"{pi},{si},{t},{v!r}\n" for t, v in zip(times, values)]))
 
 
-def _check_memory(cfg: ExperimentConfig, config, levels) -> None:
-    """Refuse a simulation whose arrays would not fit in physical memory."""
-    need = simulation_bytes(
-        config.n_sites, levels, cfg.n_paths, step_count(cfg.horizon, cfg.dt)
-    )
+def _check_memory(need, task, items, remedy) -> None:
+    """Refuse ``task`` with ConfigError when its ``need`` bytes exceed physical memory."""
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # not reported on this platform
         return
     if need > have:
         raise ConfigError(
-            f"simulating needs {need} bytes ({need / 2**30:.2f} GiB) for path tensors "
-            f"and noise, more than the {have} bytes of physical memory; "
-            "reduce n_paths, levels or horizon/dt"
+            f"{task} needs {need:.0f} bytes ({need / 2**30:.2f} GiB) for {items}, "
+            f"more than the {have} bytes of physical memory; reduce {remedy}"
         )
 
 
 def _build_configuration(cfg: ExperimentConfig):
+    _check_memory(
+        configuration_bytes(cfg.intensity, cfg.box_halfwidth, cfg.dim, cfg.rho),
+        "sampling", "the configuration's points and neighbor band",
+        "intensity or box_halfwidth",
+    )
     return sample_configuration(
         cfg.intensity, cfg.box_halfwidth, cfg.dim, cfg.rho, cfg.seed
     )
+
+
+def _simulation_levels(cfg: ExperimentConfig, config):
+    """The exhaustion levels, once their path tensors and noise are known to fit in memory."""
+    n_steps = step_count(cfg.horizon, cfg.dt)
+    # the last level holds every site, so the union of the levels does too
+    need = simulation_bytes(config.n_sites, cfg.levels, config.n_sites, cfg.n_paths, n_steps)
+    _check_memory(need, "simulating", "path tensors and noise", "n_paths, levels or horizon/dt")
+    return exhaustion_sequence(config, cfg.levels)
 
 
 def cmd_generate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
@@ -289,8 +308,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     if config.n_sites:
         model = cfg.build_model()
         zeta = WeightedSeq(config, np.full(config.n_sites, cfg.zeta))
-        levels = exhaustion_sequence(config, cfg.levels)
-        _check_memory(cfg, config, levels)
+        levels = _simulation_levels(cfg, config)
         ensembles = simulate_levels(
             model, config, levels, zeta, cfg.horizon, cfg.dt, cfg.n_paths,
             cfg.seed, scheme=cfg.scheme, threads=threads,
@@ -331,8 +349,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         )
         return 0
 
-    levels = exhaustion_sequence(config, cfg.levels)
-    _check_memory(cfg, config, levels)
+    levels = _simulation_levels(cfg, config)
     model = cfg.build_model()
     rng = np.random.default_rng(cfg.seed)
     alpha_lo = min(cfg.alphas)
@@ -505,8 +522,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg = ExperimentConfig(**{**cfg.as_dict(), "seed": args.seed,
-                                      "alphas": cfg.alphas})
+            cfg = replace(cfg, seed=args.seed)
             cfg.validate()
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")

@@ -248,7 +248,8 @@ def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyRep
         raise ValueError("need one p-th moment field per level ensemble")
     alpha_mid = 0.5 * (a_low + alpha)
     consts = cauchy_constants(model)
-    band_c = p**2 * consts["B1"] + consts["B2"]
+    # a negative B1 (strong dissipation) only helps, so the majorant drops it
+    band_c = p**2 * max(consts["B1"], 0.0) + consts["B2"]
     n_hat = estimate_growth_constant(config) if config.n_sites else 1.0
     T = float(ensembles[0].times[-1])
     L = ovs_constant(band_c, 4.0, n_hat, config.rho, alpha_mid)
@@ -267,11 +268,8 @@ def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyRep
             config.radii, alpha, _pair_moment_sup(ensembles[n_idx], ensembles[m_idx], p)
         )
         tail = np.setdiff1d(levels[m_idx], levels[n_idx])
-        if tail.size:
-            tail_sum = weighted_sum(config.radii[tail], alpha_mid, moment_sup[tail])
-            dominator = 2.0**p * K * tail_sum
-        else:
-            dominator = 0.0
+        tail_sum = weighted_sum(config.radii[tail], alpha_mid, moment_sup[tail])
+        dominator = 2.0**p * K * tail_sum if tail_sum else 0.0   # K may be inf
         rows.append(CauchyRow(n_idx, m_idx, dist, dominator))
 
     extremes = [r for r in rows if r.level_m == k - 1 and r.level_n < k - 1]

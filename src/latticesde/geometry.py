@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "Configuration",
     "check_sampling_args",
+    "configuration_bytes",
     "sample_configuration",
     "configuration_from_points",
     "build_neighborhoods",
@@ -89,6 +90,23 @@ def check_sampling_args(intensity, box_halfwidth, dim, rho, seed) -> None:
         raise ValueError("box_halfwidth and rho must be > 0")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def configuration_bytes(intensity, box_halfwidth, dim, rho) -> float:
+    """Bytes of the points and band :func:`sample_configuration` builds, at the mean count.
+
+    The count is Poisson(intensity (2S)^d) and a site's degree about one plus
+    intensity times the volume of a rho-ball (at most the count); each band
+    entry takes an index and a distance.  Sampling and the cell list need
+    more than this for a while, so it is a lower bound.  inf when the mean
+    leaves the float range.
+    """
+    try:
+        mean = intensity * (2.0 * box_halfwidth) ** dim
+        ball = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * rho**dim
+    except OverflowError:
+        return math.inf
+    return 8.0 * mean * (dim + 2.0 * min(mean, 1.0 + intensity * ball))
 
 
 def _first_copies(points) -> np.ndarray:

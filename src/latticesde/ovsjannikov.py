@@ -28,7 +28,6 @@ into a verifiable grid computation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -62,6 +61,7 @@ __all__ = [
 
 _ENTRY_TOL = 1e-9  # relative play when validating |Q_xy| <= C n_x^q
 _WINDOW_NATS = 40.0  # window half-depth of the exact log-sum, in nats below the peak
+_LOG_MAX = 709.782712893384  # log(sys.float_info.max), the largest log of a finite float
 
 
 def _sum_by(index: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
@@ -165,10 +165,13 @@ def apply(Q: BandedOperator, z: WeightedSeq) -> WeightedSeq:
 
 
 def ovs_constant(C, q, N_hat, rho, a_low) -> float:
-    """Explicit scale-bound constant 4 e^(a_low rho) C N^(q+1) sqrt(1+rho)."""
+    """Explicit scale-bound constant 4 e^(a_low rho) C N^(q+1) sqrt(1+rho); inf past floats."""
     if min(C, q, N_hat, rho, a_low) < 0:
         raise ValueError("all arguments must be nonnegative")
-    return 4.0 * math.exp(a_low * rho) * C * N_hat ** (q + 1.0) * math.sqrt(1.0 + rho)
+    try:
+        return 4.0 * math.exp(a_low * rho) * C * N_hat ** (q + 1.0) * math.sqrt(1.0 + rho)
+    except OverflowError:  # inf stays a valid one-sided constant
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -305,126 +308,89 @@ def solve_linear_evolution(Q: BandedOperator, z0: WeightedSeq, T, tol, beta=0.0,
     )
 
 
-def _log_term(n: int, log_a: float, power: float) -> float:
-    """log(A^n n^power / n!), with 0^0 = 1 at n = 0."""
+def _log_term(n: int, log_a: float, q: float, per_term: bool) -> float:
+    """log(A^n n^p / n!) with power p = q n (per_term) or q, and 0^p = 1 at n = 0."""
     if n == 0:
         return 0.0
-    return n * log_a + power * math.log(n) - math.lgamma(n + 1)
+    return n * log_a + (q * n if per_term else q) * math.log(n) - math.lgamma(n + 1)
 
 
-def _series_peak(A: float, q: float) -> float:
-    """Saddle-point location of the series term sequence (inf past the float range)."""
-    if A <= 0.0:
-        return 0.0
+def _series_A(L, T, q, alpha, beta) -> tuple[float, float]:
+    """Validated A = L T / (beta-alpha)^q and the K terms' saddle point (inf past floats)."""
+    if not 0.0 <= q < 1.0:
+        raise ValueError("series order q must lie in [0, 1)")
+    if not beta > alpha:
+        raise ValueError("need beta > alpha")
+    if not (L >= 0 and T >= 0):
+        raise ValueError("need L >= 0 and T >= 0")
+    A = L * T / (beta - alpha) ** q
     try:
-        return math.exp((math.log(A) + q) / (1.0 - q))
+        return A, math.exp((math.log(A) + q) / (1.0 - q)) if A else 0.0
     except OverflowError:
-        return math.inf
+        return A, math.inf
 
 
-def _series_argmax(log_a: float, q: float, start: int) -> tuple[int, float]:
-    """Index and log of the largest term, climbing from the saddle estimate.
+def _log_sum(A: float, q: float, per_term: bool, start: float, cap=math.inf) -> tuple[float, float]:
+    """(l(c), sum over n != c of e^(l(n) - l(c))), c the largest term of sum_n A^n n^p / n!.
 
-    The log-terms are concave past their first few indices, so the climb ends
-    within O(1/(1-q)) steps of the start.
+    c is found by climbing from the saddle estimate ``start``.  The walk then
+    goes outward from c until, on each side, a term is _WINDOW_NATS below
+    l(c) and still falling: past it the log-terms are concave (for p = q n,
+    q > 1/2, up to a dip of at most 2.3 nats over the first few indices), so
+    the rest of the side stays under half an ulp of the sum.  A saddle term
+    above ``cap`` bounds the sum from below: (inf, 0.0) is returned before
+    anything is summed.
     """
-    c, top = start, _log_term(start, log_a, q * start)
+    if not math.isfinite(start):
+        return math.inf, 0.0
+    log_a = math.log(A) if A else -math.inf
+    c = int(start)
+    top = _log_term(c, log_a, q, per_term)
+    if top > cap:
+        return math.inf, 0.0
     for step in (1, -1):
         while c + step >= 0:
-            log_t = _log_term(c + step, log_a, q * (c + step))
+            log_t = _log_term(c + step, log_a, q, per_term)
             if log_t <= top:
                 break
             c, top = c + step, log_t
-    return c, top
-
-
-def _log_sum_window(log_a: float, q: float, start: int) -> float:
-    """Natural log of sum_n A^n n^(qn) / n!, summed over the peak's window.
-
-    Walks outward from the largest term c and stops on each side once a term
-    is _WINDOW_NATS below l(c) and still falling.  Past that point the log-terms
-    are concave (for q > 1/2 up to a dip of at most 2.3 nats over the first
-    few indices), so the rest of the side is below a geometric tail of that
-    term, which stays under half an ulp of the sum.
-    """
-    c, top = _series_argmax(log_a, q, start)
     floor = top - _WINDOW_NATS
-    scaled = []  # terms other than the largest, relative to it
+    scaled = []
     for step in (1, -1):
         prev = top
         n = c + step
         while n >= 0:
-            log_t = _log_term(n, log_a, q * n)
+            log_t = _log_term(n, log_a, q, per_term)
             scaled.append(math.exp(log_t - top))
             if log_t < floor and log_t < prev:
                 break
             prev = log_t
             n += step
-    return top + math.log1p(math.fsum(scaled))
+    return top, math.fsum(scaled)
 
 
-def norm_bound_series(L, T, q, alpha, beta, tol=1e-12) -> float:
+def norm_bound_series(L, T, q, alpha, beta) -> float:
     """Explicit majorant K = sum_n L^n T^n (beta-alpha)^(-qn) n^(qn) / n!.
 
-    Requires order q < 1 (the series can diverge at q = 1, which is rejected).
-    Terms are summed with compensated summation until they are both below tol
-    and decreasing; 0^0 counts as 1.  When the saddle-point estimate shows the
-    sum exceeds the float range, math.inf is returned -- the bound is still a
-    valid (one-sided) ceiling, just not representable.
+    Requires order q < 1 (the series can diverge at q = 1, which is rejected);
+    0^0 counts as 1.  The terms are summed over the window around the largest
+    one.  A sum past the float range is returned as math.inf -- the bound is
+    still a valid (one-sided) ceiling, just not representable.
     """
-    if q >= 1.0 or q < 0.0:
-        raise ValueError("series order q must lie in [0, 1)")
-    if beta <= alpha:
-        raise ValueError("need beta > alpha")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if L < 0 or T < 0:
-        raise ValueError("need L >= 0 and T >= 0")
-    A = L * T / (beta - alpha) ** q
-    if A == 0.0:
-        return 1.0
-    peak = _series_peak(A, q)
-    if (1.0 - q) * peak > 700.0:
-        return math.inf
-    log_a = math.log(A)
-    terms = []
-    prev = math.inf
-    cap = int(max(1000, 50 * peak))
-    for n in itertools.count():
-        term = math.exp(_log_term(n, log_a, q * n))
-        terms.append(term)
-        if term < tol and term < prev:
-            break
-        prev = term
-        if n > cap:
-            raise RuntimeError("series failed to enter its decreasing tail")
-    total = math.fsum(terms)
-    return total if total < math.inf else math.inf
+    A, peak = _series_A(L, T, q, alpha, beta)
+    top, rest = _log_sum(A, q, True, peak, _LOG_MAX)
+    return math.exp(top) * (1.0 + rest) if top <= _LOG_MAX else math.inf
 
 
-def norm_bound_series_alt(L, T, q, alpha, beta, tol=1e-12) -> float:
+def norm_bound_series_alt(L, T, q, alpha, beta) -> float:
     """Variant with the level-gap penalty applied once, not per term.
 
     Evaluates (beta-alpha)^(-q) * sum_n (L T)^n n^q / n!; reported alongside
     the per-term version so the two conventions can be compared.
     """
-    if q >= 1.0 or q < 0.0:
-        raise ValueError("series order q must lie in [0, 1)")
-    if beta <= alpha:
-        raise ValueError("need beta > alpha")
-    A = L * T
-    if A == 0.0:
-        return 1.0 / (beta - alpha) ** q
-    if A > 690.0:
-        return math.inf
-    log_a = math.log(A)
-    terms = [1.0]
-    for n in itertools.count(1):
-        term = math.exp(_log_term(n, log_a, q))
-        terms.append(term)
-        if term < tol and n > A:
-            break
-    return math.fsum(terms) / (beta - alpha) ** q
+    _series_A(L, T, q, alpha, beta)
+    top, rest = _log_sum(L * T, q, False, L * T, _LOG_MAX)  # terms peak near n = L T
+    return (math.exp(top) * (1.0 + rest) if top <= _LOG_MAX else math.inf) / (beta - alpha) ** q
 
 
 def norm_bound_series_log10(L, T, q, alpha, beta) -> float:
@@ -434,17 +400,11 @@ def norm_bound_series_log10(L, T, q, alpha, beta) -> float:
     the saddle point lies at index 1e6 or below; beyond it a saddle-point
     estimate (the peak term dominates the sum), inf if even that overflows.
     """
-    if q >= 1.0 or q < 0.0:
-        raise ValueError("series order q must lie in [0, 1)")
-    if beta <= alpha:
-        raise ValueError("need beta > alpha")
-    A = L * T / (beta - alpha) ** q
-    if A == 0.0:
-        return 0.0
-    peak = _series_peak(A, q)
+    A, peak = _series_A(L, T, q, alpha, beta)
     if peak > 1e6:
         return (1.0 - q) * peak / math.log(10.0)
-    return _log_sum_window(math.log(A), q, int(peak)) / math.log(10.0)
+    top, rest = _log_sum(A, q, True, peak)
+    return (top + math.log1p(rest)) / math.log(10.0)
 
 
 @dataclass(frozen=True)

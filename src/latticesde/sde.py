@@ -85,7 +85,7 @@ class Potential:
         if self.kind == "linear":
             return -self.lam * q
         if self.kind == "cubic":
-            return self.b * q - q**3
+            return self.b * q - q * q * q
         return np.asarray(self.func(q), dtype=float)
 
 
@@ -421,8 +421,8 @@ def _band_slots(model: ModelSpec, config: Configuration, active: np.ndarray):
     return slots, weights, degree.astype(float)
 
 
-def _block_paths(n_sites, n_steps, noise_refine, path_block) -> int:
-    """Paths per noise block: ``path_block``, capped at _DRAW_CAP raw draws.
+def _block_paths(n_sites, n_steps, noise_refine) -> int:
+    """Paths per noise block: _PATH_BLOCK, capped at _DRAW_CAP raw draws.
 
     ``n_sites`` is the size of the configuration, not of an active set, so
     every truncation of one configuration is stepped in the same path
@@ -430,22 +430,20 @@ def _block_paths(n_sites, n_steps, noise_refine, path_block) -> int:
     ``np.matmul`` of the step rounds differently for different block widths.
     """
     if n_sites:
-        return min(path_block, max(1, _DRAW_CAP // (n_sites * n_steps * noise_refine)))
-    return path_block
+        return min(_PATH_BLOCK, max(1, _DRAW_CAP // (n_sites * n_steps * noise_refine)))
+    return _PATH_BLOCK
 
 
-def simulation_bytes(
-    n_sites, active_sets, n_paths, n_steps, noise_refine=1, path_block=_PATH_BLOCK
-) -> int:
+def simulation_bytes(n_sites, n_sets, union_size, n_paths, n_steps, noise_refine=1) -> int:
     """Bytes :func:`simulate_coupled` allocates for its arrays.
 
-    One path tensor per active set, plus one noise block over the union of
-    the sets, counted twice because it is copied into step-major layout.
+    One path tensor per active set (``n_sets`` of them), plus one noise block
+    over the union of the sets (``union_size`` sites), counted twice because
+    it is copied into step-major layout.
     """
-    union = np.unique(np.concatenate([np.asarray(a, dtype=np.int64) for a in active_sets]))
-    block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine, path_block))
-    tensors = len(active_sets) * n_paths * n_sites * (n_steps + 1)
-    noise = 2 * block * union.size * n_steps * noise_refine
+    block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
+    tensors = n_sets * n_paths * n_sites * (n_steps + 1)
+    noise = 2 * block * union_size * n_steps * noise_refine
     return 8 * (tensors + noise)
 
 
@@ -492,7 +490,6 @@ def simulate_coupled(
     seed,
     scheme="tamed",
     noise_refine=1,
-    path_block=_PATH_BLOCK,
     threads=1,
 ) -> list:
     """Euler-Maruyama ensembles of several truncations, driven by one noise draw.
@@ -506,8 +503,8 @@ def simulate_coupled(
     can blow up.  Sites outside a truncation's active set stay bitwise frozen
     at their initial value.  Path blocks depend on the configuration, not on
     the sets, so each truncation's paths are bitwise those of a lone
-    :func:`simulate_truncated` run with the same ``path_block``, and sets
-    with a common site share its increments bitwise.
+    :func:`simulate_truncated` run, and sets with a common site share its
+    increments bitwise.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {_SCHEMES}")
@@ -526,7 +523,7 @@ def simulate_coupled(
     tensors = [np.empty((n_paths, config.n_sites, n_steps + 1)) for _ in actives]
     blowups = [np.empty(n_paths, dtype=bool) for _ in actives]
     tamed = scheme == "tamed"
-    path_block = _block_paths(config.n_sites, n_steps, noise_refine, path_block)
+    path_block = _block_paths(config.n_sites, n_steps, noise_refine)
 
     with ThreadPoolExecutor(threads) if threads > 1 and len(actives) > 1 else nullcontext() as pool:
         for start in range(0, n_paths, path_block):
@@ -575,7 +572,6 @@ def simulate_truncated(
     seed,
     scheme="tamed",
     noise_refine=1,
-    path_block=_PATH_BLOCK,
 ) -> PathEnsemble:
     """Euler-Maruyama time stepping of one truncated system.
 
@@ -585,7 +581,7 @@ def simulate_truncated(
     """
     return simulate_coupled(
         model, config, [lambda_n], zeta, T, dt, n_paths, seed,
-        scheme=scheme, noise_refine=noise_refine, path_block=path_block,
+        scheme=scheme, noise_refine=noise_refine,
     )[0]
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import latticesde as lat
+from latticesde import cli
 from latticesde.cli import ConfigError, _write_moments_csv, _write_paths_csv, main, parse_config
 from latticesde.convergence import MomentField
 
@@ -125,6 +126,9 @@ class TestExitCodes:
             {"kernel_cap": "-1"},
             {"sigma0": "-0.1"},
             {"potential": "linear", "potential_param": "0"},
+            {"p": "1e12"},
+            {"sigma2": "1e300"},
+            {"zeta": "1e300"},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -145,6 +149,40 @@ class TestExitCodes:
         assert code == (0 if all(c["ok"] for c in report["checks"]) else 1)
         assert report["constants"]["K"] == "inf"
         assert report["constants"]["log10_K"] == "inf"
+
+    def test_strongly_dissipative_linear_model_verifies(self, tmp_path, capsys):
+        # lam = 2 makes B1 = b + 1 + 2 M1^2 negative; the Cauchy majorant drops it
+        path = write_config(tmp_path, text=DEMO.read_text(), potential="linear",
+                            potential_param="2.0")
+        out = tmp_path / "o"
+        code = main(["verify", "--config", str(path), "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["constants"]["B1"] < 0
+        assert "cauchy" in {c["name"] for c in report["checks"]}
+        assert code == (0 if all(c["ok"] for c in report["checks"]) else 1)
+
+    @pytest.mark.parametrize("command", ["verify", "picard"])
+    @pytest.mark.parametrize(
+        "overrides", [{"rho": "1e12"}, {"a_high": "1e12", "alphas": "1e12"}],
+        ids=["rho-1e12", "alpha-1e12"],
+    )
+    def test_overflowing_constants_exit_by_verdicts(self, tmp_path, capsys, command,
+                                                    overrides):
+        # e^(a rho) of a scale-bound constant leaves the float range: L = K = inf
+        path = write_config(tmp_path, text=DEMO.read_text(), **overrides)
+        out = tmp_path / "o"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / f"{command}_report.json").read_text())
+        if command == "verify":
+            assert code == (0 if all(c["ok"] for c in report["checks"]) else 1)
+            assert "nan" not in (out / "cauchy_table.csv").read_text()  # inf K x zero tail
+            report = report["constants"]
+        else:
+            assert code == (0 if report["bound_ok"] else 1)
+        if "rho" in overrides:
+            assert report["L"] == "inf"
 
     @pytest.mark.parametrize("command, horizon", [("verify", "50"), ("picard", "2000")])
     def test_solver_failure_exits_1(self, tmp_path, capsys, command, horizon):
@@ -177,6 +215,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: simulating needs ") and "bytes" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, overrides, task, unbuilt",
+        [
+            ("simulate", {"levels": "1000000"}, "simulating", "exhaustion_sequence"),
+            ("verify", {"levels": "100000000"}, "simulating", "exhaustion_sequence"),
+            ("generate", {"intensity": "1e12"}, "sampling", "sample_configuration"),
+            ("picard", {"box_halfwidth": "1e200", "dim": "3"}, "sampling",
+             "sample_configuration"),
+        ],
+        ids=["levels-1e6", "levels-1e8", "intensity-1e12", "volume-overflow"],
+    )
+    def test_oversized_input_refused_before_building(self, tmp_path, capsys, monkeypatch,
+                                                     command, overrides, task, unbuilt):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{unbuilt} ran before the memory guard")
+
+        monkeypatch.setattr(cli, unbuilt, unreachable)
+        path = write_config(tmp_path, text=DEMO.read_text(), **overrides)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {task} needs ") and "physical memory" in err
         assert "Traceback" not in err
 
     def test_blowup_flagged_as_failure(self, tmp_path):

@@ -256,8 +256,8 @@ class TestSharedDraw:
     @pytest.mark.parametrize("noise_refine", [1, 2])
     @pytest.mark.parametrize("path_block", [1, 3, None])
     @pytest.mark.parametrize("depth", ["full", "partial"])
-    def test_levels_match_lone_runs(self, coupled_setup, depth, path_block, noise_refine,
-                                    threads):
+    def test_levels_match_lone_runs(self, coupled_setup, monkeypatch, depth, path_block,
+                                    noise_refine, threads):
         config, model, zeta = coupled_setup
         levels = lat.exhaustion_sequence(config, 3)
         if depth == "partial":
@@ -265,18 +265,15 @@ class TestSharedDraw:
             levels = lat.exhaustion_sequence(config, 4)[:2]
             assert levels[-1].size < config.n_sites
         if path_block is None:
-            block = {}
             ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, 7, 21,
                                         noise_refine=noise_refine, threads=threads)
         else:
-            block = {"path_block": path_block}
+            monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
             ensembles = sde.simulate_coupled(model, config, levels, zeta, 0.1, 0.01, 7, 21,
-                                             noise_refine=noise_refine, threads=threads,
-                                             **block)
+                                             noise_refine=noise_refine, threads=threads)
         for level, ens in zip(levels, ensembles):
             lone = lat.simulate_truncated(
                 model, config, level, zeta, 0.1, 0.01, 7, 21, noise_refine=noise_refine,
-                **block,
             )
             assert np.array_equal(ens.active, lone.active)
             assert np.array_equal(ens.paths, lone.paths)

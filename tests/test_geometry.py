@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import latticesde as lat
 from conftest import brute_force_neighbors, lattice_1d
+from latticesde.geometry import configuration_bytes
 
 LOG2 = math.log(2.0)
 
@@ -58,6 +59,19 @@ class TestSampleConfiguration:
             lat.sample_configuration(math.nan, 5.0, 1, 1.0, 1)
         with pytest.raises(ValueError):
             lat.sample_configuration(1.0, math.inf, 1, 1.0, 1)
+
+    @pytest.mark.parametrize("args", [(2.0, 20.0, 2, 1.0), (1.0, 6.0, 3, 1.0)])
+    def test_configuration_bytes_estimates_points_and_band(self, args):
+        # at the Poisson mean and without boundary effects, so a little above
+        cfg = lat.sample_configuration(*args, 3)
+        built = cfg.points.nbytes + cfg.indices.nbytes + cfg.distances.nbytes
+        assert 1.0 < configuration_bytes(*args) / built < 1.25
+
+    def test_configuration_bytes_edge_cases(self):
+        assert configuration_bytes(0.0, 5.0, 1, 1.0) == 0.0
+        assert configuration_bytes(1.0, 1e200, 3, 1.0) == math.inf  # volume overflows
+        # a huge radius makes every site a neighbor of every other, no more
+        assert configuration_bytes(1.0, 1.0, 1, 1e300) == 8.0 * 2.0 * (1 + 2 * 2.0)
 
     def test_duplicate_points_rejected_in_from_points(self):
         with pytest.raises(ValueError):

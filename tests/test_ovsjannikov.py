@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -121,6 +122,10 @@ class TestOvsConstant:
     def test_zero_c(self):
         assert lat.ovs_constant(0.0, 1.0, 1.0, 1.0, 1.0) == 0.0
 
+    def test_overflow_is_inf(self):
+        # e^(a_low rho) leaves the float range; inf stays a valid ceiling
+        assert lat.ovs_constant(1.0, 1.0, 1.0, 1e12, 0.25) == math.inf
+
     def test_scaling_in_growth_constant(self):
         # scales as N^(q+1): doubling N with q = 1 quadruples L
         assert lat.ovs_constant(1.0, 1.0, 2.0, 1.0, 1.0) == pytest.approx(
@@ -241,11 +246,16 @@ class TestSolveLinearEvolution:
                 lat.solve_linear_evolution(Q, z0, 50.0, 1e-12)
 
 
-def mpmath_log10_series(A, q):
-    """log10 of sum_n A^n n^(qn) / n! at 40 digits (0^0 = 1).
+LOG_MAX = math.log(sys.float_info.max)
 
-    Log-terms are stepped by their exact increments outward from the largest
-    term, on each side until 104 nats (1e-45) below it.
+
+def mpmath_log_series(A, q, per_term=True, cutoff=None):
+    """Natural log of sum_n A^n n^p / n! at 40 digits, p = q n (per_term) or q.
+
+    0^p counts as 1.  Log-terms are stepped by their exact increments outward
+    from the largest term, on each side until 104 nats (1e-45) below it.
+    When the log of the term at the saddle estimate exceeds ``cutoff``, that
+    lower bound is returned instead: it already shows the sum overflows.
     """
     import mpmath as mp
 
@@ -253,20 +263,25 @@ def mpmath_log10_series(A, q):
         log_a, q = mp.log(A), mp.mpf(q)
         logs = {}
 
-        def x_log_x(n):
+        def power_log(n):  # p log n, 0 at n = 0
             if n not in logs:
                 logs[n] = mp.log(n) if n else mp.mpf(0)
-            return n * logs[n]
+            return (n if per_term else 1) * q * logs[n]
+
+        def log_term(n):
+            return n * log_a + power_log(n) - mp.loggamma(n + 1)
 
         def rise(n):  # l(n + 1) - l(n)
-            return log_a + q * (x_log_x(n + 1) - x_log_x(n)) - logs[n + 1]
+            return log_a + power_log(n + 1) - power_log(n) - logs[n + 1]
 
-        c = int(mp.exp((log_a + q) / (1 - q)))
+        c = int(mp.exp((log_a + q) / (1 - q))) if per_term else int(A)
+        if cutoff is not None and log_term(c) > cutoff:
+            return log_term(c)
         while rise(c) > 0:
             c += 1
         while c > 0 and rise(c - 1) < 0:
             c -= 1
-        top = c * log_a + q * x_log_x(c) - mp.loggamma(c + 1)
+        top = log_term(c)
         total = mp.mpf(1)
         for step in (1, -1):
             n, log_t = c, top
@@ -276,7 +291,15 @@ def mpmath_log10_series(A, q):
                 total += mp.exp(log_t - top)
                 if log_t < top - 104:
                     break
-        return float((top + mp.log(total)) / mp.log(10))
+        return top + mp.log(total)
+
+
+def mpmath_log10_series(A, q):
+    """log10 of sum_n A^n n^(qn) / n! at 40 digits (0^0 = 1)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return float(mpmath_log_series(A, q) / mp.log(10))
 
 
 def _reference_log_terms(A, q):
@@ -289,7 +312,10 @@ def _reference_log_terms(A, q):
 
 
 def reference_series(L, T, q, alpha, beta, tol=1e-12):
-    """Term loop of norm_bound_series as first written, for bitwise checks."""
+    """Forward term loop that norm_bound_series used before the window sum.
+
+    It stops at an absolute tol and cuts off to inf once (1 - q) peak > 700.
+    """
     A = L * T / (beta - alpha) ** q
     if A == 0.0:
         return 1.0
@@ -309,7 +335,10 @@ def reference_series(L, T, q, alpha, beta, tol=1e-12):
 
 
 def reference_series_alt(L, T, q, alpha, beta, tol=1e-12):
-    """Term loop of norm_bound_series_alt as first written, for bitwise checks."""
+    """Forward term loop that norm_bound_series_alt used before the window sum.
+
+    It stops at an absolute tol past n = A and cuts off to inf once A > 690.
+    """
     A = L * T
     if A == 0.0:
         return 1.0 / (beta - alpha) ** q
@@ -326,10 +355,12 @@ def reference_series_alt(L, T, q, alpha, beta, tol=1e-12):
     return math.fsum(terms) / (beta - alpha) ** q
 
 
+ORACLE_A = (1e-3, 1e-1, 1.0, 10.0, 361.0, 1e3)
+ORACLE_Q = (0.0, 0.25, 0.5, 0.75, 0.9)
 ORACLE_CASES = [
     (A, q)
-    for A in (1e-3, 1e-1, 1.0, 10.0, 361.0, 1e3)
-    for q in (0.0, 0.25, 0.5, 0.75, 0.9)
+    for A in ORACLE_A
+    for q in ORACLE_Q
     if math.exp((math.log(A) + q) / (1.0 - q)) <= 1e6  # exact branch only
 ]
 
@@ -353,6 +384,8 @@ class TestNormBoundSeries:
 
     def test_l_zero(self):
         assert lat.norm_bound_series(0.0, 1.0, 0.5, 0.0, 1.0) == 1.0
+        assert norm_bound_series_alt(0.0, 1.0, 0.5, 0.0, 0.25) == 0.25**-0.5
+        assert norm_bound_series_log10(0.0, 1.0, 0.5, 0.0, 1.0) == 0.0
 
     @staticmethod
     def _mpmath_series(A, q):
@@ -371,13 +404,13 @@ class TestNormBoundSeries:
 
     def test_frozen_value_against_high_precision_oracle(self):
         # q = 1/2, L = T = 1, unit gap; frozen from the oracle below
-        got = lat.norm_bound_series(1.0, 1.0, 0.5, 0.0, 1.0, tol=1e-14)
+        got = lat.norm_bound_series(1.0, 1.0, 0.5, 0.0, 1.0)
         assert got == pytest.approx(5.686443765941575523, rel=1e-12)
         assert got == pytest.approx(self._mpmath_series(1.0, 0.5), rel=1e-12)
 
     def test_second_frozen_value(self):
         # A = L T / gap^q = 2; frozen from the oracle below
-        got = lat.norm_bound_series(2.0, 0.5, 0.5, 0.0, 0.25, tol=1e-14)
+        got = lat.norm_bound_series(2.0, 0.5, 0.5, 0.0, 0.25)
         assert got == pytest.approx(328.1219956523110619, rel=1e-12)
         assert got == pytest.approx(self._mpmath_series(2.0, 0.5), rel=1e-12)
 
@@ -413,17 +446,47 @@ class TestNormBoundSeries:
         got = norm_bound_series_log10(360.9963452130178, 0.5, 0.5, 0.25, 0.5)
         assert got == pytest.approx(76922.83067960788, rel=4e-15)
 
-    def test_values_bitwise_equal_to_reference_loops(self):
+    @pytest.mark.parametrize("q", ORACLE_Q)
+    @pytest.mark.parametrize("A", ORACLE_A + (709.0, 709.9))
+    @pytest.mark.parametrize("variant", ["K", "alt"])
+    def test_sums_against_mpmath_oracle(self, variant, A, q):
+        # A = 709 and 709.9 straddle the float range at q = 0, where K = e^A
+        per_term = variant == "K"
+        series = lat.norm_bound_series if per_term else norm_bound_series_alt
+        got = series(A, 1.0, q, 0.0, 1.0)
+        log_sum = float(mpmath_log_series(A, q, per_term, cutoff=LOG_MAX + 1.0))
+        if log_sum > LOG_MAX:
+            assert got == math.inf
+        else:
+            want = math.exp(log_sum)
+            assert got == pytest.approx(want, rel=2e-15 * max(1.0, log_sum), abs=0.0)
+
+    def test_sums_close_to_reference_loops(self):
+        # the forward loops stopped at an absolute tol of 1e-12 (K >= 1), which
+        # cost them up to about 1e-12 relative; they cut off to inf only near
+        # the top of the float range
         for args in SERIES_ARGS:
-            for tol in (1e-12, 1e-14):
-                try:
-                    expected = reference_series(*args, tol=tol)
-                except OverflowError:  # its saddle-point location overflowed
-                    expected = math.inf
-                assert lat.norm_bound_series(*args, tol=tol) == expected, args
-                assert norm_bound_series_alt(*args, tol=tol) == reference_series_alt(
-                    *args, tol=tol
-                ), args
+            try:
+                old = reference_series(*args)
+            except OverflowError:  # its saddle-point location overflowed
+                old = math.inf
+            for new, ref in (
+                (lat.norm_bound_series(*args), old),
+                (norm_bound_series_alt(*args), reference_series_alt(*args)),
+            ):
+                if ref == math.inf:
+                    assert new == math.inf or new > math.exp(690.0), args
+                else:
+                    tol = 1e-11 + 4e-15 * max(1.0, math.log(ref))
+                    assert new == pytest.approx(ref, rel=tol, abs=0.0), args
+
+    def test_arguments_validated_alike(self):
+        for series in (lat.norm_bound_series, norm_bound_series_alt, norm_bound_series_log10):
+            for args in ((-1.0, 1.0, 0.5, 0.0, 1.0), (1.0, -1.0, 0.5, 0.0, 1.0),
+                         (math.nan, 1.0, 0.5, 0.0, 1.0), (1.0, 1.0, math.nan, 0.0, 1.0),
+                         (1.0, 1.0, 0.5, 1.0, math.nan), (1.0, 1.0, 0.5, 1.0, 1.0)):
+                with pytest.raises(ValueError):
+                    series(*args)
 
     def test_saddle_branch_unchanged(self):
         # peak index beyond 1e6: the saddle estimate (1 - q) peak / ln 10

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import latticesde as lat
+from latticesde import sde
 from latticesde.sde import (
     _noise_block,
     _NoiseSource,
@@ -256,26 +257,27 @@ class TestSimulation:
                 want = lat.wiener_increments(5, path, site, 20, 0.1, refine=refine)
                 assert np.array_equal(block[:, si, pi], want)
 
-    def test_coupled_sets_need_not_nest(self, poisson_1d):
+    def test_coupled_sets_need_not_nest(self, poisson_1d, monkeypatch):
         model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3,
                                sigma2=0.05, p=4.0)
         zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
         sets = [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7, 8], []]
+        monkeypatch.setattr(sde, "_PATH_BLOCK", 2)
         ensembles = simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 5, 31,
-                                     path_block=2, threads=2)
+                                     threads=2)
         for active, ens in zip(sets, ensembles):
-            lone = lat.simulate_truncated(model, poisson_1d, active, zeta, 0.1, 0.01, 5, 31,
-                                          path_block=2)
+            lone = lat.simulate_truncated(model, poisson_1d, active, zeta, 0.1, 0.01, 5, 31)
             assert np.array_equal(ens.paths, lone.paths)
 
-    def test_simulation_bytes_counts_tensors_and_one_block(self, poisson_1d):
+    def test_simulation_bytes_counts_tensors_and_one_block(self, poisson_1d, monkeypatch):
         n, steps = poisson_1d.n_sites, 10
-        sets = [np.arange(4), np.arange(n)]
         # two path tensors, plus 5 paths x n sites x 20 draws held twice
         want = 8 * (2 * 7 * n * (steps + 1) + 2 * 5 * n * steps * 2)
-        assert simulation_bytes(n, sets, 7, steps, noise_refine=2, path_block=5) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(sde, "_PATH_BLOCK", 5)
+            assert simulation_bytes(n, 2, n, 7, steps, noise_refine=2) == want
         # the raw-draw cap limits the block to 2^25 draws over the union
-        big = simulation_bytes(n, sets, 10**9, steps)
+        big = simulation_bytes(n, 2, n, 10**9, steps)
         assert big - 8 * 2 * 10**9 * n * (steps + 1) <= 8 * 2 * (1 << 25)
 
     def test_dt_must_divide_horizon(self, single_site_config):
