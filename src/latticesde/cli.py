@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._table import write_table
 from .convergence import (
     cauchy_table,
     moment_constants,
@@ -226,19 +227,14 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def _write_moments_csv(field, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("site,per_site,stderr\n")
-        rows = zip(field.per_site.tolist(), field.stderr.tolist())
-        fh.write("".join([f"{i},{m!r},{e!r}\n" for i, (m, e) in enumerate(rows)]))
+    keys = [f"{i}," for i in range(field.config.n_sites)]
+    write_table(path, "site,per_site,stderr", [("", keys, field.per_site, field.stderr)])
 
 
 def _write_paths_csv(ensemble, path: Path) -> None:
-    times = [repr(t) for t in ensemble.times.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("path,site,t,value\n")
-        for pi in range(ensemble.n_paths):
-            for si, values in enumerate(ensemble.paths[pi].tolist()):
-                fh.write("".join([f"{pi},{si},{t},{v!r}\n" for t, v in zip(times, values)]))
+    times = [f"{t!r}," for t in ensemble.times.tolist()]
+    blocks = ((f"{p},{s},", times, ensemble.paths[p, s]) for p, s in np.ndindex(ensemble.paths.shape[:2]))
+    write_table(path, "path,site,t,value", blocks)
 
 
 def _check_memory(need, task, items, remedy) -> None:
@@ -441,12 +437,9 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
             {"name": "cauchy", "ok": bool(cr.decreasing_ok and cr.dominated_ok),
              "decreasing": cr.decreasing_ok, "dominated": cr.dominated_ok}
         )
-        with open(out_dir / "cauchy_table.csv", "w", encoding="utf-8") as fh:
-            fh.write("n,m,D,dominator\n")
-            for row in cr.rows:
-                fh.write(
-                    f"{row.level_n},{row.level_m},{row.distance!r},{row.dominator!r}\n"
-                )
+        keys = [f"{r.level_n},{r.level_m}," for r in cr.rows]
+        columns = ([r.distance for r in cr.rows], [r.dominator for r in cr.rows])
+        write_table(out_dir / "cauchy_table.csv", "n,m,D,dominator", [("", keys, *columns)])
         _write_moments_csv(fields[-1], out_dir / "moments.csv")
         mc = moment_constants(model, cfg.horizon)
         cc = cauchy_constants(model)

@@ -277,8 +277,9 @@ def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyRep
     decreasing_ok = True
     for earlier, later in zip(extremes, extremes[1:]):
         tied = np.array_equal(levels[earlier.level_n], levels[later.level_n])
-        if tied:
-            # identical truncations are coupled to identical paths
+        if tied or earlier.distance == 0.0:
+            # identical truncations are coupled to identical paths, and a zero
+            # distance (every weight underflowed) cannot decrease further
             decreasing_ok = decreasing_ok and later.distance == earlier.distance
         else:
             decreasing_ok = decreasing_ok and later.distance < earlier.distance

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import read_table, write_table
+
 __all__ = [
     "Configuration",
     "check_sampling_args",
@@ -252,29 +254,15 @@ def exhaustion_sequence(config: Configuration, levels: int):
 
 
 def save_configuration(config: Configuration, path) -> None:
-    """Write the flat text format: header 'd rho S seed', then 'index x1 .. xd'."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{config.dim} {config.rho!r} {config.box_halfwidth!r} {config.seed}\n")
-        for i in range(config.n_sites):
-            coords = " ".join(repr(float(c)) for c in config.points[i])
-            fh.write(f"{i} {coords}\n")
+    """Write the text table: header 'd rho S seed', then one 'index x1 .. xd' row per site."""
+    header = f"{config.dim} {config.rho!r} {config.box_halfwidth!r} {config.seed}"
+    keys = [f"{i} " for i in range(config.n_sites)]
+    write_table(path, header, [("", keys, *config.points.T)], sep=" ")
 
 
 def load_configuration(path) -> Configuration:
-    """Read the flat text format; the neighbor table is always recomputed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise ValueError("malformed configuration header")
-        dim = int(header[0])
-        rho = float(header[1])
-        box_halfwidth = float(header[2])
-        seed = int(header[3])
-        rows = []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            rows.append([float(v) for v in parts[1 : 1 + dim]])
-    points = np.asarray(rows, dtype=float).reshape(len(rows), dim)
+    """Read the text table, each row placed by its index; the neighbor band is recomputed."""
+    (dim, rho, box_halfwidth, seed), _, points = read_table(path, tuple("iffi"), "s", None, sep=" ")
+    if dim < 1:  # rows of no coordinates would load as an empty configuration
+        raise ValueError(f"{path}: dimension {dim} is below 1")
     return configuration_from_points(points, rho, box_halfwidth, seed=seed)

@@ -28,11 +28,13 @@ into a verifiable grid computation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .geometry import Configuration, estimate_growth_constant
 from .spaces import WeightedSeq, weighted_sum
 
@@ -62,6 +64,7 @@ __all__ = [
 _ENTRY_TOL = 1e-9  # relative play when validating |Q_xy| <= C n_x^q
 _WINDOW_NATS = 40.0  # window half-depth of the exact log-sum, in nats below the peak
 _LOG_MAX = 709.782712893384  # log(sys.float_info.max), the largest log of a finite float
+_DIVERGED = "parameters lie outside the convergent series regime"
 
 
 def _sum_by(index: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
@@ -224,8 +227,8 @@ class GridFunction:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
+            raise ValueError("times must be a nonempty, strictly increasing grid")
         if values.shape != (times.size, self.config.n_sites):
             raise ValueError("values shape does not match grid and configuration")
         object.__setattr__(self, "times", times)
@@ -241,6 +244,20 @@ def _grid(T: float, n_nodes: int) -> np.ndarray:
     return np.linspace(0.0, T, n_nodes)
 
 
+def _picard_sums(Q: BandedOperator, z0: WeightedSeq, times: np.ndarray):
+    """Yield (t^k/k!, Q^k z0, sum_{j<=k} t^j/j! Q^j z0, updated in place) on the grid, k = 0, 1, ..."""
+    if z0.config is not Q.config:
+        raise ValueError("operator and sequence live on different configurations")
+    power = z0.values.copy()
+    coeff = np.ones(times.size)
+    total = np.outer(coeff, power)
+    for k in itertools.count(1):
+        yield coeff, power, total
+        power = Q.matvec(power)
+        coeff = coeff * times / k
+        total += np.outer(coeff, power)
+
+
 def picard_iterate(Q: BandedOperator, z0: WeightedSeq, T, n, n_nodes=33) -> GridFunction:
     """n-th Picard iterate of the linear integral equation, started from z0.
 
@@ -250,16 +267,8 @@ def picard_iterate(Q: BandedOperator, z0: WeightedSeq, T, n, n_nodes=33) -> Grid
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    if z0.config is not Q.config:
-        raise ValueError("operator and sequence live on different configurations")
     times = _grid(T, n_nodes)
-    power = z0.values.copy()
-    coeff = np.ones(times.size)
-    total = np.outer(coeff, power)
-    for k in range(1, n + 1):
-        power = Q.matvec(power)
-        coeff = coeff * times / k
-        total += np.outer(coeff, power)
+    _, _, total = next(itertools.islice(_picard_sums(Q, z0, times), n, None))
     return GridFunction(Q.config, times, total)
 
 
@@ -276,36 +285,23 @@ def solve_linear_evolution(Q: BandedOperator, z0: WeightedSeq, T, tol, beta=0.0,
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    if z0.config is not Q.config:
-        raise ValueError("operator and sequence live on different configurations")
     times = _grid(T, n_nodes)
     opnorm = float(np.max(Q.column_abs_sums())) if Q.n_sites else 0.0
     max_iter = int(10 * (math.e * opnorm * T + 10))
-    power = z0.values.copy()
-    coeff = np.ones(times.size)
-    total = np.outer(coeff, power)
     below = 0
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the increment
-        for k in range(1, max_iter + 1):
-            power = Q.matvec(power)
-            coeff = coeff * times / k
+        sums = itertools.islice(_picard_sums(Q, z0, times), 1, max_iter + 1)
+        for k, (coeff, power, total) in enumerate(sums, 1):
             try:
                 increment = coeff[-1] * weighted_sum(Q.config.radii, beta, np.abs(power))
             except OverflowError:
                 increment = math.inf
             if not math.isfinite(increment):
-                raise RuntimeError(
-                    f"Picard iterate {k} left the float range; "
-                    "parameters lie outside the convergent series regime"
-                )
-            total += np.outer(coeff, power)
+                raise RuntimeError(f"Picard iterate {k} left the float range; {_DIVERGED}")
             below = below + 1 if increment < tol else 0
             if below >= 2:
                 return GridFunction(Q.config, times, total)
-    raise RuntimeError(
-        f"no convergence within {max_iter} iterations; "
-        "parameters lie outside the convergent series regime"
-    )
+    raise RuntimeError(f"no convergence within {max_iter} iterations; {_DIVERGED}")
 
 
 def _log_term(n: int, log_a: float, q: float, per_term: bool) -> float:
@@ -469,60 +465,25 @@ def comparison_check(Q: BandedOperator, z0: WeightedSeq, g: GridFunction, slack=
 
 
 def save_operator(Q: BandedOperator, path) -> None:
-    """CSV triplet serialization 'x_index,y_index,value'."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x_index,y_index,value\n")
-        for r, c, v in zip(Q.rows, Q.cols, Q.vals):
-            fh.write(f"{int(r)},{int(c)},{float(v)!r}\n")
+    """CSV triplet table 'x_index,y_index,value', one row per entry."""
+    keys = [f"{r},{c}," for r, c in zip(Q.rows.tolist(), Q.cols.tolist())]
+    write_table(path, "x_index,y_index,value", [("", keys, Q.vals)])
 
 
 def load_operator(config, path, band_constant, band_exponent) -> BandedOperator:
-    rows, cols, vals = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("x_index"):
-            raise ValueError("malformed operator CSV")
-        for line in fh:
-            if not line.strip():
-                continue
-            r, c, v = line.split(",")
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-    return BandedOperator(
-        config,
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(vals, dtype=float),
-        band_constant,
-        band_exponent,
-    )
+    _, keys, vals = read_table(path, "x_index,y_index,value", "ii", 1)
+    return BandedOperator(config, keys[:, 0], keys[:, 1], vals[:, 0], band_constant, band_exponent)
 
 
 def save_grid_function(f: GridFunction, path) -> None:
-    """CSV serialization 't,site_index,value'."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,site_index,value\n")
-        sites = [f",{i}," for i in range(f.config.n_sites)]
-        for t, row in zip(f.times.tolist(), f.values.tolist()):
-            t = repr(t)
-            fh.write("".join([f"{t}{i}{v!r}\n" for i, v in zip(sites, row)]))
+    """CSV table 't,site_index,value': one block of site rows per time node."""
+    sites = [f",{i}," for i in range(f.config.n_sites)]
+    blocks = ((repr(t), sites, row) for t, row in zip(f.times.tolist(), f.values))
+    write_table(path, "t,site_index,value", blocks)
 
 
 def load_grid_function(config, path) -> GridFunction:
-    times = []
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("t,"):
-            raise ValueError("malformed grid-function CSV")
-        for line in fh:
-            if not line.strip():
-                continue
-            t, i, v = line.split(",")
-            t = float(t)
-            if not times or t != times[-1]:
-                times.append(t)
-                rows.append(np.zeros(config.n_sites))
-            rows[-1][int(i)] = float(v)
-    return GridFunction(config, np.asarray(times), np.stack(rows))
+    """Read the CSV table, each time node's rows placed by their site index."""
+    n = config.n_sites
+    _, keys, values = read_table(path, "t,site_index,value", "fs", 1, n_sites=n)
+    return GridFunction(config, keys[::n, 0], values.reshape(-1, n))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .geometry import Configuration, estimate_growth_constant
 
 __all__ = [
@@ -142,22 +143,12 @@ def degree_summability_check(config: Configuration, a_low: float):
 
 
 def save_weighted_seq(z: WeightedSeq, path) -> None:
-    """CSV serialization: one 'site_index,value' row per site."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("site_index,value\n")
-        for i, v in enumerate(z.values):
-            fh.write(f"{i},{float(v)!r}\n")
+    """CSV table: one 'site_index,value' row per site."""
+    keys = [f"{i}," for i in range(z.config.n_sites)]
+    write_table(path, "site_index,value", [("", keys, z.values)])
 
 
 def load_weighted_seq(config: Configuration, path) -> WeightedSeq:
-    values = np.zeros(config.n_sites)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("site_index"):
-            raise ValueError("malformed weighted-sequence CSV")
-        for line in fh:
-            if not line.strip():
-                continue
-            idx, val = line.split(",")
-            values[int(idx)] = float(val)
-    return WeightedSeq(config, values)
+    """Read the CSV table, each row placed by its site index."""
+    _, _, values = read_table(path, "site_index,value", "s", 1, n_sites=config.n_sites)
+    return WeightedSeq(config, values[:, 0])

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,46 @@ def dense_operator(Q):
     """Dense matrix of a banded operator, assembled by scipy.sparse."""
     n = Q.config.n_sites
     return scipy.sparse.coo_matrix((Q.vals, (Q.rows, Q.cols)), shape=(n, n)).toarray()
+
+
+def corrupt_table(path, kind, n_sites, index_field=0, sep=","):
+    """Rewrite a saved table with one defect; ``index_field`` is the site index's position.
+
+    header: a garbled first line; dim0 (configurations): dimension 0 and rows
+    of indices only; cut: the last row cut short; first_rows: only the first 4
+    rows kept; no_rows: only the header kept; repeated: row 1 is a copy of row
+    0; out_of_range: the last row names site n_sites; wrong_indices: rows
+    reversed and renumbered 1..n, so site 0 is missing.
+    """
+    path = Path(path)
+    head, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def with_index(row, index):
+        fields = row.split(sep)
+        fields[index_field] = str(index)
+        return sep.join(fields)
+
+    text = None
+    if kind == "header":
+        head = "x" + head
+    elif kind == "dim0":
+        head = "0" + head[1:]
+        rows = [row.split(sep)[0] + "\n" for row in rows]
+    elif kind == "cut":
+        text = head + "".join(rows)[:-3]
+    elif kind == "first_rows":
+        rows = rows[:4]
+    elif kind == "no_rows":
+        rows = []
+    elif kind == "repeated":
+        rows[1] = rows[0]
+    elif kind == "out_of_range":
+        rows[-1] = with_index(rows[-1], n_sites)
+    elif kind == "wrong_indices":
+        rows = [with_index(row, i + 1) for i, row in enumerate(reversed(rows))]
+    else:
+        raise ValueError(kind)
+    path.write_text(head + "".join(rows) if text is None else text, encoding="utf-8")
 
 
 def lattice_1d(lo=-10, hi=10, rho=1.5):

@@ -7,7 +7,7 @@ import pytest
 import latticesde as lat
 from latticesde import cli
 from latticesde.cli import ConfigError, _write_moments_csv, _write_paths_csv, main, parse_config
-from latticesde.convergence import MomentField
+from latticesde.convergence import CauchyReport, CauchyRow, MomentField
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
 
@@ -184,6 +184,17 @@ class TestExitCodes:
         if "rho" in overrides:
             assert report["L"] == "inf"
 
+    def test_zero_cauchy_distances_pass(self, tmp_path):
+        # at report weight 1e12 every weighted distance underflows to 0.0
+        path = write_config(tmp_path, text=DEMO.read_text(), a_high="1e12", alphas="1e12")
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "cauchy_table.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[2] for row in rows} == {"0.0"}
+        report = json.loads((out / "verify_report.json").read_text())
+        cauchy = next(c for c in report["checks"] if c["name"] == "cauchy")
+        assert cauchy["decreasing"] and cauchy["ok"]
+
     @pytest.mark.parametrize("command, horizon", [("verify", "50"), ("picard", "2000")])
     def test_solver_failure_exits_1(self, tmp_path, capsys, command, horizon):
         # the Picard iterates leave the float range before the iteration cap
@@ -331,6 +342,21 @@ class TestSimulate:
                     for ti, t in enumerate(times):
                         fh.write(f"{pi},{si},{float(t)!r},{float(values[pi, si, ti])!r}\n")
         assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestVerifyTables:
+    def test_cauchy_csv_bytes_match_per_value_writer(self, tmp_path, monkeypatch):
+        values = [0.0, -0.0, 5e-324, 1.2345678901234567e-300, 3.0, float("inf")]
+        rows = tuple(CauchyRow(n, n + 1, d, e) for n, (d, e) in enumerate(zip(values, values[::-1])))
+        report = CauchyReport(rows, True, True, 1.0, 0.75, 2.0, 0.3, 1.0)
+        monkeypatch.setattr(cli, "cauchy_table", lambda *args, **kwargs: report)
+        out = tmp_path / "o"
+        main(["verify", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
+            fh.write("n,m,D,dominator\n")
+            for r in rows:
+                fh.write(f"{r.level_n},{r.level_m},{r.distance!r},{r.dominator!r}\n")
+        assert (out / "cauchy_table.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestDeterminism:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticesde as lat
-from conftest import brute_force_neighbors, lattice_1d
+from conftest import brute_force_neighbors, corrupt_table, lattice_1d
 from latticesde.geometry import configuration_bytes
 
 LOG2 = math.log(2.0)
@@ -204,24 +204,57 @@ class TestExhaustion:
             lat.exhaustion_sequence(cfg, 0)
 
 
+def write_configuration_per_value(cfg, path):
+    """Reference writer: one formatted value at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{cfg.dim} {cfg.rho!r} {cfg.box_halfwidth!r} {cfg.seed}\n")
+        for i in range(cfg.n_sites):
+            fh.write(f"{i} " + " ".join(repr(float(c)) for c in cfg.points[i]) + "\n")
+
+
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        cfg = lat.sample_configuration(2.0, 5.0, 2, 0.7, 77)
-        path = tmp_path / "config.txt"
-        lat.save_configuration(cfg, path)
-        back = lat.load_configuration(path)
-        assert back.dim == cfg.dim
-        assert back.rho == cfg.rho
-        assert back.seed == cfg.seed
-        assert np.array_equal(back.points, cfg.points)
-        # the neighbor band is recomputed, never stored
-        assert np.array_equal(back.indptr, cfg.indptr)
-        assert np.array_equal(back.indices, cfg.indices)
-        assert np.array_equal(back.distances, cfg.distances)
+        edge = lat.configuration_from_points([[-0.0, 1.0], [5e-324, 2.0], [0.1, -3.7]], 0.7, 5.0)
+        for cfg in (lat.sample_configuration(2.0, 5.0, 2, 0.7, 77), edge):
+            path = tmp_path / "config.txt"
+            lat.save_configuration(cfg, path)
+            write_configuration_per_value(cfg, tmp_path / "ref.txt")
+            assert path.read_bytes() == (tmp_path / "ref.txt").read_bytes()
+            back = lat.load_configuration(path)
+            assert back.dim == cfg.dim
+            assert back.rho == cfg.rho
+            assert back.seed == cfg.seed
+            assert back.points.tobytes() == cfg.points.tobytes()
+            # the neighbor band is recomputed, never stored
+            assert np.array_equal(back.indptr, cfg.indptr)
+            assert np.array_equal(back.indices, cfg.indices)
+            assert np.array_equal(back.distances, cfg.distances)
 
     def test_empty_roundtrip(self, tmp_path):
         cfg = lat.sample_configuration(0.0, 5.0, 1, 1.0, 7)
         path = tmp_path / "empty.txt"
         lat.save_configuration(cfg, path)
+        write_configuration_per_value(cfg, tmp_path / "ref.txt")
+        assert path.read_bytes() == (tmp_path / "ref.txt").read_bytes()
         back = lat.load_configuration(path)
         assert back.n_sites == 0
+        assert back.points.shape == (0, 1)
+
+    def test_rows_placed_by_index(self, tmp_path):
+        cfg = lat.sample_configuration(2.0, 5.0, 2, 0.7, 77)
+        path = tmp_path / "config.txt"
+        lat.save_configuration(cfg, path)
+        head, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(head + "".join(reversed(rows)))
+        assert lat.load_configuration(path).points.tobytes() == cfg.points.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind", ["header", "dim0", "cut", "repeated", "out_of_range", "wrong_indices"]
+    )
+    def test_malformed_table_rejected(self, tmp_path, kind):
+        cfg = lat.sample_configuration(2.0, 5.0, 2, 0.7, 77)
+        path = tmp_path / "config.txt"
+        lat.save_configuration(cfg, path)
+        corrupt_table(path, kind, cfg.n_sites, sep=" ")
+        with pytest.raises(ValueError):
+            lat.load_configuration(path)

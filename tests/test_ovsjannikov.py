@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import latticesde as lat
-from conftest import brute_force_neighbors, dense_operator
+from conftest import brute_force_neighbors, corrupt_table, dense_operator
 from latticesde.ovsjannikov import (
     BandedOperator,
     load_grid_function,
@@ -598,25 +598,62 @@ class TestIterateEstimate:
             assert measured <= bound * (1.0 + 1e-9)
 
 
+def saved_operator(config, path):
+    Q = lat.random_banded_operator(config, 0.5, 1.0, 5)
+    vals = Q.vals.copy()
+    vals[:2] = [-0.0, 5e-324]
+    Q = BandedOperator(config, Q.rows, Q.cols, vals, 0.5, 1.0)
+    save_operator(Q, path)
+    return Q
+
+
+def saved_grid_function(config, path):
+    Q = lat.random_banded_operator(config, 0.3, 1.0, 6)
+    z0 = lat.WeightedSeq(config, np.ones(config.n_sites))
+    f = lat.solve_linear_evolution(Q, z0, 0.5, 1e-10, n_nodes=9)
+    f.values[3, :2] = [-0.0, 5e-324]
+    save_grid_function(f, path)
+    return f
+
+
 class TestSerialization:
     def test_operator_roundtrip(self, tmp_path, poisson_1d):
-        Q = lat.random_banded_operator(poisson_1d, 0.5, 1.0, 5)
         path = tmp_path / "op.csv"
-        save_operator(Q, path)
+        Q = saved_operator(poisson_1d, path)
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
+            fh.write("x_index,y_index,value\n")
+            for r, c, v in zip(Q.rows, Q.cols, Q.vals):
+                fh.write(f"{int(r)},{int(c)},{float(v)!r}\n")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         back = load_operator(poisson_1d, path, 0.5, 1.0)
         assert np.array_equal(back.rows, Q.rows)
         assert np.array_equal(back.cols, Q.cols)
-        assert np.array_equal(back.vals, Q.vals)
+        assert back.vals.tobytes() == Q.vals.tobytes()
 
     def test_grid_function_roundtrip(self, tmp_path, poisson_1d):
-        Q = lat.random_banded_operator(poisson_1d, 0.3, 1.0, 6)
-        z0 = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
-        f = lat.solve_linear_evolution(Q, z0, 0.5, 1e-10, n_nodes=9)
         path = tmp_path / "grid.csv"
-        save_grid_function(f, path)
+        f = saved_grid_function(poisson_1d, path)
         back = load_grid_function(poisson_1d, path)
-        assert np.array_equal(back.times, f.times)
-        assert np.array_equal(back.values, f.values)
+        assert back.times.tobytes() == f.times.tobytes()
+        assert back.values.tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "table, kind",
+        [("operator", k) for k in ["header", "cut", "repeated", "out_of_range"]]
+        + [("grid", k) for k in ["header", "cut", "first_rows", "no_rows", "repeated", "out_of_range"]],
+    )
+    def test_malformed_table_rejected(self, tmp_path, poisson_1d, table, kind):
+        path = tmp_path / f"{table}.csv"
+        if table == "operator":
+            saved_operator(poisson_1d, path)
+            corrupt_table(path, kind, poisson_1d.n_sites)
+            with pytest.raises(ValueError):
+                load_operator(poisson_1d, path, 0.5, 1.0)
+        else:
+            saved_grid_function(poisson_1d, path)
+            corrupt_table(path, kind, poisson_1d.n_sites, index_field=1)
+            with pytest.raises(ValueError):
+                load_grid_function(poisson_1d, path)
 
     def test_grid_function_bytes_match_per_value_writer(self, tmp_path, poisson_1d):
         rng = np.random.default_rng(7)
