@@ -261,12 +261,15 @@ def _build_configuration(cfg: ExperimentConfig):
     )
 
 
-def _simulation_levels(cfg: ExperimentConfig, config):
-    """The exhaustion levels, once their path tensors and noise are known to fit in memory."""
+def _simulation_levels(cfg: ExperimentConfig, config, n_pairs, keep_paths):
+    """The exhaustion levels, once the arrays of simulating them are known to fit in memory."""
     n_steps = step_count(cfg.horizon, cfg.dt)
-    # the last level holds every site, so the union of the levels does too
-    need = simulation_bytes(config.n_sites, cfg.levels, config.n_sites, cfg.n_paths, n_steps)
-    _check_memory(need, "simulating", "path tensors and noise", "n_paths, levels or horizon/dt")
+    need = simulation_bytes(
+        config.n_sites, int(config.degrees.max()), cfg.levels, cfg.n_paths, n_steps,
+        n_pairs=n_pairs, keep_paths=keep_paths,
+    )
+    items = "states, noise and path sums" + (" and path tensors" if keep_paths else "")
+    _check_memory(need, "simulating", items, "n_paths, levels or horizon/dt")
     return exhaustion_sequence(config, cfg.levels)
 
 
@@ -304,10 +307,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     if config.n_sites:
         model = cfg.build_model()
         zeta = WeightedSeq(config, np.full(config.n_sites, cfg.zeta))
-        levels = _simulation_levels(cfg, config)
+        levels = _simulation_levels(cfg, config, 0, cfg.dump_paths)
         ensembles = simulate_levels(
             model, config, levels, zeta, cfg.horizon, cfg.dt, cfg.n_paths,
-            cfg.seed, scheme=cfg.scheme, threads=threads,
+            cfg.seed, scheme=cfg.scheme, threads=threads, cauchy=False,
+            keep_paths=cfg.dump_paths,
         )
         for j, ens in enumerate(ensembles):
             entry = {
@@ -345,7 +349,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         )
         return 0
 
-    levels = _simulation_levels(cfg, config)
+    # the 2 levels - 3 pairs of cauchy_pairs, counted without listing them
+    levels = _simulation_levels(cfg, config, 2 * cfg.levels - 3, False)
     model = cfg.build_model()
     rng = np.random.default_rng(cfg.seed)
     alpha_lo = min(cfg.alphas)

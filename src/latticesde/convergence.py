@@ -33,6 +33,7 @@ __all__ = [
     "TailBoundReport",
     "tail_bound_check",
     "simulate_levels",
+    "cauchy_pairs",
     "CauchyRow",
     "CauchyReport",
     "cauchy_table",
@@ -59,25 +60,35 @@ class MomentField:
 def moment_field(ensemble: PathEnsemble, p: float) -> MomentField:
     """Sitewise sup over the grid of the sample p-th absolute moment.
 
-    Standard errors come from the sample variance of |xi|^p at the maximizing
-    grid node.  Ensembles with blow-up flags are rejected: their moments are
-    meaningless.
+    Reads the path sums the simulator reduced at the model's moment order
+    ``p``.  Standard errors come from the sample variance of |xi|^p at the
+    maximizing grid node.  Ensembles with blow-up flags are rejected: their
+    moments are meaningless.
     """
     if ensemble.has_blowup:
         raise ValueError("ensemble contains blown-up paths; moments are unusable")
     if p < 1:
         raise ValueError("need p >= 1")
-    powed = np.abs(ensemble.paths) ** p          # (paths, sites, nodes)
-    means = powed.mean(axis=0)                   # (sites, nodes)
-    argmax = means.argmax(axis=1)
+    sums = _sums(ensemble, p)
+    n = ensemble.n_paths
+    means = sums.power / n                       # (nodes, sites)
+    argmax = means.argmax(axis=0)
     sites = np.arange(ensemble.config.n_sites)
-    per_site = means[sites, argmax]
-    at_peak = powed[:, sites, argmax]            # (paths, sites)
-    if ensemble.n_paths > 1:
-        stderr = at_peak.std(axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
+    per_site = means[argmax, sites]
+    if n > 1:
+        stderr = np.sqrt(sums.m2[argmax, sites] / (n - 1)) / math.sqrt(n)
     else:
         stderr = np.zeros(ensemble.config.n_sites)
-    return MomentField(ensemble.config, float(p), per_site, stderr, ensemble.n_paths)
+    return MomentField(ensemble.config, float(p), per_site, stderr, n)
+
+
+def _sums(ensemble: PathEnsemble, p: float):
+    """The ensemble's reductions, checked to be at moment order ``p``."""
+    if ensemble.sums is None:
+        raise ValueError("the ensemble carries no reductions: it was not simulated")
+    if ensemble.sums.p != p:
+        raise ValueError(f"the ensemble was reduced at p = {ensemble.sums.p}, not {p}")
+    return ensemble.sums
 
 
 def z_norm(field: MomentField, alpha: float) -> float:
@@ -183,11 +194,21 @@ def tail_bound_check(fields, alpha, *, model, zeta, a_low, T) -> TailBoundReport
     )
 
 
+def cauchy_pairs(k: int) -> list:
+    """The level pairs (n, m) a Cauchy table of ``k`` levels reports: consecutive
+    levels, then every level against the last."""
+    return [(j, j + 1) for j in range(k - 1)] + [(j, k - 1) for j in range(k - 2)]
+
+
 def simulate_levels(
     model, config, levels, zeta, T, dt, n_paths, seed, scheme="tamed",
-    noise_refine=1, threads=1,
+    noise_refine=1, threads=1, cauchy=True, keep_paths=False,
 ):
-    """One coupled ensemble per nested truncation level, from one noise draw."""
+    """One coupled ensemble per nested truncation level, from one noise draw.
+
+    With ``cauchy`` the level differences of :func:`cauchy_pairs` are reduced
+    too, for :func:`cauchy_table`; ``keep_paths`` stores the path tensors.
+    """
     levels = [np.asarray(lv, dtype=np.int64) for lv in levels]
     for smaller, larger in zip(levels, levels[1:]):
         if not set(smaller.tolist()) <= set(larger.tolist()):
@@ -195,13 +216,8 @@ def simulate_levels(
     return simulate_coupled(
         model, config, levels, zeta, T, dt, n_paths, seed, scheme=scheme,
         noise_refine=noise_refine, threads=threads,
+        pairs=cauchy_pairs(len(levels)) if cauchy else (), keep_paths=keep_paths,
     )
-
-
-def _pair_moment_sup(a: PathEnsemble, b: PathEnsemble, p: float) -> np.ndarray:
-    """Per-site sup over the grid of the sample E|xi^a - xi^b|^p."""
-    diff = np.abs(a.paths - b.paths) ** p
-    return diff.mean(axis=0).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -227,9 +243,10 @@ class CauchyReport:
 def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyReport:
     """Pairwise level distances against the weighted tail dominator.
 
-    For each reported pair (n, m) the distance is the weighted sum of the
-    sitewise sup-over-time sample E|xi^n - xi^m|^p, computed from the coupled
-    trajectories directly (identical levels therefore give exactly zero).
+    For each pair (n, m) of :func:`cauchy_pairs` the distance is the weighted
+    sum of the sitewise sup-over-time sample E|xi^n - xi^m|^p, read from the
+    sums reduced from the coupled trajectories while they were stepped
+    (identical levels therefore give exactly zero).
     The dominator charges only the sites thawed between the two levels:
     2^p K(mid, alpha) sum_{tail} e^(-mid |x|) * (max-over-level moment), with
     mid the midpoint weight between a_low and alpha.  ``fields`` are the
@@ -259,14 +276,16 @@ def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyRep
     moment_sup = np.stack([f.per_site for f in fields]).max(axis=0)
 
     k = len(ensembles)
-    pairs = [(j, j + 1) for j in range(k - 1)]
-    pairs += [(j, k - 1) for j in range(k - 2)]
-
     rows = []
-    for n_idx, m_idx in pairs:
-        dist = weighted_sum(
-            config.radii, alpha, _pair_moment_sup(ensembles[n_idx], ensembles[m_idx], p)
-        )
+    for n_idx, m_idx in cauchy_pairs(k):
+        diffs = _sums(ensembles[n_idx], p).diffs
+        if m_idx not in diffs:
+            raise ValueError(
+                f"levels {n_idx} and {m_idx} were not reduced together; "
+                "simulate them with simulate_levels(..., cauchy=True)"
+            )
+        pair_sup = (diffs[m_idx] / ensembles[n_idx].n_paths).max(axis=0)
+        dist = weighted_sum(config.radii, alpha, pair_sup)
         tail = np.setdiff1d(levels[m_idx], levels[n_idx])
         tail_sum = weighted_sum(config.radii[tail], alpha_mid, moment_sup[tail])
         dominator = 2.0**p * K * tail_sum if tail_sum else 0.0   # K may be inf

@@ -475,15 +475,22 @@ def load_operator(config, path, band_constant, band_exponent) -> BandedOperator:
     return BandedOperator(config, keys[:, 0], keys[:, 1], vals[:, 0], band_constant, band_exponent)
 
 
+def _grid_sites(config) -> int:
+    """The site count of a grid table, which holds its time nodes only in site rows."""
+    if not config.n_sites:
+        raise ValueError("a grid table needs a site: with none it would lose its time nodes")
+    return config.n_sites
+
+
 def save_grid_function(f: GridFunction, path) -> None:
     """CSV table 't,site_index,value': one block of site rows per time node."""
-    sites = [f",{i}," for i in range(f.config.n_sites)]
+    sites = [f",{i}," for i in range(_grid_sites(f.config))]
     blocks = ((repr(t), sites, row) for t, row in zip(f.times.tolist(), f.values))
     write_table(path, "t,site_index,value", blocks)
 
 
 def load_grid_function(config, path) -> GridFunction:
     """Read the CSV table, each time node's rows placed by their site index."""
-    n = config.n_sites
+    n = _grid_sites(config)
     _, keys, values = read_table(path, "t,site_index,value", "fs", 1, n_sites=n)
     return GridFunction(config, keys[::n, 0], values.reshape(-1, n))

@@ -42,6 +42,7 @@ __all__ = [
     "check_dissipativity",
     "DissipativityReport",
     "PathEnsemble",
+    "EnsembleSums",
     "step_count",
     "simulation_bytes",
     "simulate_coupled",
@@ -356,29 +357,50 @@ def wiener_increments(seed, path, site, n_steps, dt, refine=1) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class EnsembleSums:
+    """Path sums reduced from one truncation's trajectories while it was stepped.
+
+    ``power`` and each ``diffs`` entry are indexed (node, site) and sum over
+    the paths in path order, so they are bitwise the sums of one reduction
+    over a stored path tensor.  ``m2`` sums the squared deviations of
+    |xi|^p from its sample mean, merged across path blocks as in Chan, Golub
+    & LeVeque (1983).  ``diffs`` is keyed by the position of the other
+    truncation in the coupled set.
+    """
+
+    p: float
+    power: np.ndarray       # (node, site) sums of |xi|^p
+    m2: np.ndarray          # (node, site) squared deviations of |xi|^p
+    peak: np.ndarray        # (site, path) max of |xi| over nodes 0 .. n_steps - 1
+    diffs: dict             # m -> (node, site) sums of |xi - xi^m|^p
+
+
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Monte Carlo trajectories of one truncated system.
 
-    ``paths[path, site, node]`` covers every site; rows of frozen sites are
-    bitwise constant at their initial value.  ``blowup`` flags paths that
-    left the representable range (possible under the explicit scheme with a
-    superlinear potential).
+    ``paths[path, site, node]`` covers every site, with rows of frozen sites
+    bitwise constant at their initial value; it is None unless the paths
+    were kept.  ``sums`` holds what was reduced while stepping.  ``blowup``
+    flags paths that left the representable range (possible under the
+    explicit scheme with a superlinear potential).
     """
 
     config: Configuration
     active: np.ndarray
     times: np.ndarray
-    paths: np.ndarray
+    paths: np.ndarray | None
     seed: int
     scheme: str
     dt: float
     noise_refine: int
     zeta_values: np.ndarray
     blowup: np.ndarray
+    sums: EnsembleSums | None = None
 
     @property
     def n_paths(self) -> int:
-        return self.paths.shape[0]
+        return self.blowup.size
 
     @property
     def has_blowup(self) -> bool:
@@ -434,49 +456,163 @@ def _block_paths(n_sites, n_steps, noise_refine) -> int:
     return _PATH_BLOCK
 
 
-def simulation_bytes(n_sites, n_sets, union_size, n_paths, n_steps, noise_refine=1) -> int:
-    """Bytes :func:`simulate_coupled` allocates for its arrays.
+def _chunk_nodes(n_steps, n_sets, n_pairs) -> int:
+    """Nodes per run of steps that the truncations step before they meet.
 
-    One path tensor per active set (``n_sets`` of them), plus one noise block
-    over the union of the sets (``union_size`` sites), counted twice because
-    it is copied into step-major layout.
+    A run's states, reduction buffers and temporaries take about
+    2 n_sets + n_pairs + 3 (site, path) arrays per node.  A run of at most
+    n_steps / twice that many nodes holds at most half as many doubles as
+    the noise block it is stepped from, so it adds little to the memory
+    peak of the draw.
+    """
+    return max(1, n_steps // (2 * (2 * n_sets + n_pairs + 3)))
+
+
+def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine=1,
+                     n_pairs=0, keep_paths=False) -> int:
+    """An upper bound on the bytes :func:`simulate_coupled` allocates for its arrays.
+
+    Per truncation (``n_sets`` of them): the state of one path block with
+    its step temporaries and band gather (``max_degree`` neighbors per
+    site), the running max per (site, path) and three (node, site) sums.
+    Per Cauchy pair (``n_pairs``): one (node, site) sum.  One noise block
+    over every site, counted twice because it is copied into step-major
+    layout; the runs of states reduced while stepping fit in a third copy.
+    The path tensors count only when they are kept.
     """
     block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
-    tensors = n_sets * n_paths * n_sites * (n_steps + 1)
-    noise = 2 * block * union_size * n_steps * noise_refine
-    return 8 * (tensors + noise)
+    n_nodes = n_steps + 1
+    level = (
+        n_sites * (block * (13 + max_degree) + 3 * max_degree + n_paths + 3 * n_nodes)
+        + n_paths
+    )
+    noise = 3 * block * n_sites * n_steps * noise_refine
+    tensors = n_sets * n_paths * n_sites * n_nodes if keep_paths else 0
+    return 8 * (n_sets * level + n_pairs * n_sites * n_nodes + noise + tensors)
 
 
-def _step_block(model, tamed, dt, band, state, noise, rows, out) -> np.ndarray:
-    """Step one path block of one truncation; returns its blow-up flags.
+def _add_in_path_order(total, values, rows) -> None:
+    """Add the sums over paths of ``values`` (..., path) to ``total`` (...), path by path.
 
-    ``state`` is the (site, path) start state, updated in place; ``noise``
-    holds the block's increments over a superset of the active sites, of
-    which ``rows`` (None for all) are this truncation's.
+    ``rows`` is a (path + 1, ...) buffer: row 0 carries the running total
+    and the paths are copied below it, so one reduction down its leading
+    axis adds them in path order.  That is bitwise the sum one reduction
+    over all paths gives, however the paths are split into blocks (a sum
+    along a contiguous axis would be pairwise and round differently).
     """
-    active, slots, weights, degrees = band
-    bounded = np.ones(state.shape[1], dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(out.shape[2]):
-            if k and active.size:
-                sums = np.matmul(weights, np.take(state, slots, axis=0))   # (active, 2, path)
-                own = state[active]
-                phi = model.potential(own) + sums[:, 0]
-                psi = (
-                    model.sigma0
-                    + model.sigma1 * own
-                    + model.sigma2 * degrees[:, None] * sums[:, 1]
-                )
-                if tamed:
-                    inc = phi * dt / (1.0 + dt * np.abs(phi))
-                else:
-                    inc = phi * dt
-                dw = noise[k - 1] if rows is None else noise[k - 1][rows]
-                state[active] = own + inc + psi * dw
-            out[:, :, k] = state.T
+    rows[0] = total
+    rows[1:] = np.moveaxis(values, -1, 0)
+    np.add.reduce(rows, axis=0, out=total)
+
+
+def _merge_moments(mean, m2, values, count) -> None:
+    """Merge the sample mean and squared deviations of ``values`` (..., path) into
+    those of ``count`` earlier paths (Chan, Golub & LeVeque 1983).
+
+    Within a block both sum pairwise along the paths, as ``np.std`` does, so
+    a run in one path block gives ``np.std``'s bytes.
+    """
+    m = values.shape[-1]
+    block_mean = values.sum(axis=-1) / m
+    dev = values - block_mean[..., None]
+    dev *= dev
+    block_m2 = dev.sum(axis=-1)
+    if count == 0:
+        mean[...] = block_mean
+        m2[...] = block_m2
+    else:
+        n = count + m
+        delta = block_mean - mean
+        mean += delta * (m / n)
+        m2 += block_m2 + delta * delta * (count * m / n)
+
+
+class _Level:
+    """One truncation of a coupled set: its band, the state of the current
+    path block, the states of its current run of nodes, and the sums
+    reduced from them."""
+
+    def __init__(self, model, tamed, dt, config, active, rows, n_paths, n_nodes, keep_paths):
+        n_sites = config.n_sites
+        self.model, self.tamed, self.dt, self.p = model, tamed, dt, float(model.p)
+        self.band = (active, *_band_slots(model, config, active))
+        self.rows = rows        # its sites among the noise block's, None for all
+        self.blowup = np.empty(n_paths, dtype=bool)
+        self.power = np.zeros((n_nodes, n_sites))
+        self.mean = np.empty((n_nodes, n_sites))
+        self.m2 = np.empty((n_nodes, n_sites))
+        self.peak = np.empty((n_sites, n_paths))
+        self.paths = np.empty((n_paths, n_sites, n_nodes)) if keep_paths else None
+        self.diffs = {}
+        self.state = self.bounded = self.nodes = self.buffer = None
+
+    def start_block(self, zeta_values, width, chunk) -> None:
+        self.state = np.repeat(zeta_values[:, None], width, axis=1)   # (site, path)
+        self.bounded = np.ones(width, dtype=bool)
+        self.nodes = np.empty((chunk, zeta_values.size, width))      # (node, site, path)
+        self.buffer = np.empty((width + 1, chunk, zeta_values.size))
+
+    def finish_block(self, start) -> None:
+        self.blowup[start : start + self.bounded.size] = ~self.bounded
+        self.state = self.bounded = self.nodes = self.buffer = None
+
+    def advance(self, noise, start, k0, k1) -> None:
+        """Step through nodes k0 .. k1 - 1 of the path block (node 0 is the
+        start state), reducing each run of nodes after it is stepped."""
+        chunk = self.nodes.shape[0]
+        for c0 in range(k0, k1, chunk):
+            c1 = min(c0 + chunk, k1)
+            self._step(noise, c0, c1)
+            self._reduce(start, c0, c1)
+
+    def _step(self, noise, k0, k1) -> None:
+        model, dt, state = self.model, self.dt, self.state
+        active, slots, weights, degrees = self.band
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(k0, k1):
+                if k and active.size:
+                    sums = np.matmul(weights, np.take(state, slots, axis=0))   # (active, 2, path)
+                    own = state[active]
+                    phi = model.potential(own) + sums[:, 0]
+                    psi = (
+                        model.sigma0
+                        + model.sigma1 * own
+                        + model.sigma2 * degrees[:, None] * sums[:, 1]
+                    )
+                    if self.tamed:
+                        inc = phi * dt / (1.0 + dt * np.abs(phi))
+                    else:
+                        inc = phi * dt
+                    dw = noise[k - 1] if self.rows is None else noise[k - 1][self.rows]
+                    state[active] = own + inc + psi * dw
+                self.nodes[k - k0] = state
+
+    def _reduce(self, start, k0, k1) -> None:
+        """Blow-up flags, the running max, and the |xi|^p sums and moments of nodes k0 .. k1 - 1."""
+        width = self.bounded.size
+        nodes = self.nodes[: k1 - k0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.abs(nodes)
             # NaN fails the comparison too
-            bounded &= np.all(np.abs(state) <= _BLOWUP_LIMIT, axis=0)
-    return ~bounded
+            self.bounded &= np.all(size <= _BLOWUP_LIMIT, axis=(0, 1))
+            if self.paths is not None:
+                self.paths[start : start + width, :, k0:k1] = nodes.transpose(2, 1, 0)
+            peak = self.peak[:, start : start + width]
+            if k0 == 0:
+                peak[...] = size[0]
+            before_end = k1 - k0 - (k1 == self.power.shape[0])   # the terminal node does not count
+            np.maximum(peak, size[:before_end].max(axis=0, initial=-np.inf), out=peak)
+            powed = np.power(size, self.p, out=size)
+            _add_in_path_order(self.power[k0:k1], powed, self.buffer[:, : k1 - k0])
+            _merge_moments(self.mean[k0:k1], self.m2[k0:k1], powed, start)
+
+
+def _reduce_pair(small, large, m, rows, k0, k1) -> None:
+    """Add the path sums of |xi^small - xi^large|^p at nodes k0 .. k1 - 1 to ``small.diffs[m]``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.subtract(small.nodes[: k1 - k0], large.nodes[: k1 - k0])
+        np.power(np.abs(diff, out=diff), small.p, out=diff)
+    _add_in_path_order(small.diffs[m][k0:k1], diff, rows[:, : k1 - k0])
 
 
 def simulate_coupled(
@@ -491,18 +627,25 @@ def simulate_coupled(
     scheme="tamed",
     noise_refine=1,
     threads=1,
+    pairs=(),
+    keep_paths=False,
 ) -> list:
     """Euler-Maruyama ensembles of several truncations, driven by one noise draw.
 
-    Every truncation's path tensor is allocated first.  Then, per block of
-    paths, the streams of the union of the active sets are drawn once and
-    each truncation steps from its own rows of that block; with
-    ``threads > 1`` the truncations of a block are stepped in a thread pool.
+    Per block of paths, the streams of the union of the active sets are
+    drawn once, and every truncation steps from its own rows of that block.
+    States are reduced while stepping into per (node, site) sums (see
+    :class:`EnsembleSums`) at the model's moment order: |xi|^p for every
+    truncation, and |xi^n - xi^m|^p for each position pair (n, m) in
+    ``pairs``, for which the truncations step in lockstep, meeting after
+    every short run of nodes.  The path tensors are stored only with
+    ``keep_paths``.  With ``threads > 1`` the truncations, then the pairs,
+    of a run are handed to a thread pool; no output byte depends on it.
     Under the tamed scheme the drift increment is Phi dt / (1 + dt |Phi|),
     which keeps the superlinear cubic decay stable where the explicit scheme
-    can blow up.  Sites outside a truncation's active set stay bitwise frozen
-    at their initial value.  Path blocks depend on the configuration, not on
-    the sets, so each truncation's paths are bitwise those of a lone
+    can blow up.  Sites outside a truncation's active set stay bitwise
+    frozen at their initial value.  Path blocks depend on the configuration,
+    not on the sets, so each truncation's paths are bitwise those of a lone
     :func:`simulate_truncated` run, and sets with a common site share its
     increments bitwise.
     """
@@ -516,48 +659,61 @@ def simulate_coupled(
     actives = [_validate_active(config, lv) for lv in active_sets]
     if not actives:
         return []
+    pairs = [(int(n), int(m)) for n, m in pairs]
+    if any(not 0 <= n < len(actives) or not 0 <= m < len(actives) for n, m in pairs):
+        raise ValueError("pairs must name positions of the active sets")
 
     union = np.unique(np.concatenate(actives))
-    rows = [None if a.size == union.size else np.searchsorted(union, a) for a in actives]
-    bands = [(a, *_band_slots(model, config, a)) for a in actives]
-    tensors = [np.empty((n_paths, config.n_sites, n_steps + 1)) for _ in actives]
-    blowups = [np.empty(n_paths, dtype=bool) for _ in actives]
-    tamed = scheme == "tamed"
+    n_nodes = n_steps + 1
+    levels = [
+        _Level(model, scheme == "tamed", dt, config, a,
+               None if a.size == union.size else np.searchsorted(union, a),
+               n_paths, n_nodes, keep_paths)
+        for a in actives
+    ]
+    for n, m in pairs:
+        levels[n].diffs[m] = np.zeros((n_nodes, config.n_sites))
+    chunk = _chunk_nodes(n_steps, len(levels), len(pairs))
+    # pairs compare the truncations node by node, so with pairs they meet
+    # after every run of nodes; without, each steps through its block alone
+    span = chunk if pairs else n_nodes
     path_block = _block_paths(config.n_sites, n_steps, noise_refine)
 
-    with ThreadPoolExecutor(threads) if threads > 1 and len(actives) > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
         for start in range(0, n_paths, path_block):
             stop = min(start + path_block, n_paths)
             noise = _noise_block(seed, range(start, stop), union, n_steps, dt, noise_refine)
+            # the run arrays are made after the draw, whose copy is the peak
+            for level in levels:
+                level.start_block(zeta.values, stop - start, chunk)
+            rows = [np.empty_like(levels[n].buffer) for n, _ in pairs]
+            for k0 in range(0, n_nodes, span):
+                k1 = min(k0 + span, n_nodes)
+                list(run(lambda level: level.advance(noise, start, k0, k1), levels))
+                list(run(lambda j: _reduce_pair(levels[pairs[j][0]], levels[pairs[j][1]],
+                                                pairs[j][1], rows[j], k0, k1),
+                         range(len(pairs))))
+            for level in levels:
+                level.finish_block(start)
+            del noise, rows   # freed before the next block is drawn
 
-            def step(j):
-                state = np.repeat(zeta.values[:, None], stop - start, axis=1)   # (site, path)
-                blowups[j][start:stop] = _step_block(
-                    model, tamed, dt, bands[j], state, noise, rows[j], tensors[j][start:stop]
-                )
-
-            if pool is None:
-                for j in range(len(actives)):
-                    step(j)
-            else:
-                list(pool.map(step, range(len(actives))))
-            del noise   # freed before the next block is drawn
-
-    times = np.linspace(0.0, T, n_steps + 1)
+    times = np.linspace(0.0, T, n_nodes)
     return [
         PathEnsemble(
             config=config,
-            active=active,
+            active=level.band[0],
             times=times,
-            paths=paths,
+            paths=level.paths,
             seed=int(seed),
             scheme=scheme,
             dt=float(dt),
             noise_refine=int(noise_refine),
             zeta_values=zeta.values.copy(),
-            blowup=blowup,
+            blowup=level.blowup,
+            sums=EnsembleSums(level.p, level.power, level.m2, level.peak, level.diffs),
         )
-        for active, paths, blowup in zip(actives, tensors, blowups)
+        for level in levels
     ]
 
 
@@ -575,13 +731,14 @@ def simulate_truncated(
 ) -> PathEnsemble:
     """Euler-Maruyama time stepping of one truncated system.
 
-    The one-set case of :func:`simulate_coupled`.  The noise stream of a
-    (path, site) pair depends only on (seed, path, site index), so
-    ensembles with different active sets share increments sitewise.
+    The one-set case of :func:`simulate_coupled`, with its paths kept.
+    The noise stream of a (path, site) pair depends only on (seed, path,
+    site index), so ensembles with different active sets share increments
+    sitewise.
     """
     return simulate_coupled(
         model, config, [lambda_n], zeta, T, dt, n_paths, seed,
-        scheme=scheme, noise_refine=noise_refine,
+        scheme=scheme, noise_refine=noise_refine, keep_paths=True,
     )[0]
 
 
@@ -608,13 +765,15 @@ def exit_time_diagnostic(ensemble: PathEnsemble, thresholds):
     The exit time is the first grid time with |xi| >= level, so level 0 exits
     immediately and gives probability one.  The terminal node is excluded:
     reaching the level only at t = T does not count as exiting before T.
+    Reads the running max the simulator kept per (site, path).
     Returns {level: per-site fraction array}.
     """
     if ensemble.n_paths == 0:
         raise ValueError("empty ensemble")
-    running = np.abs(ensemble.paths[:, :, :-1])
-    peak = running.max(axis=2)  # (n_paths, n_sites)
+    if ensemble.sums is None:
+        raise ValueError("the ensemble carries no reductions: it was not simulated")
+    peak = ensemble.sums.peak  # (n_sites, n_paths)
     out = {}
     for level in thresholds:
-        out[float(level)] = (peak >= float(level)).mean(axis=0)
+        out[float(level)] = (peak >= float(level)).mean(axis=1)
     return out

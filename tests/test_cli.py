@@ -220,7 +220,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_oversized_ensemble_refused(self, tmp_path, capsys, command):
-        # the path tensors alone would take terabytes
+        # the running max per (site, path) alone would take hundreds of gigabytes
         path = write_config(tmp_path, text=DEMO.read_text(), n_paths="1000000000")
         code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
@@ -308,6 +308,26 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         for j in range(3):
             assert (out / f"moments_level{j}.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("dump_paths", ["true", "false"])
+    def test_path_tensors_kept_only_for_dump_paths(self, tmp_path, monkeypatch, command,
+                                                   dump_paths):
+        runs = []
+        simulate_levels = cli.simulate_levels
+
+        def recorded(*args, **kwargs):
+            runs.append(simulate_levels(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "simulate_levels", recorded)
+        path = write_config(tmp_path, dump_paths=dump_paths)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) in (0, 1)
+        kept = command == "simulate" and dump_paths == "true"
+        assert [ens.paths is not None for ens in runs[0]] == [kept] * 3
+        # verify reduces the level pairs of its Cauchy table, simulate none
+        pairs = {(n, m) for n, ens in enumerate(runs[0]) for m in ens.sums.diffs}
+        assert pairs == ({(0, 1), (1, 2), (0, 2)} if command == "verify" else set())
 
     def test_moments_csv_bytes_match_per_value_writer(self, tmp_path, poisson_1d):
         rng = np.random.default_rng(3)

@@ -7,10 +7,59 @@ import latticesde as lat
 from latticesde import sde
 from latticesde.convergence import (
     cauchy_constants,
+    cauchy_pairs,
     cauchy_table,
     moment_constants,
     simulate_levels,
 )
+from latticesde.spaces import weighted_sum
+
+
+def reference_moment_field(paths, p):
+    """Per-site sup-over-time moment and its standard error from a stored path
+    tensor, by the formulas the moment field used before the simulator reduced
+    while stepping: one mean over the paths, then np.std at the argmax node."""
+    powed = np.abs(paths) ** p
+    means = powed.mean(axis=0)
+    argmax = means.argmax(axis=1)
+    sites = np.arange(paths.shape[1])
+    at_peak = powed[:, sites, argmax]
+    stderr = at_peak.std(axis=0, ddof=1) / math.sqrt(paths.shape[0])
+    return means[sites, argmax], stderr
+
+
+def reference_pair_sup(a, b, p):
+    """Per-site sup over the grid of the sample E|xi^a - xi^b|^p, from stored paths."""
+    return (np.abs(a.paths - b.paths) ** p).mean(axis=0).max(axis=1)
+
+
+def assert_reductions_match_paths(ensembles, levels, model, one_block):
+    """moment_field and cauchy_table against the reference formulas on the stored paths."""
+    p = model.p
+    fields = [lat.moment_field(e, p) for e in ensembles]
+    for ens, field in zip(ensembles, fields):
+        per_site, stderr = reference_moment_field(ens.paths, p)
+        assert field.per_site.tobytes() == per_site.tobytes()
+        if one_block:
+            assert field.stderr.tobytes() == stderr.tobytes()
+        else:
+            # merged across blocks: 1e-12 relative, beyond the reference's own
+            # rounding, a few ulps of |xi|^p where the variance is zero (frozen sites)
+            ulps = 4 * np.finfo(float).eps * per_site
+            assert np.all(np.abs(field.stderr - stderr) <= 1e-12 * stderr + ulps)
+        levels_hit = [0.0, 0.9, 1.2]
+        peak = np.abs(ens.paths[:, :, :-1]).max(axis=2)
+        exits = lat.exit_time_diagnostic(ens, levels_hit)
+        for level in levels_hit:
+            assert np.array_equal(exits[level], (peak >= level).mean(axis=0))
+    if len(ensembles) < 2:
+        return
+    config = ensembles[0].config
+    report = cauchy_table(ensembles, levels, 0.5, fields=fields, model=model, a_low=0.25)
+    assert [(r.level_n, r.level_m) for r in report.rows] == cauchy_pairs(len(levels))
+    for row in report.rows:
+        sup = reference_pair_sup(ensembles[row.level_n], ensembles[row.level_m], p)
+        assert row.distance == weighted_sum(config.radii, 0.5, sup)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +229,7 @@ class TestCauchy:
         config, model, zeta = decoupled_setup
         levels = lat.exhaustion_sequence(config, 3)
         ensembles = simulate_levels(
-            model, config, levels, zeta, 0.5, 0.01, 64, 10
+            model, config, levels, zeta, 0.5, 0.01, 64, 10, keep_paths=True
         )
         p = model.p
         report = cauchy_table(
@@ -234,10 +283,17 @@ class TestCauchy:
     def test_threads_do_not_change_results(self, decoupled_setup):
         config, model, zeta = decoupled_setup
         levels = lat.exhaustion_sequence(config, 3)
-        seq = simulate_levels(model, config, levels, zeta, 0.25, 0.01, 8, 13, threads=1)
-        par = simulate_levels(model, config, levels, zeta, 0.25, 0.01, 8, 13, threads=3)
+        seq = simulate_levels(model, config, levels, zeta, 0.25, 0.01, 8, 13, threads=1,
+                              keep_paths=True)
+        par = simulate_levels(model, config, levels, zeta, 0.25, 0.01, 8, 13, threads=3,
+                              keep_paths=True)
         for a, b in zip(seq, par):
             assert np.array_equal(a.paths, b.paths)
+            for name in ("power", "m2", "peak"):
+                assert getattr(a.sums, name).tobytes() == getattr(b.sums, name).tobytes()
+            assert a.sums.diffs.keys() == b.sums.diffs.keys()
+            for m in a.sums.diffs:
+                assert a.sums.diffs[m].tobytes() == b.sums.diffs[m].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -266,11 +322,13 @@ class TestSharedDraw:
             assert levels[-1].size < config.n_sites
         if path_block is None:
             ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, 7, 21,
-                                        noise_refine=noise_refine, threads=threads)
+                                        noise_refine=noise_refine, threads=threads,
+                                        keep_paths=True)
         else:
             monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
             ensembles = sde.simulate_coupled(model, config, levels, zeta, 0.1, 0.01, 7, 21,
-                                             noise_refine=noise_refine, threads=threads)
+                                             noise_refine=noise_refine, threads=threads,
+                                             pairs=cauchy_pairs(len(levels)), keep_paths=True)
         for level, ens in zip(levels, ensembles):
             lone = lat.simulate_truncated(
                 model, config, level, zeta, 0.1, 0.01, 7, 21, noise_refine=noise_refine,
@@ -278,6 +336,22 @@ class TestSharedDraw:
             assert np.array_equal(ens.active, lone.active)
             assert np.array_equal(ens.paths, lone.paths)
             assert np.array_equal(ens.blowup, lone.blowup)
+        # the sums reduced while stepping match the tensor formulas on the kept
+        # paths: bitwise, except that stderr merges across path blocks
+        assert_reductions_match_paths(ensembles, levels, model, one_block=path_block is None)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 11])
+    def test_runs_of_nodes_reduce_like_single_nodes(self, coupled_setup, monkeypatch, chunk,
+                                                    threads):
+        # 10 steps in runs of 3 or 4 nodes leave the terminal node, which the
+        # exit times skip, inside a longer run
+        config, model, zeta = coupled_setup
+        levels = lat.exhaustion_sequence(config, 3)
+        monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
+        ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, 7, 24,
+                                    threads=threads, keep_paths=True)
+        assert_reductions_match_paths(ensembles, levels, model, one_block=True)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_draw_cap_blocks_by_configuration(self, coupled_setup, monkeypatch, threads):
@@ -296,7 +370,7 @@ class TestSharedDraw:
 
         monkeypatch.setattr(sde, "_noise_block", recorded)
         ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, n_paths, 23,
-                                    threads=threads)
+                                    threads=threads, keep_paths=True)
         assert blocks == [(3, levels[-1].size)] * 3 + [(2, levels[-1].size)]
         for level, ens in zip(levels, ensembles):
             blocks.clear()

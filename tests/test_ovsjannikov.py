@@ -655,6 +655,19 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 load_grid_function(poisson_1d, path)
 
+    def test_empty_configuration_grid_rejected(self, tmp_path):
+        # a grid table keeps its time nodes only in site rows
+        empty = lat.sample_configuration(0.0, 5.0, 1, 1.0, 7)
+        assert empty.n_sites == 0
+        f = lat.GridFunction(empty, np.linspace(0.0, 1.0, 3), np.zeros((3, 0)))
+        path = tmp_path / "grid.csv"
+        with pytest.raises(ValueError, match="needs a site"):
+            save_grid_function(f, path)
+        assert not path.exists()
+        path.write_text("t,site_index,value\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="needs a site"):
+            load_grid_function(empty, path)
+
     def test_grid_function_bytes_match_per_value_writer(self, tmp_path, poisson_1d):
         rng = np.random.default_rng(7)
         values = rng.standard_normal((9, poisson_1d.n_sites)) * 10.0 ** rng.integers(

@@ -6,6 +6,7 @@ import pytest
 
 import latticesde as lat
 from latticesde import sde
+from latticesde.convergence import cauchy_pairs, simulate_levels
 from latticesde.sde import (
     _noise_block,
     _NoiseSource,
@@ -264,21 +265,48 @@ class TestSimulation:
         sets = [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7, 8], []]
         monkeypatch.setattr(sde, "_PATH_BLOCK", 2)
         ensembles = simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 5, 31,
-                                     threads=2)
+                                     threads=2, keep_paths=True)
         for active, ens in zip(sets, ensembles):
             lone = lat.simulate_truncated(model, poisson_1d, active, zeta, 0.1, 0.01, 5, 31)
             assert np.array_equal(ens.paths, lone.paths)
 
     def test_simulation_bytes_counts_tensors_and_one_block(self, poisson_1d, monkeypatch):
-        n, steps = poisson_1d.n_sites, 10
-        # two path tensors, plus 5 paths x n sites x 20 draws held twice
-        want = 8 * (2 * 7 * n * (steps + 1) + 2 * 5 * n * steps * 2)
+        n, steps, degree = poisson_1d.n_sites, 10, int(poisson_1d.degrees.max())
         with monkeypatch.context() as patch:
             patch.setattr(sde, "_PATH_BLOCK", 5)
-            assert simulation_bytes(n, 2, n, 7, steps, noise_refine=2) == want
-        # the raw-draw cap limits the block to 2^25 draws over the union
-        big = simulation_bytes(n, 2, n, 10**9, steps)
-        assert big - 8 * 2 * 10**9 * n * (steps + 1) <= 8 * 2 * (1 << 25)
+            plain = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2)
+            # the two path tensors count only when they are kept
+            kept = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, keep_paths=True)
+            assert kept - plain == 8 * 2 * 7 * n * (steps + 1)
+            # one noise block of 5 paths x n sites x 20 draws, held twice, and
+            # runs of states that fit in a third copy
+            once = simulation_bytes(n, degree, 2, 7, steps, noise_refine=1)
+            assert plain - once == 8 * 3 * 5 * n * steps
+            # a Cauchy pair adds one (node, site) sum
+            pair = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, n_pairs=1)
+            assert pair - plain == 8 * n * (steps + 1)
+        # past one full block, more paths cost only their running max and flag
+        big = simulation_bytes(n, degree, 2, 10**9, steps)
+        assert big - simulation_bytes(n, degree, 2, 10**8, steps) == 8 * 2 * 9 * 10**8 * (n + 1)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("keep_paths", [False, True])
+    def test_simulation_bytes_bounds_traced_peak(self, poisson_1d, keep_paths, threads):
+        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3,
+                               sigma2=0.05, p=4.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        levels = lat.exhaustion_sequence(poisson_1d, 3)
+        n_paths, steps = 300, 40
+        tracemalloc.start()
+        try:
+            simulate_levels(model, poisson_1d, levels, zeta, steps * 0.01, 0.01, n_paths, 3,
+                            threads=threads, keep_paths=keep_paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        need = simulation_bytes(poisson_1d.n_sites, int(poisson_1d.degrees.max()), 3, n_paths,
+                                steps, n_pairs=len(cauchy_pairs(3)), keep_paths=keep_paths)
+        assert peak < need
 
     def test_dt_must_divide_horizon(self, single_site_config):
         model = lat.make_model("linear", 1.0, p=2.0)
