@@ -261,12 +261,12 @@ def _build_configuration(cfg: ExperimentConfig):
     )
 
 
-def _simulation_levels(cfg: ExperimentConfig, config, n_pairs, keep_paths):
+def _simulation_levels(cfg: ExperimentConfig, config, n_pairs, keep_paths, threads):
     """The exhaustion levels, once the arrays of simulating them are known to fit in memory."""
     n_steps = step_count(cfg.horizon, cfg.dt)
     need = simulation_bytes(
         config.n_sites, int(config.degrees.max()), cfg.levels, cfg.n_paths, n_steps,
-        n_pairs=n_pairs, keep_paths=keep_paths,
+        n_pairs=n_pairs, keep_paths=keep_paths, threads=threads,
     )
     items = "states, noise and path sums" + (" and path tensors" if keep_paths else "")
     _check_memory(need, "simulating", items, "n_paths, levels or horizon/dt")
@@ -307,7 +307,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     if config.n_sites:
         model = cfg.build_model()
         zeta = WeightedSeq(config, np.full(config.n_sites, cfg.zeta))
-        levels = _simulation_levels(cfg, config, 0, cfg.dump_paths)
+        levels = _simulation_levels(cfg, config, 0, cfg.dump_paths, threads)
         ensembles = simulate_levels(
             model, config, levels, zeta, cfg.horizon, cfg.dt, cfg.n_paths,
             cfg.seed, scheme=cfg.scheme, threads=threads, cauchy=False,
@@ -350,19 +350,16 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         return 0
 
     # the 2 levels - 3 pairs of cauchy_pairs, counted without listing them
-    levels = _simulation_levels(cfg, config, 2 * cfg.levels - 3, False)
+    levels = _simulation_levels(cfg, config, 2 * cfg.levels - 3, False, threads)
     model = cfg.build_model()
     rng = np.random.default_rng(cfg.seed)
     alpha_lo = min(cfg.alphas)
     alpha_hi = max(cfg.alphas)
     pair = (alpha_lo, alpha_hi) if alpha_lo < alpha_hi else (cfg.a_low, cfg.a_high)
 
-    # scale axioms on random sequences
-    mono_ok = True
-    for _ in range(100):
-        z = WeightedSeq(config, rng.standard_normal(config.n_sites))
-        _, _, ok = verify_scale_monotonicity(z, pair[0], pair[1], cfg.p)
-        mono_ok = mono_ok and ok
+    # scale axioms on 100 random sequences, drawn as one array and checked together
+    trials = [WeightedSeq(config, row) for row in rng.standard_normal((100, config.n_sites))]
+    mono_ok = all(ok for _, _, ok in verify_scale_monotonicity(trials, pair[0], pair[1], cfg.p))
     checks.append({"name": "scale_monotonicity", "ok": mono_ok})
 
     # degree summability

@@ -11,16 +11,20 @@ Only finite truncations are simulated: sites outside the active set stay
 frozen at their initial value, which is exactly the finite-volume system the
 convergence diagnostics compare across.
 
-Noise is organized as one independent stream per (path, site), derived from
-the run seed with a counter-based generator.  Two runs with the same seed
-therefore share Wiener increments sitewise no matter which truncation set is
-active and no matter how work is scheduled -- the coupling the finite-volume
-diagnostics rely on.
+Noise is organized as one independent stream per site, a counter-based
+generator keyed (seed, site) and drawn path-major: path p takes the fine
+draws [p M, (p + 1) M) of its site's stream, with M = n_steps * refine.  Two
+runs with the same seed and the same M therefore share Wiener increments
+sitewise no matter which truncation set is active and no matter how work is
+scheduled -- the coupling the finite-volume diagnostics rely on.  A run with
+another M (a longer horizon, say) gives every path after the first other
+increments, not a longer prefix.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -56,6 +60,7 @@ _MASK64 = (1 << 64) - 1
 _BLOWUP_LIMIT = 1e75
 _DRAW_CAP = 1 << 25   # raw draws per noise block, ~256 MB
 _PATH_BLOCK = 4096    # paths per noise block, unless _DRAW_CAP binds first
+_GATHER_CAP = 1 << 17  # doubles of band neighbors gathered at a time, 1 MB
 _SCHEMES = ("explicit", "tamed")
 
 
@@ -81,13 +86,20 @@ class Potential:
         if self.kind == "custom" and self.func is None:
             raise ValueError("custom potential needs a callable")
 
-    def __call__(self, q):
+    def __call__(self, q, out=None):
+        """V(q), written into ``out`` if one is given."""
         q = np.asarray(q, dtype=float)
         if self.kind == "linear":
-            return -self.lam * q
+            return np.multiply(-self.lam, q, out=out)
         if self.kind == "cubic":
-            return self.b * q - q * q * q
-        return np.asarray(self.func(q), dtype=float)
+            cube = np.multiply(q, q, out=out)
+            cube *= q
+            return np.subtract(self.b * q, cube, out=out)
+        value = np.asarray(self.func(q), dtype=float)
+        if out is None:
+            return value
+        out[...] = value
+        return out
 
 
 @dataclass(frozen=True)
@@ -301,59 +313,101 @@ def check_dissipativity(model: ModelSpec, samples, q_range, seed, config=None) -
 
 
 class _NoiseSource:
-    """Counter-based streams keyed by (seed, path, site), one shared instance.
+    """Counter-based noise streams, one per site, keyed (seed, site).
 
-    A single Philox bit generator is re-keyed per stream through its state
-    (a stream is a pure function of the 128-bit key, so resetting key and
-    counter reproduces it exactly).  Reusing one generator avoids creating
-    tens of thousands of short-lived objects in the noise loop, which would
-    otherwise thrash the garbage collector on large ensembles.
+    A site's stream is drawn path-major: path p takes fine draws
+    [p M, (p + 1) M) of it, with M = n_steps * refine normals per path.
+    Ziggurat sampling uses a variable number of raw words per normal, so a
+    path's place in the stream cannot be computed from the counter; instead
+    the generator state of every site is carried from one path block to the
+    next.  A stream is a pure function of its 128-bit key (Salmon et al.,
+    SC'11), so any Philox can draw any site: each drawing worker re-keys its
+    own generator through its state, and no byte depends on which worker
+    drew which site.
     """
 
     def __init__(self, seed: int):
-        self._key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=self._key)
-        self._gen = np.random.Generator(self._bitgen)
-        self._state = {
+        self._seed = seed & _MASK64
+        self._carried = {}   # site -> (next path, generator state)
+
+    def _rekey(self, bitgen, site: int) -> None:
+        bitgen.state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([self._seed, site & _MASK64], dtype=np.uint64),
+            },
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
 
-    def fill_normals(self, path: int, site: int, out: np.ndarray) -> None:
-        self._key[1] = ((path << 32) | site) & _MASK64
-        self._bitgen.state = self._state
-        self._gen.standard_normal(out=out)
+    def fill_normals(self, gen, site: int, first_path: int, out: np.ndarray) -> None:
+        """Fill ``out`` (paths, M) with paths first_path, first_path + 1, ... of
+        the site's stream; paths skipped since its last draw are drawn and
+        discarded."""
+        next_path, state = self._carried.get(site, (0, None))
+        if first_path < next_path:
+            raise ValueError("a noise stream cannot be drawn backwards")
+        if state is None:
+            self._rekey(gen.bit_generator, site)
+        else:
+            gen.bit_generator.state = state
+        for _ in range(first_path - next_path):
+            gen.standard_normal(out=out[0])
+        gen.standard_normal(out=out)
+        self._carried[site] = (first_path + len(out), gen.bit_generator.state)
 
 
-def _noise_block(seed, paths, sites, n_steps, dt, refine=1) -> np.ndarray:
-    """Brownian increments of the (path, site) streams, shaped (n_steps, sites, paths).
+def _noise_block(source, paths, sites, n_steps, dt, refine=1, run=map, workers=1) -> np.ndarray:
+    """Brownian increments of consecutive ``paths`` at ``sites``, shaped (n_steps, sites, paths).
 
-    Each stream is drawn once, at resolution dt/refine, and summed in blocks
-    of ``refine``, so runs at compatible step sizes (dt with refine 2r versus
-    dt/2 with refine r, same seed) are driven by bitwise the same underlying
-    Brownian path.  The step-major layout lets each time step read one
-    contiguous (site, path) slab.
+    ``source`` is a :class:`_NoiseSource`, whose streams continue from its
+    previous block, or a seed, which starts them afresh.  Each site's paths
+    are drawn with one call at resolution dt/refine into a reusable
+    (paths, n_steps * refine) buffer, scaled, summed in blocks of
+    ``refine`` and stored transposed, so each time step reads one
+    contiguous (site, path) slab.  Runs at compatible step sizes (dt with
+    refine 2r versus dt/2 with refine r, same seed) draw bitwise the same
+    underlying Brownian path.  The sites are split over ``workers`` tasks
+    handed to ``run``, each with its own Philox and buffers.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    source = _NoiseSource(seed)
-    raw = np.empty((len(paths), len(sites), n_steps * refine))
-    for bi, path in enumerate(paths):
-        for si, site in enumerate(sites):
-            source.fill_normals(int(path), int(site), raw[bi, si])
-    raw *= math.sqrt(dt / refine)
-    if refine > 1:
-        raw = raw.reshape(len(paths), len(sites), n_steps, refine).sum(axis=3)
-    return np.ascontiguousarray(raw.reshape(len(paths), len(sites), n_steps).transpose(2, 1, 0))
+    if not isinstance(source, _NoiseSource):
+        source = _NoiseSource(source)
+    first, width = (int(paths[0]), len(paths)) if len(paths) else (0, 0)
+    if list(paths) != list(range(first, first + width)):
+        raise ValueError("paths must be consecutive")
+    block = np.empty((n_steps, len(sites), width))
+    scale = math.sqrt(dt / refine)
+
+    def fill(positions) -> None:
+        gen = np.random.Generator(np.random.Philox(key=0))
+        fine = np.empty((width, n_steps * refine))
+        coarse = fine if refine == 1 else np.empty((width, n_steps))
+        for si in positions:
+            source.fill_normals(gen, int(sites[si]), first, fine)
+            fine *= scale
+            if refine > 1:
+                np.sum(fine.reshape(width, n_steps, refine), axis=2, out=coarse)
+            block[:, si, :] = coarse.T
+
+    if width:
+        parts = np.array_split(np.arange(len(sites)), max(1, min(workers, len(sites))))
+        list(run(fill, parts))
+    return block
 
 
 def wiener_increments(seed, path, site, n_steps, dt, refine=1) -> np.ndarray:
-    """Brownian increments for one (path, site) stream on an n_steps grid."""
-    return _noise_block(seed, [path], [site], n_steps, dt, refine)[:, 0, 0]
+    """Brownian increments of one path of one site's stream on an n_steps grid.
+
+    The site's stream is drawn through paths 0 .. path, each M = n_steps *
+    refine normals long, and the last one is returned; so a path's
+    increments depend on M, and a longer horizon does not extend them.
+    """
+    return _noise_block(seed, range(path, path + 1), [site], n_steps, dt, refine)[:, 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,23 +516,25 @@ def _chunk_nodes(n_steps, n_sets, n_pairs) -> int:
     A run's states, reduction buffers and temporaries take about
     2 n_sets + n_pairs + 3 (site, path) arrays per node.  A run of at most
     n_steps / twice that many nodes holds at most half as many doubles as
-    the noise block it is stepped from, so it adds little to the memory
-    peak of the draw.
+    a noise block over every site, so the runs fit in a second copy of it.
     """
     return max(1, n_steps // (2 * (2 * n_sets + n_pairs + 3)))
 
 
 def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine=1,
-                     n_pairs=0, keep_paths=False) -> int:
+                     n_pairs=0, keep_paths=False, threads=1) -> int:
     """An upper bound on the bytes :func:`simulate_coupled` allocates for its arrays.
 
     Per truncation (``n_sets`` of them): the state of one path block with
     its step temporaries and band gather (``max_degree`` neighbors per
-    site), the running max per (site, path) and three (node, site) sums.
-    Per Cauchy pair (``n_pairs``): one (node, site) sum.  One noise block
-    over every site, counted twice because it is copied into step-major
-    layout; the runs of states reduced while stepping fit in a third copy.
-    The path tensors count only when they are kept.
+    site), the running max per (site, path) and three (node, site) sums;
+    each of the ``threads`` beyond ``n_sets`` adds its own step temporaries
+    and gather.  Per Cauchy pair (``n_pairs``): one (node, site) sum.  One
+    step-major noise block over every site, with the runs of states reduced
+    while stepping counted as a second copy of it.  Per drawing worker (at
+    most ``threads``): one site's path-major fine draws for the block and,
+    with ``noise_refine > 1``, their sums over each step.  The path tensors
+    count only when they are kept.
     """
     block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
     n_nodes = n_steps + 1
@@ -486,9 +542,32 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
         n_sites * (block * (13 + max_degree) + 3 * max_degree + n_paths + 3 * n_nodes)
         + n_paths
     )
-    noise = 3 * block * n_sites * n_steps * noise_refine
+    spare = max(0, threads - n_sets) * n_sites * block * (12 + max_degree)
+    workers = min(threads, max(n_sites, 1))
+    buffers = workers * block * n_steps * (noise_refine + (noise_refine > 1))
+    noise = 2 * block * n_sites * n_steps + buffers
     tensors = n_sets * n_paths * n_sites * n_nodes if keep_paths else 0
-    return 8 * (n_sets * level + n_pairs * n_sites * n_nodes + noise + tensors)
+    return 8 * (n_sets * level + spare + n_pairs * n_sites * n_nodes + noise + tensors)
+
+
+def _abs_power(x, p, out) -> np.ndarray:
+    """|x|^p into ``out``, which may be ``x``.
+
+    An integer p up to 8 is a chain of squares, left to right over the bits
+    of p, with one product by |x| per further set bit: at p = 4 two
+    squarings take half the time of one ``np.power`` and land within 1e-15
+    relative of it.  Any other p uses ``np.power``.
+    """
+    np.abs(x, out=out)
+    if p != int(p) or not 1 <= p <= 8:
+        return np.power(out, p, out=out)
+    bits = bin(int(p))[3:]
+    base = out.copy() if "1" in bits else None
+    for bit in bits:
+        np.multiply(out, out, out=out)
+        if bit == "1":
+            np.multiply(out, base, out=out)
+    return out
 
 
 def _add_in_path_order(total, values, rows) -> None:
@@ -510,13 +589,14 @@ def _merge_moments(mean, m2, values, count) -> None:
     those of ``count`` earlier paths (Chan, Golub & LeVeque 1983).
 
     Within a block both sum pairwise along the paths, as ``np.std`` does, so
-    a run in one path block gives ``np.std``'s bytes.
+    a run in one path block gives ``np.std``'s bytes.  ``values`` is
+    overwritten with the squared deviations.
     """
     m = values.shape[-1]
     block_mean = values.sum(axis=-1) / m
-    dev = values - block_mean[..., None]
-    dev *= dev
-    block_m2 = dev.sum(axis=-1)
+    values -= block_mean[..., None]
+    values *= values
+    block_m2 = values.sum(axis=-1)
     if count == 0:
         mean[...] = block_mean
         m2[...] = block_m2
@@ -525,6 +605,27 @@ def _merge_moments(mean, m2, values, count) -> None:
         delta = block_mean - mean
         mean += delta * (m / n)
         m2 += block_m2 + delta * delta * (count * m / n)
+
+
+class _Workspace(threading.local):
+    """Buffers that each thread reuses for every step and reduction it runs.
+
+    A fresh numpy temporary above glibc's mmap threshold (128 kB unless a
+    larger mapped block was freed earlier) is mapped when it is allocated
+    and unmapped when it is freed, so a loop of such temporaries faults
+    all of their pages in again on every step.  Reused buffers stay mapped
+    and warm in cache.
+    """
+
+    def __init__(self):
+        self.flat = {}
+
+    def get(self, name, shape) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self.flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self.flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
 
 
 class _Level:
@@ -556,43 +657,64 @@ class _Level:
         self.blowup[start : start + self.bounded.size] = ~self.bounded
         self.state = self.bounded = self.nodes = self.buffer = None
 
-    def advance(self, noise, start, k0, k1) -> None:
+    def advance(self, noise, start, k0, k1, work) -> None:
         """Step through nodes k0 .. k1 - 1 of the path block (node 0 is the
         start state), reducing each run of nodes after it is stepped."""
         chunk = self.nodes.shape[0]
         for c0 in range(k0, k1, chunk):
             c1 = min(c0 + chunk, k1)
-            self._step(noise, c0, c1)
-            self._reduce(start, c0, c1)
+            self._step(noise, c0, c1, work)
+            self._reduce(start, c0, c1, work)
 
-    def _step(self, noise, k0, k1) -> None:
+    def _step(self, noise, k0, k1, work) -> None:
         model, dt, state = self.model, self.dt, self.state
         active, slots, weights, degrees = self.band
+        width = state.shape[1]
+        # the band rows are gathered and contracted a slice of rows at a time
+        per_gather = max(1, _GATHER_CAP // max(1, slots.shape[1] * width))
+        sums = work.get("sums", (active.size, 2, width))
+        own, phi, psi, tmp = (
+            work.get(name, (active.size, width)) for name in ("own", "phi", "psi", "tmp")
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(k0, k1):
                 if k and active.size:
-                    sums = np.matmul(weights, np.take(state, slots, axis=0))   # (active, 2, path)
-                    own = state[active]
-                    phi = model.potential(own) + sums[:, 0]
-                    psi = (
-                        model.sigma0
-                        + model.sigma1 * own
-                        + model.sigma2 * degrees[:, None] * sums[:, 1]
-                    )
-                    if self.tamed:
-                        inc = phi * dt / (1.0 + dt * np.abs(phi))
+                    for r0 in range(0, active.size, per_gather):
+                        r1 = r0 + per_gather
+                        gathered = work.get("gathered", (*slots[r0:r1].shape, width))
+                        np.take(state, slots[r0:r1], axis=0, out=gathered)
+                        np.matmul(weights[r0:r1], gathered, out=sums[r0:r1])
+                    np.take(state, active, axis=0, out=own)
+                    model.potential(own, out=phi)
+                    phi += sums[:, 0]
+                    # psi = sigma0 + sigma1 own + sigma2 n_x (sum over the band)
+                    np.multiply(model.sigma1, own, out=psi)
+                    psi += model.sigma0
+                    np.multiply(model.sigma2 * degrees[:, None], sums[:, 1], out=tmp)
+                    psi += tmp
+                    if self.tamed:   # phi dt / (1 + dt |phi|)
+                        np.abs(phi, out=tmp)
+                        tmp *= dt
+                        tmp += 1.0
+                        phi *= dt
+                        phi /= tmp
                     else:
-                        inc = phi * dt
-                    dw = noise[k - 1] if self.rows is None else noise[k - 1][self.rows]
-                    state[active] = own + inc + psi * dw
+                        phi *= dt
+                    if self.rows is None:
+                        psi *= noise[k - 1]
+                    else:
+                        psi *= np.take(noise[k - 1], self.rows, axis=0, out=tmp)
+                    own += phi
+                    own += psi
+                    state[active] = own
                 self.nodes[k - k0] = state
 
-    def _reduce(self, start, k0, k1) -> None:
+    def _reduce(self, start, k0, k1, work) -> None:
         """Blow-up flags, the running max, and the |xi|^p sums and moments of nodes k0 .. k1 - 1."""
         width = self.bounded.size
         nodes = self.nodes[: k1 - k0]
         with np.errstate(over="ignore", invalid="ignore"):
-            size = np.abs(nodes)
+            size = np.abs(nodes, out=work.get("run", nodes.shape))
             # NaN fails the comparison too
             self.bounded &= np.all(size <= _BLOWUP_LIMIT, axis=(0, 1))
             if self.paths is not None:
@@ -601,17 +723,19 @@ class _Level:
             if k0 == 0:
                 peak[...] = size[0]
             before_end = k1 - k0 - (k1 == self.power.shape[0])   # the terminal node does not count
-            np.maximum(peak, size[:before_end].max(axis=0, initial=-np.inf), out=peak)
-            powed = np.power(size, self.p, out=size)
+            for node in size[:before_end]:
+                np.maximum(peak, node, out=peak)
+            powed = _abs_power(size, self.p, out=size)
             _add_in_path_order(self.power[k0:k1], powed, self.buffer[:, : k1 - k0])
             _merge_moments(self.mean[k0:k1], self.m2[k0:k1], powed, start)
 
 
-def _reduce_pair(small, large, m, rows, k0, k1) -> None:
+def _reduce_pair(small, large, m, rows, k0, k1, work) -> None:
     """Add the path sums of |xi^small - xi^large|^p at nodes k0 .. k1 - 1 to ``small.diffs[m]``."""
+    ours, theirs = small.nodes[: k1 - k0], large.nodes[: k1 - k0]
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.subtract(small.nodes[: k1 - k0], large.nodes[: k1 - k0])
-        np.power(np.abs(diff, out=diff), small.p, out=diff)
+        diff = np.subtract(ours, theirs, out=work.get("run", ours.shape))
+        _abs_power(diff, small.p, out=diff)
     _add_in_path_order(small.diffs[m][k0:k1], diff, rows[:, : k1 - k0])
 
 
@@ -632,15 +756,17 @@ def simulate_coupled(
 ) -> list:
     """Euler-Maruyama ensembles of several truncations, driven by one noise draw.
 
-    Per block of paths, the streams of the union of the active sets are
-    drawn once, and every truncation steps from its own rows of that block.
+    Per block of paths, the site streams of the union of the active sets
+    are drawn once, continuing from the previous block, and every
+    truncation steps from its own rows of that block.
     States are reduced while stepping into per (node, site) sums (see
     :class:`EnsembleSums`) at the model's moment order: |xi|^p for every
     truncation, and |xi^n - xi^m|^p for each position pair (n, m) in
     ``pairs``, for which the truncations step in lockstep, meeting after
     every short run of nodes.  The path tensors are stored only with
-    ``keep_paths``.  With ``threads > 1`` the truncations, then the pairs,
-    of a run are handed to a thread pool; no output byte depends on it.
+    ``keep_paths``.  With ``threads > 1`` the sites of each draw, and the
+    truncations, then the pairs, of each run are handed to a thread pool;
+    no output byte depends on it.
     Under the tamed scheme the drift increment is Phi dt / (1 + dt |Phi|),
     which keeps the superlinear cubic decay stable where the explicit scheme
     can blow up.  Sites outside a truncation's active set stay bitwise
@@ -679,20 +805,21 @@ def simulate_coupled(
     span = chunk if pairs else n_nodes
     path_block = _block_paths(config.n_sites, n_steps, noise_refine)
 
+    source, work = _NoiseSource(seed), _Workspace()
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         for start in range(0, n_paths, path_block):
             stop = min(start + path_block, n_paths)
-            noise = _noise_block(seed, range(start, stop), union, n_steps, dt, noise_refine)
-            # the run arrays are made after the draw, whose copy is the peak
+            noise = _noise_block(source, range(start, stop), union, n_steps, dt, noise_refine,
+                                 run, threads)
             for level in levels:
                 level.start_block(zeta.values, stop - start, chunk)
             rows = [np.empty_like(levels[n].buffer) for n, _ in pairs]
             for k0 in range(0, n_nodes, span):
                 k1 = min(k0 + span, n_nodes)
-                list(run(lambda level: level.advance(noise, start, k0, k1), levels))
+                list(run(lambda level: level.advance(noise, start, k0, k1, work), levels))
                 list(run(lambda j: _reduce_pair(levels[pairs[j][0]], levels[pairs[j][1]],
-                                                pairs[j][1], rows[j], k0, k1),
+                                                pairs[j][1], rows[j], k0, k1, work),
                          range(len(pairs))))
             for level in levels:
                 level.finish_block(start)
@@ -732,9 +859,9 @@ def simulate_truncated(
     """Euler-Maruyama time stepping of one truncated system.
 
     The one-set case of :func:`simulate_coupled`, with its paths kept.
-    The noise stream of a (path, site) pair depends only on (seed, path,
-    site index), so ensembles with different active sets share increments
-    sitewise.
+    The increments of a (path, site) pair depend only on (seed, site index,
+    path, n_steps * noise_refine), so ensembles with different active sets
+    share increments sitewise.
     """
     return simulate_coupled(
         model, config, [lambda_n], zeta, T, dt, n_paths, seed,

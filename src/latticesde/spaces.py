@@ -22,6 +22,7 @@ __all__ = [
     "ScaleParams",
     "WeightedSeq",
     "weighted_sum",
+    "weighted_sums",
     "lp_norm",
     "verify_scale_monotonicity",
     "degree_summability_check",
@@ -78,6 +79,11 @@ def weighted_sum(radii: np.ndarray, a: float, values) -> float:
     return math.fsum((np.exp(-a * radii) * values).tolist())
 
 
+def weighted_sums(radii: np.ndarray, a: float, rows) -> list:
+    """:func:`weighted_sum` of each row of ``rows`` (trial, site), e^(-a |x|) taken once."""
+    return [math.fsum(row.tolist()) for row in np.exp(-a * radii) * rows]
+
+
 def lp_norm(z: WeightedSeq, a: float, p: float) -> float:
     """Weighted norm (sum_x e^(-a|x|) |z_x|^p)^(1/p)."""
     if a <= 0.0:
@@ -87,17 +93,37 @@ def lp_norm(z: WeightedSeq, a: float, p: float) -> float:
     return weighted_sum(z.config.radii, a, np.abs(z.values) ** p) ** (1.0 / p)
 
 
-def verify_scale_monotonicity(z: WeightedSeq, alpha: float, beta: float, p: float):
+def verify_scale_monotonicity(z, alpha: float, beta: float, p: float):
     """Evaluate (||z||_alpha, ||z||_beta) and check ||z||_beta <= ||z||_alpha.
+
+    ``z`` is one :class:`WeightedSeq`, or a list of them on one
+    configuration, checked together with one result each: the weights are
+    taken once, and each sequence is summed with ``math.fsum`` on its own,
+    so its result is bitwise that of a call with it alone.
 
     The comparison allows NORM_SLACK of absolute rounding play; the inequality
     itself is exact mathematics for alpha < beta.
     """
+    if isinstance(z, WeightedSeq):
+        return verify_scale_monotonicity([z], alpha, beta, p)[0]
     if alpha >= beta:
         raise ValueError("need alpha < beta")
-    norm_alpha = lp_norm(z, alpha, p)
-    norm_beta = lp_norm(z, beta, p)
-    return norm_alpha, norm_beta, norm_beta <= norm_alpha + NORM_SLACK
+    if alpha <= 0.0:
+        raise ValueError("weight a must be > 0")
+    if p < 1.0:
+        raise ValueError("need p >= 1")
+    if not z:
+        return []
+    config = z[0].config
+    if any(seq.config is not config for seq in z):
+        raise ValueError("the sequences live on different configurations")
+    powed = np.abs(np.stack([seq.values for seq in z])) ** p
+    out = []
+    for sum_alpha, sum_beta in zip(weighted_sums(config.radii, alpha, powed),
+                                   weighted_sums(config.radii, beta, powed)):
+        norm_alpha, norm_beta = sum_alpha ** (1.0 / p), sum_beta ** (1.0 / p)
+        out.append((norm_alpha, norm_beta, norm_beta <= norm_alpha + NORM_SLACK))
+    return out
 
 
 def _grid_partition_exponent(dim: int, rho: float) -> int:

@@ -18,8 +18,10 @@ from latticesde.spaces import weighted_sum
 def reference_moment_field(paths, p):
     """Per-site sup-over-time moment and its standard error from a stored path
     tensor, by the formulas the moment field used before the simulator reduced
-    while stepping: one mean over the paths, then np.std at the argmax node."""
-    powed = np.abs(paths) ** p
+    while stepping: one mean over the paths, then np.std at the argmax node.
+    |xi|^p is taken as the simulator takes it (sde._abs_power, which
+    test_sde checks against np.power)."""
+    powed = sde._abs_power(paths, p, np.empty_like(paths))
     means = powed.mean(axis=0)
     argmax = means.argmax(axis=1)
     sites = np.arange(paths.shape[1])
@@ -30,7 +32,8 @@ def reference_moment_field(paths, p):
 
 def reference_pair_sup(a, b, p):
     """Per-site sup over the grid of the sample E|xi^a - xi^b|^p, from stored paths."""
-    return (np.abs(a.paths - b.paths) ** p).mean(axis=0).max(axis=1)
+    diff = a.paths - b.paths
+    return sde._abs_power(diff, p, out=diff).mean(axis=0).max(axis=1)
 
 
 def assert_reductions_match_paths(ensembles, levels, model, one_block):
@@ -378,23 +381,30 @@ class TestSharedDraw:
             assert [b for b, _ in blocks] == [3, 3, 3, 2]
             assert np.array_equal(ens.paths, lone.paths)
 
-    def test_each_stream_keyed_once(self, coupled_setup, monkeypatch):
+    def test_each_site_keyed_once(self, coupled_setup, monkeypatch):
         config, model, zeta = coupled_setup
         levels = lat.exhaustion_sequence(config, 4)[:3]
-        n_paths, n_steps = 9, 5
-        # four paths per noise block, so streams are drawn over three blocks
-        monkeypatch.setattr(sde, "_DRAW_CAP", 4 * config.n_sites * n_steps)
-        calls = []
-        fill = sde._NoiseSource.fill_normals
+        # four paths per noise block, so the streams run over three blocks
+        monkeypatch.setattr(sde, "_PATH_BLOCK", 4)
+        keyed, fills = [], []
+        rekey, fill = sde._NoiseSource._rekey, sde._NoiseSource.fill_normals
 
-        def counted(source, path, site, out):
-            calls.append((path, site))
-            fill(source, path, site, out)
+        def counted_rekey(source, bitgen, site):
+            keyed.append(site)
+            rekey(source, bitgen, site)
 
-        monkeypatch.setattr(sde._NoiseSource, "fill_normals", counted)
-        simulate_levels(model, config, levels, zeta, 0.05, 0.01, n_paths, 22)
-        assert len(calls) == n_paths * levels[-1].size
-        assert len(set(calls)) == len(calls)
+        def counted_fill(source, gen, site, first_path, out):
+            fills.append((site, first_path, len(out)))
+            fill(source, gen, site, first_path, out)
+
+        monkeypatch.setattr(sde._NoiseSource, "_rekey", counted_rekey)
+        monkeypatch.setattr(sde._NoiseSource, "fill_normals", counted_fill)
+        simulate_levels(model, config, levels, zeta, 0.05, 0.01, 9, 22)
+        union = levels[-1].tolist()
+        assert sorted(keyed) == union
+        assert sorted(fills) == sorted(
+            (site, first, width) for site in union for first, width in ((0, 4), (4, 4), (8, 1))
+        )
 
 
 class TestUniqueness:

@@ -8,6 +8,7 @@ import scipy.linalg
 
 import latticesde as lat
 from conftest import brute_force_neighbors, corrupt_table, dense_operator
+from latticesde import ovsjannikov
 from latticesde.ovsjannikov import (
     BandedOperator,
     load_grid_function,
@@ -17,6 +18,7 @@ from latticesde.ovsjannikov import (
     save_grid_function,
     save_operator,
 )
+from latticesde.spaces import weighted_sum
 
 
 def make_pair_config():
@@ -158,6 +160,34 @@ class TestVerifyOvsBound:
         Q = lat.zero_operator(poisson_1d)
         with pytest.raises(ValueError):
             lat.verify_ovs_bound(Q, 1.5, 0.5, 10, 1)
+
+    @pytest.mark.parametrize("terms", [1, 500, None])
+    def test_batched_trials_match_per_trial_loop(self, monkeypatch, terms):
+        # one trial per matvec, a few per matvec, and all at once
+        if terms is not None:
+            monkeypatch.setattr(ovsjannikov, "_TRIAL_TERMS", terms)
+        cfg = lat.sample_configuration(2.0, 5.0, 2, 1.0, 9)
+        Q = lat.random_banded_operator(cfg, 0.5, 1.0, 4)
+        rng = np.random.default_rng(6)
+        max_ratio = 0.0
+        for _ in range(30):
+            values = rng.standard_normal(cfg.n_sites)
+            denom = weighted_sum(cfg.radii, 0.5, np.abs(values))
+            if denom == 0.0:
+                continue
+            numer = weighted_sum(cfg.radii, 1.5, np.abs(Q.matvec(values)))
+            max_ratio = max(max_ratio, numer / denom)
+        assert lat.verify_ovs_bound(Q, 0.5, 1.5, 30, 6).max_ratio == max_ratio
+
+    def test_batched_matvec_matches_each_row(self):
+        cfg = lat.sample_configuration(2.0, 5.0, 2, 1.0, 9)
+        Q = lat.random_banded_operator(cfg, 0.5, 1.0, 4)
+        rows = np.random.default_rng(7).standard_normal((2, 3, cfg.n_sites))
+        batched = Q.matvec(rows)
+        assert batched.shape == rows.shape
+        for i in range(2):
+            for j in range(3):
+                assert batched[i, j].tobytes() == Q.matvec(rows[i, j]).tobytes()
 
 
 class TestPicard:

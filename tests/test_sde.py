@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,13 @@ from latticesde.sde import (
     simulate_coupled,
     simulation_bytes,
 )
+
+
+def site_stream(seed, site, n_paths, n_fine):
+    """The first n_paths paths of a site's noise stream, drawn directly: one
+    standard_normal call of a Philox keyed (seed, site)."""
+    key = np.array([seed, site], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal((n_paths, n_fine))
 
 
 @pytest.fixture(scope="module")
@@ -241,11 +250,11 @@ class TestSimulation:
         assert not np.array_equal(base, lat.wiener_increments(6, 2, 3, 50, 0.1))
 
     @pytest.mark.parametrize("refine", [1, 2, 16])
-    def test_wiener_increments_match_direct_draw(self, refine):
-        # one stream drawn at dt/refine, scaled, then summed in blocks of refine
-        draws = np.empty(20 * refine)
-        _NoiseSource(5).fill_normals(3, 7, draws)
-        want = (math.sqrt(0.1 / refine) * draws).reshape(20, refine).sum(axis=1)
+    def test_wiener_increments_are_slices_of_the_site_stream(self, refine):
+        # path 3 of site 7 is slice 3 of one path-major draw of the site's
+        # stream, keyed (seed, site), scaled and summed in blocks of refine
+        direct = site_stream(5, 7, 4, 20 * refine)
+        want = (math.sqrt(0.1 / refine) * direct[3]).reshape(20, refine).sum(axis=1)
         assert np.array_equal(lat.wiener_increments(5, 3, 7, 20, 0.1, refine=refine), want)
 
     @pytest.mark.parametrize("refine", [1, 3])
@@ -270,6 +279,20 @@ class TestSimulation:
             lone = lat.simulate_truncated(model, poisson_1d, active, zeta, 0.1, 0.01, 5, 31)
             assert np.array_equal(ens.paths, lone.paths)
 
+    @pytest.mark.parametrize("cap", [1, 500])
+    def test_band_gathered_in_slices_steps_alike(self, monkeypatch, cap):
+        # the step gathers and contracts the band a slice of rows at a time;
+        # one row or a few rows per slice give the bytes of one slice
+        cfg = lat.sample_configuration(2.0, 4.0, 2, 1.0, 12)
+        model = lat.make_model("cubic", 0.1, kernel="triangular", kernel_cap=0.3, rho=1.0,
+                               sigma0=0.2, sigma1=0.1, sigma2=0.05, p=4.0)
+        zeta = lat.WeightedSeq(cfg, np.random.default_rng(2).uniform(-1.0, 1.0, cfg.n_sites))
+        active = np.flatnonzero(cfg.radii <= 3.0)
+        whole = lat.simulate_truncated(model, cfg, active, zeta, 0.1, 0.01, 3, 14)
+        monkeypatch.setattr(sde, "_GATHER_CAP", cap)
+        sliced = lat.simulate_truncated(model, cfg, active, zeta, 0.1, 0.01, 3, 14)
+        assert sliced.paths.tobytes() == whole.paths.tobytes()
+
     def test_simulation_bytes_counts_tensors_and_one_block(self, poisson_1d, monkeypatch):
         n, steps, degree = poisson_1d.n_sites, 10, int(poisson_1d.degrees.max())
         with monkeypatch.context() as patch:
@@ -278,10 +301,15 @@ class TestSimulation:
             # the two path tensors count only when they are kept
             kept = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, keep_paths=True)
             assert kept - plain == 8 * 2 * 7 * n * (steps + 1)
-            # one noise block of 5 paths x n sites x 20 draws, held twice, and
-            # runs of states that fit in a third copy
+            # the block of 5 paths x n sites x 10 steps does not depend on the
+            # refinement; a drawing worker's buffer holds 5 paths x 20 fine
+            # draws and their 10 sums at refine 2, and 10 draws at refine 1
             once = simulation_bytes(n, degree, 2, 7, steps, noise_refine=1)
-            assert plain - once == 8 * 3 * 5 * n * steps
+            assert plain - once == 8 * 5 * 2 * steps
+            # each further drawing worker adds its own buffer, and each thread
+            # beyond the two truncations its own step temporaries
+            three = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, threads=3)
+            assert three - plain == 8 * (2 * 5 * 3 * steps + n * 5 * (12 + degree))
             # a Cauchy pair adds one (node, site) sum
             pair = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, n_pairs=1)
             assert pair - plain == 8 * n * (steps + 1)
@@ -352,6 +380,111 @@ class TestSimulation:
         err_c = np.sqrt(np.mean((coarse.paths[:, 0, -1] - ref.paths[:, 0, -1]) ** 2))
         err_h = np.sqrt(np.mean((half.paths[:, 0, -1] - ref.paths[:, 0, -1]) ** 2))
         assert err_c / err_h >= math.sqrt(2.0) * 0.95
+
+
+class TestAbsPower:
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0])
+    def test_integer_power_is_a_chain_of_squares(self, p):
+        x = np.random.default_rng(3).standard_normal(10_000) * 4.0
+        x[:3] = [0.0, -0.0, -2.5]
+        got = sde._abs_power(x, p, out=np.empty_like(x))
+        np.testing.assert_allclose(got, np.abs(x) ** p, rtol=1e-15, atol=0.0)
+        # in place, as the reductions call it
+        assert sde._abs_power(x, p, out=x).tobytes() == got.tobytes()
+
+    def test_other_powers_are_np_power(self):
+        x = np.random.default_rng(4).standard_normal(10_000)
+        got = sde._abs_power(x, 2.5, out=np.empty_like(x))
+        assert got.tobytes() == np.power(np.abs(x), 2.5).tobytes()
+
+
+class TestNoiseLayout:
+    """One counter-based stream per site, keyed (seed, site) and drawn path-major."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_fine_increments_are_one_contiguous_slice(self, r):
+        # path p reads fine draws [p M, (p + 1) M) of its site's stream, so dt
+        # at refine 2r and dt/2 at refine r are driven by the same fine draws
+        n, dt, path = 10, 0.1, 2
+        fine = site_stream(5, 3, path + 1, 2 * n * r)[path]
+        scale = math.sqrt(dt / (2 * r))
+        assert scale == math.sqrt(dt / 2 / r)
+        coarse = lat.wiener_increments(5, path, 3, n, dt, refine=2 * r)
+        halved = lat.wiener_increments(5, path, 3, 2 * n, dt / 2, refine=r)
+        assert np.array_equal(coarse, (scale * fine).reshape(n, 2 * r).sum(axis=1))
+        assert np.array_equal(halved, (scale * fine).reshape(2 * n, r).sum(axis=1))
+        if r == 1:
+            assert np.array_equal(coarse, halved.reshape(n, 2).sum(axis=1))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("path_block", [1, 3, 7])
+    def test_block_independent_of_path_split(self, poisson_1d, monkeypatch, path_block,
+                                             threads):
+        # each site's generator state is carried from one path block to the next
+        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3, p=4.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        sets = lat.exhaustion_sequence(poisson_1d, 4)[:3]
+        drawn = []
+        noise_block = sde._noise_block
+
+        def recorded(*args):
+            drawn.append(noise_block(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(sde, "_noise_block", recorded)
+        monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
+        simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31, noise_refine=2,
+                         threads=threads)
+        assert len(drawn) == -(-10 // path_block)
+        whole = noise_block(31, range(10), sets[-1], 10, 0.01, 2)
+        assert np.concatenate(drawn, axis=2).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("workers", [2, 3, 40])
+    def test_block_independent_of_threads(self, workers):
+        # the workers share the carried generator states and the block; more
+        # threads than cores and a short switch interval give a lost update
+        # every chance to show, over three blocks drawn in turn
+        sites = list(range(0, 60, 3))
+        serial, threaded = sde._NoiseSource(9), sde._NoiseSource(9)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for paths in (range(0, 5), range(5, 6), range(6, 13)):
+                    one = _noise_block(serial, paths, sites, 12, 0.05, 2)
+                    many = _noise_block(threaded, paths, sites, 12, 0.05, 2, pool.map, workers)
+                    assert one.tobytes() == many.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("refine", [1, 3])
+    def test_path_zero_is_the_per_path_stream(self, refine):
+        # the former layout keyed one stream per (path, site) as
+        # (seed, path << 32 | site); a site's key (seed, site) is its path-0
+        # key, so path 0 of every site is drawn as before
+        sites = [0, 6, 70000]
+        block = _noise_block(5, range(3), sites, 20, 0.1, refine)
+        for si, site in enumerate(sites):
+            key = np.array([5, (0 << 32) | site], dtype=np.uint64)
+            draws = np.random.Generator(np.random.Philox(key=key)).standard_normal(20 * refine)
+            want = (math.sqrt(0.1 / refine) * draws).reshape(20, refine).sum(axis=1)
+            assert np.array_equal(block[:, si, 0], want)
+            assert not np.array_equal(block[:, si, 1], want)
+
+    def test_truncations_coupled_sitewise_across_blocks(self, poisson_1d, monkeypatch):
+        # decoupled dynamics over several path blocks: a site active in two
+        # truncations follows the same paths, and identical truncations give D == 0
+        model = lat.make_model("linear", 1.0, kernel_cap=0.0, rho=1.0, sigma0=0.5, p=2.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        small, big = list(range(4)), list(range(poisson_1d.n_sites))
+        monkeypatch.setattr(sde, "_PATH_BLOCK", 3)
+        ens = simulate_coupled(model, poisson_1d, [small, small, big], zeta, 0.2, 0.01, 8, 77,
+                               pairs=[(0, 1), (0, 2)], keep_paths=True)
+        for x in small:
+            assert np.array_equal(ens[0].paths[:, x], ens[2].paths[:, x])
+        assert np.array_equal(ens[0].paths, ens[1].paths)
+        assert np.all(ens[0].sums.diffs[1] == 0.0)
+        assert np.any(ens[0].sums.diffs[2] > 0.0)
 
 
 class TestOuOracle:

@@ -81,6 +81,30 @@ class TestScaleMonotonicity:
         na, nb, ok = lat.verify_scale_monotonicity(z, 0.5, 1.0, 2.0)
         assert na == nb and ok
 
+    @pytest.mark.parametrize("p", [2.0, 4.0, 2.5])
+    def test_list_matches_one_norm_per_sequence(self, p):
+        # the batched trials of `verify`: 100 sequences drawn as one array
+        # equal 100 draws one after another, and checked together each gets
+        # the norms lp_norm gives it alone, bitwise
+        cfg = lat.sample_configuration(2.0, 6.0, 2, 1.0, 102)
+        rows = np.random.default_rng(3).standard_normal((100, cfg.n_sites))
+        rng = np.random.default_rng(3)
+        one_by_one = []
+        for _ in range(100):
+            z = lat.WeightedSeq(cfg, rng.standard_normal(cfg.n_sites))
+            na, nb = lat.lp_norm(z, 0.5, p), lat.lp_norm(z, 1.25, p)
+            one_by_one.append((na, nb, nb <= na + lat.spaces.NORM_SLACK))
+        trials = [lat.WeightedSeq(cfg, row) for row in rows]
+        assert lat.verify_scale_monotonicity(trials, 0.5, 1.25, p) == one_by_one
+        assert lat.verify_scale_monotonicity([], 0.5, 1.25, p) == []
+        with pytest.raises(ValueError):
+            lat.verify_scale_monotonicity(trials, 1.25, 0.5, p)
+        other = lat.sample_configuration(2.0, 6.0, 2, 1.0, 103)
+        with pytest.raises(ValueError):
+            lat.verify_scale_monotonicity(
+                [trials[0], lat.WeightedSeq(other, np.ones(other.n_sites))], 0.5, 1.25, p
+            )
+
     def test_random_sequences_hold_strictly(self):
         cfg = lat.sample_configuration(2.0, 5.0, 1, 1.0, 101)  # about 20 sites
         assert cfg.n_sites > 0
