@@ -345,8 +345,8 @@ class _NoiseSource:
 
     def fill_normals(self, gen, site: int, first_path: int, out: np.ndarray) -> None:
         """Fill ``out`` (paths, M) with paths first_path, first_path + 1, ... of
-        the site's stream; paths skipped since its last draw are drawn and
-        discarded."""
+        the site's stream; paths skipped since its last carried state are
+        drawn and discarded."""
         next_path, state = self._carried.get(site, (0, None))
         if first_path < next_path:
             raise ValueError("a noise stream cannot be drawn backwards")
@@ -357,10 +357,14 @@ class _NoiseSource:
         for _ in range(first_path - next_path):
             gen.standard_normal(out=out[0])
         gen.standard_normal(out=out)
-        self._carried[site] = (first_path + len(out), gen.bit_generator.state)
+
+    def carry(self, gen, site: int, next_path: int) -> None:
+        """Keep ``gen``'s state as the site's stream at path ``next_path``."""
+        self._carried[site] = (next_path, gen.bit_generator.state)
 
 
-def _noise_block(source, paths, sites, n_steps, dt, refine=1, run=map, workers=1) -> np.ndarray:
+def _noise_block(source, paths, sites, n_steps, dt, refine=1, run=map, workers=1,
+                 carry=True) -> np.ndarray:
     """Brownian increments of consecutive ``paths`` at ``sites``, shaped (n_steps, sites, paths).
 
     ``source`` is a :class:`_NoiseSource`, whose streams continue from its
@@ -371,7 +375,8 @@ def _noise_block(source, paths, sites, n_steps, dt, refine=1, run=map, workers=1
     contiguous (site, path) slab.  Runs at compatible step sizes (dt with
     refine 2r versus dt/2 with refine r, same seed) draw bitwise the same
     underlying Brownian path.  The sites are split over ``workers`` tasks
-    handed to ``run``, each with its own Philox and buffers.
+    handed to ``run``, each with its own Philox and buffers.  Unless
+    ``carry`` is false, the streams' states are kept for the next block.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
@@ -389,6 +394,8 @@ def _noise_block(source, paths, sites, n_steps, dt, refine=1, run=map, workers=1
         coarse = fine if refine == 1 else np.empty((width, n_steps))
         for si in positions:
             source.fill_normals(gen, int(sites[si]), first, fine)
+            if carry:
+                source.carry(gen, int(sites[si]), first + width)
             fine *= scale
             if refine > 1:
                 np.sum(fine.reshape(width, n_steps, refine), axis=2, out=coarse)
@@ -407,7 +414,8 @@ def wiener_increments(seed, path, site, n_steps, dt, refine=1) -> np.ndarray:
     refine normals long, and the last one is returned; so a path's
     increments depend on M, and a longer horizon does not extend them.
     """
-    return _noise_block(seed, range(path, path + 1), [site], n_steps, dt, refine)[:, 0, 0]
+    return _noise_block(seed, range(path, path + 1), [site], n_steps, dt, refine,
+                        carry=False)[:, 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,7 +427,9 @@ class EnsembleSums:
     over a stored path tensor.  ``m2`` sums the squared deviations of
     |xi|^p from its sample mean, merged across path blocks as in Chan, Golub
     & LeVeque (1983).  ``diffs`` is keyed by the position of the other
-    truncation in the coupled set.
+    truncation in the coupled set.  The columns of frozen sites were
+    settled once per path block, not node by node, with the same bytes;
+    a ``diffs`` column is 0 where both truncations freeze the site.
     """
 
     p: float
@@ -513,8 +523,9 @@ def _block_paths(n_sites, n_steps, noise_refine) -> int:
 def _chunk_nodes(n_steps, n_sets, n_pairs) -> int:
     """Nodes per run of steps that the truncations step before they meet.
 
-    A run's states, reduction buffers and temporaries take about
-    2 n_sets + n_pairs + 3 (site, path) arrays per node.  A run of at most
+    A run's states, reduction buffers and temporaries take at most about
+    2 n_sets + n_pairs + 3 (site, path) arrays per node, fewer where the
+    sets leave sites frozen.  A run of at most
     n_steps / twice that many nodes holds at most half as many doubles as
     a noise block over every site, so the runs fit in a second copy of it.
     """
@@ -534,7 +545,9 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     while stepping counted as a second copy of it.  Per drawing worker (at
     most ``threads``): one site's path-major fine draws for the block and,
     with ``noise_refine > 1``, their sums over each step.  The path tensors
-    count only when they are kept.
+    count only when they are kept.  Run buffers and sums are counted over
+    every site, though they cover only a truncation's active sites (a
+    pair's, the union of two), so the estimate stays an upper bound.
     """
     block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
     n_nodes = n_steps + 1
@@ -581,7 +594,10 @@ def _add_in_path_order(total, values, rows) -> None:
     """
     rows[0] = total
     rows[1:] = np.moveaxis(values, -1, 0)
-    np.add.reduce(rows, axis=0, out=total)
+    if total.size == 1:   # a lone column would be reduced pairwise
+        total[...] = np.add.accumulate(rows.reshape(len(rows)))[-1]
+    else:
+        np.add.reduce(rows, axis=0, out=total)
 
 
 def _merge_moments(mean, m2, values, count) -> None:
@@ -631,30 +647,64 @@ class _Workspace(threading.local):
 class _Level:
     """One truncation of a coupled set: its band, the state of the current
     path block, the states of its current run of nodes, and the sums
-    reduced from them."""
+    reduced from them.
 
-    def __init__(self, model, tamed, dt, config, active, rows, n_paths, n_nodes, keep_paths):
+    The run buffer and the sums cover only the active sites: ``nodes`` is
+    (node, active site, path), and ``power``, ``m2`` and ``peak`` are
+    indexed by active site.  A frozen site holds zeta at every node, so its
+    sums are settled once per path block, by the same operations on the
+    same values, and spread over the nodes when the ensemble is built.  The
+    band rows, the active sites and the noise rows are checked against their
+    ranges once, here, so that the step gathers with ``mode="clip"``, which
+    skips the hidden copy numpy makes to check every index.
+    """
+
+    def __init__(self, model, tamed, dt, config, zeta_values, active, union, n_paths, n_nodes,
+                 keep_paths):
         n_sites = config.n_sites
         self.model, self.tamed, self.dt, self.p = model, tamed, dt, float(model.p)
-        self.band = (active, *_band_slots(model, config, active))
-        self.rows = rows        # its sites among the noise block's, None for all
+        self.active = active
+        self.slots, self.weights, degrees = _band_slots(model, config, active)
+        self.spread = model.sigma2 * degrees[:, None]   # sigma2 n_x
+        # its sites among the noise block's, None for all
+        self.rows = None if active.size == union.size else np.searchsorted(union, active)
+        for index, bound in ((active, n_sites), (self.slots, n_sites), (self.rows, union.size)):
+            if index is not None and index.size and not 0 <= index.min() <= index.max() < bound:
+                raise ValueError(f"a truncation's index lies outside [0, {bound})")
+        self.zeta = zeta_values
+        self.frozen = np.setdiff1d(np.arange(n_sites), active)
+        self.frozen_size = np.abs(zeta_values[self.frozen])
+        # NaN fails the comparison too
+        self.frozen_bounded = bool(np.all(self.frozen_size <= _BLOWUP_LIMIT))
+        self.frozen_power = _abs_power(self.frozen_size, self.p, out=np.empty(self.frozen.size))
+        self.settled = np.zeros((3, self.frozen.size))   # frozen power, mean and m2
         self.blowup = np.empty(n_paths, dtype=bool)
-        self.power = np.zeros((n_nodes, n_sites))
-        self.mean = np.empty((n_nodes, n_sites))
-        self.m2 = np.empty((n_nodes, n_sites))
-        self.peak = np.empty((n_sites, n_paths))
-        self.paths = np.empty((n_paths, n_sites, n_nodes)) if keep_paths else None
-        self.diffs = {}
+        self.power = np.zeros((n_nodes, active.size))
+        self.mean = np.empty((n_nodes, active.size))
+        self.m2 = np.empty((n_nodes, active.size))
+        self.peak = np.empty((active.size, n_paths))
+        self.paths = None
+        if keep_paths:
+            self.paths = np.empty((n_paths, n_sites, n_nodes))
+            self.paths[:, self.frozen] = zeta_values[self.frozen, None]
         self.state = self.bounded = self.nodes = self.buffer = None
 
-    def start_block(self, zeta_values, width, chunk) -> None:
-        self.state = np.repeat(zeta_values[:, None], width, axis=1)   # (site, path)
+    def start_block(self, width, chunk) -> None:
+        self.state = np.repeat(self.zeta[:, None], width, axis=1)   # (site, path)
         self.bounded = np.ones(width, dtype=bool)
-        self.nodes = np.empty((chunk, zeta_values.size, width))      # (node, site, path)
-        self.buffer = np.empty((width + 1, chunk, zeta_values.size))
+        self.nodes = np.empty((chunk, self.active.size, width))     # (node, active site, path)
+        self.buffer = np.empty((width + 1, chunk, self.active.size))
 
     def finish_block(self, start) -> None:
-        self.blowup[start : start + self.bounded.size] = ~self.bounded
+        """Settle the block's sums of the frozen sites and record its blow-ups."""
+        width = self.bounded.size
+        if self.frozen.size:
+            power, mean, m2 = self.settled
+            powed = np.repeat(self.frozen_power[:, None], width, axis=1)   # (site, path)
+            _add_in_path_order(power, powed, np.empty((width + 1, self.frozen.size)))
+            _merge_moments(mean, m2, powed, start)
+        self.bounded &= self.frozen_bounded
+        self.blowup[start : start + width] = ~self.bounded
         self.state = self.bounded = self.nodes = self.buffer = None
 
     def advance(self, noise, start, k0, k1, work) -> None:
@@ -668,46 +718,44 @@ class _Level:
 
     def _step(self, noise, k0, k1, work) -> None:
         model, dt, state = self.model, self.dt, self.state
-        active, slots, weights, degrees = self.band
+        active, slots, weights = self.active, self.slots, self.weights
         width = state.shape[1]
         # the band rows are gathered and contracted a slice of rows at a time
         per_gather = max(1, _GATHER_CAP // max(1, slots.shape[1] * width))
         sums = work.get("sums", (active.size, 2, width))
-        own, phi, psi, tmp = (
-            work.get(name, (active.size, width)) for name in ("own", "phi", "psi", "tmp")
-        )
+        phi, psi, tmp = (work.get(name, (active.size, width)) for name in ("phi", "psi", "tmp"))
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(k0, k1):
-                if k and active.size:
-                    for r0 in range(0, active.size, per_gather):
-                        r1 = r0 + per_gather
-                        gathered = work.get("gathered", (*slots[r0:r1].shape, width))
-                        np.take(state, slots[r0:r1], axis=0, out=gathered)
-                        np.matmul(weights[r0:r1], gathered, out=sums[r0:r1])
-                    np.take(state, active, axis=0, out=own)
-                    model.potential(own, out=phi)
-                    phi += sums[:, 0]
-                    # psi = sigma0 + sigma1 own + sigma2 n_x (sum over the band)
-                    np.multiply(model.sigma1, own, out=psi)
-                    psi += model.sigma0
-                    np.multiply(model.sigma2 * degrees[:, None], sums[:, 1], out=tmp)
-                    psi += tmp
-                    if self.tamed:   # phi dt / (1 + dt |phi|)
-                        np.abs(phi, out=tmp)
-                        tmp *= dt
-                        tmp += 1.0
-                        phi *= dt
-                        phi /= tmp
-                    else:
-                        phi *= dt
-                    if self.rows is None:
-                        psi *= noise[k - 1]
-                    else:
-                        psi *= np.take(noise[k - 1], self.rows, axis=0, out=tmp)
-                    own += phi
-                    own += psi
-                    state[active] = own
-                self.nodes[k - k0] = state
+                own = np.take(state, active, axis=0, out=self.nodes[k - k0], mode="clip")
+                if not k or not active.size:
+                    continue
+                for r0 in range(0, active.size, per_gather):
+                    r1 = r0 + per_gather
+                    gathered = work.get("gathered", (*slots[r0:r1].shape, width))
+                    np.take(state, slots[r0:r1], axis=0, out=gathered, mode="clip")
+                    np.matmul(weights[r0:r1], gathered, out=sums[r0:r1])
+                model.potential(own, out=phi)
+                phi += sums[:, 0]
+                # psi = sigma0 + sigma1 own + sigma2 n_x (sum over the band)
+                np.multiply(model.sigma1, own, out=psi)
+                psi += model.sigma0
+                np.multiply(self.spread, sums[:, 1], out=tmp)
+                psi += tmp
+                if self.tamed:   # phi dt / (1 + dt |phi|)
+                    np.abs(phi, out=tmp)
+                    tmp *= dt
+                    tmp += 1.0
+                    phi *= dt
+                    phi /= tmp
+                else:
+                    phi *= dt
+                if self.rows is None:
+                    psi *= noise[k - 1]
+                else:
+                    psi *= np.take(noise[k - 1], self.rows, axis=0, out=tmp, mode="clip")
+                own += phi
+                own += psi
+                state[active] = own
 
     def _reduce(self, start, k0, k1, work) -> None:
         """Blow-up flags, the running max, and the |xi|^p sums and moments of nodes k0 .. k1 - 1."""
@@ -718,7 +766,7 @@ class _Level:
             # NaN fails the comparison too
             self.bounded &= np.all(size <= _BLOWUP_LIMIT, axis=(0, 1))
             if self.paths is not None:
-                self.paths[start : start + width, :, k0:k1] = nodes.transpose(2, 1, 0)
+                self.paths[start : start + width, self.active, k0:k1] = nodes.transpose(2, 1, 0)
             peak = self.peak[:, start : start + width]
             if k0 == 0:
                 peak[...] = size[0]
@@ -729,14 +777,80 @@ class _Level:
             _add_in_path_order(self.power[k0:k1], powed, self.buffer[:, : k1 - k0])
             _merge_moments(self.mean[k0:k1], self.m2[k0:k1], powed, start)
 
+    def places(self, sites):
+        """How the level's states lay out over ``sites``, a sorted superset of
+        its active set: None if they are its active sites, else the positions
+        of its active sites among them, and the positions and zeta of the rest."""
+        if sites.size == self.active.size:
+            return None
+        mine = np.isin(sites, self.active)
+        return np.flatnonzero(mine), np.flatnonzero(~mine), self.zeta[sites[~mine], None]
 
-def _reduce_pair(small, large, m, rows, k0, k1, work) -> None:
-    """Add the path sums of |xi^small - xi^large|^p at nodes k0 .. k1 - 1 to ``small.diffs[m]``."""
-    ours, theirs = small.nodes[: k1 - k0], large.nodes[: k1 - k0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.subtract(ours, theirs, out=work.get("run", ours.shape))
-        _abs_power(diff, small.p, out=diff)
-    _add_in_path_order(small.diffs[m][k0:k1], diff, rows[:, : k1 - k0])
+    def states_over(self, place, n_nodes, out) -> np.ndarray:
+        """The first ``n_nodes`` states of the current run over the sites of ``place``."""
+        if place is None:
+            return self.nodes[:n_nodes]
+        mine, rest, zeta = place
+        out[:, mine] = self.nodes[:n_nodes]
+        out[:, rest] = zeta
+        return out
+
+    def sums(self, diffs) -> EnsembleSums:
+        """The sums over every site, the frozen ones spread over the nodes.
+        The level's own sums are released, so each sum is held once."""
+        n_nodes, n_sites = self.power.shape[0], self.zeta.size
+        power, m2 = np.empty((n_nodes, n_sites)), np.empty((n_nodes, n_sites))
+        for full, ours, settled in ((power, self.power, self.settled[0]),
+                                    (m2, self.m2, self.settled[2])):
+            full[:, self.active] = ours
+            full[:, self.frozen] = settled
+        peak = np.empty((n_sites, self.peak.shape[1]))
+        peak[self.active] = self.peak
+        peak[self.frozen] = self.frozen_size[:, None]
+        self.power = self.mean = self.m2 = self.peak = None
+        return EnsembleSums(self.p, power, m2, peak, diffs)
+
+
+class _Pair:
+    """The path sums of |xi^small - xi^large|^p of two truncations of a coupled set.
+
+    They cover the union of the two active sets.  A site frozen in both
+    holds zeta in both, differs by exactly 0 and is skipped; a site frozen
+    in one of them reads its zeta there.
+    """
+
+    def __init__(self, small, large, n_nodes):
+        self.small, self.large = small, large
+        self.sites = np.union1d(small.active, large.active)
+        self.places = (small.places(self.sites), large.places(self.sites))
+        self.diffs = np.zeros((n_nodes, self.sites.size))
+        self.buffer = None
+
+    def start_block(self, width, chunk) -> None:
+        self.buffer = np.empty((width + 1, chunk, self.sites.size))
+
+    def finish_block(self, start) -> None:
+        self.buffer = None
+
+    def reduce(self, k0, k1, work) -> None:
+        """Add the path sums at nodes k0 .. k1 - 1."""
+        shape = (k1 - k0, self.sites.size, self.small.nodes.shape[2])
+        ours, theirs = (
+            level.states_over(place, k1 - k0, work.get(name, shape))
+            for level, place, name in zip((self.small, self.large), self.places, ("ours", "theirs"))
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = np.subtract(ours, theirs, out=work.get("run", shape))
+            _abs_power(diff, self.small.p, out=diff)
+        _add_in_path_order(self.diffs[k0:k1], diff, self.buffer[:, : k1 - k0])
+
+    def spread(self, n_sites) -> np.ndarray:
+        """The (node, site) sums over every site, 0 where both truncations
+        freeze it.  The pair's own sums are released."""
+        full = np.zeros((self.diffs.shape[0], n_sites))
+        full[:, self.sites] = self.diffs
+        self.diffs = None
+        return full
 
 
 def simulate_coupled(
@@ -763,7 +877,10 @@ def simulate_coupled(
     :class:`EnsembleSums`) at the model's moment order: |xi|^p for every
     truncation, and |xi^n - xi^m|^p for each position pair (n, m) in
     ``pairs``, for which the truncations step in lockstep, meeting after
-    every short run of nodes.  The path tensors are stored only with
+    every short run of nodes.  Only active sites are stepped, stored and
+    reduced node by node; frozen sites are settled once per path block.
+    Each site stream's generator state is kept for the next block, except
+    after the last one.  The path tensors are stored only with
     ``keep_paths``.  With ``threads > 1`` the sites of each draw, and the
     truncations, then the pairs, of each run are handed to a thread pool;
     no output byte depends on it.
@@ -792,13 +909,11 @@ def simulate_coupled(
     union = np.unique(np.concatenate(actives))
     n_nodes = n_steps + 1
     levels = [
-        _Level(model, scheme == "tamed", dt, config, a,
-               None if a.size == union.size else np.searchsorted(union, a),
-               n_paths, n_nodes, keep_paths)
+        _Level(model, scheme == "tamed", dt, config, zeta.values, a, union, n_paths, n_nodes,
+               keep_paths)
         for a in actives
     ]
-    for n, m in pairs:
-        levels[n].diffs[m] = np.zeros((n_nodes, config.n_sites))
+    cauchy = [_Pair(levels[n], levels[m], n_nodes) for n, m in pairs]
     chunk = _chunk_nodes(n_steps, len(levels), len(pairs))
     # pairs compare the truncations node by node, so with pairs they meet
     # after every run of nodes; without, each steps through its block alone
@@ -810,26 +925,24 @@ def simulate_coupled(
         run = map if pool is None else pool.map
         for start in range(0, n_paths, path_block):
             stop = min(start + path_block, n_paths)
+            # the streams continue unless this is their last block
             noise = _noise_block(source, range(start, stop), union, n_steps, dt, noise_refine,
-                                 run, threads)
-            for level in levels:
-                level.start_block(zeta.values, stop - start, chunk)
-            rows = [np.empty_like(levels[n].buffer) for n, _ in pairs]
+                                 run, threads, stop < n_paths)
+            for part in (*levels, *cauchy):
+                part.start_block(stop - start, chunk)
             for k0 in range(0, n_nodes, span):
                 k1 = min(k0 + span, n_nodes)
                 list(run(lambda level: level.advance(noise, start, k0, k1, work), levels))
-                list(run(lambda j: _reduce_pair(levels[pairs[j][0]], levels[pairs[j][1]],
-                                                pairs[j][1], rows[j], k0, k1, work),
-                         range(len(pairs))))
-            for level in levels:
-                level.finish_block(start)
-            del noise, rows   # freed before the next block is drawn
+                list(run(lambda pair: pair.reduce(k0, k1, work), cauchy))
+            for part in (*levels, *cauchy):
+                part.finish_block(start)
+            del noise   # freed before the next block is drawn
 
     times = np.linspace(0.0, T, n_nodes)
     return [
         PathEnsemble(
             config=config,
-            active=level.band[0],
+            active=level.active,
             times=times,
             paths=level.paths,
             seed=int(seed),
@@ -838,9 +951,10 @@ def simulate_coupled(
             noise_refine=int(noise_refine),
             zeta_values=zeta.values.copy(),
             blowup=level.blowup,
-            sums=EnsembleSums(level.p, level.power, level.m2, level.peak, level.diffs),
+            sums=level.sums({m: pair.spread(config.n_sites)
+                             for (n, m), pair in zip(pairs, cauchy) if n == i}),
         )
-        for level in levels
+        for i, level in enumerate(levels)
     ]
 
 

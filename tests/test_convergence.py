@@ -36,6 +36,27 @@ def reference_pair_sup(a, b, p):
     return sde._abs_power(diff, p, out=diff).mean(axis=0).max(axis=1)
 
 
+def reference_sums(paths, p, block):
+    """power, m2 and peak from a stored path tensor (path, site, node), reduced
+    at every site and node: |xi|^p summed in path order, its squared
+    deviations merged over blocks of ``block`` paths, and the max of |xi|
+    before the terminal node, as (node, site), (node, site) and (site, path)."""
+    powed = sde._abs_power(paths, p, np.empty_like(paths))
+    power = powed.sum(axis=0).T
+    values = powed.transpose(2, 1, 0)            # (node, site, path)
+    mean, m2 = np.empty(power.shape), np.empty(power.shape)
+    for start in range(0, paths.shape[0], block):
+        sde._merge_moments(mean, m2, values[..., start : start + block].copy(), start)
+    peak = np.abs(paths[:, :, :-1]).max(axis=2).T
+    return power, m2, peak
+
+
+def reference_diffs(a, b, p):
+    """(node, site) path-order sums of |xi^a - xi^b|^p from two stored path tensors."""
+    diff = a - b
+    return sde._abs_power(diff, p, out=diff).sum(axis=0).T
+
+
 def assert_reductions_match_paths(ensembles, levels, model, one_block):
     """moment_field and cauchy_table against the reference formulas on the stored paths."""
     p = model.p
@@ -405,6 +426,70 @@ class TestSharedDraw:
         assert sorted(fills) == sorted(
             (site, first, width) for site in union for first, width in ((0, 4), (4, 4), (8, 1))
         )
+
+
+class TestFrozenRows:
+    """Run buffers and sums cover the active sites; frozen sites are settled once per block."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, None])
+    @pytest.mark.parametrize("path_block", [3, None])
+    def test_sums_match_every_site_reductions(self, coupled_setup, monkeypatch, path_block,
+                                              chunk, threads):
+        config, model, zeta = coupled_setup
+        n = config.n_sites
+        sets = [
+            np.arange(n // 2),           # overlaps the next one without nesting in it,
+            np.arange(n // 3, n - 1),    # and both freeze site n - 1
+            np.array([n // 2]),          # one active site: one sum column per node
+            np.arange(1, n),             # one frozen site
+            np.arange(n),
+        ]
+        pairs = [(0, 1), (2, 0), (2, 1), (3, 4), (0, 4)]
+        if path_block is not None:
+            monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
+        if chunk is not None:
+            monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
+        n_paths = 10   # above 8, where numpy starts summing pairwise
+        ensembles = sde.simulate_coupled(model, config, sets, zeta, 0.1, 0.01, n_paths, 25,
+                                         threads=threads, pairs=pairs, keep_paths=True)
+        for active, ens in zip(sets, ensembles):
+            assert np.array_equal(ens.active, active)
+            power, m2, peak = reference_sums(ens.paths, model.p, path_block or n_paths)
+            assert ens.sums.power.tobytes() == power.tobytes()
+            assert ens.sums.m2.tobytes() == m2.tobytes()
+            assert ens.sums.peak.tobytes() == peak.tobytes()
+            frozen = np.setdiff1d(np.arange(n), active)
+            assert np.all(ens.paths[:, frozen] == zeta.values[frozen, None])
+            assert not ens.has_blowup
+        for small, large in pairs:
+            want = reference_diffs(ensembles[small].paths, ensembles[large].paths, model.p)
+            assert ensembles[small].sums.diffs[large].tobytes() == want.tobytes()
+        # site n - 1 is frozen in both truncations of the first pair
+        assert np.all(ensembles[0].sums.diffs[1][:, n - 1] == 0.0)
+        assert np.any(ensembles[0].sums.diffs[1] > 0.0)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_frozen_site_beyond_the_limit_flags_every_path(self, decoupled_setup, monkeypatch,
+                                                           threads):
+        # sites do not interact, so only the huge site itself can flag a path:
+        # frozen in the first truncation, stepped in the second
+        config, model, _ = decoupled_setup
+        n = config.n_sites
+        sets = [np.arange(n - 1), np.arange(n)]
+        monkeypatch.setattr(sde, "_PATH_BLOCK", 3)
+        for last, flagged in ((1e80, True), (1e75, False)):
+            values = np.ones(n)
+            values[-1] = last
+            zeta = lat.WeightedSeq(config, values)
+            ensembles = sde.simulate_coupled(model, config, sets, zeta, 0.05, 0.01, 7, 26,
+                                             threads=threads, pairs=[(0, 1)], keep_paths=True)
+            assert [bool(e.blowup.all()) for e in ensembles] == [flagged, flagged]
+            assert [bool(e.blowup.any()) for e in ensembles] == [flagged, flagged]
+            sums = ensembles[0].sums
+            for got, want in zip((sums.power, sums.m2, sums.peak),
+                                 reference_sums(ensembles[0].paths, model.p, 3)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestUniqueness:

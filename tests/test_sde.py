@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -279,6 +280,28 @@ class TestSimulation:
             lone = lat.simulate_truncated(model, poisson_1d, active, zeta, 0.1, 0.01, 5, 31)
             assert np.array_equal(ens.paths, lone.paths)
 
+    def test_repeated_pair_is_summed_once(self, poisson_1d):
+        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3, p=4.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        sets = lat.exhaustion_sequence(poisson_1d, 3)[:2]
+        once, twice = (
+            simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 5, 31, pairs=pairs)[0]
+            for pairs in ([(0, 1)], [(0, 1), (0, 1)])
+        )
+        assert np.any(once.sums.diffs[1] > 0.0)
+        assert twice.sums.diffs[1].tobytes() == once.sums.diffs[1].tobytes()
+
+    def test_band_naming_a_missing_site_is_refused(self, pair_config):
+        # the step gathers with mode="clip", so the band is checked once, up front,
+        # instead of a bad index being clamped to the last site
+        indices = pair_config.indices.copy()
+        indices[indices == 1] = pair_config.n_sites
+        broken = dataclasses.replace(pair_config, indices=indices)
+        model = lat.make_model("linear", 1.0, kernel_cap=0.1, rho=1.0, sigma0=0.3, p=2.0)
+        zeta = lat.WeightedSeq(broken, np.ones(broken.n_sites))
+        with pytest.raises(ValueError, match="outside"):
+            lat.simulate_truncated(model, broken, [0, 1], zeta, 0.1, 0.01, 3, 0)
+
     @pytest.mark.parametrize("cap", [1, 500])
     def test_band_gathered_in_slices_steps_alike(self, monkeypatch, cap):
         # the step gathers and contracts the band a slice of rows at a time;
@@ -334,6 +357,26 @@ class TestSimulation:
             tracemalloc.stop()
         need = simulation_bytes(poisson_1d.n_sites, int(poisson_1d.degrees.max()), 3, n_paths,
                                 steps, n_pairs=len(cauchy_pairs(3)), keep_paths=keep_paths)
+        assert peak < need
+
+    @pytest.mark.parametrize("n_paths", [1, 2])
+    def test_simulation_bytes_bounds_traced_peak_of_few_paths(self, poisson_1d, n_paths):
+        # six levels and all nine Cauchy pairs over 200 steps: the (node, site)
+        # sums, not the path block, are most of what is held
+        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3,
+                               sigma2=0.05, p=4.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        levels = lat.exhaustion_sequence(poisson_1d, 6)
+        steps = 200
+        simulate_levels(model, poisson_1d, levels, zeta, 0.05, 0.01, 1, 3)   # imports done
+        tracemalloc.start()
+        try:
+            simulate_levels(model, poisson_1d, levels, zeta, steps * 0.01, 0.01, n_paths, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        need = simulation_bytes(poisson_1d.n_sites, int(poisson_1d.degrees.max()), 6, n_paths,
+                                steps, n_pairs=len(cauchy_pairs(6)))
         assert peak < need
 
     def test_dt_must_divide_horizon(self, single_site_config):
@@ -438,6 +481,39 @@ class TestNoiseLayout:
         assert len(drawn) == -(-10 // path_block)
         whole = noise_block(31, range(10), sets[-1], 10, 0.01, 2)
         assert np.concatenate(drawn, axis=2).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_states_carried_between_blocks_only(self, poisson_1d, monkeypatch, threads):
+        # three path blocks: every site's generator state is kept after the
+        # first two, not after the last, and the run is the one-block run
+        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3, p=4.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        sets = lat.exhaustion_sequence(poisson_1d, 4)[:3]
+        whole = simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31,
+                                 threads=threads, keep_paths=True)
+        drawn, carried = [], []
+        noise_block, carry = sde._noise_block, _NoiseSource.carry
+
+        def recorded(*args):
+            drawn.append(noise_block(*args))
+            return drawn[-1]
+
+        def counted(source, gen, site, next_path):
+            carried.append((site, next_path))
+            carry(source, gen, site, next_path)
+
+        monkeypatch.setattr(sde, "_noise_block", recorded)
+        monkeypatch.setattr(_NoiseSource, "carry", counted)
+        monkeypatch.setattr(sde, "_PATH_BLOCK", 4)
+        split = simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31,
+                                 threads=threads, keep_paths=True)
+        assert [block.shape[2] for block in drawn] == [4, 4, 2]
+        assert sorted(carried) == sorted((site, n) for site in sets[-1] for n in (4, 8))
+        one_block = noise_block(31, range(10), sets[-1], 10, 0.01)
+        assert np.concatenate(drawn, axis=2).tobytes() == one_block.tobytes()
+        for a, b in zip(whole, split):
+            assert a.paths.tobytes() == b.paths.tobytes()
+            assert a.sums.power.tobytes() == b.sums.power.tobytes()
 
     @pytest.mark.parametrize("workers", [2, 3, 40])
     def test_block_independent_of_threads(self, workers):
