@@ -31,12 +31,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ._table import read_table, write_table
 from .geometry import Configuration, estimate_growth_constant
-from .spaces import WeightedSeq, weighted_sum, weighted_sums
+from .spaces import WeightedSeq, bounded_sums
 
 __all__ = [
     "BandedOperator",
@@ -55,8 +56,6 @@ __all__ = [
     "norm_bound_series_log10",
     "comparison_check",
     "ComparisonReport",
-    "save_operator",
-    "load_operator",
     "save_grid_function",
     "load_grid_function",
 ]
@@ -65,6 +64,7 @@ _ENTRY_TOL = 1e-9  # relative play when validating |Q_xy| <= C n_x^q
 _WINDOW_NATS = 40.0  # window half-depth of the exact log-sum, in nats below the peak
 _LOG_MAX = 709.782712893384  # log(sys.float_info.max), the largest log of a finite float
 _TRIAL_TERMS = 1 << 18  # operator terms per batched matvec of the random trials, 2 MB
+_CONTRACT_TERMS = 1 << 16  # doubles per buffer of a many-sequence matvec, 512 kB
 _DIVERGED = "parameters lie outside the convergent series regime"
 
 
@@ -129,15 +129,48 @@ class BandedOperator:
 
     def matvec(self, values: np.ndarray) -> np.ndarray:
         """Q applied along the last axis of ``values``; each sequence adds its
-        entries in entry order, as it would alone."""
+        entries in entry order from 0.0, as it would alone.
+
+        Many sequences are contracted column by column, a few at a time in
+        site-major buffers of _CONTRACT_TERMS doubles: entry j of every row
+        that has more than j entries is multiplied and added in place, over a
+        prefix of the rows sorted by entry count.
+        """
         if values.ndim == 1:
             return _sum_by(self.rows, self.vals * values[self.cols], self.n_sites)
+        order, columns = self._columns
         n = self.n_sites
-        flat = values.reshape(-1, n)
-        bins = self.rows + n * np.arange(flat.shape[0])[:, None]
-        return _sum_by(bins.ravel(), (self.vals * flat[:, self.cols]).ravel(), flat.size).reshape(
-            values.shape
-        )
+        flat = values.reshape(math.prod(values.shape[:-1]), n)
+        out = np.empty(flat.shape)
+        width = max(1, min(len(flat), _CONTRACT_TERMS // max(1, n)))
+        x, sums, terms = np.empty((3, n, width))
+        for t in range(0, len(flat), width):
+            block = flat[t : t + width]
+            if len(block) < width:
+                x, sums, terms = np.empty((3, n, len(block)))
+            x[...] = block.T
+            sums.fill(0.0)
+            for cols, vals in columns:
+                # the indices were checked against the sites when Q was built
+                head, products = sums[: cols.size], terms[: cols.size]
+                np.take(x, cols, axis=0, out=products, mode="clip")
+                head += np.multiply(vals, products, out=products)
+            out[t : t + len(block), order] = sums.T
+        return out.reshape(values.shape)
+
+    @cached_property
+    def _columns(self):
+        """Rows by falling entry count, and per entry column j the columns and
+        values (as a column vector) of entry j of the rows with more than j."""
+        counts = np.bincount(self.rows, minlength=self.n_sites)
+        order = np.argsort(-counts, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(counts)))[order]
+        ranked = counts[order]
+        columns = []
+        for j in range(int(ranked[0]) if ranked.size else 0):
+            entry = starts[: np.count_nonzero(ranked > j)] + j
+            columns.append((self.cols[entry], self.vals[entry, None]))
+        return order, columns
 
     def column_abs_sums(self) -> np.ndarray:
         return _sum_by(self.cols, np.abs(self.vals), self.n_sites)
@@ -215,19 +248,39 @@ def verify_ovs_bound(Q: BandedOperator, alpha, beta, trials, seed, a_low=None) -
     L = ovs_constant(Q.band_constant, Q.band_exponent, n_hat, Q.config.rho, a_low)
     bound = L / math.sqrt(beta - alpha)
     # all trials are drawn as one array (a Generator's draws do not depend on
-    # how they are split), and the operator is applied to as many at a time
-    # as keep its terms within _TRIAL_TERMS
+    # how they are split)
     values = np.random.default_rng(seed).standard_normal((trials, Q.config.n_sites))
-    denoms = weighted_sums(Q.config.radii, alpha, np.abs(values))
-    numers = []
-    per_matvec = max(1, _TRIAL_TERMS // max(1, Q.rows.size))
-    for t in range(0, trials, per_matvec):
-        numers += weighted_sums(Q.config.radii, beta, np.abs(Q.matvec(values[t : t + per_matvec])))
-    max_ratio = 0.0
-    for numer, denom in zip(numers, denoms):
-        if denom != 0.0:
-            max_ratio = max(max_ratio, numer / denom)
+    max_ratio = _max_ratio(Q, values, alpha, beta)
     return OvsBoundReport(max_ratio, bound, max_ratio <= bound, L, alpha, beta, trials)
+
+
+def _max_ratio(Q: BandedOperator, values: np.ndarray, alpha, beta) -> float:
+    """Max of ||Q v||_beta / ||v||_alpha over the rows v of ``values`` with
+    ||v||_alpha != 0, 0.0 if none; each norm a ``math.fsum``.
+
+    The operator is applied to as many rows at a time as keep its terms
+    within _TRIAL_TERMS.  The sums are bounded (:func:`bounded_sums`), and
+    only a row whose ratio can reach the largest lower bound of a ratio is
+    summed exactly.
+    """
+    w_alpha, w_beta = np.exp(-alpha * Q.config.radii), np.exp(-beta * Q.config.radii)
+    trials = len(values)
+    denoms, numers = np.empty((2, trials)), np.empty((2, trials))   # rows lo, hi
+    per_matvec = max(1, _TRIAL_TERMS // max(1, Q.rows.size))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for t in range(0, trials, per_matvec):
+            block = values[t : t + per_matvec]
+            denoms[:, t : t + len(block)] = bounded_sums(w_alpha, np.abs(block))[1:]
+            numers[:, t : t + len(block)] = bounded_sums(w_beta, np.abs(Q.matvec(block)))[1:]
+        ratio_low, ratio_high = numers[0] / denoms[1], numers[1] / denoms[0]
+    counted = denoms[1] != 0.0
+    floor = np.fmax.reduce(ratio_low[counted], initial=0.0)   # NaN ratios never count
+    max_ratio = 0.0
+    for i in np.flatnonzero(counted & ~(ratio_high < floor) & ~(ratio_high <= 0.0)):
+        denom = math.fsum((w_alpha * np.abs(values[i])).tolist())
+        numer = math.fsum((w_beta * np.abs(Q.matvec(values[i]))).tolist())
+        max_ratio = max(max_ratio, numer / denom)
+    return max_ratio
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,11 +318,12 @@ def _picard_sums(Q: BandedOperator, z0: WeightedSeq, times: np.ndarray):
     power = z0.values.copy()
     coeff = np.ones(times.size)
     total = np.outer(coeff, power)
+    term = np.empty_like(total)
     for k in itertools.count(1):
         yield coeff, power, total
         power = Q.matvec(power)
         coeff = coeff * times / k
-        total += np.outer(coeff, power)
+        total += np.multiply(coeff[:, None], power, out=term)   # np.outer's products
 
 
 def picard_iterate(Q: BandedOperator, z0: WeightedSeq, T, n, n_nodes=33) -> GridFunction:
@@ -302,17 +356,23 @@ def solve_linear_evolution(Q: BandedOperator, z0: WeightedSeq, T, tol, beta=0.0,
     times = _grid(T, n_nodes)
     opnorm = float(np.max(Q.column_abs_sums())) if Q.n_sites else 0.0
     max_iter = int(10 * (math.e * opnorm * T + 10))
+    weights = np.exp(-beta * Q.config.radii)
     below = 0
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the increment
         sums = itertools.islice(_picard_sums(Q, z0, times), 1, max_iter + 1)
         for k, (coeff, power, total) in enumerate(sums, 1):
+            # the increment is t^k/k! times the fsum of the terms; its bounds
+            # settle it unless they straddle tol or leave the float range
             try:
-                increment = coeff[-1] * weighted_sum(Q.config.radii, beta, np.abs(power))
+                terms, lo, hi = bounded_sums(weights, np.abs(power)[None])
+                low, high = coeff[-1] * lo[0], coeff[-1] * hi[0]
+                if not (math.isfinite(high) and (high < tol or low >= tol)):
+                    high = coeff[-1] * math.fsum(terms[0].tolist())
             except OverflowError:
-                increment = math.inf
-            if not math.isfinite(increment):
+                high = math.inf
+            if not math.isfinite(high):
                 raise RuntimeError(f"Picard iterate {k} left the float range; {_DIVERGED}")
-            below = below + 1 if increment < tol else 0
+            below = below + 1 if high < tol else 0
             if below >= 2:
                 return GridFunction(Q.config, times, total)
     raise RuntimeError(f"no convergence within {max_iter} iterations; {_DIVERGED}")
@@ -450,7 +510,7 @@ def comparison_check(Q: BandedOperator, z0: WeightedSeq, g: GridFunction, slack=
         raise ValueError("grid must be uniform")
     dt = steps[0]
 
-    flow = np.stack([Q.matvec(g.values[j]) for j in range(g.times.size)])
+    flow = Q.matvec(g.values)
     cumulative = np.zeros_like(g.values)
     cumulative[1:] = np.cumsum(0.5 * dt * (flow[1:] + flow[:-1]), axis=0)
     rhs = z0.values[None, :] + cumulative
@@ -476,17 +536,6 @@ def comparison_check(Q: BandedOperator, z0: WeightedSeq, g: GridFunction, slack=
         ok=margin >= -slack,
         margin=margin,
     )
-
-
-def save_operator(Q: BandedOperator, path) -> None:
-    """CSV triplet table 'x_index,y_index,value', one row per entry."""
-    keys = [f"{r},{c}," for r, c in zip(Q.rows.tolist(), Q.cols.tolist())]
-    write_table(path, "x_index,y_index,value", [("", keys, Q.vals)])
-
-
-def load_operator(config, path, band_constant, band_exponent) -> BandedOperator:
-    _, keys, vals = read_table(path, "x_index,y_index,value", "ii", 1)
-    return BandedOperator(config, keys[:, 0], keys[:, 1], vals[:, 0], band_constant, band_exponent)
 
 
 def _grid_sites(config) -> int:

@@ -701,8 +701,9 @@ class _Level:
         if self.frozen.size:
             power, mean, m2 = self.settled
             powed = np.repeat(self.frozen_power[:, None], width, axis=1)   # (site, path)
-            _add_in_path_order(power, powed, np.empty((width + 1, self.frozen.size)))
-            _merge_moments(mean, m2, powed, start)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _add_in_path_order(power, powed, np.empty((width + 1, self.frozen.size)))
+                _merge_moments(mean, m2, powed, start)
         self.bounded &= self.frozen_bounded
         self.blowup[start : start + width] = ~self.bounded
         self.state = self.bounded = self.nodes = self.buffer = None
@@ -842,7 +843,7 @@ class _Pair:
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.subtract(ours, theirs, out=work.get("run", shape))
             _abs_power(diff, self.small.p, out=diff)
-        _add_in_path_order(self.diffs[k0:k1], diff, self.buffer[:, : k1 - k0])
+            _add_in_path_order(self.diffs[k0:k1], diff, self.buffer[:, : k1 - k0])
 
     def spread(self, n_sites) -> np.ndarray:
         """The (node, site) sums over every site, 0 where both truncations

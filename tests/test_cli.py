@@ -184,6 +184,13 @@ class TestExitCodes:
         if "rho" in overrides:
             assert report["L"] == "inf"
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_huge_frozen_zeta_fails_quietly(self, tmp_path, capsys, command):
+        # |zeta|^4 = 1e304: the path sums overflow, the run fails, and stderr stays empty
+        path = write_config(tmp_path, text=DEMO.read_text(), zeta="1e76")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == ""
+
     def test_zero_cauchy_distances_pass(self, tmp_path):
         # at report weight 1e12 every weighted distance underflows to 0.0
         path = write_config(tmp_path, text=DEMO.read_text(), a_high="1e12", alphas="1e12")

@@ -12,11 +12,9 @@ from latticesde import ovsjannikov
 from latticesde.ovsjannikov import (
     BandedOperator,
     load_grid_function,
-    load_operator,
     norm_bound_series_alt,
     norm_bound_series_log10,
     save_grid_function,
-    save_operator,
 )
 from latticesde.spaces import weighted_sum
 
@@ -180,14 +178,45 @@ class TestVerifyOvsBound:
         assert lat.verify_ovs_bound(Q, 0.5, 1.5, 30, 6).max_ratio == max_ratio
 
     def test_batched_matvec_matches_each_row(self):
-        cfg = lat.sample_configuration(2.0, 5.0, 2, 1.0, 9)
+        # the column contraction of many rows against the entry-order bincount of one
+        for case in ["random", "identity", "zero", "duplicates", "uneven", "nonfinite", "empty"]:
+            Q, rows = matvec_case(case)
+            with np.errstate(invalid="ignore"):
+                batched = Q.matvec(rows)
+                assert batched.shape == rows.shape
+                for i, j in np.ndindex(rows.shape[:-1]):
+                    assert batched[i, j].tobytes() == Q.matvec(rows[i, j]).tobytes(), case
+                assert Q.matvec(rows[0]).tobytes() == batched[0].tobytes(), case
+
+
+def matvec_case(case):
+    """An operator and (2, 3, site) rows: random entries on the whole band;
+    the identity on a band of many neighbors; no entries; every entry twice,
+    added in entry order; a random third of the band, some rows empty;
+    inf, -inf and NaN rows; or an empty configuration."""
+    cfg = lat.sample_configuration(2.0, 5.0, 2, 1.0 if case == "random" else 2.0, 9)
+    rng = np.random.default_rng(7)
+    Q = lat.random_banded_operator(cfg, 0.5, 1.0, 4)
+    if case == "identity":
+        Q = lat.identity_operator(cfg)
+    elif case == "zero":
+        Q = lat.zero_operator(cfg)
+    elif case == "duplicates":
+        Q = BandedOperator(cfg, np.tile(Q.rows, 2), np.tile(Q.cols, 2),
+                           np.concatenate([Q.vals, -0.5 * Q.vals]), 0.5, 1.0)
+    elif case == "uneven":
+        keep = rng.random(Q.rows.size) < 0.3
+        Q = BandedOperator(cfg, Q.rows[keep], Q.cols[keep], Q.vals[keep], 0.5, 1.0)
+    elif case == "empty":
+        cfg = lat.sample_configuration(0.0, 5.0, 2, 1.0, 9)
         Q = lat.random_banded_operator(cfg, 0.5, 1.0, 4)
-        rows = np.random.default_rng(7).standard_normal((2, 3, cfg.n_sites))
-        batched = Q.matvec(rows)
-        assert batched.shape == rows.shape
-        for i in range(2):
-            for j in range(3):
-                assert batched[i, j].tobytes() == Q.matvec(rows[i, j]).tobytes()
+    rows = rng.standard_normal((2, 3, cfg.n_sites))
+    if case == "nonfinite":
+        rows[0, 1, :3] = [np.inf, -np.inf, np.nan]
+        rows[1, 2, ::5] = np.inf
+    uneven = len(set(np.bincount(Q.rows, minlength=cfg.n_sites).tolist())) > 1
+    assert uneven == (case in ("random", "duplicates", "uneven", "nonfinite"))
+    return Q, rows
 
 
 class TestPicard:
@@ -628,15 +657,6 @@ class TestIterateEstimate:
             assert measured <= bound * (1.0 + 1e-9)
 
 
-def saved_operator(config, path):
-    Q = lat.random_banded_operator(config, 0.5, 1.0, 5)
-    vals = Q.vals.copy()
-    vals[:2] = [-0.0, 5e-324]
-    Q = BandedOperator(config, Q.rows, Q.cols, vals, 0.5, 1.0)
-    save_operator(Q, path)
-    return Q
-
-
 def saved_grid_function(config, path):
     Q = lat.random_banded_operator(config, 0.3, 1.0, 6)
     z0 = lat.WeightedSeq(config, np.ones(config.n_sites))
@@ -647,19 +667,6 @@ def saved_grid_function(config, path):
 
 
 class TestSerialization:
-    def test_operator_roundtrip(self, tmp_path, poisson_1d):
-        path = tmp_path / "op.csv"
-        Q = saved_operator(poisson_1d, path)
-        with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
-            fh.write("x_index,y_index,value\n")
-            for r, c, v in zip(Q.rows, Q.cols, Q.vals):
-                fh.write(f"{int(r)},{int(c)},{float(v)!r}\n")
-        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        back = load_operator(poisson_1d, path, 0.5, 1.0)
-        assert np.array_equal(back.rows, Q.rows)
-        assert np.array_equal(back.cols, Q.cols)
-        assert back.vals.tobytes() == Q.vals.tobytes()
-
     def test_grid_function_roundtrip(self, tmp_path, poisson_1d):
         path = tmp_path / "grid.csv"
         f = saved_grid_function(poisson_1d, path)
@@ -669,21 +676,14 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "table, kind",
-        [("operator", k) for k in ["header", "cut", "repeated", "out_of_range"]]
-        + [("grid", k) for k in ["header", "cut", "first_rows", "no_rows", "repeated", "out_of_range"]],
+        [("grid", k) for k in ["header", "cut", "first_rows", "no_rows", "repeated", "out_of_range"]],
     )
     def test_malformed_table_rejected(self, tmp_path, poisson_1d, table, kind):
         path = tmp_path / f"{table}.csv"
-        if table == "operator":
-            saved_operator(poisson_1d, path)
-            corrupt_table(path, kind, poisson_1d.n_sites)
-            with pytest.raises(ValueError):
-                load_operator(poisson_1d, path, 0.5, 1.0)
-        else:
-            saved_grid_function(poisson_1d, path)
-            corrupt_table(path, kind, poisson_1d.n_sites, index_field=1)
-            with pytest.raises(ValueError):
-                load_grid_function(poisson_1d, path)
+        saved_grid_function(poisson_1d, path)
+        corrupt_table(path, kind, poisson_1d.n_sites, index_field=1)
+        with pytest.raises(ValueError):
+            load_grid_function(poisson_1d, path)
 
     def test_empty_configuration_grid_rejected(self, tmp_path):
         # a grid table keeps its time nodes only in site rows

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -561,6 +562,19 @@ class TestNoiseLayout:
         assert np.array_equal(ens[0].paths, ens[1].paths)
         assert np.all(ens[0].sums.diffs[1] == 0.0)
         assert np.any(ens[0].sums.diffs[2] > 0.0)
+
+    @pytest.mark.parametrize("zeta", [1e76, 1e77])
+    def test_huge_frozen_values_sum_without_warnings(self, poisson_1d, zeta):
+        # |zeta|^4 = 1e304 or 1e308: the squared deviations and path sums of
+        # frozen sites, and the pair sums, overflow quietly, as the stepped sites' do
+        model = lat.make_model("cubic", 0.0, kernel_cap=0.05, rho=1.0, sigma0=0.1,
+                               sigma2=0.02, p=4.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.full(poisson_1d.n_sites, zeta))
+        sets = lat.exhaustion_sequence(poisson_1d, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 40, 31,
+                             pairs=[(0, 1), (0, 2), (1, 2)])
 
 
 class TestOuOracle:

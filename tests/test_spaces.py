@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticesde as lat
-from latticesde.spaces import save_weighted_seq, load_weighted_seq
-from conftest import corrupt_table, lattice_1d
+from conftest import lattice_1d
 
 
 @pytest.fixture(scope="module")
@@ -185,29 +184,3 @@ class TestTypes:
         bad[0] = math.inf
         with pytest.raises(ValueError):
             lat.WeightedSeq(poisson_1d, bad)
-
-    def test_csv_roundtrip(self, tmp_path, poisson_1d):
-        rng = np.random.default_rng(4)
-        values = rng.standard_normal(poisson_1d.n_sites)
-        values[:2] = [-0.0, 5e-324]
-        z = lat.WeightedSeq(poisson_1d, values)
-        path = tmp_path / "seq.csv"
-        save_weighted_seq(z, path)
-        with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
-            fh.write("site_index,value\n")
-            for i in range(poisson_1d.n_sites):
-                fh.write(f"{i},{float(values[i])!r}\n")
-        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        back = load_weighted_seq(poisson_1d, path)
-        assert back.values.tobytes() == z.values.tobytes()
-
-    @pytest.mark.parametrize(
-        "kind", ["header", "cut", "first_rows", "no_rows", "repeated", "out_of_range"]
-    )
-    def test_malformed_csv_rejected(self, tmp_path, poisson_1d, kind):
-        z = lat.WeightedSeq(poisson_1d, np.arange(poisson_1d.n_sites, dtype=float))
-        path = tmp_path / "seq.csv"
-        save_weighted_seq(z, path)
-        corrupt_table(path, kind, poisson_1d.n_sites)
-        with pytest.raises(ValueError):
-            load_weighted_seq(poisson_1d, path)
