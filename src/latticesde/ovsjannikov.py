@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -96,10 +97,12 @@ class BandedOperator:
         vals = np.asarray(self.vals, dtype=float)
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("triplet arrays must share one shape")
-        if self.band_constant < 0:
+        if not self.band_constant >= 0:
             raise ValueError("band_constant must be >= 0")
-        if self.band_exponent < 1:
+        if not self.band_exponent >= 1:
             raise ValueError("band_exponent must be >= 1")
+        if not np.all(np.isfinite(vals)):   # NaN would pass the growth check
+            raise ValueError("entries must be finite")
         n = self.config.n_sites
         if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
             raise ValueError("entry indices must be site indices")
@@ -355,7 +358,8 @@ def solve_linear_evolution(Q: BandedOperator, z0: WeightedSeq, T, tol, beta=0.0,
         raise ValueError("tol must be > 0")
     times = _grid(T, n_nodes)
     opnorm = float(np.max(Q.column_abs_sums())) if Q.n_sites else 0.0
-    max_iter = int(10 * (math.e * opnorm * T + 10))
+    # a huge operator diverges long before any cap; islice takes one up to sys.maxsize
+    max_iter = int(min(10 * (math.e * opnorm * T + 10), sys.maxsize - 1))
     weights = np.exp(-beta * Q.config.radii)
     below = 0
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the increment

@@ -523,11 +523,14 @@ def _block_paths(n_sites, n_steps, noise_refine) -> int:
 def _chunk_nodes(n_steps, n_sets, n_pairs) -> int:
     """Nodes per run of steps that the truncations step before they meet.
 
-    A run's states, reduction buffers and temporaries take at most about
-    2 n_sets + n_pairs + 3 (site, path) arrays per node, fewer where the
-    sets leave sites frozen.  A run of at most
-    n_steps / twice that many nodes holds at most half as many doubles as
-    a noise block over every site, so the runs fit in a second copy of it.
+    A run takes n_sets + 4 (site, path) arrays per node and thread, fewer
+    where the sets leave sites frozen: each truncation's states, and per
+    thread the path-order rows of the reductions and three temporaries.
+    The runs are as long as if each truncation and each pair held rows of
+    its own, 2 n_sets + n_pairs + 3 arrays per node: a run of at most
+    n_steps / twice that many nodes then holds at most half as many doubles
+    as a noise block over every site.  Longer runs would spend the memory
+    that sharing the rows saves.
     """
     return max(1, n_steps // (2 * (2 * n_sets + n_pairs + 3)))
 
@@ -538,49 +541,57 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
 
     Per truncation (``n_sets`` of them): the state of one path block with
     its step temporaries and band gather (``max_degree`` neighbors per
-    site), the running max per (site, path) and three (node, site) sums;
-    each of the ``threads`` beyond ``n_sets`` adds its own step temporaries
-    and gather.  Per Cauchy pair (``n_pairs``): one (node, site) sum.  One
-    step-major noise block over every site, with the runs of states reduced
-    while stepping counted as a second copy of it.  Per drawing worker (at
-    most ``threads``): one site's path-major fine draws for the block and,
-    with ``noise_refine > 1``, their sums over each step.  The path tensors
-    count only when they are kept.  Run buffers and sums are counted over
-    every site, though they cover only a truncation's active sites (a
-    pair's, the union of two), so the estimate stays an upper bound.
+    site), the states of a run of nodes, the running max per (site, path)
+    and three (node, site) sums; each of the ``threads`` beyond ``n_sets``
+    adds its own step temporaries and gather.  Per thread: one buffer of
+    path-order rows for a run (one more row than the block has paths) and
+    three temporaries of a run's size.  Per Cauchy pair (``n_pairs``): one
+    (node, site) sum.  One step-major noise block over every site.  Per
+    drawing worker (at most ``threads``): one site's path-major fine draws
+    for the block and, with ``noise_refine > 1``, their sums over each
+    step.  The path tensors count only when they are kept.  Run buffers
+    and sums are counted over every site, though they cover only a
+    truncation's active sites (a pair's, the union of two), so the
+    estimate stays an upper bound.
     """
     block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
     n_nodes = n_steps + 1
+    chunk = min(n_nodes, _chunk_nodes(n_steps, n_sets, n_pairs))
     level = (
-        n_sites * (block * (13 + max_degree) + 3 * max_degree + n_paths + 3 * n_nodes)
+        n_sites * (block * (13 + max_degree + chunk) + 3 * max_degree + n_paths + 3 * n_nodes)
         + n_paths
     )
     spare = max(0, threads - n_sets) * n_sites * block * (12 + max_degree)
+    runs = threads * chunk * n_sites * (4 * block + 1)
     workers = min(threads, max(n_sites, 1))
     buffers = workers * block * n_steps * (noise_refine + (noise_refine > 1))
-    noise = 2 * block * n_sites * n_steps + buffers
+    noise = block * n_sites * n_steps + buffers
     tensors = n_sets * n_paths * n_sites * n_nodes if keep_paths else 0
-    return 8 * (n_sets * level + spare + n_pairs * n_sites * n_nodes + noise + tensors)
+    return 8 * (n_sets * level + spare + runs + n_pairs * n_sites * n_nodes + noise + tensors)
 
 
 def _abs_power(x, p, out) -> np.ndarray:
-    """|x|^p into ``out``, which may be ``x``.
+    """|x|^p into ``out``, which may be ``x``."""
+    return _power(np.abs(x, out=out), p)
+
+
+def _power(size, p) -> np.ndarray:
+    """size^p in place, for a nonnegative ``size``.
 
     An integer p up to 8 is a chain of squares, left to right over the bits
-    of p, with one product by |x| per further set bit: at p = 4 two
+    of p, with one product by ``size`` per further set bit: at p = 4 two
     squarings take half the time of one ``np.power`` and land within 1e-15
     relative of it.  Any other p uses ``np.power``.
     """
-    np.abs(x, out=out)
     if p != int(p) or not 1 <= p <= 8:
-        return np.power(out, p, out=out)
+        return np.power(size, p, out=size)
     bits = bin(int(p))[3:]
-    base = out.copy() if "1" in bits else None
+    base = size.copy() if "1" in bits else None
     for bit in bits:
-        np.multiply(out, out, out=out)
+        np.multiply(size, size, out=size)
         if bit == "1":
-            np.multiply(out, base, out=out)
-    return out
+            np.multiply(size, base, out=size)
+    return size
 
 
 def _add_in_path_order(total, values, rows) -> None:
@@ -647,7 +658,8 @@ class _Workspace(threading.local):
 class _Level:
     """One truncation of a coupled set: its band, the state of the current
     path block, the states of its current run of nodes, and the sums
-    reduced from them.
+    reduced from them.  The path-order rows of its reductions and its step
+    temporaries come from the workspace of the thread that runs it.
 
     The run buffer and the sums cover only the active sites: ``nodes`` is
     (node, active site, path), and ``power``, ``m2`` and ``peak`` are
@@ -687,26 +699,22 @@ class _Level:
         if keep_paths:
             self.paths = np.empty((n_paths, n_sites, n_nodes))
             self.paths[:, self.frozen] = zeta_values[self.frozen, None]
-        self.state = self.bounded = self.nodes = self.buffer = None
+        self.state = self.nodes = None
 
     def start_block(self, width, chunk) -> None:
         self.state = np.repeat(self.zeta[:, None], width, axis=1)   # (site, path)
-        self.bounded = np.ones(width, dtype=bool)
         self.nodes = np.empty((chunk, self.active.size, width))     # (node, active site, path)
-        self.buffer = np.empty((width + 1, chunk, self.active.size))
 
-    def finish_block(self, start) -> None:
-        """Settle the block's sums of the frozen sites and record its blow-ups."""
-        width = self.bounded.size
+    def finish_block(self, start, work) -> None:
+        """Settle the block's sums of the frozen sites."""
+        width = self.state.shape[1]
         if self.frozen.size:
             power, mean, m2 = self.settled
             powed = np.repeat(self.frozen_power[:, None], width, axis=1)   # (site, path)
             with np.errstate(over="ignore", invalid="ignore"):
-                _add_in_path_order(power, powed, np.empty((width + 1, self.frozen.size)))
+                _add_in_path_order(power, powed, work.get("rows", (width + 1, self.frozen.size)))
                 _merge_moments(mean, m2, powed, start)
-        self.bounded &= self.frozen_bounded
-        self.blowup[start : start + width] = ~self.bounded
-        self.state = self.bounded = self.nodes = self.buffer = None
+        self.state = self.nodes = None
 
     def advance(self, noise, start, k0, k1, work) -> None:
         """Step through nodes k0 .. k1 - 1 of the path block (node 0 is the
@@ -742,14 +750,11 @@ class _Level:
                 psi += model.sigma0
                 np.multiply(self.spread, sums[:, 1], out=tmp)
                 psi += tmp
-                if self.tamed:   # phi dt / (1 + dt |phi|)
+                phi *= dt
+                if self.tamed:   # phi dt / (1 + |phi dt|), bitwise phi dt / (1 + dt |phi|)
                     np.abs(phi, out=tmp)
-                    tmp *= dt
                     tmp += 1.0
-                    phi *= dt
                     phi /= tmp
-                else:
-                    phi *= dt
                 if self.rows is None:
                     psi *= noise[k - 1]
                 else:
@@ -759,23 +764,28 @@ class _Level:
                 state[active] = own
 
     def _reduce(self, start, k0, k1, work) -> None:
-        """Blow-up flags, the running max, and the |xi|^p sums and moments of nodes k0 .. k1 - 1."""
-        width = self.bounded.size
+        """The running max and the |xi|^p sums and moments of nodes k0 .. k1 - 1;
+        after the terminal node, the block's blow-up flags."""
+        width = self.state.shape[1]
         nodes = self.nodes[: k1 - k0]
         with np.errstate(over="ignore", invalid="ignore"):
             size = np.abs(nodes, out=work.get("run", nodes.shape))
-            # NaN fails the comparison too
-            self.bounded &= np.all(size <= _BLOWUP_LIMIT, axis=(0, 1))
             if self.paths is not None:
                 self.paths[start : start + width, self.active, k0:k1] = nodes.transpose(2, 1, 0)
             peak = self.peak[:, start : start + width]
             if k0 == 0:
                 peak[...] = size[0]
-            before_end = k1 - k0 - (k1 == self.power.shape[0])   # the terminal node does not count
-            for node in size[:before_end]:
+            terminal = k1 == self.power.shape[0]   # the running max skips the terminal node
+            for node in size[: k1 - k0 - terminal]:
                 np.maximum(peak, node, out=peak)
-            powed = _abs_power(size, self.p, out=size)
-            _add_in_path_order(self.power[k0:k1], powed, self.buffer[:, : k1 - k0])
+            if terminal:
+                # np.maximum carries NaN into peak, and NaN fails the comparison
+                bounded = np.all(peak <= _BLOWUP_LIMIT, axis=0)
+                bounded &= np.all(size[-1] <= _BLOWUP_LIMIT, axis=0)
+                self.blowup[start : start + width] = ~(bounded & self.frozen_bounded)
+            powed = _power(size, self.p)
+            rows = work.get("rows", (width + 1, *size.shape[:2]))
+            _add_in_path_order(self.power[k0:k1], powed, rows)
             _merge_moments(self.mean[k0:k1], self.m2[k0:k1], powed, start)
 
     def places(self, sites):
@@ -787,12 +797,16 @@ class _Level:
         mine = np.isin(sites, self.active)
         return np.flatnonzero(mine), np.flatnonzero(~mine), self.zeta[sites[~mine], None]
 
-    def states_over(self, place, n_nodes, out) -> np.ndarray:
-        """The first ``n_nodes`` states of the current run over the sites of ``place``."""
+    def states_over(self, place, n_nodes, work, name) -> np.ndarray:
+        """The first ``n_nodes`` states of the current run over the sites of
+        ``place``; unless those are its active sites, laid out in the
+        workspace buffer ``name``."""
+        nodes = self.nodes[:n_nodes]
         if place is None:
-            return self.nodes[:n_nodes]
+            return nodes
         mine, rest, zeta = place
-        out[:, mine] = self.nodes[:n_nodes]
+        out = work.get(name, (n_nodes, mine.size + rest.size, nodes.shape[2]))
+        out[:, mine] = nodes
         out[:, rest] = zeta
         return out
 
@@ -825,25 +839,19 @@ class _Pair:
         self.sites = np.union1d(small.active, large.active)
         self.places = (small.places(self.sites), large.places(self.sites))
         self.diffs = np.zeros((n_nodes, self.sites.size))
-        self.buffer = None
-
-    def start_block(self, width, chunk) -> None:
-        self.buffer = np.empty((width + 1, chunk, self.sites.size))
-
-    def finish_block(self, start) -> None:
-        self.buffer = None
 
     def reduce(self, k0, k1, work) -> None:
         """Add the path sums at nodes k0 .. k1 - 1."""
-        shape = (k1 - k0, self.sites.size, self.small.nodes.shape[2])
+        width = self.small.nodes.shape[2]
+        shape = (k1 - k0, self.sites.size, width)
         ours, theirs = (
-            level.states_over(place, k1 - k0, work.get(name, shape))
+            level.states_over(place, k1 - k0, work, name)
             for level, place, name in zip((self.small, self.large), self.places, ("ours", "theirs"))
         )
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.subtract(ours, theirs, out=work.get("run", shape))
             _abs_power(diff, self.small.p, out=diff)
-            _add_in_path_order(self.diffs[k0:k1], diff, self.buffer[:, : k1 - k0])
+            _add_in_path_order(self.diffs[k0:k1], diff, work.get("rows", (width + 1, *shape[:2])))
 
     def spread(self, n_sites) -> np.ndarray:
         """The (node, site) sums over every site, 0 where both truncations
@@ -929,14 +937,14 @@ def simulate_coupled(
             # the streams continue unless this is their last block
             noise = _noise_block(source, range(start, stop), union, n_steps, dt, noise_refine,
                                  run, threads, stop < n_paths)
-            for part in (*levels, *cauchy):
-                part.start_block(stop - start, chunk)
+            for level in levels:
+                level.start_block(stop - start, chunk)
             for k0 in range(0, n_nodes, span):
                 k1 = min(k0 + span, n_nodes)
                 list(run(lambda level: level.advance(noise, start, k0, k1, work), levels))
                 list(run(lambda pair: pair.reduce(k0, k1, work), cauchy))
-            for part in (*levels, *cauchy):
-                part.finish_block(start)
+            for level in levels:
+                level.finish_block(start, work)
             del noise   # freed before the next block is drawn
 
     times = np.linspace(0.0, T, n_nodes)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -490,6 +491,52 @@ class TestFrozenRows:
             for got, want in zip((sums.power, sums.m2, sums.peak),
                                  reference_sums(ensembles[0].paths, model.p, 3)):
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, None])
+    @pytest.mark.parametrize("path_block", [3, None])
+    def test_blowup_flags_match_the_kept_paths(self, decoupled_setup, monkeypatch, path_block,
+                                               chunk, threads):
+        # the flags are read off the running max, which skips the terminal
+        # node, and the terminal node: a drift kicks chosen paths of site 0
+        # out of range at chosen nodes, some of them only for one node
+        config, model, zeta = decoupled_setup
+        n, n_steps, n_paths, dt = config.n_sites, 50, 8, 1 / 64   # kicks scale exactly
+        if path_block is not None:
+            monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
+        if chunk is not None:
+            monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
+        width = sde._block_paths(n, n_steps, 1)
+        run = sde._chunk_nodes(n_steps, 2, 1)
+        last = n_steps // run * run   # the first node of the last run
+        kicks = [   # (path, node, kick)
+            (1, n_steps, 1e80),                        # out of range at the terminal node only
+            (2, n_steps, math.nan),                    # NaN at the terminal node only
+            (4, 25, math.nan),                         # NaN from the middle of a run on
+            (5, last, 1e80), (5, last + 1, -1e80),     # out only at the last run's first node
+            (6, 20, 1e75), (6, 21, -1e75),             # at the limit, which is in range
+        ]
+        calls = {}   # per truncation, told apart by its active site count
+
+        def kicked(q):
+            count = calls[q.shape[0]] = calls.get(q.shape[0], 0) + 1
+            block, node = divmod(count - 1, n_steps)
+            drift = np.zeros_like(q)
+            for path, at, kick in kicks:
+                if at == node + 1 and 0 <= path - block * width < q.shape[1]:
+                    drift[0, path - block * width] = kick / dt
+            return drift
+
+        model = dataclasses.replace(model, potential=sde.Potential("custom", func=kicked))
+        sets = [np.arange(n - 1), np.arange(n)]
+        ensembles = sde.simulate_coupled(model, config, sets, zeta, n_steps * dt, dt, n_paths,
+                                         27, scheme="explicit", threads=threads, pairs=[(0, 1)],
+                                         keep_paths=True)
+        for ens in ensembles:
+            in_range = np.all(np.abs(ens.paths) <= 1e75, axis=(1, 2))
+            assert np.array_equal(ens.blowup, ~in_range)
+            assert np.flatnonzero(ens.blowup).tolist() == [1, 2, 4, 5]
+            assert np.max(np.abs(ens.paths[6])) == 1e75
 
 
 class TestUniqueness:

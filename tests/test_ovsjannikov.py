@@ -112,6 +112,20 @@ class TestBandedOperator:
         with pytest.raises(ValueError):
             BandedOperator(cfg, np.array([-1]), np.array([0]), np.array([0.1]), 1.0, 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entry_rejected(self, value):
+        # an infinite C caps no entry, and NaN fails every comparison
+        cfg = make_pair_config()
+        with pytest.raises(ValueError, match="finite"):
+            BandedOperator(cfg, np.array([0]), np.array([1]), np.array([value]), math.inf, 1.0)
+
+    @pytest.mark.parametrize("constant, exponent",
+                             [(math.nan, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, 0.5)])
+    def test_growth_constants_validated(self, constant, exponent):
+        cfg = make_pair_config()
+        with pytest.raises(ValueError, match="band_"):
+            BandedOperator(cfg, np.array([0]), np.array([1]), np.array([0.1]), constant, exponent)
+
 
 class TestOvsConstant:
     def test_reference_value(self):
@@ -303,6 +317,16 @@ class TestSolveLinearEvolution:
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="float range"):
                 lat.solve_linear_evolution(Q, z0, 50.0, 1e-12)
+
+    @pytest.mark.parametrize("entry, constant", [(1e299, 1e300), (1e308, math.inf)])
+    def test_huge_operator_raises_runtime_error(self, entry, constant):
+        # the iteration cap would pass sys.maxsize (and at C = inf the column
+        # sums overflow): the iterates leave the float range first
+        cfg = make_pair_config()
+        Q = banded_from_dense(cfg, np.full((2, 2), entry), constant, 1.0)
+        z0 = lat.WeightedSeq(cfg, np.ones(2))
+        with pytest.raises(RuntimeError, match="float range"):
+            lat.solve_linear_evolution(Q, z0, 1.0, 1e-12)
 
 
 LOG_MAX = math.log(sys.float_info.max)

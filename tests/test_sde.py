@@ -330,10 +330,13 @@ class TestSimulation:
             # draws and their 10 sums at refine 2, and 10 draws at refine 1
             once = simulation_bytes(n, degree, 2, 7, steps, noise_refine=1)
             assert plain - once == 8 * 5 * 2 * steps
-            # each further drawing worker adds its own buffer, and each thread
-            # beyond the two truncations its own step temporaries
+            # each further drawing worker adds its own buffer, each further
+            # thread its path-order rows (6 per site) and three temporaries
+            # for a run of one node, and each thread beyond the two
+            # truncations its own step temporaries
             three = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, threads=3)
-            assert three - plain == 8 * (2 * 5 * 3 * steps + n * 5 * (12 + degree))
+            assert three - plain == 8 * (2 * 5 * 3 * steps + 2 * n * (6 + 3 * 5)
+                                         + n * 5 * (12 + degree))
             # a Cauchy pair adds one (node, site) sum
             pair = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, n_pairs=1)
             assert pair - plain == 8 * n * (steps + 1)
@@ -379,6 +382,32 @@ class TestSimulation:
         need = simulation_bytes(poisson_1d.n_sites, int(poisson_1d.degrees.max()), 6, n_paths,
                                 steps, n_pairs=len(cauchy_pairs(6)))
         assert peak < need
+
+    def test_cauchy_pairs_share_the_threads_rows(self, poisson_1d, monkeypatch):
+        # with many more paths than steps, one (paths + 1, run, union) buffer
+        # of path-order rows per pair would be most of what the pairs add
+        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3,
+                               sigma2=0.05, p=4.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        sets = lat.exhaustion_sequence(poisson_1d, 4)
+        pairs = cauchy_pairs(4)
+        n_paths, steps, chunk = 400, 10, 5
+        monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
+        simulate_coupled(model, poisson_1d, sets, zeta, 0.05, 0.01, 2, 3, pairs=pairs)
+        peaks = []
+        for with_pairs in (pairs, ()):
+            tracemalloc.start()
+            try:
+                simulate_coupled(model, poisson_1d, sets, zeta, steps * 0.01, 0.01, n_paths, 3,
+                                 pairs=with_pairs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        union = np.unique(np.concatenate(sets)).size
+        # each pair's sums over its sites and spread over every site
+        sums = len(pairs) * (steps + 1) * (union + poisson_1d.n_sites)
+        rows = (n_paths + 1) * chunk * union
+        assert peaks[0] - peaks[1] <= 8 * (sums + rows)
 
     def test_dt_must_divide_horizon(self, single_site_config):
         model = lat.make_model("linear", 1.0, p=2.0)
