@@ -26,7 +26,6 @@ from .spaces import (
 from .ovsjannikov import (
     BandedOperator,
     GridFunction,
-    apply,
     comparison_check,
     identity_operator,
     norm_bound_series,

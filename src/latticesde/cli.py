@@ -52,6 +52,7 @@ from .ovsjannikov import (
 )
 from .sde import make_model, simulation_bytes, step_count
 from .spaces import (
+    ScaleParams,
     WeightedSeq,
     degree_summability_check,
     scale_monotonicity_verdicts,
@@ -107,6 +108,7 @@ class ExperimentConfig:
             check_sampling_args(self.intensity, self.box_halfwidth, self.dim, self.rho, self.seed)
             step_count(self.horizon, self.dt)
             model = self.build_model()
+            ScaleParams(self.a_low, self.a_high, self.p, self.horizon)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:  # the report's constants and the initial moments must be floats
@@ -117,8 +119,6 @@ class ExperimentConfig:
             raise ConfigError(
                 "the constants A1..A4, B1, B2 or |zeta|^p leave the float range"
             ) from exc
-        if not (0 < self.a_low <= self.a_high):
-            raise ConfigError("need 0 < a_low <= a_high")
         if not (0 <= self.order < 1):
             raise ConfigError(
                 f"series order must lie in [0, 1), got {self.order}: "

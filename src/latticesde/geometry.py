@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class Configuration:
         """n_x = |B_x|, the row lengths of the band."""
         return np.diff(self.indptr)
 
-    @property
+    @cached_property
     def rows(self) -> np.ndarray:
         """Row (site) index of every band entry."""
         return np.repeat(np.arange(self.n_sites, dtype=np.int64), self.degrees)

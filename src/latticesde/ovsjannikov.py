@@ -46,7 +46,6 @@ __all__ = [
     "zero_operator",
     "identity_operator",
     "random_banded_operator",
-    "apply",
     "ovs_constant",
     "verify_ovs_bound",
     "OvsBoundReport",
@@ -76,54 +75,40 @@ def _sum_by(index: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
-    """Sparse operator whose pattern is contained in the neighbor relation.
+    """Sparse operator stored on the neighbor band of its configuration.
 
-    Entries are stored as row-major sorted triplets, each of which must lie
-    on the configuration's neighbor band.  ``band_constant`` (C) and
+    ``vals[k]`` is Q at (``config.rows[k]``, ``config.indices[k]``), so
+    ``(vals, config.indices, config.indptr)`` is Q in compressed-row form and
+    its pattern lies in the band by construction.  ``band_constant`` (C) and
     ``band_exponent`` (q) certify the entry growth bound |Q_{xy}| <= C n_x^q;
     both are validated at construction time.
     """
 
     config: Configuration
-    rows: np.ndarray = field(repr=False)
-    cols: np.ndarray = field(repr=False)
     vals: np.ndarray = field(repr=False)
     band_constant: float
     band_exponent: float
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
         vals = np.asarray(self.vals, dtype=float)
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("triplet arrays must share one shape")
+        if vals.shape != self.config.indices.shape:
+            raise ValueError(f"vals must hold one value per band slot: shape {vals.shape}, "
+                             f"band {self.config.indices.shape}")
         if not self.band_constant >= 0:
             raise ValueError("band_constant must be >= 0")
         if not self.band_exponent >= 1:
             raise ValueError("band_exponent must be >= 1")
         if not np.all(np.isfinite(vals)):   # NaN would pass the growth check
             raise ValueError("entries must be finite")
-        n = self.config.n_sites
-        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
-            raise ValueError("entry indices must be site indices")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        # (row, col) keys of the band ascend, so membership is a binary search
-        band = self.config.rows * n + self.config.indices
-        keys = rows * n + cols
-        found = band[np.minimum(np.searchsorted(band, keys), band.size - 1)] == keys
-        caps = self.band_constant * self.config.degrees[rows].astype(float) ** self.band_exponent
+        rows = self.config.rows
+        caps = (self.band_constant * self.config.degrees.astype(float) ** self.band_exponent)[rows]
         over = np.abs(vals) > caps * (1.0 + _ENTRY_TOL) + _ENTRY_TOL
-        if not np.all(found):
-            i = int(np.argmin(found))
-            raise ValueError(f"entry ({rows[i]},{cols[i]}) lies outside the neighbor band")
         if np.any(over):
             i = int(np.argmax(over))
             raise ValueError(
-                f"entry ({rows[i]},{cols[i]})={vals[i]} violates |Q| <= C n_x^q = {caps[i]}"
+                f"entry ({rows[i]},{self.config.indices[i]})={vals[i]} "
+                f"violates |Q| <= C n_x^q = {caps[i]}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "vals", vals)
 
     @property
@@ -132,15 +117,15 @@ class BandedOperator:
 
     def matvec(self, values: np.ndarray) -> np.ndarray:
         """Q applied along the last axis of ``values``; each sequence adds its
-        entries in entry order from 0.0, as it would alone.
+        entries in band order from 0.0, as it would alone.
 
         Many sequences are contracted column by column, a few at a time in
         site-major buffers of _CONTRACT_TERMS doubles: entry j of every row
         that has more than j entries is multiplied and added in place, over a
-        prefix of the rows sorted by entry count.
+        prefix of the rows sorted by degree.
         """
         if values.ndim == 1:
-            return _sum_by(self.rows, self.vals * values[self.cols], self.n_sites)
+            return _sum_by(self.config.rows, self.vals * values[self.config.indices], self.n_sites)
         order, columns = self._columns
         n = self.n_sites
         flat = values.reshape(math.prod(values.shape[:-1]), n)
@@ -154,7 +139,7 @@ class BandedOperator:
             x[...] = block.T
             sums.fill(0.0)
             for cols, vals in columns:
-                # the indices were checked against the sites when Q was built
+                # the band's indices are site indices, as build_neighborhoods made them
                 head, products = sums[: cols.size], terms[: cols.size]
                 np.take(x, cols, axis=0, out=products, mode="clip")
                 head += np.multiply(vals, products, out=products)
@@ -163,33 +148,31 @@ class BandedOperator:
 
     @cached_property
     def _columns(self):
-        """Rows by falling entry count, and per entry column j the columns and
-        values (as a column vector) of entry j of the rows with more than j."""
-        counts = np.bincount(self.rows, minlength=self.n_sites)
+        """Rows by falling degree, and per band column j the columns and values
+        (as a column vector) of entry j of the rows with more than j."""
+        counts = self.config.degrees
         order = np.argsort(-counts, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(counts)))[order]
+        starts = self.config.indptr[order]
         ranked = counts[order]
         columns = []
         for j in range(int(ranked[0]) if ranked.size else 0):
             entry = starts[: np.count_nonzero(ranked > j)] + j
-            columns.append((self.cols[entry], self.vals[entry, None]))
+            columns.append((self.config.indices[entry], self.vals[entry, None]))
         return order, columns
 
     def column_abs_sums(self) -> np.ndarray:
-        return _sum_by(self.cols, np.abs(self.vals), self.n_sites)
+        return _sum_by(self.config.indices, np.abs(self.vals), self.n_sites)
 
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.vals >= 0.0))
 
 
 def zero_operator(config: Configuration) -> BandedOperator:
-    empty = np.zeros(0)
-    return BandedOperator(config, empty.astype(np.int64), empty.astype(np.int64), empty, 0.0, 1.0)
+    return BandedOperator(config, np.zeros(config.indices.size), 0.0, 1.0)
 
 
 def identity_operator(config: Configuration) -> BandedOperator:
-    idx = np.arange(config.n_sites, dtype=np.int64)
-    return BandedOperator(config, idx, idx, np.ones(config.n_sites), 1.0, 1.0)
+    return BandedOperator(config, (config.indices == config.rows).astype(float), 1.0, 1.0)
 
 
 def random_banded_operator(config, band_constant, band_exponent, seed, nonnegative=False):
@@ -203,14 +186,7 @@ def random_banded_operator(config, band_constant, band_exponent, seed, nonnegati
     # scalar pow per site: numpy's vectorized power can differ in the last bit
     caps = band_constant * np.array([float(n) ** band_exponent for n in config.degrees.tolist()])
     u = rng.uniform(0.0 if nonnegative else -1.0, 1.0, size=rows.size)
-    return BandedOperator(config, rows, config.indices, caps[rows] * u, band_constant, band_exponent)
-
-
-def apply(Q: BandedOperator, z: WeightedSeq) -> WeightedSeq:
-    """(Qz)_x = sum_{y in B_x} Q_{xy} z_y."""
-    if z.config is not Q.config:
-        raise ValueError("operator and sequence live on different configurations")
-    return WeightedSeq(Q.config, Q.matvec(z.values))
+    return BandedOperator(config, caps[rows] * u, band_constant, band_exponent)
 
 
 def ovs_constant(C, q, N_hat, rho, a_low) -> float:
@@ -269,7 +245,7 @@ def _max_ratio(Q: BandedOperator, values: np.ndarray, alpha, beta) -> float:
     w_alpha, w_beta = np.exp(-alpha * Q.config.radii), np.exp(-beta * Q.config.radii)
     trials = len(values)
     denoms, numers = np.empty((2, trials)), np.empty((2, trials))   # rows lo, hi
-    per_matvec = max(1, _TRIAL_TERMS // max(1, Q.rows.size))
+    per_matvec = max(1, _TRIAL_TERMS // max(1, Q.vals.size))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for t in range(0, trials, per_matvec):
             block = values[t : t + per_matvec]
@@ -299,6 +275,8 @@ class GridFunction:
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be a nonempty, strictly increasing grid")
+        if not np.all(np.isfinite(times)):   # NaN differences pass the check above
+            raise ValueError("times must be finite")
         if values.shape != (times.size, self.config.n_sites):
             raise ValueError("values shape does not match grid and configuration")
         object.__setattr__(self, "times", times)
@@ -309,6 +287,8 @@ class GridFunction:
 
 
 def _grid(T: float, n_nodes: int) -> np.ndarray:
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and > 0, got {T!r}")
     if n_nodes < 2:
         raise ValueError("need at least two grid nodes")
     return np.linspace(0.0, T, n_nodes)

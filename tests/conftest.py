@@ -23,8 +23,9 @@ def brute_force_neighbors(points, rho):
 
 def dense_operator(Q):
     """Dense matrix of a banded operator, assembled by scipy.sparse."""
-    n = Q.config.n_sites
-    return scipy.sparse.coo_matrix((Q.vals, (Q.rows, Q.cols)), shape=(n, n)).toarray()
+    cfg = Q.config
+    n = cfg.n_sites
+    return scipy.sparse.csr_matrix((Q.vals, cfg.indices, cfg.indptr), shape=(n, n)).toarray()
 
 
 def corrupt_table(path, kind, n_sites, index_field=0, sep=","):

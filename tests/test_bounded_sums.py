@@ -234,8 +234,7 @@ class TestMaxRatio:
 
     def test_infinite_ratio(self, operator):
         # the numerator overflows where the denominator does not
-        big = BandedOperator(operator.config, operator.rows, operator.cols,
-                             np.abs(operator.vals) * 1e300, 1e300, 1.0)
+        big = BandedOperator(operator.config, np.abs(operator.vals) * 1e300, 1e300, 1.0)
         values = np.abs(np.random.default_rng(6).standard_normal((5, operator.n_sites))) * 1e10
         with np.errstate(over="ignore", invalid="ignore"):
             want = fsum_max_ratio(big, values, 0.5, 1.5)

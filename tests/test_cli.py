@@ -120,6 +120,7 @@ class TestExitCodes:
         "overrides",
         [
             {"intensity": "nan"},
+            {"a_low": "2.5"},
             {"horizon": "nan"},
             {"horizon": "inf"},
             {"zeta": "nan"},

@@ -25,11 +25,9 @@ def make_pair_config():
 
 
 def banded_from_dense(config, dense, C, q):
-    rows, cols = np.nonzero(dense)
-    return BandedOperator(
-        config, rows.astype(np.int64), cols.astype(np.int64),
-        dense[rows, cols].astype(float), C, q,
-    )
+    Q = BandedOperator(config, dense[config.rows, config.indices].astype(float), C, q)
+    assert np.array_equal(dense_operator(Q), dense), "entries off the neighbor band"
+    return Q
 
 
 def weighted_l1(config, values, a):
@@ -39,37 +37,32 @@ def weighted_l1(config, values, a):
 class TestBandedOperator:
     def test_apply_zero(self, poisson_1d):
         Q = lat.zero_operator(poisson_1d)
-        z = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
-        assert np.array_equal(lat.apply(Q, z).values, np.zeros(poisson_1d.n_sites))
+        assert Q.vals.shape == poisson_1d.indices.shape
+        z = np.ones(poisson_1d.n_sites)
+        assert np.array_equal(Q.matvec(z), np.zeros(poisson_1d.n_sites))
 
     def test_apply_identity(self, poisson_1d):
         Q = lat.identity_operator(poisson_1d)
-        rng = np.random.default_rng(0)
-        z = lat.WeightedSeq(poisson_1d, rng.standard_normal(poisson_1d.n_sites))
-        assert np.array_equal(lat.apply(Q, z).values, z.values)
+        assert np.array_equal(dense_operator(Q), np.eye(poisson_1d.n_sites))
+        z = np.random.default_rng(0).standard_normal(poisson_1d.n_sites)
+        assert np.array_equal(Q.matvec(z), z)
 
     def test_apply_two_site_swap(self):
         cfg = make_pair_config()
         Q = banded_from_dense(cfg, np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 1.0)
-        z = lat.WeightedSeq(cfg, np.array([3.0, 5.0]))
-        assert np.array_equal(lat.apply(Q, z).values, np.array([5.0, 3.0]))
-
-    def test_off_band_entry_rejected(self):
-        cfg = lat.configuration_from_points([[0.0], [5.0]], rho=1.0)
-        with pytest.raises(ValueError):
-            banded_from_dense(cfg, np.array([[0.0, 1.0], [0.0, 0.0]]), 10.0, 1.0)
+        assert np.array_equal(Q.matvec(np.array([3.0, 5.0])), np.array([5.0, 3.0]))
 
     def test_growth_bound_enforced(self):
         cfg = make_pair_config()
         with pytest.raises(ValueError):
             banded_from_dense(cfg, np.array([[9.0, 0.0], [0.0, 0.0]]), 1.0, 1.0)
 
-    def test_config_mismatch(self, poisson_1d):
+    @pytest.mark.parametrize("size", [0, 3, 5])
+    def test_wrong_length_vals_rejected(self, size):
+        # the pair's band has four slots: (0,0), (0,1), (1,0), (1,1)
         cfg = make_pair_config()
-        Q = lat.identity_operator(cfg)
-        z = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
-        with pytest.raises(ValueError):
-            lat.apply(Q, z)
+        with pytest.raises(ValueError, match="band slot"):
+            BandedOperator(cfg, np.full(size, 0.1), 1.0, 1.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matvec_matches_dense(self, seed):
@@ -82,10 +75,10 @@ class TestBandedOperator:
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
         # same entry order as an unbuffered scatter-add, so bitwise equal
         scattered = np.zeros(cfg.n_sites)
-        np.add.at(scattered, Q.rows, Q.vals * z[Q.cols])
+        np.add.at(scattered, cfg.rows, Q.vals * z[cfg.indices])
         assert np.array_equal(got, scattered)
         columns = np.zeros(cfg.n_sites)
-        np.add.at(columns, Q.cols, np.abs(Q.vals))
+        np.add.at(columns, cfg.indices, np.abs(Q.vals))
         assert np.array_equal(Q.column_abs_sums(), columns)
 
     @pytest.mark.parametrize("nonnegative", [False, True])
@@ -101,30 +94,23 @@ class TestBandedOperator:
                 rows.append(x)
                 cols.append(y)
                 vals.append(cap * u)
-        assert np.array_equal(Q.rows, rows)
-        assert np.array_equal(Q.cols, cols)
+        assert np.array_equal(cfg.rows, rows)
+        assert np.array_equal(cfg.indices, cols)
         assert np.array_equal(Q.vals, vals)
-
-    def test_out_of_range_entry_rejected(self):
-        cfg = make_pair_config()
-        with pytest.raises(ValueError):
-            BandedOperator(cfg, np.array([0]), np.array([2]), np.array([0.1]), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            BandedOperator(cfg, np.array([-1]), np.array([0]), np.array([0.1]), 1.0, 1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_nonfinite_entry_rejected(self, value):
         # an infinite C caps no entry, and NaN fails every comparison
         cfg = make_pair_config()
         with pytest.raises(ValueError, match="finite"):
-            BandedOperator(cfg, np.array([0]), np.array([1]), np.array([value]), math.inf, 1.0)
+            BandedOperator(cfg, np.array([0.0, value, 0.0, 0.0]), math.inf, 1.0)
 
     @pytest.mark.parametrize("constant, exponent",
                              [(math.nan, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, 0.5)])
     def test_growth_constants_validated(self, constant, exponent):
         cfg = make_pair_config()
         with pytest.raises(ValueError, match="band_"):
-            BandedOperator(cfg, np.array([0]), np.array([1]), np.array([0.1]), constant, exponent)
+            BandedOperator(cfg, np.full(4, 0.1), constant, exponent)
 
 
 class TestOvsConstant:
@@ -162,9 +148,8 @@ class TestVerifyOvsBound:
 
     def test_degree_valued_entries(self, poisson_1d):
         # Q_{xy} = n_x on the whole band, C = 1, q = 1
-        rows = poisson_1d.rows
-        vals = poisson_1d.degrees[rows].astype(float)
-        Q = BandedOperator(poisson_1d, rows, poisson_1d.indices, vals, 1.0, 1.0)
+        vals = poisson_1d.degrees[poisson_1d.rows].astype(float)
+        Q = BandedOperator(poisson_1d, vals, 1.0, 1.0)
         r = lat.verify_ovs_bound(Q, 0.5, 1.5, 200, 3)
         assert r.ok
 
@@ -193,7 +178,7 @@ class TestVerifyOvsBound:
 
     def test_batched_matvec_matches_each_row(self):
         # the column contraction of many rows against the entry-order bincount of one
-        for case in ["random", "identity", "zero", "duplicates", "uneven", "nonfinite", "empty"]:
+        for case in ["random", "identity", "zero", "uneven", "nonfinite", "empty"]:
             Q, rows = matvec_case(case)
             with np.errstate(invalid="ignore"):
                 batched = Q.matvec(rows)
@@ -205,9 +190,9 @@ class TestVerifyOvsBound:
 
 def matvec_case(case):
     """An operator and (2, 3, site) rows: random entries on the whole band;
-    the identity on a band of many neighbors; no entries; every entry twice,
-    added in entry order; a random third of the band, some rows empty;
-    inf, -inf and NaN rows; or an empty configuration."""
+    the identity on a band of many neighbors; stored zeros only; a random
+    third of the band kept and the rest zeroed, some rows all zero; inf, -inf
+    and NaN rows; or an empty configuration."""
     cfg = lat.sample_configuration(2.0, 5.0, 2, 1.0 if case == "random" else 2.0, 9)
     rng = np.random.default_rng(7)
     Q = lat.random_banded_operator(cfg, 0.5, 1.0, 4)
@@ -215,12 +200,9 @@ def matvec_case(case):
         Q = lat.identity_operator(cfg)
     elif case == "zero":
         Q = lat.zero_operator(cfg)
-    elif case == "duplicates":
-        Q = BandedOperator(cfg, np.tile(Q.rows, 2), np.tile(Q.cols, 2),
-                           np.concatenate([Q.vals, -0.5 * Q.vals]), 0.5, 1.0)
     elif case == "uneven":
-        keep = rng.random(Q.rows.size) < 0.3
-        Q = BandedOperator(cfg, Q.rows[keep], Q.cols[keep], Q.vals[keep], 0.5, 1.0)
+        keep = rng.random(Q.vals.size) < 0.3
+        Q = BandedOperator(cfg, np.where(keep, Q.vals, 0.0), 0.5, 1.0)
     elif case == "empty":
         cfg = lat.sample_configuration(0.0, 5.0, 2, 1.0, 9)
         Q = lat.random_banded_operator(cfg, 0.5, 1.0, 4)
@@ -228,8 +210,9 @@ def matvec_case(case):
     if case == "nonfinite":
         rows[0, 1, :3] = [np.inf, -np.inf, np.nan]
         rows[1, 2, ::5] = np.inf
-    uneven = len(set(np.bincount(Q.rows, minlength=cfg.n_sites).tolist())) > 1
-    assert uneven == (case in ("random", "duplicates", "uneven", "nonfinite"))
+    # rows differ in how many nonzero entries they hold
+    nonzeros = np.bincount(cfg.rows[Q.vals != 0.0], minlength=cfg.n_sites)
+    assert (len(set(nonzeros.tolist())) > 1) == (case in ("random", "uneven", "nonfinite"))
     return Q, rows
 
 
@@ -277,6 +260,17 @@ class TestPicard:
         ref = scipy.linalg.expm(dense_operator(Q)) @ z0.values
         err = np.max(np.abs(f.values[-1] - ref)) / np.max(np.abs(ref))
         assert err < 1e-10
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("solve", ["picard_iterate", "solve_linear_evolution"])
+def test_horizon_validated(poisson_1d, solve, T):
+    # NaN grid differences would pass the increasing-grid check, and an
+    # infinite horizon read as a divergence
+    Q = lat.zero_operator(poisson_1d)
+    z0 = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+    with pytest.raises(ValueError, match="^T must be finite and > 0"):
+        getattr(lat, solve)(Q, z0, T, 2 if solve == "picard_iterate" else 1e-10)
 
 
 class TestSolveLinearEvolution:
@@ -708,6 +702,12 @@ class TestSerialization:
         corrupt_table(path, kind, poisson_1d.n_sites, index_field=1)
         with pytest.raises(ValueError):
             load_grid_function(poisson_1d, path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_times_rejected(self, poisson_1d, bad):
+        times = np.array([0.0, 0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            lat.GridFunction(poisson_1d, times, np.zeros((3, poisson_1d.n_sites)))
 
     def test_empty_configuration_grid_rejected(self, tmp_path):
         # a grid table keeps its time nodes only in site rows
