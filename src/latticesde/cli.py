@@ -50,7 +50,7 @@ from .ovsjannikov import (
     solve_linear_evolution,
     verify_ovs_bound,
 )
-from .sde import make_model, simulation_bytes, step_count
+from .sde import make_model, simulation_bytes, step_count, worker_count
 from .spaces import (
     ScaleParams,
     WeightedSeq,
@@ -525,7 +525,8 @@ def main(argv=None) -> int:
             raise ConfigError("--threads must be >= 1")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir, args.threads)
+        # the memory estimate and the thread pools see the same, capped count
+        return _COMMANDS[args.command](cfg, out_dir, worker_count(args.threads))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ increments, not a longer prefix.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -49,6 +50,7 @@ __all__ = [
     "EnsembleSums",
     "step_count",
     "simulation_bytes",
+    "worker_count",
     "simulate_coupled",
     "simulate_truncated",
     "wiener_increments",
@@ -60,7 +62,7 @@ _MASK64 = (1 << 64) - 1
 _BLOWUP_LIMIT = 1e75
 _DRAW_CAP = 1 << 25   # raw draws per noise block, ~256 MB
 _PATH_BLOCK = 4096    # paths per noise block, unless _DRAW_CAP binds first
-_GATHER_CAP = 1 << 17  # doubles of band neighbors gathered at a time, 1 MB
+_GATHER_CAP = 1 << 16  # doubles of band neighbors gathered at a time, 512 kB
 _SCHEMES = ("explicit", "tamed")
 
 
@@ -86,15 +88,15 @@ class Potential:
         if self.kind == "custom" and self.func is None:
             raise ValueError("custom potential needs a callable")
 
-    def __call__(self, q, out=None):
-        """V(q), written into ``out`` if one is given."""
+    def __call__(self, q, out=None, scratch=None):
+        """V(q) into ``out``, and the cubic's b q into ``scratch``, if given."""
         q = np.asarray(q, dtype=float)
         if self.kind == "linear":
             return np.multiply(-self.lam, q, out=out)
         if self.kind == "cubic":
             cube = np.multiply(q, q, out=out)
             cube *= q
-            return np.subtract(self.b * q, cube, out=out)
+            return np.subtract(np.multiply(self.b, q, out=scratch), cube, out=out)
         value = np.asarray(self.func(q), dtype=float)
         if out is None:
             return value
@@ -539,35 +541,41 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
                      n_pairs=0, keep_paths=False, threads=1) -> int:
     """An upper bound on the bytes :func:`simulate_coupled` allocates for its arrays.
 
-    Per truncation (``n_sets`` of them): the state of one path block with
-    its step temporaries and band gather (``max_degree`` neighbors per
-    site), the states of a run of nodes, the running max per (site, path)
-    and three (node, site) sums; each of the ``threads`` beyond ``n_sets``
-    adds its own step temporaries and gather.  Per thread: one buffer of
-    path-order rows for a run (one more row than the block has paths) and
-    three temporaries of a run's size.  Per Cauchy pair (``n_pairs``): one
-    (node, site) sum.  One step-major noise block over every site.  Per
-    drawing worker (at most ``threads``): one site's path-major fine draws
-    for the block and, with ``noise_refine > 1``, their sums over each
-    step.  The path tensors count only when they are kept.  Run buffers
-    and sums are counted over every site, though they cover only a
-    truncation's active sites (a pair's, the union of two), so the
-    estimate stays an upper bound.
+    Per truncation (``n_sets`` of them): a block's run buffer (a run's
+    nodes and one more row) and spread, its band (``max_degree`` slots and
+    weights per site), a few per-site vectors, the running max per (site,
+    path) and three (node, site) sums.  Per thread, or per truncation if
+    there are more: seven step temporaries and one slice of gathered band
+    rows (``_GATHER_CAP`` doubles, or one row).  Per thread: a run's
+    path-order rows (one more than the block has paths) and three run
+    temporaries.  Per Cauchy pair (``n_pairs``): one (node, site) sum.  One
+    step-major noise block over every site.  Per drawing worker (at most
+    ``threads``): one site's fine draws for the block and, with
+    ``noise_refine > 1``, their sums over each step.  The path tensors
+    count only when they are kept.  Everything per site is counted over
+    every site, so the estimate stays an upper bound.
     """
     block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
     n_nodes = n_steps + 1
     chunk = min(n_nodes, _chunk_nodes(n_steps, n_sets, n_pairs))
     level = (
-        n_sites * (block * (13 + max_degree + chunk) + 3 * max_degree + n_paths + 3 * n_nodes)
+        n_sites * (block * (chunk + 2) + 3 * max_degree + 8 + n_paths + 3 * n_nodes)
         + n_paths
     )
-    spare = max(0, threads - n_sets) * n_sites * block * (12 + max_degree)
+    per_gather = min(n_sites, max(1, _GATHER_CAP // max(1, max_degree * block)))
+    steps = max(threads, n_sets) * (7 * n_sites * block + per_gather * max_degree * block)
     runs = threads * chunk * n_sites * (4 * block + 1)
     workers = min(threads, max(n_sites, 1))
     buffers = workers * block * n_steps * (noise_refine + (noise_refine > 1))
     noise = block * n_sites * n_steps + buffers
     tensors = n_sets * n_paths * n_sites * n_nodes if keep_paths else 0
-    return 8 * (n_sets * level + spare + runs + n_pairs * n_sites * n_nodes + noise + tensors)
+    return 8 * (n_sets * level + steps + runs + n_pairs * n_sites * n_nodes + noise + tensors)
+
+
+def worker_count(threads) -> int:
+    """``threads``, capped at the number of CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(threads, cpus or 1))
 
 
 def _abs_power(x, p, out) -> np.ndarray:
@@ -656,19 +664,19 @@ class _Workspace(threading.local):
 
 
 class _Level:
-    """One truncation of a coupled set: its band, the state of the current
-    path block, the states of its current run of nodes, and the sums
-    reduced from them.  The path-order rows of its reductions and its step
-    temporaries come from the workspace of the thread that runs it.
+    """One truncation of a coupled set: its band, its run buffer and the sums
+    reduced from it; reduction rows and step temporaries are the thread's.
 
-    The run buffer and the sums cover only the active sites: ``nodes`` is
-    (node, active site, path), and ``power``, ``m2`` and ``peak`` are
-    indexed by active site.  A frozen site holds zeta at every node, so its
-    sums are settled once per path block, by the same operations on the
-    same values, and spread over the nodes when the ensemble is built.  The
-    band rows, the active sites and the noise rows are checked against their
-    ranges once, here, so that the step gathers with ``mode="clip"``, which
-    skips the hidden copy numpy makes to check every index.
+    The run buffer ``nodes`` is (chunk + 1, active site + tail, path): row 0
+    is the state a run starts from (zeta, then the last node of the previous
+    run), and each node is stepped straight from the row above it.  The
+    tail rows hold zeta at the frozen sites of the band, written once per
+    block, and ``slots`` index these rows.  The sums cover only the active
+    sites; a frozen site's are settled once per path block and spread over
+    the nodes when the ensemble is built.  The band is range-checked once,
+    before it is remapped (the active sites and noise rows are in range by
+    construction), so the step gathers with ``mode="clip"``, which skips
+    numpy's checking copy.
     """
 
     def __init__(self, model, tamed, dt, config, zeta_values, active, union, n_paths, n_nodes,
@@ -676,13 +684,18 @@ class _Level:
         n_sites = config.n_sites
         self.model, self.tamed, self.dt, self.p = model, tamed, dt, float(model.p)
         self.active = active
-        self.slots, self.weights, degrees = _band_slots(model, config, active)
+        slots, self.weights, degrees = _band_slots(model, config, active)
         self.spread = model.sigma2 * degrees[:, None]   # sigma2 n_x
         # its sites among the noise block's, None for all
         self.rows = None if active.size == union.size else np.searchsorted(union, active)
-        for index, bound in ((active, n_sites), (self.slots, n_sites), (self.rows, union.size)):
-            if index is not None and index.size and not 0 <= index.min() <= index.max() < bound:
-                raise ValueError(f"a truncation's index lies outside [0, {bound})")
+        if slots.size and not 0 <= slots.min() <= slots.max() < n_sites:
+            raise ValueError(f"a truncation's band names a site outside [0, {n_sites})")
+        # the band's frozen sites follow the active ones in the run buffer
+        self.tail = np.setdiff1d(slots, active)
+        row_of = np.empty(n_sites, dtype=np.int64)
+        row_of[active] = np.arange(active.size)
+        row_of[self.tail] = np.arange(active.size, active.size + self.tail.size)
+        self.slots = row_of[slots]
         self.zeta = zeta_values
         self.frozen = np.setdiff1d(np.arange(n_sites), active)
         self.frozen_size = np.abs(zeta_values[self.frozen])
@@ -691,66 +704,73 @@ class _Level:
         self.frozen_power = _abs_power(self.frozen_size, self.p, out=np.empty(self.frozen.size))
         self.settled = np.zeros((3, self.frozen.size))   # frozen power, mean and m2
         self.blowup = np.empty(n_paths, dtype=bool)
-        self.power = np.zeros((n_nodes, active.size))
-        self.mean = np.empty((n_nodes, active.size))
-        self.m2 = np.empty((n_nodes, active.size))
+        self.power, self.mean, self.m2 = np.zeros((3, n_nodes, active.size))
         self.peak = np.empty((active.size, n_paths))
         self.paths = None
         if keep_paths:
             self.paths = np.empty((n_paths, n_sites, n_nodes))
             self.paths[:, self.frozen] = zeta_values[self.frozen, None]
-        self.state = self.nodes = None
+        self.nodes = self.spread_paths = None
 
     def start_block(self, width, chunk) -> None:
-        self.state = np.repeat(self.zeta[:, None], width, axis=1)   # (site, path)
-        self.nodes = np.empty((chunk, self.active.size, width))     # (node, active site, path)
+        n = self.active.size
+        self.nodes = np.empty((chunk + 1, n + self.tail.size, width))
+        self.nodes[0, :n] = self.zeta[self.active, None]
+        self.nodes[:, n:] = self.zeta[self.tail, None]
+        self.spread_paths = np.repeat(self.spread, width, axis=1)   # (active site, path)
 
     def finish_block(self, start, work) -> None:
         """Settle the block's sums of the frozen sites."""
-        width = self.state.shape[1]
+        width = self.nodes.shape[2]
         if self.frozen.size:
             power, mean, m2 = self.settled
             powed = np.repeat(self.frozen_power[:, None], width, axis=1)   # (site, path)
             with np.errstate(over="ignore", invalid="ignore"):
                 _add_in_path_order(power, powed, work.get("rows", (width + 1, self.frozen.size)))
                 _merge_moments(mean, m2, powed, start)
-        self.state = self.nodes = None
+        self.nodes = self.spread_paths = None
 
     def advance(self, noise, start, k0, k1, work) -> None:
         """Step through nodes k0 .. k1 - 1 of the path block (node 0 is the
         start state), reducing each run of nodes after it is stepped."""
-        chunk = self.nodes.shape[0]
+        chunk = self.nodes.shape[0] - 1
         for c0 in range(k0, k1, chunk):
             c1 = min(c0 + chunk, k1)
             self._step(noise, c0, c1, work)
             self._reduce(start, c0, c1, work)
 
     def _step(self, noise, k0, k1, work) -> None:
-        model, dt, state = self.model, self.dt, self.state
-        active, slots, weights = self.active, self.slots, self.weights
-        width = state.shape[1]
+        """Nodes k0 .. k1 - 1 into rows 1 .. k1 - k0; the last is copied into row 0."""
+        model, nodes, slots, weights = self.model, self.nodes, self.slots, self.weights
+        n, width = self.active.size, nodes.shape[2]
         # the band rows are gathered and contracted a slice of rows at a time
         per_gather = max(1, _GATHER_CAP // max(1, slots.shape[1] * width))
-        sums = work.get("sums", (active.size, 2, width))
-        phi, psi, tmp = (work.get(name, (active.size, width)) for name in ("phi", "psi", "tmp"))
+        gathered = work.get("gathered", (min(per_gather, n), slots.shape[1], width))
+        sums = work.get("sums", (2, n, width))   # drift and diffusion sums, one plane each
+        parts = []   # per slice: its band rows, gather buffer, weights and (row, 2, path) sums
+        for r0 in range(0, n, per_gather):
+            band, r1 = slots[r0 : r0 + per_gather], r0 + per_gather
+            parts.append((band, gathered[: len(band)], weights[r0:r1],
+                          sums[:, r0:r1].transpose(1, 0, 2)))
+        phi, psi, tmp, scratch = (work.get(name, (n, width))
+                                  for name in ("phi", "psi", "tmp", "scratch"))
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(k0, k1):
-                own = np.take(state, active, axis=0, out=self.nodes[k - k0], mode="clip")
-                if not k or not active.size:
+            for row, k in enumerate(range(k0, k1), start=1):
+                prev, own = nodes[row - 1, :n], nodes[row, :n]
+                if not k:
+                    own[...] = prev
                     continue
-                for r0 in range(0, active.size, per_gather):
-                    r1 = r0 + per_gather
-                    gathered = work.get("gathered", (*slots[r0:r1].shape, width))
-                    np.take(state, slots[r0:r1], axis=0, out=gathered, mode="clip")
-                    np.matmul(weights[r0:r1], gathered, out=sums[r0:r1])
-                model.potential(own, out=phi)
-                phi += sums[:, 0]
-                # psi = sigma0 + sigma1 own + sigma2 n_x (sum over the band)
-                np.multiply(model.sigma1, own, out=psi)
+                for band, part, w, out in parts:
+                    nodes[row - 1].take(band, axis=0, out=part, mode="clip")
+                    np.matmul(w, part, out=out)
+                model.potential(prev, out=phi, scratch=scratch)
+                phi += sums[0]
+                # psi = sigma0 + sigma1 prev + sigma2 n_x (sum over the band)
+                np.multiply(model.sigma1, prev, out=psi)
                 psi += model.sigma0
-                np.multiply(self.spread, sums[:, 1], out=tmp)
+                np.multiply(self.spread_paths, sums[1], out=tmp)
                 psi += tmp
-                phi *= dt
+                phi *= self.dt
                 if self.tamed:   # phi dt / (1 + |phi dt|), bitwise phi dt / (1 + dt |phi|)
                     np.abs(phi, out=tmp)
                     tmp += 1.0
@@ -758,16 +778,16 @@ class _Level:
                 if self.rows is None:
                     psi *= noise[k - 1]
                 else:
-                    psi *= np.take(noise[k - 1], self.rows, axis=0, out=tmp, mode="clip")
-                own += phi
+                    psi *= noise[k - 1].take(self.rows, axis=0, out=tmp, mode="clip")
+                np.add(prev, phi, out=own)
                 own += psi
-                state[active] = own
+        nodes[0, :n] = nodes[k1 - k0, :n]
 
     def _reduce(self, start, k0, k1, work) -> None:
         """The running max and the |xi|^p sums and moments of nodes k0 .. k1 - 1;
         after the terminal node, the block's blow-up flags."""
-        width = self.state.shape[1]
-        nodes = self.nodes[: k1 - k0]
+        nodes = self.nodes[1 : k1 - k0 + 1, : self.active.size]
+        width = nodes.shape[2]
         with np.errstate(over="ignore", invalid="ignore"):
             size = np.abs(nodes, out=work.get("run", nodes.shape))
             if self.paths is not None:
@@ -801,7 +821,7 @@ class _Level:
         """The first ``n_nodes`` states of the current run over the sites of
         ``place``; unless those are its active sites, laid out in the
         workspace buffer ``name``."""
-        nodes = self.nodes[:n_nodes]
+        nodes = self.nodes[1 : n_nodes + 1, : self.active.size]
         if place is None:
             return nodes
         mine, rest, zeta = place
@@ -862,21 +882,9 @@ class _Pair:
         return full
 
 
-def simulate_coupled(
-    model: ModelSpec,
-    config: Configuration,
-    active_sets,
-    zeta: WeightedSeq,
-    T,
-    dt,
-    n_paths,
-    seed,
-    scheme="tamed",
-    noise_refine=1,
-    threads=1,
-    pairs=(),
-    keep_paths=False,
-) -> list:
+def simulate_coupled(model: ModelSpec, config: Configuration, active_sets, zeta: WeightedSeq, T,
+                     dt, n_paths, seed, scheme="tamed", noise_refine=1, threads=1, pairs=(),
+                     keep_paths=False) -> list:
     """Euler-Maruyama ensembles of several truncations, driven by one noise draw.
 
     Per block of paths, the site streams of the union of the active sets
@@ -890,9 +898,9 @@ def simulate_coupled(
     reduced node by node; frozen sites are settled once per path block.
     Each site stream's generator state is kept for the next block, except
     after the last one.  The path tensors are stored only with
-    ``keep_paths``.  With ``threads > 1`` the sites of each draw, and the
-    truncations, then the pairs, of each run are handed to a thread pool;
-    no output byte depends on it.
+    ``keep_paths``.  With ``threads > 1`` (at most the usable CPUs) the
+    sites of each draw, and the truncations, then the pairs, of each run
+    are handed to a thread pool; no output byte depends on it.
     Under the tamed scheme the drift increment is Phi dt / (1 + dt |Phi|),
     which keeps the superlinear cubic decay stable where the explicit scheme
     can blow up.  Sites outside a truncation's active set stay bitwise
@@ -911,6 +919,7 @@ def simulate_coupled(
     actives = [_validate_active(config, lv) for lv in active_sets]
     if not actives:
         return []
+    threads = worker_count(threads)
     pairs = [(int(n), int(m)) for n, m in pairs]
     if any(not 0 <= n < len(actives) or not 0 <= m < len(actives) for n, m in pairs):
         raise ValueError("pairs must name positions of the active sets")
@@ -967,18 +976,8 @@ def simulate_coupled(
     ]
 
 
-def simulate_truncated(
-    model: ModelSpec,
-    config: Configuration,
-    lambda_n,
-    zeta: WeightedSeq,
-    T,
-    dt,
-    n_paths,
-    seed,
-    scheme="tamed",
-    noise_refine=1,
-) -> PathEnsemble:
+def simulate_truncated(model: ModelSpec, config: Configuration, lambda_n, zeta: WeightedSeq, T,
+                       dt, n_paths, seed, scheme="tamed", noise_refine=1) -> PathEnsemble:
     """Euler-Maruyama time stepping of one truncated system.
 
     The one-set case of :func:`simulate_coupled`, with its paths kept.

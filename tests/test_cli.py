@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import latticesde as lat
-from latticesde import cli
+from latticesde import cli, sde
 from latticesde.cli import ConfigError, _write_moments_csv, _write_paths_csv, main, parse_config
 from latticesde.convergence import CauchyReport, CauchyRow, MomentField
+from latticesde.sde import simulation_bytes
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
 
@@ -402,6 +403,29 @@ class TestDeterminism:
         assert tree1.keys() == tree2.keys()
         for name in tree1:
             assert tree1[name] == tree2[name], f"{command}: {name} differs"
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_thread_count_capped_at_usable_cpus(self, tmp_path, monkeypatch, command):
+        # on one usable CPU, --threads 10^9 is one worker for the memory
+        # estimate and for the run: no pool is started
+        path = write_config(tmp_path)
+        main([command, "--config", str(path), "--out", str(tmp_path / "one")])
+        estimated = []
+
+        def recorded(*args, **kwargs):
+            estimated.append(kwargs["threads"])
+            return simulation_bytes(*args, **kwargs)
+
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} threads was started")
+
+        monkeypatch.setattr(cli, "simulation_bytes", recorded)
+        monkeypatch.setattr(sde, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        main([command, "--config", str(path), "--out", str(tmp_path / "many"),
+              "--threads", str(10**9)])
+        assert estimated == [1]
+        assert read_tree(tmp_path / "many") == read_tree(tmp_path / "one")
 
 
 class TestVerify:

@@ -20,6 +20,34 @@ from latticesde.sde import (
 )
 
 
+def full_site_step(config):
+    """The step as it was before the run buffer carried the band: every
+    site's state in one (site, path) array, the band gathered from it and
+    the active rows scattered back after each node, written into the run
+    buffer's rows for the reductions.  A stand-in for ``_Level._step``."""
+    def step(level, noise, k0, k1, work):
+        model, active = level.model, level.active
+        slots, weights, degrees = sde._band_slots(model, config, active)
+        if k0 == 0:
+            level.state = np.repeat(level.zeta[:, None], level.nodes.shape[2], axis=1)
+        state = level.state
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, k in enumerate(range(k0, k1), start=1):
+                if k:
+                    sums = np.matmul(weights, state[slots])
+                    own = state[active]
+                    phi = (model.potential(own) + sums[:, 0]) * level.dt
+                    if level.tamed:
+                        phi = phi / (1.0 + np.abs(phi))
+                    psi = (model.sigma1 * own + model.sigma0
+                           + model.sigma2 * degrees[:, None] * sums[:, 1])
+                    dw = noise[k - 1] if level.rows is None else noise[k - 1][level.rows]
+                    state[active] = own + phi + psi * dw
+                level.nodes[row, : active.size] = state[active]
+
+    return step
+
+
 def site_stream(seed, site, n_paths, n_fine):
     """The first n_paths paths of a site's noise stream, drawn directly: one
     standard_normal call of a Philox keyed (seed, site)."""
@@ -303,6 +331,71 @@ class TestSimulation:
         with pytest.raises(ValueError, match="outside"):
             lat.simulate_truncated(model, broken, [0, 1], zeta, 0.1, 0.01, 3, 0)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_run_buffer_steps_like_the_full_site_state(self, monkeypatch, chunk, threads):
+        # truncated 2-d levels and their pairs, in blocks of 3 paths and runs
+        # of 1 or 2 nodes: paths and sums are bitwise those of the old step
+        cfg = lat.sample_configuration(2.0, 4.0, 2, 1.0, 12)
+        model = lat.make_model("cubic", 0.1, kernel="triangular", kernel_cap=0.3, rho=1.0,
+                               sigma0=0.2, sigma1=0.1, sigma2=0.05, p=3.0)
+        zeta = lat.WeightedSeq(cfg, np.random.default_rng(4).uniform(-1.0, 1.0, cfg.n_sites))
+        sets = [np.flatnonzero(cfg.radii <= r) for r in (1.5, 3.0, np.inf)]
+        pairs = [(0, 1), (1, 2), (0, 2)]
+        monkeypatch.setattr(sde, "_PATH_BLOCK", 3)
+        monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
+
+        def run():
+            return simulate_coupled(model, cfg, sets, zeta, 0.05, 0.01, 7, 19, threads=threads,
+                                    pairs=pairs, keep_paths=True)
+
+        new = run()
+        monkeypatch.setattr(sde._Level, "_step", full_site_step(cfg))
+        old = run()
+        for ours, want in zip(new, old):
+            assert ours.paths.tobytes() == want.paths.tobytes()
+            assert ours.blowup.tobytes() == want.blowup.tobytes()
+            for name in ("power", "m2", "peak"):
+                assert getattr(ours.sums, name).tobytes() == getattr(want.sums, name).tobytes()
+            assert ours.sums.diffs.keys() == want.sums.diffs.keys()
+            for m in want.sums.diffs:
+                assert ours.sums.diffs[m].tobytes() == want.sums.diffs[m].tobytes()
+        assert np.any(new[0].sums.diffs[1] > 0.0)
+
+    def test_threads_capped_at_usable_cpus(self, poisson_1d, monkeypatch):
+        # a huge thread count sizes the pool, and the noise draw's split of
+        # the sites, by the CPUs the process may run on; no thread starts
+        pools, tasks = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                tasks.append(len(items))
+                return map(fn, items)
+
+        monkeypatch.setattr(sde, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [sde.worker_count(t) for t in (1, 2, 10**9)] == [1, 2, 3]
+        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3, p=4.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        sets = lat.exhaustion_sequence(poisson_1d, 3)
+        simulate_coupled(model, poisson_1d, sets, zeta, 0.05, 0.01, 4, 3, threads=10**9,
+                         pairs=[(0, 1)])
+        assert pools == [3]
+        assert max(tasks) == 3   # the sites of the draw in three parts, and three levels
+        monkeypatch.delattr(sde.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
+        assert sde.worker_count(10**9) == 2
+
     @pytest.mark.parametrize("cap", [1, 500])
     def test_band_gathered_in_slices_steps_alike(self, monkeypatch, cap):
         # the step gathers and contracts the band a slice of rows at a time;
@@ -333,10 +426,11 @@ class TestSimulation:
             # each further drawing worker adds its own buffer, each further
             # thread its path-order rows (6 per site) and three temporaries
             # for a run of one node, and each thread beyond the two
-            # truncations its own step temporaries
+            # truncations its seven step temporaries and its band gather,
+            # here every band row in one slice
             three = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, threads=3)
             assert three - plain == 8 * (2 * 5 * 3 * steps + 2 * n * (6 + 3 * 5)
-                                         + n * 5 * (12 + degree))
+                                         + n * 5 * (7 + degree))
             # a Cauchy pair adds one (node, site) sum
             pair = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, n_pairs=1)
             assert pair - plain == 8 * n * (steps + 1)
@@ -362,6 +456,28 @@ class TestSimulation:
         need = simulation_bytes(poisson_1d.n_sites, int(poisson_1d.degrees.max()), 3, n_paths,
                                 steps, n_pairs=len(cauchy_pairs(3)), keep_paths=keep_paths)
         assert peak < need
+
+    def test_simulation_bytes_bounds_traced_peak_of_a_truncated_window(self):
+        # a truncated 2-d level: its run buffer carries the frozen sites of
+        # its band, and its band is gathered in slices
+        cfg = lat.sample_configuration(2.0, 4.0, 2, 1.0, 12)
+        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3,
+                               sigma2=0.05, p=4.0)
+        zeta = lat.WeightedSeq(cfg, np.ones(cfg.n_sites))
+        active = np.flatnonzero(cfg.radii <= 3.0)
+        n_paths, steps = 300, 40
+        level = sde._Level(model, True, 0.01, cfg, zeta.values, active, active, n_paths,
+                           steps + 1, False)
+        assert level.tail.size > 0
+        assert level.slots.shape[1] * n_paths * active.size > sde._GATHER_CAP
+        simulate_coupled(model, cfg, [active], zeta, 0.05, 0.01, 2, 3)   # imports done
+        tracemalloc.start()
+        try:
+            simulate_coupled(model, cfg, [active], zeta, steps * 0.01, 0.01, n_paths, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < simulation_bytes(cfg.n_sites, int(cfg.degrees.max()), 1, n_paths, steps)
 
     @pytest.mark.parametrize("n_paths", [1, 2])
     def test_simulation_bytes_bounds_traced_peak_of_few_paths(self, poisson_1d, n_paths):
