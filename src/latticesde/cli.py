@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,7 @@ from .ovsjannikov import (
     solve_linear_evolution,
     verify_ovs_bound,
 )
-from .sde import make_model, simulation_bytes, step_count, worker_count
+from .sde import SCHEMES, make_model, simulation_bytes, step_count, worker_count
 from .spaces import (
     ScaleParams,
     WeightedSeq,
@@ -67,39 +67,46 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+def _key(section: str, default=MISSING):
+    """A field read from the key of its name in INI ``section``; required unless it has a default."""
+    return field(metadata={"section": section, "default": default})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # geometry
-    intensity: float
-    box_halfwidth: float
-    dim: int
-    rho: float
-    seed: int
-    # scale
-    a_low: float
-    a_high: float
-    p: float
-    horizon: float
-    order: float
-    # model
-    potential: str
-    potential_param: float
-    kernel: str
-    kernel_cap: float
-    sigma0: float
-    sigma1: float
-    sigma2: float
-    # simulation
-    dt: float
-    n_paths: int
-    scheme: str
-    levels: int
-    dump_paths: bool
-    zeta: float
-    # report
-    alphas: tuple
+    """An experiment file's keys, each declared once with its section and default.
 
-    def validate(self) -> None:
+    Building one validates it, so every instance, one made by
+    ``dataclasses.replace`` included, is a valid experiment; ConfigError
+    names the first fault found.
+    """
+
+    intensity: float = _key("geometry")
+    box_halfwidth: float = _key("geometry")
+    dim: int = _key("geometry")
+    rho: float = _key("geometry")
+    seed: int = _key("geometry")
+    a_low: float = _key("scale")
+    a_high: float = _key("scale")
+    p: float = _key("scale")
+    horizon: float = _key("scale")
+    order: float = _key("scale", 0.5)
+    potential: str = _key("model")
+    potential_param: float = _key("model", 0.0)
+    kernel: str = _key("model", "constant")
+    kernel_cap: float = _key("model", 0.0)
+    sigma0: float = _key("model", 0.0)
+    sigma1: float = _key("model", 0.0)
+    sigma2: float = _key("model", 0.0)
+    dt: float = _key("simulation")
+    n_paths: int = _key("simulation")
+    scheme: str = _key("simulation", "tamed")
+    levels: int = _key("simulation", 3)
+    dump_paths: bool = _key("simulation", False)
+    zeta: float = _key("simulation", 0.0)
+    alphas: tuple = _key("report")
+
+    def __post_init__(self) -> None:
         floats = [(k, v) for k, v in self.__dict__.items() if isinstance(v, float)]
         for name, value in floats + [("alphas", a) for a in self.alphas]:
             if not math.isfinite(value):
@@ -109,9 +116,7 @@ class ExperimentConfig:
             step_count(self.horizon, self.dt)
             model = self.build_model()
             ScaleParams(self.a_low, self.a_high, self.p, self.horizon)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        try:  # the report's constants and the initial moments must be floats
+            # the report's constants and the initial moments must be floats
             moment_constants(model, self.horizon)
             cauchy_constants(model)
             abs(self.zeta) ** self.p
@@ -119,12 +124,14 @@ class ExperimentConfig:
             raise ConfigError(
                 "the constants A1..A4, B1, B2 or |zeta|^p leave the float range"
             ) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not (0 <= self.order < 1):
             raise ConfigError(
                 f"series order must lie in [0, 1), got {self.order}: "
                 "the series majorant may diverge at order 1"
             )
-        if self.scheme not in ("explicit", "tamed"):
+        if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.levels < 1 or self.n_paths < 1:
             raise ConfigError("need levels >= 1 and n_paths >= 1")
@@ -149,55 +156,34 @@ class ExperimentConfig:
             p=self.p,
         )
 
-    def as_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["alphas"] = list(self.alphas)
-        return d
+
+# the ConfigParser getter of each field type; "getfloats" is the converter below
+_GETTERS = {"float": "getfloat", "int": "getint", "str": "get", "bool": "getboolean",
+            "tuple": "getfloats"}
 
 
 def parse_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    """Read and validate an INI experiment file; ConfigError names any fault in it."""
+    parser = configparser.ConfigParser(
+        converters={"floats": lambda s: tuple(float(tok) for tok in s.split(",") if tok.strip())}
+    )
+    values = {}
     try:
-        geo = parser["geometry"]
-        scale = parser["scale"]
-        model = parser["model"]
-        sim = parser["simulation"]
-        report = parser["report"]
-        cfg = ExperimentConfig(
-            intensity=geo.getfloat("intensity"),
-            box_halfwidth=geo.getfloat("box_halfwidth"),
-            dim=geo.getint("dim"),
-            rho=geo.getfloat("rho"),
-            seed=geo.getint("seed"),
-            a_low=scale.getfloat("a_low"),
-            a_high=scale.getfloat("a_high"),
-            p=scale.getfloat("p"),
-            horizon=scale.getfloat("horizon"),
-            order=scale.getfloat("order", fallback=0.5),
-            potential=model.get("potential"),
-            potential_param=model.getfloat("potential_param", fallback=0.0),
-            kernel=model.get("kernel", fallback="constant"),
-            kernel_cap=model.getfloat("kernel_cap", fallback=0.0),
-            sigma0=model.getfloat("sigma0", fallback=0.0),
-            sigma1=model.getfloat("sigma1", fallback=0.0),
-            sigma2=model.getfloat("sigma2", fallback=0.0),
-            dt=sim.getfloat("dt"),
-            n_paths=sim.getint("n_paths"),
-            scheme=sim.get("scheme", fallback="tamed"),
-            levels=sim.getint("levels", fallback=3),
-            dump_paths=sim.getboolean("dump_paths", fallback=False),
-            zeta=sim.getfloat("zeta", fallback=0.0),
-            alphas=tuple(
-                float(tok) for tok in report.get("alphas").split(",") if tok.strip()
-            ),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        for f in fields(ExperimentConfig):
+            section, default = f.metadata["section"], f.metadata["default"]
+            if parser.has_option(section, f.name):
+                values[f.name] = getattr(parser, _GETTERS[f.type])(section, f.name)
+            elif default is MISSING:
+                raise ConfigError(f"missing key {f.name!r} in section [{section}]")
+            else:
+                values[f.name] = default
+    except ConfigError:
+        raise
+    except (configparser.Error, UnicodeDecodeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def _sanitize(obj):
@@ -293,7 +279,7 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
             "degree_sum": partial,
             "degree_tail_bound": tail,
             "growth_note": "n_hat uses the log2 floor near the origin",
-            "config": cfg.as_dict(),
+            "config": asdict(cfg),
         },
         out_dir / "growth_report.json",
     )
@@ -303,7 +289,7 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     config = _build_configuration(cfg)
     save_configuration(config, out_dir / "configuration.txt")
-    summary = {"config": cfg.as_dict(), "levels": [], "site_count": config.n_sites}
+    summary = {"config": asdict(cfg), "levels": [], "site_count": config.n_sites}
     failed = False
     if config.n_sites:
         model = cfg.build_model()
@@ -345,7 +331,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     if config.n_sites == 0:
         checks.append({"name": "empty_configuration", "ok": True})
         _write_json(
-            {"checks": checks, "constants": constants, "config": cfg.as_dict()},
+            {"checks": checks, "constants": constants, "config": asdict(cfg)},
             out_dir / "verify_report.json",
         )
         return 0
@@ -452,7 +438,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 
     all_ok = all(c["ok"] for c in checks)
     _write_json(
-        {"checks": checks, "constants": constants, "config": cfg.as_dict()},
+        {"checks": checks, "constants": constants, "config": asdict(cfg)},
         out_dir / "verify_report.json",
     )
     return 0 if all_ok else 1
@@ -461,7 +447,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 def cmd_picard(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     config = _build_configuration(cfg)
     if config.n_sites == 0:
-        _write_json({"note": "empty configuration", "config": cfg.as_dict()},
+        _write_json({"note": "empty configuration", "config": asdict(cfg)},
                     out_dir / "picard_report.json")
         return 0
     model = cfg.build_model()
@@ -486,7 +472,7 @@ def cmd_picard(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
             "L": L,
             "K": K,
             "bound_ok": ok,
-            "config": cfg.as_dict(),
+            "config": asdict(cfg),
         },
         out_dir / "picard_report.json",
     )
@@ -520,7 +506,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-            cfg.validate()
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         out_dir = Path(args.out)

@@ -91,8 +91,8 @@ def check_sampling_args(intensity, box_halfwidth, dim, rho, seed) -> None:
         raise ValueError("intensity must be >= 0")
     if box_halfwidth <= 0 or rho <= 0:
         raise ValueError("box_halfwidth and rho must be > 0")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 <= seed < 2**64:  # the noise streams key on the seed's 64 low bits
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def configuration_bytes(intensity, box_halfwidth, dim, rho) -> float:

@@ -63,7 +63,7 @@ _BLOWUP_LIMIT = 1e75
 _DRAW_CAP = 1 << 25   # raw draws per noise block, ~256 MB
 _PATH_BLOCK = 4096    # paths per noise block, unless _DRAW_CAP binds first
 _GATHER_CAP = 1 << 16  # doubles of band neighbors gathered at a time, 512 kB
-_SCHEMES = ("explicit", "tamed")
+SCHEMES = ("explicit", "tamed")
 
 
 @dataclass(frozen=True)
@@ -477,7 +477,10 @@ def step_count(T, dt) -> int:
     """Number of dt steps that make up the horizon T; ValueError unless dt divides T."""
     if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T <= 0:
         raise ValueError("need finite dt > 0 and T > 0")
-    n_steps = int(round(T / dt))
+    ratio = T / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"the step count T/dt = {T!r}/{dt!r} leaves the float range")
+    n_steps = int(round(ratio))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("dt must divide T")
     return n_steps
@@ -909,8 +912,8 @@ def simulate_coupled(model: ModelSpec, config: Configuration, active_sets, zeta:
     :func:`simulate_truncated` run, and sets with a common site share its
     increments bitwise.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}")
     if zeta.config is not config:
         raise ValueError("initial data lives on a different configuration")
     n_steps = step_count(T, dt)

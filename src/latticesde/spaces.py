@@ -219,7 +219,9 @@ def degree_summability_check(config: Configuration, a_low: float):
     add, assuming the measured degree-growth constant keeps holding there:
     ``N_hat * 2^(k+2) * sum_{n>m} e^(-K a n) n^3`` with k the smallest integer
     such that sqrt(d)/2^k < rho, m = ceil(max(1/a, 2)) and K = (m-1)/m.  The
-    series is summed until terms drop below 1e-15; it always terminates.
+    series is summed in closed form: with x = e^(-K a), d = 1 - x and
+    N = m + 1 it is x^N [N^3/d + 3N^2 x/d^2 + 3N x(1+x)/d^3 + x(1+4x+x^2)/d^4],
+    all of whose terms are positive.  A bound past the float range is inf.
     """
     if a_low <= 0.0:
         raise ValueError("a_low must be > 0")
@@ -228,15 +230,16 @@ def degree_summability_check(config: Configuration, a_low: float):
     n_hat = estimate_growth_constant(config) if config.n_sites else 1.0
 
     k = _grid_partition_exponent(config.dim if config.dim else 1, config.rho)
-    m = math.ceil(max(1.0 / a_low, 2.0))
-    kappa = (m - 1) / m
-    tail = 0.0
-    n = m + 1
-    while True:
-        term = math.exp(-kappa * a_low * n) * n**3
-        tail += term
-        if term < 1e-15:
-            break
-        n += 1
+    try:  # 1/a_low or N^3 may leave the float range
+        m = math.ceil(max(1.0 / a_low, 2.0))
+        kappa = (m - 1) / m
+        x, d, n = math.exp(-kappa * a_low), -math.expm1(-kappa * a_low), float(m + 1)
+        # x^N as one exp keeps its error at an ulp; the bracket divides by d
+        # once per power, so no power of d underflows to 0
+        bracket = (((x * (1 + 4 * x + x**2) / d + 3 * n * x * (1 + x)) / d
+                    + 3 * n**2 * x) / d + n**3) / d
+        tail = math.exp(-kappa * a_low * n) * bracket
+    except OverflowError:
+        tail = math.inf
     tail_bound = n_hat * 2.0 ** (k + 2) * tail
     return partial_sum, tail_bound

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +8,20 @@ import pytest
 
 import latticesde as lat
 from latticesde import cli, sde
-from latticesde.cli import ConfigError, _write_moments_csv, _write_paths_csv, main, parse_config
+from latticesde.cli import (
+    ConfigError,
+    ExperimentConfig,
+    _write_moments_csv,
+    _write_paths_csv,
+    main,
+    parse_config,
+)
 from latticesde.convergence import CauchyReport, CauchyRow, MomentField
 from latticesde.sde import simulation_bytes
 
-DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo.cfg"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "configs" / "demo.cfg"
+REQUIRED = [f for f in fields(ExperimentConfig) if f.metadata["default"] is MISSING]
 
 SMALL = """
 [geometry]
@@ -104,6 +115,18 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(path)
 
+    def test_readme_documents_every_key(self):
+        # the README's "Config file" table: | `key` | section | type | default |
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = text.split("## Config file", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| `\[(\w+)\]` \| [^|]+ \| ([^|]+?) \|$", table, re.M)
+        documented = {key: (section, default) for key, section, default in rows}
+        assert documented == {
+            f.name: (f.metadata["section"], "required" if f.metadata["default"] is MISSING
+                     else f"`{str(f.metadata['default']).lower()}`")
+            for f in fields(ExperimentConfig)
+        }
+
 
 class TestExitCodes:
     def test_invalid_config_exits_2(self, tmp_path, capsys):
@@ -131,6 +154,8 @@ class TestExitCodes:
             {"p": "1e12"},
             {"sigma2": "1e300"},
             {"zeta": "1e300"},
+            {"horizon": "1e300", "dt": "1e-300"},
+            {"seed": str(2**64 + 8)},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -140,6 +165,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", REQUIRED, ids=lambda f: f.name)
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, key):
+        lines = [line for line in SMALL.splitlines() if line.split("=")[0].strip() != key.name]
+        path = write_config(tmp_path, text="\n".join(lines))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: missing key '{key.name}' in section [{key.metadata['section']}]\n"
+
+    @pytest.mark.parametrize(
+        "case", ["repeated-option", "no-section-header", "not-utf-8", "directory"]
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, case):
+        path = tmp_path / "exp.cfg"
+        if case == "repeated-option":
+            path.write_text(SMALL.replace("dt = 0.01", "dt = 0.01\ndt = 0.02"), encoding="utf-8")
+        elif case == "no-section-header":
+            path.write_text(SMALL.replace("[geometry]", ""), encoding="utf-8")
+        elif case == "not-utf-8":
+            path.write_bytes(SMALL.encode() + b"note = \xff\xfe\n")
+        else:
+            path.mkdir()
+        code = main(["generate", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_seed_override_validated(self, tmp_path, capsys):
+        # seed 2**64 + 8 would silently reuse the noise of seed 8
+        code = main(["generate", "--config", str(DEMO), "--out", str(tmp_path / "o"),
+                     "--seed", str(2**64 + 8)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: seed must lie in [0, 2**64)")
+
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    def test_tiny_a_low_exits_by_verdicts(self, tmp_path, capsys, command):
+        # 1/a_low overflows: the degree tail bound is inf and summability fails
+        path = write_config(tmp_path, text=DEMO.read_text(), a_low="1e-320")
+        out = tmp_path / "o"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        if command == "generate":
+            assert code == 0
+            assert json.loads((out / "growth_report.json").read_text())["degree_tail_bound"] == "inf"
+        else:
+            report = json.loads((out / "verify_report.json").read_text())
+            checks = {c["name"]: c for c in report["checks"]}
+            assert checks["degree_summability"]["tail_bound"] == "inf"
+            assert code == 1 and not checks["degree_summability"]["ok"]
 
     def test_order_near_one_exits_by_verdicts(self, tmp_path, capsys):
         # the saddle-point location of the series overflows floats at order 0.99

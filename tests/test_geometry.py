@@ -54,6 +54,13 @@ class TestSampleConfiguration:
         with pytest.raises(ValueError):
             lat.sample_configuration(1.0, 5.0, 4, 1.0, 1)
 
+    def test_seed_range(self):
+        # the noise streams key on 64 bits: seed 2**64 + 8 would replay seed 8's noise
+        lat.sample_configuration(1.0, 2.0, 1, 1.0, 2**64 - 1)
+        for seed in (-1, 2**64, 2**64 + 8):
+            with pytest.raises(ValueError, match="seed"):
+                lat.sample_configuration(1.0, 2.0, 1, 1.0, seed)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             lat.sample_configuration(math.nan, 5.0, 1, 1.0, 1)

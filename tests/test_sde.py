@@ -180,6 +180,11 @@ class TestDriftLemmaInequalities:
 
 
 class TestSimulation:
+    @pytest.mark.parametrize("T, dt", [(1e300, 1e-300), (1.0, 5e-324)])
+    def test_step_count_past_the_float_range_rejected(self, T, dt):
+        with pytest.raises(ValueError, match="float range"):
+            sde.step_count(T, dt)
+
     def test_deterministic_linear_decay(self, single_site_config):
         model = lat.make_model("linear", 1.0, p=2.0)
         zeta = lat.WeightedSeq(single_site_config, np.ones(1))

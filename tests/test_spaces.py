@@ -164,6 +164,24 @@ class TestDegreeSummability:
         _, tail = lat.degree_summability_check(cfg, 0.05)
         assert math.isfinite(tail)
 
+    @pytest.mark.parametrize("a_low", [3.0, 0.5, 0.25, 1e-3, 1e-7])
+    def test_tail_matches_mpmath_series(self, a_low):
+        import mpmath as mp
+
+        cfg = lat.configuration_from_points([[0.0]], rho=1.0)
+        scale = lat.estimate_growth_constant(cfg) * 2.0**3  # k = 1: 1 / 2^k < rho
+        m = math.ceil(max(1.0 / a_low, 2.0))
+        with mp.workdps(40):
+            ka = mp.mpf((m - 1) / m) * a_low
+            exact = scale * mp.nsum(lambda n: mp.exp(-ka * n) * n**3, [m + 1, mp.inf])
+            _, tail = lat.degree_summability_check(cfg, a_low)
+            assert abs(tail - exact) <= 4 * 2.0**-52 * exact
+
+    @pytest.mark.parametrize("a_low", [1e-90, 1e-308, 1e-320])
+    def test_tail_past_the_float_range_is_inf(self, a_low):
+        cfg = lat.configuration_from_points([[0.0]], rho=1.0)
+        assert lat.degree_summability_check(cfg, a_low) == (1.0, math.inf)
+
 
 class TestTypes:
     def test_scale_params_validation(self):
