@@ -165,12 +165,20 @@ _GETTERS = {"float": "getfloat", "int": "getint", "str": "get", "bool": "getbool
 def parse_config(path) -> ExperimentConfig:
     """Read and validate an INI experiment file; ConfigError names any fault in it."""
     parser = configparser.ConfigParser(
-        converters={"floats": lambda s: tuple(float(tok) for tok in s.split(",") if tok.strip())}
+        default_section="",   # so that [DEFAULT] is one more undeclared section
+        converters={"floats": lambda s: tuple(float(tok) for tok in s.split(",") if tok.strip())},
     )
+    section_of = {f.name: f.metadata["section"] for f in fields(ExperimentConfig)}
     values = {}
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path}")
+        for section in parser.sections():
+            if section not in section_of.values():
+                raise ConfigError(f"unknown section [{section}]")
+            for key in parser.options(section):
+                if section_of.get(key) != section:
+                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
         for f in fields(ExperimentConfig):
             section, default = f.metadata["section"], f.metadata["default"]
             if parser.has_option(section, f.name):

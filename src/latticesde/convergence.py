@@ -20,7 +20,8 @@ import numpy as np
 
 from .geometry import Configuration, estimate_growth_constant
 from .ovsjannikov import norm_bound_series, norm_bound_series_log10, ovs_constant
-from .sde import ModelSpec, PathEnsemble, simulate_coupled, simulate_truncated
+from .sde import ModelSpec, PathEnsemble, simulate_coupled
+from .sde import simulate_truncated  # noqa: F401 -- bench/tracer.py wraps it under this name
 from .spaces import weighted_sum
 
 __all__ = [
@@ -37,8 +38,6 @@ __all__ = [
     "CauchyRow",
     "CauchyReport",
     "cauchy_table",
-    "UniquenessReport",
-    "uniqueness_crosscheck",
 ]
 
 
@@ -313,47 +312,3 @@ def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyRep
         log10_K=log10_K,
         L=L,
     )
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    disc_coarse: float    # distance between the dt and dt/2 runs
-    disc_fine: float      # distance between the dt/2 and dt/4 runs
-    ratio: float
-
-
-def uniqueness_crosscheck(
-    model, config, zeta, T, dt, n_paths, seed, alpha, scheme="tamed",
-) -> UniquenessReport:
-    """Grid-refinement agreement of the full-volume solution under shared noise.
-
-    Three runs at dt, dt/2 and dt/4 are driven by one Brownian path per
-    (path, site); the weighted distance between consecutive refinements is
-    evaluated on the shared coarse grid, and their ratio estimates the strong
-    convergence order (about 2 for deterministic dynamics, at least sqrt(2)
-    with noise).  Shrinking discrepancies are the computable face of
-    uniqueness: both refinements chase the same limit path.
-    """
-    full = np.arange(config.n_sites, dtype=np.int64)
-    runs = []
-    for factor, refine in ((1, 4), (2, 2), (4, 1)):
-        runs.append(
-            simulate_truncated(
-                model, config, full, zeta, T, dt / factor, n_paths, seed,
-                scheme=scheme, noise_refine=refine,
-            )
-        )
-    p = model.p
-    weights = np.exp(-alpha * config.radii)
-
-    def distance(fine: PathEnsemble, coarse: PathEnsemble, stride: int) -> float:
-        sub = fine.paths[:, :, ::stride]
-        diff = np.abs(sub - coarse.paths) ** p
-        site_time = diff.mean(axis=0)          # (sites, nodes)
-        per_node = weights @ site_time
-        return float(np.max(per_node)) ** (1.0 / p)
-
-    disc_coarse = distance(runs[1], runs[0], 2)
-    disc_fine = distance(runs[2], runs[1], 2)
-    ratio = disc_coarse / disc_fine if disc_fine > 0 else math.nan
-    return UniquenessReport(disc_coarse, disc_fine, ratio)

@@ -72,9 +72,6 @@ class Configuration:
         """Band positions of site x: its neighbors are ``indices[row(x)]``."""
         return slice(int(self.indptr[x]), int(self.indptr[x + 1]))
 
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
 
 def _check_finite(name, value):
     if not math.isfinite(value):
@@ -137,7 +134,7 @@ def sample_configuration(intensity, box_halfwidth, dim, rho, seed) -> Configurat
             break
         later = np.setdiff1d(np.arange(count), first)
         points[later] = rng.uniform(-box_halfwidth, box_halfwidth, size=(later.size, dim))
-    return configuration_from_points(points, rho, box_halfwidth, seed=seed)
+    return _from_distinct_points(points, rho, box_halfwidth, seed)
 
 
 def configuration_from_points(points, rho, box_halfwidth=None, seed=-1) -> Configuration:
@@ -145,7 +142,6 @@ def configuration_from_points(points, rho, box_halfwidth=None, seed=-1) -> Confi
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         points = points.reshape(0, points.shape[1] if points.ndim == 2 and points.shape[1] else 1)
-    dim = points.shape[1]
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
     if rho <= 0 or not math.isfinite(rho):
@@ -155,10 +151,15 @@ def configuration_from_points(points, rho, box_halfwidth=None, seed=-1) -> Confi
     if box_halfwidth is None:
         box_halfwidth = float(np.max(np.abs(points))) if points.size else 1.0
         box_halfwidth = max(box_halfwidth, 1.0)
+    return _from_distinct_points(points, rho, box_halfwidth, seed)
+
+
+def _from_distinct_points(points, rho, box_halfwidth, seed) -> Configuration:
+    """The Configuration of finite, pairwise distinct ``points`` (n, dim) and a finite rho > 0."""
     indptr, indices, distances = build_neighborhoods(points, rho)
     radii = np.sqrt(np.sum(points * points, axis=1))
     return Configuration(
-        dim=dim,
+        dim=points.shape[1],
         points=points,
         rho=float(rho),
         box_halfwidth=float(box_halfwidth),

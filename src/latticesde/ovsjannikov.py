@@ -43,13 +43,10 @@ from .spaces import WeightedSeq, bounded_sums
 __all__ = [
     "BandedOperator",
     "GridFunction",
-    "zero_operator",
-    "identity_operator",
     "random_banded_operator",
     "ovs_constant",
     "verify_ovs_bound",
     "OvsBoundReport",
-    "picard_iterate",
     "solve_linear_evolution",
     "norm_bound_series",
     "norm_bound_series_alt",
@@ -167,14 +164,6 @@ class BandedOperator:
         return bool(np.all(self.vals >= 0.0))
 
 
-def zero_operator(config: Configuration) -> BandedOperator:
-    return BandedOperator(config, np.zeros(config.indices.size), 0.0, 1.0)
-
-
-def identity_operator(config: Configuration) -> BandedOperator:
-    return BandedOperator(config, (config.indices == config.rows).astype(float), 1.0, 1.0)
-
-
 def random_banded_operator(config, band_constant, band_exponent, seed, nonnegative=False):
     """Fill the whole neighbor band with entries u * C n_x^q, u uniform.
 
@@ -282,9 +271,6 @@ class GridFunction:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
-    def seq(self, node: int) -> WeightedSeq:
-        return WeightedSeq(self.config, self.values[node])
-
 
 def _grid(T: float, n_nodes: int) -> np.ndarray:
     if not (math.isfinite(T) and T > 0):
@@ -307,20 +293,6 @@ def _picard_sums(Q: BandedOperator, z0: WeightedSeq, times: np.ndarray):
         power = Q.matvec(power)
         coeff = coeff * times / k
         total += np.multiply(coeff[:, None], power, out=term)   # np.outer's products
-
-
-def picard_iterate(Q: BandedOperator, z0: WeightedSeq, T, n, n_nodes=33) -> GridFunction:
-    """n-th Picard iterate of the linear integral equation, started from z0.
-
-    For linear Q this equals sum_{k<=n} (t^k / k!) Q^k z0 at every grid node;
-    the powers Q^k z0 are accumulated directly, so there is no quadrature
-    error in the iterates.
-    """
-    if n < 0:
-        raise ValueError("need n >= 0")
-    times = _grid(T, n_nodes)
-    _, _, total = next(itertools.islice(_picard_sums(Q, z0, times), n, None))
-    return GridFunction(Q.config, times, total)
 
 
 def solve_linear_evolution(Q: BandedOperator, z0: WeightedSeq, T, tol, beta=0.0, n_nodes=33) -> GridFunction:

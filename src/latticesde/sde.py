@@ -41,11 +41,6 @@ __all__ = [
     "InteractionKernel",
     "ModelSpec",
     "make_model",
-    "drift",
-    "diffusion",
-    "a_tilde",
-    "check_dissipativity",
-    "DissipativityReport",
     "PathEnsemble",
     "EnsembleSums",
     "step_count",
@@ -53,9 +48,6 @@ __all__ = [
     "worker_count",
     "simulate_coupled",
     "simulate_truncated",
-    "wiener_increments",
-    "ou_moment_oracle",
-    "exit_time_diagnostic",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -135,8 +127,8 @@ class ModelSpec:
     """Model coefficients together with their declared growth constants.
 
     The declared constants are what the moment and convergence ceilings are
-    built from; :func:`check_dissipativity` validates them against the chosen
-    functional forms.
+    built from; ``check_dissipativity`` in ``tests/oracles.py`` validates them
+    against the chosen functional forms.
     """
 
     potential: Potential
@@ -209,111 +201,6 @@ def make_model(
     )
 
 
-def drift(model: ModelSpec, x: int, q: float, Z: WeightedSeq) -> float:
-    """Phi_x(q, Z) = V(q) + sum_{y in B_x} a(x-y) z_y (self term included)."""
-    config = Z.config
-    band = config.row(x)
-    weights = model.kernel(config.distances[band])
-    return float(model.potential(q)) + float(np.dot(weights, Z.values[config.indices[band]]))
-
-
-def diffusion(model: ModelSpec, x: int, q: float, Z: WeightedSeq) -> float:
-    """Psi_x(q, Z) = sigma0 + sigma1 q + sigma2 n_x sum_{y in B_x} z_y."""
-    config = Z.config
-    band = config.row(x)
-    return float(
-        model.sigma0
-        + model.sigma1 * q
-        + model.sigma2 * (band.stop - band.start) * np.sum(Z.values[config.indices[band]])
-    )
-
-
-def a_tilde(model: ModelSpec, config: Configuration) -> np.ndarray:
-    """Per-site kernel l2 mass (sum_{y in B_x} a^2(x-y))^(1/2)."""
-    w = model.kernel(config.distances)
-    return np.sqrt(np.bincount(config.rows, weights=w * w, minlength=config.n_sites))
-
-
-@dataclass(frozen=True)
-class DissipativityReport:
-    c_ok: bool
-    d_ok: bool
-    e_ok: bool
-    witnesses: tuple
-
-    @property
-    def all_ok(self) -> bool:
-        return self.c_ok and self.d_ok and self.e_ok
-
-
-def check_dissipativity(model: ModelSpec, samples, q_range, seed, config=None) -> DissipativityReport:
-    """Validate the declared (c, R, b, M1, M2) against the functional forms.
-
-    The one-sided Lipschitz condition is settled analytically for the
-    built-in potentials (the cubic decay term is monotone, the linear one is
-    exact) and then confirmed on random pairs; growth and the diffusion
-    Lipschitz condition are sampled.  Violations come back as witnesses, not
-    exceptions.
-    """
-    if q_range <= 0 or samples < 1:
-        raise ValueError("need q_range > 0 and samples >= 1")
-    rng = np.random.default_rng(seed)
-    slack = 1e-9
-    witnesses = []
-
-    qs = rng.uniform(-q_range, q_range, size=samples)
-    v = model.potential(qs)
-    c_ok = True
-    bad = np.abs(v) > model.growth_c * (1.0 + np.abs(qs) ** model.growth_R) + slack
-    if np.any(bad):
-        c_ok = False
-        i = int(np.argmax(bad))
-        witnesses.append(("C", {"q": float(qs[i]), "V": float(v[i])}))
-
-    d_ok = True
-    if model.potential.kind == "linear":
-        d_ok = model.dissipativity_b >= -model.potential.lam - slack
-    elif model.potential.kind == "cubic":
-        d_ok = model.dissipativity_b >= model.potential.b - slack
-    if not d_ok:
-        witnesses.append(("D", {"reason": "declared b below the analytic constant"}))
-    q1 = rng.uniform(-q_range, q_range, size=samples)
-    q2 = rng.uniform(-q_range, q_range, size=samples)
-    lhs = (q1 - q2) * (model.potential(q1) - model.potential(q2))
-    rhs = model.dissipativity_b * (q1 - q2) ** 2
-    bad = lhs > rhs + slack
-    if np.any(bad):
-        d_ok = False
-        i = int(np.argmax(bad))
-        witnesses.append(("D", {"q1": float(q1[i]), "q2": float(q2[i]),
-                                "lhs": float(lhs[i]), "rhs": float(rhs[i])}))
-
-    e_ok = (
-        model.sigma1 <= model.lipschitz_m1 + slack
-        and model.sigma2 <= model.lipschitz_m2 + slack
-        and model.sigma0 <= model.growth_c + slack
-    )
-    if not e_ok:
-        witnesses.append(("E", {"reason": "sigma coefficients exceed declared constants"}))
-    if config is not None and config.n_sites:
-        for _ in range(min(samples, 64)):
-            x = int(rng.integers(config.n_sites))
-            qa, qb = rng.uniform(-q_range, q_range, size=2)
-            za = WeightedSeq(config, rng.uniform(-q_range, q_range, config.n_sites))
-            zb = WeightedSeq(config, rng.uniform(-q_range, q_range, config.n_sites))
-            lhs_e = abs(diffusion(model, x, qa, za) - diffusion(model, x, qb, zb))
-            nbrs = config.indices[config.row(x)]
-            rhs_e = model.lipschitz_m1 * abs(qa - qb) + model.lipschitz_m2 * nbrs.size * float(
-                np.sum(np.abs(za.values[nbrs] - zb.values[nbrs]))
-            )
-            if lhs_e > rhs_e + slack:
-                e_ok = False
-                witnesses.append(("E", {"site": x, "lhs": lhs_e, "rhs": rhs_e}))
-                break
-
-    return DissipativityReport(c_ok, d_ok, e_ok, tuple(witnesses))
-
-
 class _NoiseSource:
     """Counter-based noise streams, one per site, keyed (seed, site).
 
@@ -330,7 +217,7 @@ class _NoiseSource:
 
     def __init__(self, seed: int):
         self._seed = seed & _MASK64
-        self._carried = {}   # site -> (next path, generator state)
+        self._carried = {}   # site -> generator state
 
     def _rekey(self, bitgen, site: int) -> None:
         bitgen.state = {
@@ -345,32 +232,27 @@ class _NoiseSource:
             "uinteger": 0,
         }
 
-    def fill_normals(self, gen, site: int, first_path: int, out: np.ndarray) -> None:
-        """Fill ``out`` (paths, M) with paths first_path, first_path + 1, ... of
-        the site's stream; paths skipped since its last carried state are
-        drawn and discarded."""
-        next_path, state = self._carried.get(site, (0, None))
-        if first_path < next_path:
-            raise ValueError("a noise stream cannot be drawn backwards")
+    def fill_normals(self, gen, site: int, out: np.ndarray) -> None:
+        """Fill ``out`` (paths, M) with the site's next paths: from path 0, or
+        from where its carried state stopped."""
+        state = self._carried.get(site)
         if state is None:
             self._rekey(gen.bit_generator, site)
         else:
             gen.bit_generator.state = state
-        for _ in range(first_path - next_path):
-            gen.standard_normal(out=out[0])
         gen.standard_normal(out=out)
 
-    def carry(self, gen, site: int, next_path: int) -> None:
-        """Keep ``gen``'s state as the site's stream at path ``next_path``."""
-        self._carried[site] = (next_path, gen.bit_generator.state)
+    def carry(self, gen, site: int) -> None:
+        """Keep ``gen``'s state as where the site's stream continues."""
+        self._carried[site] = gen.bit_generator.state
 
 
-def _noise_block(source, paths, sites, n_steps, dt, refine=1, run=map, workers=1,
+def _noise_block(source, width, sites, n_steps, dt, refine=1, run=map, workers=1,
                  carry=True) -> np.ndarray:
-    """Brownian increments of consecutive ``paths`` at ``sites``, shaped (n_steps, sites, paths).
+    """Brownian increments of the next ``width`` paths at ``sites``, shaped (n_steps, sites, paths).
 
-    ``source`` is a :class:`_NoiseSource`, whose streams continue from its
-    previous block, or a seed, which starts them afresh.  Each site's paths
+    The streams of the :class:`_NoiseSource` ``source`` continue where its
+    previous block stopped, or start at path 0.  Each site's paths
     are drawn with one call at resolution dt/refine into a reusable
     (paths, n_steps * refine) buffer, scaled, summed in blocks of
     ``refine`` and stored transposed, so each time step reads one
@@ -382,11 +264,6 @@ def _noise_block(source, paths, sites, n_steps, dt, refine=1, run=map, workers=1
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    if not isinstance(source, _NoiseSource):
-        source = _NoiseSource(source)
-    first, width = (int(paths[0]), len(paths)) if len(paths) else (0, 0)
-    if list(paths) != list(range(first, first + width)):
-        raise ValueError("paths must be consecutive")
     block = np.empty((n_steps, len(sites), width))
     scale = math.sqrt(dt / refine)
 
@@ -395,9 +272,9 @@ def _noise_block(source, paths, sites, n_steps, dt, refine=1, run=map, workers=1
         fine = np.empty((width, n_steps * refine))
         coarse = fine if refine == 1 else np.empty((width, n_steps))
         for si in positions:
-            source.fill_normals(gen, int(sites[si]), first, fine)
+            source.fill_normals(gen, int(sites[si]), fine)
             if carry:
-                source.carry(gen, int(sites[si]), first + width)
+                source.carry(gen, int(sites[si]))
             fine *= scale
             if refine > 1:
                 np.sum(fine.reshape(width, n_steps, refine), axis=2, out=coarse)
@@ -407,17 +284,6 @@ def _noise_block(source, paths, sites, n_steps, dt, refine=1, run=map, workers=1
         parts = np.array_split(np.arange(len(sites)), max(1, min(workers, len(sites))))
         list(run(fill, parts))
     return block
-
-
-def wiener_increments(seed, path, site, n_steps, dt, refine=1) -> np.ndarray:
-    """Brownian increments of one path of one site's stream on an n_steps grid.
-
-    The site's stream is drawn through paths 0 .. path, each M = n_steps *
-    refine normals long, and the last one is returned; so a path's
-    increments depend on M, and a longer horizon does not extend them.
-    """
-    return _noise_block(seed, range(path, path + 1), [site], n_steps, dt, refine,
-                        carry=False)[:, 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,7 +303,6 @@ class EnsembleSums:
     p: float
     power: np.ndarray       # (node, site) sums of |xi|^p
     m2: np.ndarray          # (node, site) squared deviations of |xi|^p
-    peak: np.ndarray        # (site, path) max of |xi| over nodes 0 .. n_steps - 1
     diffs: dict             # m -> (node, site) sums of |xi - xi^m|^p
 
 
@@ -460,7 +325,6 @@ class PathEnsemble:
     scheme: str
     dt: float
     noise_refine: int
-    zeta_values: np.ndarray
     blowup: np.ndarray
     sums: EnsembleSums | None = None
 
@@ -545,14 +409,16 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     """An upper bound on the bytes :func:`simulate_coupled` allocates for its arrays.
 
     Per truncation (``n_sets`` of them): a block's run buffer (a run's
-    nodes and one more row) and spread, its band (``max_degree`` slots and
-    weights per site), a few per-site vectors, the running max per (site,
-    path) and three (node, site) sums.  Per thread, or per truncation if
-    there are more: seven step temporaries and one slice of gathered band
-    rows (``_GATHER_CAP`` doubles, or one row).  Per thread: a run's
-    path-order rows (one more than the block has paths) and three run
-    temporaries.  Per Cauchy pair (``n_pairs``): one (node, site) sum.  One
-    step-major noise block over every site.  Per drawing worker (at most
+    nodes and one more row), spread and running max, its band
+    (``max_degree`` slots and weights per site), a few per-site vectors,
+    three (node, site) sums and a blow-up flag per path; the states are
+    held per block, not per path, so past one full block more paths cost
+    only their flags.  Per thread, or per truncation if there are more:
+    seven step temporaries and one slice of gathered band rows
+    (``_GATHER_CAP`` doubles, or one row).  Per thread: a run's path-order
+    rows (one more than the block has paths) and three run temporaries.
+    Per Cauchy pair (``n_pairs``): one (node, site) sum.  One step-major
+    noise block over every site.  Per drawing worker (at most
     ``threads``): one site's fine draws for the block and, with
     ``noise_refine > 1``, their sums over each step.  The path tensors
     count only when they are kept.  Everything per site is counted over
@@ -561,10 +427,7 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
     n_nodes = n_steps + 1
     chunk = min(n_nodes, _chunk_nodes(n_steps, n_sets, n_pairs))
-    level = (
-        n_sites * (block * (chunk + 2) + 3 * max_degree + 8 + n_paths + 3 * n_nodes)
-        + n_paths
-    )
+    level = n_sites * (block * (chunk + 3) + 3 * max_degree + 8 + 3 * n_nodes) + n_paths
     per_gather = min(n_sites, max(1, _GATHER_CAP // max(1, max_degree * block)))
     steps = max(threads, n_sets) * (7 * n_sites * block + per_gather * max_degree * block)
     runs = threads * chunk * n_sites * (4 * block + 1)
@@ -701,19 +564,18 @@ class _Level:
         self.slots = row_of[slots]
         self.zeta = zeta_values
         self.frozen = np.setdiff1d(np.arange(n_sites), active)
-        self.frozen_size = np.abs(zeta_values[self.frozen])
+        frozen_size = np.abs(zeta_values[self.frozen])
         # NaN fails the comparison too
-        self.frozen_bounded = bool(np.all(self.frozen_size <= _BLOWUP_LIMIT))
-        self.frozen_power = _abs_power(self.frozen_size, self.p, out=np.empty(self.frozen.size))
+        self.frozen_bounded = bool(np.all(frozen_size <= _BLOWUP_LIMIT))
+        self.frozen_power = _abs_power(frozen_size, self.p, out=frozen_size)
         self.settled = np.zeros((3, self.frozen.size))   # frozen power, mean and m2
         self.blowup = np.empty(n_paths, dtype=bool)
         self.power, self.mean, self.m2 = np.zeros((3, n_nodes, active.size))
-        self.peak = np.empty((active.size, n_paths))
         self.paths = None
         if keep_paths:
             self.paths = np.empty((n_paths, n_sites, n_nodes))
             self.paths[:, self.frozen] = zeta_values[self.frozen, None]
-        self.nodes = self.spread_paths = None
+        self.nodes = self.spread_paths = self.peak = None
 
     def start_block(self, width, chunk) -> None:
         n = self.active.size
@@ -721,6 +583,7 @@ class _Level:
         self.nodes[0, :n] = self.zeta[self.active, None]
         self.nodes[:, n:] = self.zeta[self.tail, None]
         self.spread_paths = np.repeat(self.spread, width, axis=1)   # (active site, path)
+        self.peak = np.empty((n, width))   # running max of |xi|, for the blow-up flags
 
     def finish_block(self, start, work) -> None:
         """Settle the block's sums of the frozen sites."""
@@ -731,7 +594,7 @@ class _Level:
             with np.errstate(over="ignore", invalid="ignore"):
                 _add_in_path_order(power, powed, work.get("rows", (width + 1, self.frozen.size)))
                 _merge_moments(mean, m2, powed, start)
-        self.nodes = self.spread_paths = None
+        self.nodes = self.spread_paths = self.peak = None
 
     def advance(self, noise, start, k0, k1, work) -> None:
         """Step through nodes k0 .. k1 - 1 of the path block (node 0 is the
@@ -795,7 +658,7 @@ class _Level:
             size = np.abs(nodes, out=work.get("run", nodes.shape))
             if self.paths is not None:
                 self.paths[start : start + width, self.active, k0:k1] = nodes.transpose(2, 1, 0)
-            peak = self.peak[:, start : start + width]
+            peak = self.peak   # (active site, path in the block)
             if k0 == 0:
                 peak[...] = size[0]
             terminal = k1 == self.power.shape[0]   # the running max skips the terminal node
@@ -842,11 +705,8 @@ class _Level:
                                     (m2, self.m2, self.settled[2])):
             full[:, self.active] = ours
             full[:, self.frozen] = settled
-        peak = np.empty((n_sites, self.peak.shape[1]))
-        peak[self.active] = self.peak
-        peak[self.frozen] = self.frozen_size[:, None]
-        self.power = self.mean = self.m2 = self.peak = None
-        return EnsembleSums(self.p, power, m2, peak, diffs)
+        self.power = self.mean = self.m2 = None
+        return EnsembleSums(self.p, power, m2, diffs)
 
 
 class _Pair:
@@ -947,7 +807,7 @@ def simulate_coupled(model: ModelSpec, config: Configuration, active_sets, zeta:
         for start in range(0, n_paths, path_block):
             stop = min(start + path_block, n_paths)
             # the streams continue unless this is their last block
-            noise = _noise_block(source, range(start, stop), union, n_steps, dt, noise_refine,
+            noise = _noise_block(source, stop - start, union, n_steps, dt, noise_refine,
                                  run, threads, stop < n_paths)
             for level in levels:
                 level.start_block(stop - start, chunk)
@@ -970,7 +830,6 @@ def simulate_coupled(model: ModelSpec, config: Configuration, active_sets, zeta:
             scheme=scheme,
             dt=float(dt),
             noise_refine=int(noise_refine),
-            zeta_values=zeta.values.copy(),
             blowup=level.blowup,
             sums=level.sums({m: pair.spread(config.n_sites)
                              for (n, m), pair in zip(pairs, cauchy) if n == i}),
@@ -992,40 +851,3 @@ def simulate_truncated(model: ModelSpec, config: Configuration, lambda_n, zeta: 
         model, config, [lambda_n], zeta, T, dt, n_paths, seed,
         scheme=scheme, noise_refine=noise_refine, keep_paths=True,
     )[0]
-
-
-def ou_moment_oracle(lambda_, sigma, xi0, t):
-    """Closed-form mean and second moment of the linear single-site diffusion.
-
-    d xi = -lambda xi dt + sigma dW gives E xi_t = xi0 e^(-lambda t) and
-    E xi_t^2 = xi0^2 e^(-2 lambda t) + sigma^2 (1 - e^(-2 lambda t)) / (2 lambda).
-    """
-    if lambda_ <= 0:
-        raise ValueError("need lambda > 0")
-    if sigma < 0 or t < 0:
-        raise ValueError("need sigma >= 0 and t >= 0")
-    mean = xi0 * math.exp(-lambda_ * t)
-    second = xi0**2 * math.exp(-2 * lambda_ * t) + sigma**2 * (
-        1.0 - math.exp(-2 * lambda_ * t)
-    ) / (2.0 * lambda_)
-    return mean, second
-
-
-def exit_time_diagnostic(ensemble: PathEnsemble, thresholds):
-    """Empirical probability that |xi_x| reaches each level strictly before T.
-
-    The exit time is the first grid time with |xi| >= level, so level 0 exits
-    immediately and gives probability one.  The terminal node is excluded:
-    reaching the level only at t = T does not count as exiting before T.
-    Reads the running max the simulator kept per (site, path).
-    Returns {level: per-site fraction array}.
-    """
-    if ensemble.n_paths == 0:
-        raise ValueError("empty ensemble")
-    if ensemble.sums is None:
-        raise ValueError("the ensemble carries no reductions: it was not simulated")
-    peak = ensemble.sums.peak  # (n_sites, n_paths)
-    out = {}
-    for level in thresholds:
-        out[float(level)] = (peak >= float(level)).mean(axis=1)
-    return out

@@ -26,9 +26,7 @@ __all__ = [
     "ScaleParams",
     "WeightedSeq",
     "weighted_sum",
-    "weighted_sums",
     "bounded_sums",
-    "lp_norm",
     "verify_scale_monotonicity",
     "scale_monotonicity_verdicts",
     "degree_summability_check",
@@ -60,9 +58,6 @@ class ScaleParams:
         if self.T <= 0.0:
             raise ValueError("need T > 0")
 
-    def contains(self, a: float) -> bool:
-        return self.a_low <= a <= self.a_high
-
 
 @dataclass(frozen=True)
 class WeightedSeq:
@@ -86,11 +81,6 @@ class WeightedSeq:
 def weighted_sum(radii: np.ndarray, a: float, values) -> float:
     """Compensated sum of e^(-a |x|) v_x over sites with the given radii."""
     return math.fsum((np.exp(-a * radii) * values).tolist())
-
-
-def weighted_sums(radii: np.ndarray, a: float, rows) -> list:
-    """:func:`weighted_sum` of each row of ``rows`` (trial, site), e^(-a |x|) taken once."""
-    return [math.fsum(row.tolist()) for row in np.exp(-a * radii) * rows]
 
 
 def bounded_sums(weights: np.ndarray, rows: np.ndarray):
@@ -128,15 +118,6 @@ def _power_bounds(lo, hi, p):
     return low, high
 
 
-def lp_norm(z: WeightedSeq, a: float, p: float) -> float:
-    """Weighted norm (sum_x e^(-a|x|) |z_x|^p)^(1/p)."""
-    if a <= 0.0:
-        raise ValueError("weight a must be > 0")
-    if p < 1.0:
-        raise ValueError("need p >= 1")
-    return weighted_sum(z.config.radii, a, np.abs(z.values) ** p) ** (1.0 / p)
-
-
 def _powed_sequences(z, alpha, beta, p):
     """The configuration of ``z``, a list of sequences, and their |z|^p as one (sequence, site) array."""
     if alpha >= beta:
@@ -170,9 +151,10 @@ def verify_scale_monotonicity(z, alpha: float, beta: float, p: float):
     if config is None:
         return []
     out = []
-    for sum_alpha, sum_beta in zip(weighted_sums(config.radii, alpha, powed),
-                                   weighted_sums(config.radii, beta, powed)):
-        norm_alpha, norm_beta = sum_alpha ** (1.0 / p), sum_beta ** (1.0 / p)
+    for alpha_terms, beta_terms in zip(np.exp(-alpha * config.radii) * powed,
+                                       np.exp(-beta * config.radii) * powed):
+        norm_alpha = math.fsum(alpha_terms.tolist()) ** (1.0 / p)
+        norm_beta = math.fsum(beta_terms.tolist()) ** (1.0 / p)
         out.append((norm_alpha, norm_beta, norm_beta <= norm_alpha + NORM_SLACK))
     return out
 
@@ -223,8 +205,8 @@ def degree_summability_check(config: Configuration, a_low: float):
     N = m + 1 it is x^N [N^3/d + 3N^2 x/d^2 + 3N x(1+x)/d^3 + x(1+4x+x^2)/d^4],
     all of whose terms are positive.  A bound past the float range is inf.
     """
-    if a_low <= 0.0:
-        raise ValueError("a_low must be > 0")
+    if not 0.0 < a_low < math.inf:
+        raise ValueError(f"a_low must be finite and > 0, got {a_low!r}")
     partial_sum = weighted_sum(config.radii, a_low, config.degrees)
     # the formula still yields a finite tail for the empty window
     n_hat = estimate_growth_constant(config) if config.n_sites else 1.0

@@ -8,7 +8,6 @@ model, uniform moments and the Cauchy property of coupled truncations,
 exit-time decay, and byte-level CLI determinism.
 """
 
-import json
 import math
 import time
 from pathlib import Path
@@ -21,7 +20,7 @@ import latticesde as lat
 from conftest import dense_operator
 from latticesde.convergence import cauchy_table
 from latticesde.cli import main
-from latticesde.ovsjannikov import BandedOperator
+import oracles
 
 
 def report(criterion, ok, detail, elapsed, limit):
@@ -229,7 +228,7 @@ def test_criterion_06_comparison_theorem():
 def test_criterion_07_ou_oracle_match(ou_ensemble):
     t0 = time.time()
     terminal = ou_ensemble.paths[:, 0, -1] ** 2
-    _, second = lat.ou_moment_oracle(1.0, math.sqrt(2.0), 0.0, 1.0)
+    _, second = oracles.ou_moment_oracle(1.0, math.sqrt(2.0), 0.0, 1.0)
     est = float(terminal.mean())
     se = float(terminal.std(ddof=1)) / math.sqrt(terminal.size)
     ok = abs(est - second) <= 3.0 * se
@@ -277,7 +276,7 @@ def test_criterion_09_cauchy_property(level_ensembles):
 
 def test_criterion_10_exit_time_decay(ou_ensemble):
     t0 = time.time()
-    probs = lat.exit_time_diagnostic(ou_ensemble, [2.0, 4.0, 8.0])
+    probs = oracles.exit_time_diagnostic(ou_ensemble, [2.0, 4.0, 8.0])
     p2, p4, p8 = (float(probs[k][0]) for k in (2.0, 4.0, 8.0))
     ok = p2 >= p4 >= p8 and p8 <= 1e-3
     report(10, ok, f"P(exit before T) = {p2:.4f}, {p4:.4f}, {p8:.4f}",

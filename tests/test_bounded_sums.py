@@ -17,6 +17,7 @@ import latticesde as lat
 from latticesde import spaces
 from latticesde.ovsjannikov import BandedOperator, _max_ratio, _picard_sums
 from latticesde.spaces import bounded_sums, scale_monotonicity_verdicts
+import oracles
 from test_ovsjannikov import banded_from_dense
 
 TINY = 5e-324
@@ -285,7 +286,7 @@ class TestPicardIncrements:
     def test_adversarial_iterates(self, monkeypatch, values):
         cfg = lat.configuration_from_points([[0.0], [0.5]], rho=1.0)
         z0 = lat.WeightedSeq(cfg, np.array(values))
-        for Q in (lat.identity_operator(cfg), lat.zero_operator(cfg)):
+        for Q in (oracles.identity_operator(cfg), oracles.zero_operator(cfg)):
             ref = fsum_solve(Q, z0, 1.0, 1e-12)
             assert_same_solve(solve_counting(Q, z0, 1.0, 1e-12, monkeypatch), ref)
 

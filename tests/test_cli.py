@@ -1,5 +1,6 @@
 import json
 import re
+import runpy
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -192,6 +193,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("scheme = tamed", "sheme = explicit", "unknown key 'sheme' in section [simulation]"),
+        ("[report]", "[plot]\n[report]", "unknown section [plot]"),
+        ("[geometry]", "[DEFAULT]\n[geometry]", "unknown section [DEFAULT]"),
+    ], ids=["misspelt-key", "undeclared-section", "default-section"])
+    def test_undeclared_key_or_section_exits_2(self, tmp_path, capsys, old, new, message):
+        # a misspelt key with a default would leave the run on that default
+        path = write_config(tmp_path, text=SMALL.replace(old, new))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
     def test_seed_override_validated(self, tmp_path, capsys):
         # seed 2**64 + 8 would silently reuse the noise of seed 8
@@ -532,3 +544,11 @@ class TestPicard:
         # K may sanitize to the string "inf"; the bound still holds one-sided
         if isinstance(report["K"], float):
             assert report["final_norm"] <= report["K"] * report["initial_norm"]
+
+
+def test_every_traced_name_resolves():
+    # the tracer rebinds these by name: a lost name would leave its layer metric blind
+    wrapped = runpy.run_path(str(ROOT / "bench" / "tracer.py"))["WRAPPED"]
+    lost = [(module, attr) for module, attr in wrapped
+            if not callable(getattr(getattr(lat, module), attr, None))]
+    assert wrapped and lost == []

@@ -14,6 +14,7 @@ from latticesde.convergence import (
     simulate_levels,
 )
 from latticesde.spaces import weighted_sum
+import oracles
 
 
 def reference_moment_field(paths, p):
@@ -38,18 +39,16 @@ def reference_pair_sup(a, b, p):
 
 
 def reference_sums(paths, p, block):
-    """power, m2 and peak from a stored path tensor (path, site, node), reduced
-    at every site and node: |xi|^p summed in path order, its squared
-    deviations merged over blocks of ``block`` paths, and the max of |xi|
-    before the terminal node, as (node, site), (node, site) and (site, path)."""
+    """power and m2 from a stored path tensor (path, site, node), reduced at
+    every site and node, as (node, site): |xi|^p summed in path order, and
+    its squared deviations merged over blocks of ``block`` paths."""
     powed = sde._abs_power(paths, p, np.empty_like(paths))
     power = powed.sum(axis=0).T
     values = powed.transpose(2, 1, 0)            # (node, site, path)
     mean, m2 = np.empty(power.shape), np.empty(power.shape)
     for start in range(0, paths.shape[0], block):
         sde._merge_moments(mean, m2, values[..., start : start + block].copy(), start)
-    peak = np.abs(paths[:, :, :-1]).max(axis=2).T
-    return power, m2, peak
+    return power, m2
 
 
 def reference_diffs(a, b, p):
@@ -72,11 +71,6 @@ def assert_reductions_match_paths(ensembles, levels, model, one_block):
             # rounding, a few ulps of |xi|^p where the variance is zero (frozen sites)
             ulps = 4 * np.finfo(float).eps * per_site
             assert np.all(np.abs(field.stderr - stderr) <= 1e-12 * stderr + ulps)
-        levels_hit = [0.0, 0.9, 1.2]
-        peak = np.abs(ens.paths[:, :, :-1]).max(axis=2)
-        exits = lat.exit_time_diagnostic(ens, levels_hit)
-        for level in levels_hit:
-            assert np.array_equal(exits[level], (peak >= level).mean(axis=0))
     if len(ensembles) < 2:
         return
     config = ensembles[0].config
@@ -124,7 +118,7 @@ class TestMomentField:
 
     def test_ou_sup_matches_oracle(self, ou_ensemble):
         field = lat.moment_field(ou_ensemble, 2.0)
-        _, stationary = lat.ou_moment_oracle(1.0, math.sqrt(2.0), 0.0, 1.0)
+        _, stationary = oracles.ou_moment_oracle(1.0, math.sqrt(2.0), 0.0, 1.0)
         assert field.per_site[0] == pytest.approx(stationary, abs=3.5 * field.stderr[0])
 
 
@@ -314,7 +308,7 @@ class TestCauchy:
                               keep_paths=True)
         for a, b in zip(seq, par):
             assert np.array_equal(a.paths, b.paths)
-            for name in ("power", "m2", "peak"):
+            for name in ("power", "m2"):
                 assert getattr(a.sums, name).tobytes() == getattr(b.sums, name).tobytes()
             assert a.sums.diffs.keys() == b.sums.diffs.keys()
             for m in a.sums.diffs:
@@ -369,8 +363,7 @@ class TestSharedDraw:
     @pytest.mark.parametrize("chunk", [1, 3, 4, 11])
     def test_runs_of_nodes_reduce_like_single_nodes(self, coupled_setup, monkeypatch, chunk,
                                                     threads):
-        # 10 steps in runs of 3 or 4 nodes leave the terminal node, which the
-        # exit times skip, inside a longer run
+        # 10 steps in runs of 3 or 4 nodes leave the terminal node inside a longer run
         config, model, zeta = coupled_setup
         levels = lat.exhaustion_sequence(config, 3)
         monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
@@ -389,9 +382,9 @@ class TestSharedDraw:
         blocks = []
         noise_block = sde._noise_block
 
-        def recorded(seed, paths, sites, *args):
-            blocks.append((len(paths), len(sites)))
-            return noise_block(seed, paths, sites, *args)
+        def recorded(source, width, sites, *args):
+            blocks.append((width, len(sites)))
+            return noise_block(source, width, sites, *args)
 
         monkeypatch.setattr(sde, "_noise_block", recorded)
         ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, n_paths, 23,
@@ -415,18 +408,16 @@ class TestSharedDraw:
             keyed.append(site)
             rekey(source, bitgen, site)
 
-        def counted_fill(source, gen, site, first_path, out):
-            fills.append((site, first_path, len(out)))
-            fill(source, gen, site, first_path, out)
+        def counted_fill(source, gen, site, out):
+            fills.append((site, len(out)))
+            fill(source, gen, site, out)
 
         monkeypatch.setattr(sde._NoiseSource, "_rekey", counted_rekey)
         monkeypatch.setattr(sde._NoiseSource, "fill_normals", counted_fill)
         simulate_levels(model, config, levels, zeta, 0.05, 0.01, 9, 22)
         union = levels[-1].tolist()
         assert sorted(keyed) == union
-        assert sorted(fills) == sorted(
-            (site, first, width) for site in union for first, width in ((0, 4), (4, 4), (8, 1))
-        )
+        assert sorted(fills) == sorted((site, width) for site in union for width in (4, 4, 1))
 
 
 class TestFrozenRows:
@@ -456,10 +447,9 @@ class TestFrozenRows:
                                          threads=threads, pairs=pairs, keep_paths=True)
         for active, ens in zip(sets, ensembles):
             assert np.array_equal(ens.active, active)
-            power, m2, peak = reference_sums(ens.paths, model.p, path_block or n_paths)
+            power, m2 = reference_sums(ens.paths, model.p, path_block or n_paths)
             assert ens.sums.power.tobytes() == power.tobytes()
             assert ens.sums.m2.tobytes() == m2.tobytes()
-            assert ens.sums.peak.tobytes() == peak.tobytes()
             frozen = np.setdiff1d(np.arange(n), active)
             assert np.all(ens.paths[:, frozen] == zeta.values[frozen, None])
             assert not ens.has_blowup
@@ -488,7 +478,7 @@ class TestFrozenRows:
             assert [bool(e.blowup.all()) for e in ensembles] == [flagged, flagged]
             assert [bool(e.blowup.any()) for e in ensembles] == [flagged, flagged]
             sums = ensembles[0].sums
-            for got, want in zip((sums.power, sums.m2, sums.peak),
+            for got, want in zip((sums.power, sums.m2),
                                  reference_sums(ensembles[0].paths, model.p, 3)):
                 assert got.tobytes() == want.tobytes()
 
@@ -544,7 +534,7 @@ class TestUniqueness:
         config, _, _ = decoupled_setup
         model = lat.make_model("linear", 1.0, kernel_cap=0.0, rho=1.0, p=2.0)
         zeta = lat.WeightedSeq(config, np.ones(config.n_sites))
-        report = lat.uniqueness_crosscheck(
+        report = oracles.uniqueness_crosscheck(
             model, config, zeta, 1.0, 0.05, 4, 14, alpha=0.5, scheme="explicit"
         )
         # deterministic Euler: halving dt halves the defect
@@ -553,7 +543,7 @@ class TestUniqueness:
     def test_frozen_system_has_zero_discrepancy(self, single_site_config):
         model = lat.make_model("linear", 1.0, p=2.0)
         zeta = lat.WeightedSeq(single_site_config, np.zeros(1))
-        report = lat.uniqueness_crosscheck(
+        report = oracles.uniqueness_crosscheck(
             model, single_site_config, zeta, 0.5, 0.05, 4, 15, alpha=0.5
         )
         assert report.disc_coarse == 0.0 and report.disc_fine == 0.0
@@ -562,7 +552,7 @@ class TestUniqueness:
     def test_noisy_cubic_strong_order(self, single_site_config):
         model = lat.make_model("cubic", 0.0, sigma0=0.5, p=4.0)
         zeta = lat.WeightedSeq(single_site_config, np.ones(1))
-        report = lat.uniqueness_crosscheck(
+        report = oracles.uniqueness_crosscheck(
             model, single_site_config, zeta, 1.0, 0.05, 400, 16, alpha=0.5
         )
         assert report.ratio >= math.sqrt(2.0) * 0.9

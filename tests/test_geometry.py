@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import latticesde as lat
 from conftest import brute_force_neighbors, corrupt_table, lattice_1d
+from latticesde import geometry
 from latticesde.geometry import configuration_bytes
 
 LOG2 = math.log(2.0)
@@ -83,6 +84,17 @@ class TestSampleConfiguration:
     def test_duplicate_points_rejected_in_from_points(self):
         with pytest.raises(ValueError):
             lat.configuration_from_points([[0.0], [0.0]], rho=1.0)
+
+    def test_sampled_points_checked_for_duplicates_once(self, monkeypatch):
+        # sampling resamples duplicates itself; points given from outside are checked
+        calls = []
+        first_copies = geometry._first_copies
+        monkeypatch.setattr(geometry, "_first_copies", lambda p: calls.append(1) or first_copies(p))
+        sampled = lat.sample_configuration(2.0, 10.0, 2, 1.0, 3)
+        given = lat.configuration_from_points(sampled.points, 1.0, 10.0, seed=3)
+        assert len(calls) == 2 and sampled.n_sites > 1
+        for name in ("points", "indptr", "indices", "distances", "radii"):
+            assert getattr(given, name).tobytes() == getattr(sampled, name).tobytes()
 
 
 class TestNeighborhoods:

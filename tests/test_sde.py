@@ -14,10 +14,10 @@ from latticesde.convergence import cauchy_pairs, simulate_levels
 from latticesde.sde import (
     _noise_block,
     _NoiseSource,
-    a_tilde,
     simulate_coupled,
     simulation_bytes,
 )
+import oracles
 
 
 def full_site_step(config):
@@ -64,20 +64,20 @@ class TestDriftDiffusion:
     def test_pure_cubic_potential(self, single_site_config):
         model = lat.make_model("cubic", 0.0, kernel_cap=0.0, rho=1.0, p=4.0, sigma0=0.0)
         Z = lat.WeightedSeq(single_site_config, np.array([7.0]))
-        assert lat.drift(model, 0, 2.0, Z) == pytest.approx(-8.0)
+        assert oracles.drift(model, 0, 2.0, Z) == pytest.approx(-8.0)
 
     def test_cubic_with_self_interaction(self, single_site_config):
         model = lat.make_model(
             "cubic", 0.0, kernel="constant", kernel_cap=0.3, rho=1.0, p=4.0
         )
         Z = lat.WeightedSeq(single_site_config, np.array([7.0]))
-        assert lat.drift(model, 0, 2.0, Z) == pytest.approx(-8.0 + 0.3 * 7.0)
+        assert oracles.drift(model, 0, 2.0, Z) == pytest.approx(-8.0 + 0.3 * 7.0)
 
     def test_zero_state_zero_drift(self, single_site_config):
         Z = lat.WeightedSeq(single_site_config, np.zeros(1))
         for kind, param in (("linear", 1.5), ("cubic", 0.0)):
             model = lat.make_model(kind, param, kernel_cap=0.2, rho=1.0, p=4.0)
-            assert lat.drift(model, 0, 0.0, Z) == 0.0
+            assert oracles.drift(model, 0, 0.0, Z) == 0.0
 
     def test_linear_with_neighbor(self, pair_config):
         model = lat.make_model(
@@ -85,23 +85,23 @@ class TestDriftDiffusion:
         )
         Z = lat.WeightedSeq(pair_config, np.array([0.0, 4.0]))
         # V(1) + a(0) * 0 + a(0.5) * 4 = -1 + 2
-        assert lat.drift(model, 0, 1.0, Z) == pytest.approx(1.0)
+        assert oracles.drift(model, 0, 1.0, Z) == pytest.approx(1.0)
 
     def test_additive_noise_only(self, single_site_config):
         model = lat.make_model("linear", 1.0, sigma0=1.0, p=2.0)
         Z = lat.WeightedSeq(single_site_config, np.array([5.0]))
-        assert lat.diffusion(model, 0, 3.0, Z) == pytest.approx(1.0)
+        assert oracles.diffusion(model, 0, 3.0, Z) == pytest.approx(1.0)
 
     def test_zero_diffusion(self, single_site_config):
         model = lat.make_model("linear", 1.0, p=2.0)
         Z = lat.WeightedSeq(single_site_config, np.array([5.0]))
-        assert lat.diffusion(model, 0, 3.0, Z) == 0.0
+        assert oracles.diffusion(model, 0, 3.0, Z) == 0.0
 
     def test_state_dependent_diffusion(self, single_site_config):
         model = lat.make_model("linear", 1.0, sigma0=0.0, sigma1=2.0, sigma2=0.1, p=2.0)
         Z = lat.WeightedSeq(single_site_config, np.array([1.0]))
         # 2*3 + 0.1 * n_x * z_self = 6.1
-        assert lat.diffusion(model, 0, 3.0, Z) == pytest.approx(6.1)
+        assert oracles.diffusion(model, 0, 3.0, Z) == pytest.approx(6.1)
 
     def test_triangular_kernel_vanishes_at_radius(self):
         cfg = lat.configuration_from_points([[0.0], [1.0]], rho=1.0)
@@ -111,14 +111,14 @@ class TestDriftDiffusion:
         # V(0) = 0, so the drift at q = 0 is the kernel-weighted neighbor sum
         self_only = lat.WeightedSeq(cfg, np.array([1.0, 0.0]))
         other_only = lat.WeightedSeq(cfg, np.array([0.0, 1.0]))
-        assert lat.drift(model, 0, 0.0, self_only) == pytest.approx(2.0)
-        assert lat.drift(model, 0, 0.0, other_only) == pytest.approx(0.0)
+        assert oracles.drift(model, 0, 0.0, self_only) == pytest.approx(2.0)
+        assert oracles.drift(model, 0, 0.0, other_only) == pytest.approx(0.0)
 
 
 class TestDissipativity:
     def test_cubic_passes(self, pair_config):
         model = lat.make_model("cubic", 0.0, kernel_cap=0.1, rho=1.0, p=4.0, sigma0=0.1)
-        rep = lat.check_dissipativity(model, 500, 10.0, 1, config=pair_config)
+        rep = oracles.check_dissipativity(model, 500, 10.0, 1, config=pair_config)
         assert rep.all_ok and not rep.witnesses
 
     def test_linear_constants(self):
@@ -126,7 +126,7 @@ class TestDissipativity:
         assert model.dissipativity_b == pytest.approx(-2.0)
         assert model.growth_c == pytest.approx(2.0)
         assert model.growth_R == 1.0
-        rep = lat.check_dissipativity(model, 500, 10.0, 2)
+        rep = oracles.check_dissipativity(model, 500, 10.0, 2)
         assert rep.all_ok
 
     def test_injected_expanding_potential_fails(self):
@@ -138,7 +138,7 @@ class TestDissipativity:
             growth_c=1.0, growth_R=2.0, dissipativity_b=0.0,
             lipschitz_m1=0.0, lipschitz_m2=0.0, p=2.0,
         )
-        rep = lat.check_dissipativity(bad, 2000, 5.0, 3)
+        rep = oracles.check_dissipativity(bad, 2000, 5.0, 3)
         assert not rep.d_ok
         assert any(tag == "D" for tag, _ in rep.witnesses)
 
@@ -146,7 +146,7 @@ class TestDissipativity:
         model = lat.make_model(
             "linear", 1.0, sigma1=1.0, p=2.0, lipschitz_m1=0.1
         )
-        rep = lat.check_dissipativity(model, 200, 5.0, 4, config=pair_config)
+        rep = oracles.check_dissipativity(model, 200, 5.0, 4, config=pair_config)
         assert not rep.e_ok
 
 
@@ -157,7 +157,7 @@ class TestDriftLemmaInequalities:
         model = lat.make_model(
             kind, param, kernel="constant", kernel_cap=0.4, rho=1.0, p=4.0
         )
-        atil = a_tilde(model, cfg)
+        atil = oracles.a_tilde(model, cfg)
         rng = np.random.default_rng(56)
         b = model.dissipativity_b
         for _ in range(300):
@@ -167,13 +167,13 @@ class TestDriftLemmaInequalities:
             Z1 = lat.WeightedSeq(cfg, rng.uniform(-3, 3, cfg.n_sites))
             Z2 = lat.WeightedSeq(cfg, rng.uniform(-3, 3, cfg.n_sites))
             # growth: |Phi| <= c (1 + |q|^R) + a~_x (sum z^2)^(1/2)
-            phi = lat.drift(model, x, q1, Z1)
+            phi = oracles.drift(model, x, q1, Z1)
             growth_rhs = model.growth_c * (1 + abs(q1) ** model.growth_R) + atil[
                 x
             ] * math.sqrt(float(np.sum(Z1.values[nbrs] ** 2)))
             assert abs(phi) <= growth_rhs + 1e-9
             # one-sided: (q1-q2)(Phi1-Phi2) <= (b+1/2)(q1-q2)^2 + a~^2/2 sum dz^2
-            lhs = (q1 - q2) * (phi - lat.drift(model, x, q2, Z2))
+            lhs = (q1 - q2) * (phi - oracles.drift(model, x, q2, Z2))
             dz2 = float(np.sum((Z1.values[nbrs] - Z2.values[nbrs]) ** 2))
             rhs = (b + 0.5) * (q1 - q2) ** 2 + 0.5 * atil[x] ** 2 * dz2
             assert lhs <= rhs + 1e-9
@@ -249,7 +249,7 @@ class TestSimulation:
         phi = model.potential(x0) + K @ x0
         psi = model.sigma0 + model.sigma1 * x0 + model.sigma2 * adj.sum(axis=1) * (adj @ x0)
         for path in range(3):
-            dw = np.array([lat.wiener_increments(14, path, int(x), 1, dt)[0] for x in active])
+            dw = np.array([oracles.wiener_increments(14, path, int(x), 1, dt)[0] for x in active])
             want = x0.copy()
             want[active] += (phi * dt / (1.0 + dt * np.abs(phi)))[active] + psi[active] * dw
             got = ens.paths[path, :, 1]
@@ -274,15 +274,15 @@ class TestSimulation:
 
     def test_wiener_increment_grid_compatibility(self):
         # dt grid with refine 2 carries the same Brownian path as dt/2 with refine 1
-        a = lat.wiener_increments(5, 2, 3, 50, 0.1, refine=2)
-        b = lat.wiener_increments(5, 2, 3, 100, 0.05, refine=1)
+        a = oracles.wiener_increments(5, 2, 3, 50, 0.1, refine=2)
+        b = oracles.wiener_increments(5, 2, 3, 100, 0.05, refine=1)
         assert np.array_equal(a, b.reshape(50, 2).sum(axis=1))
 
     def test_wiener_streams_differ_across_sites_and_paths(self):
-        base = lat.wiener_increments(5, 2, 3, 50, 0.1)
-        assert not np.array_equal(base, lat.wiener_increments(5, 2, 4, 50, 0.1))
-        assert not np.array_equal(base, lat.wiener_increments(5, 3, 3, 50, 0.1))
-        assert not np.array_equal(base, lat.wiener_increments(6, 2, 3, 50, 0.1))
+        base = oracles.wiener_increments(5, 2, 3, 50, 0.1)
+        assert not np.array_equal(base, oracles.wiener_increments(5, 2, 4, 50, 0.1))
+        assert not np.array_equal(base, oracles.wiener_increments(5, 3, 3, 50, 0.1))
+        assert not np.array_equal(base, oracles.wiener_increments(6, 2, 3, 50, 0.1))
 
     @pytest.mark.parametrize("refine", [1, 2, 16])
     def test_wiener_increments_are_slices_of_the_site_stream(self, refine):
@@ -290,16 +290,18 @@ class TestSimulation:
         # stream, keyed (seed, site), scaled and summed in blocks of refine
         direct = site_stream(5, 7, 4, 20 * refine)
         want = (math.sqrt(0.1 / refine) * direct[3]).reshape(20, refine).sum(axis=1)
-        assert np.array_equal(lat.wiener_increments(5, 3, 7, 20, 0.1, refine=refine), want)
+        assert np.array_equal(oracles.wiener_increments(5, 3, 7, 20, 0.1, refine=refine), want)
 
     @pytest.mark.parametrize("refine", [1, 3])
     def test_noise_block_is_the_wiener_streams(self, refine):
         paths, sites = [2, 3, 4], [1, 3, 7, 9]
-        block = _noise_block(5, paths, sites, 20, 0.1, refine)
+        source = _NoiseSource(5)
+        _noise_block(source, 2, sites, 20, 0.1, refine)   # the streams go on at path 2
+        block = _noise_block(source, len(paths), sites, 20, 0.1, refine)
         assert block.shape == (20, len(sites), len(paths)) and block.flags.c_contiguous
         for pi, path in enumerate(paths):
             for si, site in enumerate(sites):
-                want = lat.wiener_increments(5, path, site, 20, 0.1, refine=refine)
+                want = oracles.wiener_increments(5, path, site, 20, 0.1, refine=refine)
                 assert np.array_equal(block[:, si, pi], want)
 
     def test_coupled_sets_need_not_nest(self, poisson_1d, monkeypatch):
@@ -360,7 +362,7 @@ class TestSimulation:
         for ours, want in zip(new, old):
             assert ours.paths.tobytes() == want.paths.tobytes()
             assert ours.blowup.tobytes() == want.blowup.tobytes()
-            for name in ("power", "m2", "peak"):
+            for name in ("power", "m2"):
                 assert getattr(ours.sums, name).tobytes() == getattr(want.sums, name).tobytes()
             assert ours.sums.diffs.keys() == want.sums.diffs.keys()
             for m in want.sums.diffs:
@@ -439,9 +441,9 @@ class TestSimulation:
             # a Cauchy pair adds one (node, site) sum
             pair = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, n_pairs=1)
             assert pair - plain == 8 * n * (steps + 1)
-        # past one full block, more paths cost only their running max and flag
+        # past one full block, more paths cost only their blow-up flag
         big = simulation_bytes(n, degree, 2, 10**9, steps)
-        assert big - simulation_bytes(n, degree, 2, 10**8, steps) == 8 * 2 * 9 * 10**8 * (n + 1)
+        assert big - simulation_bytes(n, degree, 2, 10**8, steps) == 8 * 2 * 9 * 10**8
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("keep_paths", [False, True])
@@ -603,8 +605,8 @@ class TestNoiseLayout:
         fine = site_stream(5, 3, path + 1, 2 * n * r)[path]
         scale = math.sqrt(dt / (2 * r))
         assert scale == math.sqrt(dt / 2 / r)
-        coarse = lat.wiener_increments(5, path, 3, n, dt, refine=2 * r)
-        halved = lat.wiener_increments(5, path, 3, 2 * n, dt / 2, refine=r)
+        coarse = oracles.wiener_increments(5, path, 3, n, dt, refine=2 * r)
+        halved = oracles.wiener_increments(5, path, 3, 2 * n, dt / 2, refine=r)
         assert np.array_equal(coarse, (scale * fine).reshape(n, 2 * r).sum(axis=1))
         assert np.array_equal(halved, (scale * fine).reshape(2 * n, r).sum(axis=1))
         if r == 1:
@@ -630,7 +632,7 @@ class TestNoiseLayout:
         simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31, noise_refine=2,
                          threads=threads)
         assert len(drawn) == -(-10 // path_block)
-        whole = noise_block(31, range(10), sets[-1], 10, 0.01, 2)
+        whole = noise_block(_NoiseSource(31), 10, sets[-1], 10, 0.01, 2)
         assert np.concatenate(drawn, axis=2).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -649,9 +651,9 @@ class TestNoiseLayout:
             drawn.append(noise_block(*args))
             return drawn[-1]
 
-        def counted(source, gen, site, next_path):
-            carried.append((site, next_path))
-            carry(source, gen, site, next_path)
+        def counted(source, gen, site):
+            carried.append(site)
+            carry(source, gen, site)
 
         monkeypatch.setattr(sde, "_noise_block", recorded)
         monkeypatch.setattr(_NoiseSource, "carry", counted)
@@ -659,8 +661,8 @@ class TestNoiseLayout:
         split = simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31,
                                  threads=threads, keep_paths=True)
         assert [block.shape[2] for block in drawn] == [4, 4, 2]
-        assert sorted(carried) == sorted((site, n) for site in sets[-1] for n in (4, 8))
-        one_block = noise_block(31, range(10), sets[-1], 10, 0.01)
+        assert sorted(carried) == sorted(2 * sets[-1].tolist())
+        one_block = noise_block(_NoiseSource(31), 10, sets[-1], 10, 0.01)
         assert np.concatenate(drawn, axis=2).tobytes() == one_block.tobytes()
         for a, b in zip(whole, split):
             assert a.paths.tobytes() == b.paths.tobytes()
@@ -677,9 +679,9 @@ class TestNoiseLayout:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                for paths in (range(0, 5), range(5, 6), range(6, 13)):
-                    one = _noise_block(serial, paths, sites, 12, 0.05, 2)
-                    many = _noise_block(threaded, paths, sites, 12, 0.05, 2, pool.map, workers)
+                for width in (5, 1, 7):
+                    one = _noise_block(serial, width, sites, 12, 0.05, 2)
+                    many = _noise_block(threaded, width, sites, 12, 0.05, 2, pool.map, workers)
                     assert one.tobytes() == many.tobytes()
         finally:
             sys.setswitchinterval(interval)
@@ -690,7 +692,7 @@ class TestNoiseLayout:
         # (seed, path << 32 | site); a site's key (seed, site) is its path-0
         # key, so path 0 of every site is drawn as before
         sites = [0, 6, 70000]
-        block = _noise_block(5, range(3), sites, 20, 0.1, refine)
+        block = _noise_block(_NoiseSource(5), 3, sites, 20, 0.1, refine)
         for si, site in enumerate(sites):
             key = np.array([5, (0 << 32) | site], dtype=np.uint64)
             draws = np.random.Generator(np.random.Philox(key=key)).standard_normal(20 * refine)
@@ -729,24 +731,24 @@ class TestNoiseLayout:
 
 class TestOuOracle:
     def test_time_zero(self):
-        assert lat.ou_moment_oracle(1.0, 1.0, 3.0, 0.0) == (3.0, 9.0)
+        assert oracles.ou_moment_oracle(1.0, 1.0, 3.0, 0.0) == (3.0, 9.0)
 
     def test_deterministic_decay(self):
-        mean, second = lat.ou_moment_oracle(2.0, 0.0, 1.5, 0.7)
+        mean, second = oracles.ou_moment_oracle(2.0, 0.0, 1.5, 0.7)
         assert mean == pytest.approx(1.5 * math.exp(-1.4))
         assert second == pytest.approx(mean**2)
 
     def test_stationary_variance(self):
-        _, second = lat.ou_moment_oracle(1.0, math.sqrt(2.0), 0.0, 60.0)
+        _, second = oracles.ou_moment_oracle(1.0, math.sqrt(2.0), 0.0, 60.0)
         assert second == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            lat.ou_moment_oracle(0.0, 1.0, 0.0, 1.0)
+            oracles.ou_moment_oracle(0.0, 1.0, 0.0, 1.0)
 
     def test_monte_carlo_match(self, single_site_config, ou_ensemble):
         terminal = ou_ensemble.paths[:, 0, -1] ** 2
-        _, second = lat.ou_moment_oracle(1.0, math.sqrt(2.0), 0.0, 1.0)
+        _, second = oracles.ou_moment_oracle(1.0, math.sqrt(2.0), 0.0, 1.0)
         se = terminal.std(ddof=1) / math.sqrt(terminal.size)
         assert abs(terminal.mean() - second) <= 3.0 * se
 
@@ -758,7 +760,7 @@ class TestExitTimes:
         ens = lat.simulate_truncated(
             model, single_site_config, [0], zeta, 1.0, 0.01, 4, 2
         )
-        probs = lat.exit_time_diagnostic(ens, [5.0])
+        probs = oracles.exit_time_diagnostic(ens, [5.0])
         assert np.all(probs[5.0] == 0.0)
 
     def test_zero_threshold_exits_immediately(self, single_site_config):
@@ -767,10 +769,10 @@ class TestExitTimes:
         ens = lat.simulate_truncated(
             model, single_site_config, [0], zeta, 1.0, 0.01, 4, 2
         )
-        probs = lat.exit_time_diagnostic(ens, [0.0])
+        probs = oracles.exit_time_diagnostic(ens, [0.0])
         assert np.all(probs[0.0] == 1.0)
 
     def test_decay_in_threshold(self, ou_ensemble):
-        probs = lat.exit_time_diagnostic(ou_ensemble, [2.0, 4.0, 8.0])
+        probs = oracles.exit_time_diagnostic(ou_ensemble, [2.0, 4.0, 8.0])
         p2, p4, p8 = (float(probs[k][0]) for k in (2.0, 4.0, 8.0))
         assert p2 >= p4 >= p8
