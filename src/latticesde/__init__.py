@@ -17,7 +17,6 @@ from .geometry import (
     save_configuration,
 )
 from .spaces import (
-    ScaleParams,
     WeightedSeq,
     degree_summability_check,
     verify_scale_monotonicity,

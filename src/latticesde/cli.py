@@ -20,6 +20,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401 -- numpy loads it on first use; here a memory limit cannot fail it mid-run
 
 from ._table import write_table
 from .convergence import (
@@ -52,11 +53,9 @@ from .ovsjannikov import (
 )
 from .sde import SCHEMES, make_model, simulation_bytes, step_count, worker_count
 from .spaces import (
-    ScaleParams,
     WeightedSeq,
     degree_summability_check,
-    scale_monotonicity_verdicts,
-    verify_scale_monotonicity,  # noqa: F401 -- bench/tracer.py wraps it under this name
+    verify_scale_monotonicity,
     weighted_sum,
 )
 
@@ -115,7 +114,6 @@ class ExperimentConfig:
             check_sampling_args(self.intensity, self.box_halfwidth, self.dim, self.rho, self.seed)
             step_count(self.horizon, self.dt)
             model = self.build_model()
-            ScaleParams(self.a_low, self.a_high, self.p, self.horizon)
             # the report's constants and the initial moments must be floats
             moment_constants(model, self.horizon)
             cauchy_constants(model)
@@ -135,6 +133,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.levels < 1 or self.n_paths < 1:
             raise ConfigError("need levels >= 1 and n_paths >= 1")
+        if self.a_low <= 0:
+            raise ConfigError(f"a_low must be > 0, got {self.a_low}")
         if not self.alphas:
             raise ConfigError("at least one report weight is required")
         for a in self.alphas:
@@ -320,7 +320,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
             if ens.has_blowup:
                 failed = True
             else:
-                field = moment_field(ens, cfg.p)
+                field = moment_field(ens)
                 _write_moments_csv(field, out_dir / f"moments_level{j}.csv")
                 entry["z_norms"] = {repr(a): z_norm(field, a) for a in cfg.alphas}
             if cfg.dump_paths:
@@ -353,8 +353,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     pair = (alpha_lo, alpha_hi) if alpha_lo < alpha_hi else (cfg.a_low, cfg.a_high)
 
     # scale axioms on 100 random sequences, drawn as one array and checked together
-    trials = [WeightedSeq(config, row) for row in rng.standard_normal((100, config.n_sites))]
-    mono_ok = bool(np.all(scale_monotonicity_verdicts(trials, pair[0], pair[1], cfg.p)))
+    trials = rng.standard_normal((100, config.n_sites))
+    mono_ok = bool(np.all(verify_scale_monotonicity(config, trials, pair[0], pair[1], cfg.p)))
     checks.append({"name": "scale_monotonicity", "ok": mono_ok})
 
     # degree summability
@@ -418,7 +418,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     if blowups:
         checks.append({"name": "simulation", "ok": False, "blowup_paths": blowups})
     else:
-        fields = [moment_field(e, cfg.p) for e in ensembles]
+        fields = [moment_field(e) for e in ensembles]
         tb = tail_bound_check(
             fields, cfg.alphas[0], model=model, zeta=zeta, a_low=cfg.a_low,
             T=cfg.horizon,
@@ -429,7 +429,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
              "log10_ceiling_factor": tb.log10_K}
         )
         cr = cauchy_table(
-            ensembles, levels, cfg.alphas[0], fields=fields, model=model, a_low=cfg.a_low
+            ensembles, cfg.alphas[0], fields=fields, model=model, a_low=cfg.a_low
         )
         checks.append(
             {"name": "cauchy", "ok": bool(cr.decreasing_ok and cr.dominated_ok),
@@ -495,7 +495,7 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="latticesde",
         description="Truncated dissipative lattice diffusions: generation, "
@@ -508,9 +508,12 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default="out", help="output directory")
         cmd.add_argument("--threads", type=int, default=1, help="worker cap")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
 
+
+def main(argv=None) -> int:
     try:
+        args = _parse_args(argv)   # in the try: under a memory limit any allocation may fail
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
@@ -529,6 +532,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:  # a solver left its convergent regime: a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # an allocation the estimates let through
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -56,19 +56,17 @@ class MomentField:
             raise ValueError("moment estimates must be nonnegative")
 
 
-def moment_field(ensemble: PathEnsemble, p: float) -> MomentField:
+def moment_field(ensemble: PathEnsemble) -> MomentField:
     """Sitewise sup over the grid of the sample p-th absolute moment.
 
     Reads the path sums the simulator reduced at the model's moment order
-    ``p``.  Standard errors come from the sample variance of |xi|^p at the
+    p.  Standard errors come from the sample variance of |xi|^p at the
     maximizing grid node.  Ensembles with blow-up flags are rejected: their
     moments are meaningless.
     """
     if ensemble.has_blowup:
         raise ValueError("ensemble contains blown-up paths; moments are unusable")
-    if p < 1:
-        raise ValueError("need p >= 1")
-    sums = _sums(ensemble, p)
+    sums = _sums(ensemble)
     n = ensemble.n_paths
     means = sums.power / n                       # (nodes, sites)
     argmax = means.argmax(axis=0)
@@ -78,15 +76,13 @@ def moment_field(ensemble: PathEnsemble, p: float) -> MomentField:
         stderr = np.sqrt(sums.m2[argmax, sites] / (n - 1)) / math.sqrt(n)
     else:
         stderr = np.zeros(ensemble.config.n_sites)
-    return MomentField(ensemble.config, float(p), per_site, stderr, n)
+    return MomentField(ensemble.config, float(sums.p), per_site, stderr, n)
 
 
-def _sums(ensemble: PathEnsemble, p: float):
-    """The ensemble's reductions, checked to be at moment order ``p``."""
+def _sums(ensemble: PathEnsemble):
+    """The ensemble's reductions."""
     if ensemble.sums is None:
         raise ValueError("the ensemble carries no reductions: it was not simulated")
-    if ensemble.sums.p != p:
-        raise ValueError(f"the ensemble was reduced at p = {ensemble.sums.p}, not {p}")
     return ensemble.sums
 
 
@@ -239,7 +235,7 @@ class CauchyReport:
     L: float
 
 
-def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyReport:
+def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
     """Pairwise level distances against the weighted tail dominator.
 
     For each pair (n, m) of :func:`cauchy_pairs` the distance is the weighted
@@ -249,7 +245,8 @@ def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyRep
     The dominator charges only the sites thawed between the two levels:
     2^p K(mid, alpha) sum_{tail} e^(-mid |x|) * (max-over-level moment), with
     mid the midpoint weight between a_low and alpha.  ``fields`` are the
-    p-th moment fields of the ensembles, one per level.
+    p-th moment fields of the ensembles, one per level; each level's sites
+    are its ensemble's active set.
     """
     if not alpha > a_low:
         raise ValueError("need alpha > a_low")
@@ -277,7 +274,7 @@ def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyRep
     k = len(ensembles)
     rows = []
     for n_idx, m_idx in cauchy_pairs(k):
-        diffs = _sums(ensembles[n_idx], p).diffs
+        diffs = _sums(ensembles[n_idx]).diffs
         if m_idx not in diffs:
             raise ValueError(
                 f"levels {n_idx} and {m_idx} were not reduced together; "
@@ -285,7 +282,7 @@ def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyRep
             )
         pair_sup = (diffs[m_idx] / ensembles[n_idx].n_paths).max(axis=0)
         dist = weighted_sum(config.radii, alpha, pair_sup)
-        tail = np.setdiff1d(levels[m_idx], levels[n_idx])
+        tail = np.setdiff1d(ensembles[m_idx].active, ensembles[n_idx].active)
         tail_sum = weighted_sum(config.radii[tail], alpha_mid, moment_sup[tail])
         dominator = 2.0**p * K * tail_sum if tail_sum else 0.0   # K may be inf
         rows.append(CauchyRow(n_idx, m_idx, dist, dominator))
@@ -294,7 +291,7 @@ def cauchy_table(ensembles, levels, alpha, *, fields, model, a_low) -> CauchyRep
     extremes.sort(key=lambda r: r.level_n)
     decreasing_ok = True
     for earlier, later in zip(extremes, extremes[1:]):
-        tied = np.array_equal(levels[earlier.level_n], levels[later.level_n])
+        tied = np.array_equal(ensembles[earlier.level_n].active, ensembles[later.level_n].active)
         if tied or earlier.distance == 0.0:
             # identical truncations are coupled to identical paths, and a zero
             # distance (every weight underflowed) cannot decrease further

@@ -88,6 +88,8 @@ def check_sampling_args(intensity, box_halfwidth, dim, rho, seed) -> None:
         raise ValueError("intensity must be >= 0")
     if box_halfwidth <= 0 or rho <= 0:
         raise ValueError("box_halfwidth and rho must be > 0")
+    if not math.isfinite(max(box_halfwidth, math.sqrt(dim)) / rho):  # coordinates in rho units
+        raise ValueError(f"rho = {rho!r} is too small: the window measured in rho overflows")
     if not 0 <= seed < 2**64:  # the noise streams key on the seed's 64 low bits
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 

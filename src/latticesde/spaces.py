@@ -23,12 +23,10 @@ import numpy as np
 from .geometry import Configuration, estimate_growth_constant
 
 __all__ = [
-    "ScaleParams",
     "WeightedSeq",
     "weighted_sum",
     "bounded_sums",
     "verify_scale_monotonicity",
-    "scale_monotonicity_verdicts",
     "degree_summability_check",
 ]
 
@@ -39,24 +37,6 @@ _U = 2.0**-53    # unit roundoff of a double
 _POW_PLAY = 2.0**-44   # relative play of a computed x^(1/p) and of its widening
 _TINY = 2.0**-1070   # absolute play of a power near the subnormal range
 _EXACT_TERMS = 256   # up to this many terms in all, fsum costs less than a bound
-
-
-@dataclass(frozen=True)
-class ScaleParams:
-    """Weight interval [a_low, a_high], norm order p and time horizon T."""
-
-    a_low: float
-    a_high: float
-    p: float
-    T: float
-
-    def __post_init__(self):
-        if not (0.0 < self.a_low <= self.a_high):
-            raise ValueError("need 0 < a_low <= a_high")
-        if self.p < 1.0:
-            raise ValueError("need p >= 1")
-        if self.T <= 0.0:
-            raise ValueError("need T > 0")
 
 
 @dataclass(frozen=True)
@@ -118,57 +98,26 @@ def _power_bounds(lo, hi, p):
     return low, high
 
 
-def _powed_sequences(z, alpha, beta, p):
-    """The configuration of ``z``, a list of sequences, and their |z|^p as one (sequence, site) array."""
+def verify_scale_monotonicity(config: Configuration, values, alpha: float, beta: float,
+                              p: float) -> np.ndarray:
+    """Per row of ``values`` (trial, site): whether ||z||_beta <= ||z||_alpha + NORM_SLACK.
+
+    The verdict is the one the norms summed with ``math.fsum`` give; the
+    slack absorbs their rounding, and the inequality itself is exact
+    mathematics for alpha < beta.  Each norm is bounded from
+    :func:`bounded_sums`; a verdict that holds on the whole interval is
+    settled without ``fsum``, and only the rows whose bounds reach the
+    NORM_SLACK edge are summed exactly.
+    """
     if alpha >= beta:
         raise ValueError("need alpha < beta")
     if alpha <= 0.0:
         raise ValueError("weight a must be > 0")
     if p < 1.0:
         raise ValueError("need p >= 1")
-    if not z:
-        return None, np.zeros((0, 0))
-    config = z[0].config
-    if any(seq.config is not config for seq in z):
-        raise ValueError("the sequences live on different configurations")
-    return config, np.abs(np.stack([seq.values for seq in z])) ** p
-
-
-def verify_scale_monotonicity(z, alpha: float, beta: float, p: float):
-    """Evaluate (||z||_alpha, ||z||_beta) and check ||z||_beta <= ||z||_alpha.
-
-    ``z`` is one :class:`WeightedSeq`, or a list of them on one
-    configuration, checked together with one result each: the weights are
-    taken once, and each sequence is summed with ``math.fsum`` on its own,
-    so its result is bitwise that of a call with it alone.
-
-    The comparison allows NORM_SLACK of absolute rounding play; the inequality
-    itself is exact mathematics for alpha < beta.
-    """
-    if isinstance(z, WeightedSeq):
-        return verify_scale_monotonicity([z], alpha, beta, p)[0]
-    config, powed = _powed_sequences(z, alpha, beta, p)
-    if config is None:
-        return []
-    out = []
-    for alpha_terms, beta_terms in zip(np.exp(-alpha * config.radii) * powed,
-                                       np.exp(-beta * config.radii) * powed):
-        norm_alpha = math.fsum(alpha_terms.tolist()) ** (1.0 / p)
-        norm_beta = math.fsum(beta_terms.tolist()) ** (1.0 / p)
-        out.append((norm_alpha, norm_beta, norm_beta <= norm_alpha + NORM_SLACK))
-    return out
-
-
-def scale_monotonicity_verdicts(z, alpha: float, beta: float, p: float) -> np.ndarray:
-    """The verdicts of :func:`verify_scale_monotonicity` on a list of sequences, bitwise.
-
-    Each norm is bounded from :func:`bounded_sums`; a verdict that holds on
-    the whole interval is settled without ``fsum``, and only the sequences
-    whose bounds reach the NORM_SLACK edge are summed exactly.
-    """
-    config, powed = _powed_sequences(z, alpha, beta, p)
-    if config is None:
-        return np.zeros(0, dtype=bool)
+    powed = np.abs(np.asarray(values, dtype=float)) ** p
+    if powed.ndim != 2 or powed.shape[1] != config.n_sites:
+        raise ValueError(f"values of shape {powed.shape} are not rows of {config.n_sites} sites")
     w_alpha, w_beta = np.exp(-alpha * config.radii), np.exp(-beta * config.radii)
     with np.errstate(over="ignore", invalid="ignore"):
         alpha_low, alpha_high = _power_bounds(*bounded_sums(w_alpha, powed)[1:], p)
@@ -185,10 +134,10 @@ def scale_monotonicity_verdicts(z, alpha: float, beta: float, p: float) -> np.nd
 def _grid_partition_exponent(dim: int, rho: float) -> int:
     """Smallest integer k with sqrt(dim) / 2^k < rho."""
     k = math.floor(math.log2(math.sqrt(dim) / rho)) + 1
-    # guard against boundary rounding of the log
-    while math.sqrt(dim) / 2.0**k >= rho:
+    # guard against boundary rounding of the log; ldexp stays finite where 2^k does not
+    while math.ldexp(math.sqrt(dim), -k) >= rho:
         k += 1
-    while k > -64 and math.sqrt(dim) / 2.0 ** (k - 1) < rho:
+    while k > -64 and math.ldexp(math.sqrt(dim), 1 - k) < rho:
         k -= 1
     return k
 
@@ -212,7 +161,7 @@ def degree_summability_check(config: Configuration, a_low: float):
     n_hat = estimate_growth_constant(config) if config.n_sites else 1.0
 
     k = _grid_partition_exponent(config.dim if config.dim else 1, config.rho)
-    try:  # 1/a_low or N^3 may leave the float range
+    try:  # 1/a_low, N^3 or 2^(k+2) may leave the float range
         m = math.ceil(max(1.0 / a_low, 2.0))
         kappa = (m - 1) / m
         x, d, n = math.exp(-kappa * a_low), -math.expm1(-kappa * a_low), float(m + 1)
@@ -221,7 +170,7 @@ def degree_summability_check(config: Configuration, a_low: float):
         bracket = (((x * (1 + 4 * x + x**2) / d + 3 * n * x * (1 + x)) / d
                     + 3 * n**2 * x) / d + n**3) / d
         tail = math.exp(-kappa * a_low * n) * bracket
+        tail_bound = n_hat * 2.0 ** (k + 2) * tail
     except OverflowError:
-        tail = math.inf
-    tail_bound = n_hat * 2.0 ** (k + 2) * tail
+        tail_bound = math.inf
     return partial_sum, tail_bound

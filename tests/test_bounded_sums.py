@@ -16,7 +16,7 @@ import pytest
 import latticesde as lat
 from latticesde import spaces
 from latticesde.ovsjannikov import BandedOperator, _max_ratio, _picard_sums
-from latticesde.spaces import bounded_sums, scale_monotonicity_verdicts
+from latticesde.spaces import bounded_sums, verify_scale_monotonicity
 import oracles
 from test_ovsjannikov import banded_from_dense
 
@@ -35,12 +35,12 @@ def fsum_of(weights, row):
     return math.fsum((weights * row).tolist())
 
 
-def fsum_verdicts(seqs, alpha, beta, p):
-    """The monotonicity verdicts, one fsum per norm."""
-    radii = seqs[0].config.radii
+def fsum_verdicts(config, values, alpha, beta, p):
+    """The monotonicity verdicts of the rows of ``values``, one fsum per norm."""
+    radii = config.radii
     out = []
-    for z in seqs:
-        powed = np.abs(z.values) ** p
+    for row in values:
+        powed = np.abs(row) ** p
         norm_alpha = fsum_of(np.exp(-alpha * radii), powed) ** (1.0 / p)
         norm_beta = fsum_of(np.exp(-beta * radii), powed) ** (1.0 / p)
         out.append(norm_beta <= norm_alpha + spaces.NORM_SLACK)
@@ -158,8 +158,9 @@ class TestMonotonicityVerdicts:
         # a negative slack moves the edge onto the norms themselves: sweep it
         # over the few doubles around the gap between two norms
         cfg = lat.sample_configuration(2.0, 5.0, 1, 1.0, 101)
-        seqs = [lat.WeightedSeq(cfg, v) for v in np.random.default_rng(2).standard_normal((3, cfg.n_sites))]
-        (na, nb, _), = lat.verify_scale_monotonicity(seqs[:1], 0.5, 1.0, 2.0)
+        values = np.random.default_rng(2).standard_normal((3, cfg.n_sites))
+        z = lat.WeightedSeq(cfg, values[0])
+        na, nb = oracles.lp_norm(z, 0.5, 2.0), oracles.lp_norm(z, 1.0, 2.0)
         gap = nb - na
         at_edge, seen = 0, set()
         for k in range(-4, 5):
@@ -168,8 +169,8 @@ class TestMonotonicityVerdicts:
                 slack = math.nextafter(slack, math.copysign(math.inf, k))
             monkeypatch.setattr(spaces, "NORM_SLACK", slack)
             at_edge += nb == na + slack
-            verdicts = scale_monotonicity_verdicts(seqs, 0.5, 1.0, 2.0)
-            assert verdicts.tolist() == fsum_verdicts(seqs, 0.5, 1.0, 2.0)
+            verdicts = verify_scale_monotonicity(cfg, values, 0.5, 1.0, 2.0)
+            assert verdicts.tolist() == fsum_verdicts(cfg, values, 0.5, 1.0, 2.0)
             seen.add(bool(verdicts[0]))
         assert at_edge and seen == {True, False}
 
@@ -177,32 +178,31 @@ class TestMonotonicityVerdicts:
     def test_adversarial_sequences(self, p):
         # site 2 at |x| = 800: e^(-800) underflows to 0, and 0 * (1e200)^p is NaN for p > 1
         cfg = lat.configuration_from_points([[0.0], [0.5], [800.0]], rho=1.0)
-        values = [[0.0, 0.0, 0.0], [TINY, 2 * TINY, 0.0], [1.0, -TINY, 3.0],
-                  [1e200, 1.0, 1e200], [8e307, 8e307, 0.0], [1e154, 1e154, 0.0],
-                  [sys.float_info.max / 2, 0.0, 0.0]]
-        seqs = [lat.WeightedSeq(cfg, np.array(v)) for v in values]
+        values = np.array([[0.0, 0.0, 0.0], [TINY, 2 * TINY, 0.0], [1.0, -TINY, 3.0],
+                           [1e200, 1.0, 1e200], [8e307, 8e307, 0.0], [1e154, 1e154, 0.0],
+                           [sys.float_info.max / 2, 0.0, 0.0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            want = fsum_verdicts(seqs, 0.5, 1.0, p)
-            assert scale_monotonicity_verdicts(seqs, 0.5, 1.0, p).tolist() == want
+            want = fsum_verdicts(cfg, values, 0.5, 1.0, p)
+            assert verify_scale_monotonicity(cfg, values, 0.5, 1.0, p).tolist() == want
         assert (False in want) == (p > 1.0)
-        assert scale_monotonicity_verdicts([], 0.5, 1.0, p).tolist() == []
+        assert verify_scale_monotonicity(cfg, np.zeros((0, 3)), 0.5, 1.0, p).tolist() == []
 
     def test_overflowing_sum_raises_like_fsum(self):
         cfg = lat.configuration_from_points([[0.0], [0.5]], rho=1.0)
-        seqs = [lat.WeightedSeq(cfg, np.array([1.7e308, 1.7e308]))]
+        values = np.array([[1.7e308, 1.7e308]])
         with pytest.raises(OverflowError):
-            fsum_verdicts(seqs, 0.5, 1.0, 1.0)
+            fsum_verdicts(cfg, values, 0.5, 1.0, 1.0)
         with pytest.raises(OverflowError):
-            scale_monotonicity_verdicts(seqs, 0.5, 1.0, 1.0)
+            verify_scale_monotonicity(cfg, values, 0.5, 1.0, 1.0)
 
     def test_random_verdicts_need_no_fsum(self, monkeypatch):
         cfg = lat.sample_configuration(2.0, 6.0, 2, 1.0, 102)
-        seqs = [lat.WeightedSeq(cfg, v) for v in np.random.default_rng(3).standard_normal((100, cfg.n_sites))]
-        want = fsum_verdicts(seqs, 0.5, 1.25, 4.0)
+        values = np.random.default_rng(3).standard_normal((100, cfg.n_sites))
+        want = fsum_verdicts(cfg, values, 0.5, 1.25, 4.0)
         calls = []
         fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
-        assert scale_monotonicity_verdicts(seqs, 0.5, 1.25, 4.0).tolist() == want
+        assert verify_scale_monotonicity(cfg, values, 0.5, 1.25, 4.0).tolist() == want
         assert not calls
 
 

@@ -60,7 +60,7 @@ def reference_diffs(a, b, p):
 def assert_reductions_match_paths(ensembles, levels, model, one_block):
     """moment_field and cauchy_table against the reference formulas on the stored paths."""
     p = model.p
-    fields = [lat.moment_field(e, p) for e in ensembles]
+    fields = [lat.moment_field(e) for e in ensembles]
     for ens, field in zip(ensembles, fields):
         per_site, stderr = reference_moment_field(ens.paths, p)
         assert field.per_site.tobytes() == per_site.tobytes()
@@ -74,7 +74,7 @@ def assert_reductions_match_paths(ensembles, levels, model, one_block):
     if len(ensembles) < 2:
         return
     config = ensembles[0].config
-    report = cauchy_table(ensembles, levels, 0.5, fields=fields, model=model, a_low=0.25)
+    report = cauchy_table(ensembles, 0.5, fields=fields, model=model, a_low=0.25)
     assert [(r.level_n, r.level_m) for r in report.rows] == cauchy_pairs(len(levels))
     for row in report.rows:
         sup = reference_pair_sup(ensembles[row.level_n], ensembles[row.level_m], p)
@@ -98,7 +98,7 @@ class TestMomentField:
         ens = lat.simulate_truncated(
             model, single_site_config, [0], zeta, 0.5, 0.01, 8, 0
         )
-        field = lat.moment_field(ens, 2.0)
+        field = lat.moment_field(ens)
         assert np.all(field.per_site == 0.0)
 
     def test_frozen_sites_report_exact_power(self, poisson_1d):
@@ -107,7 +107,7 @@ class TestMomentField:
         rng = np.random.default_rng(1)
         zeta = lat.WeightedSeq(poisson_1d, rng.standard_normal(poisson_1d.n_sites))
         ens = lat.simulate_truncated(model, poisson_1d, [0], zeta, 0.5, 0.01, 16, 2)
-        field = lat.moment_field(ens, 4.0)
+        field = lat.moment_field(ens)
         for x in range(1, poisson_1d.n_sites):
             # trajectory is bitwise constant; the p-th power itself may land
             # one ulp off the scalar evaluation (vectorized pow)
@@ -117,7 +117,7 @@ class TestMomentField:
             assert field.stderr[x] == 0.0
 
     def test_ou_sup_matches_oracle(self, ou_ensemble):
-        field = lat.moment_field(ou_ensemble, 2.0)
+        field = lat.moment_field(ou_ensemble)
         _, stationary = oracles.ou_moment_oracle(1.0, math.sqrt(2.0), 0.0, 1.0)
         assert field.per_site[0] == pytest.approx(stationary, abs=3.5 * field.stderr[0])
 
@@ -182,7 +182,7 @@ class TestTailBound:
             lat.simulate_truncated(model, poisson_1d, [], zeta, 0.5, 0.01, 8, 6)
             for _ in range(3)
         ]
-        fields = [lat.moment_field(e, 4.0) for e in ensembles]
+        fields = [lat.moment_field(e) for e in ensembles]
         report = lat.tail_bound_check(
             fields, 0.5, model=model, zeta=zeta, a_low=0.25, T=0.5
         )
@@ -203,7 +203,7 @@ class TestTailBound:
             )
             for _ in range(3)
         ]
-        fields = [lat.moment_field(e, 2.0) for e in ensembles]
+        fields = [lat.moment_field(e) for e in ensembles]
         report = lat.tail_bound_check(
             fields, 0.5, model=model, zeta=zeta, a_low=0.25, T=0.5
         )
@@ -217,13 +217,13 @@ class TestTailBound:
         ens = lat.simulate_truncated(
             model, poisson_1d, [], zeta, 0.5, 0.01, 4, 8
         )
-        fields = [lat.moment_field(ens, 2.0)] * 2
+        fields = [lat.moment_field(ens)] * 2
         with pytest.raises(ValueError):
             lat.tail_bound_check(fields, 0.5, model=model, zeta=zeta, a_low=0.25, T=0.5)
 
 
-def moments(ensembles, model):
-    return [lat.moment_field(e, model.p) for e in ensembles]
+def moments(ensembles):
+    return [lat.moment_field(e) for e in ensembles]
 
 
 class TestCauchy:
@@ -234,7 +234,7 @@ class TestCauchy:
             model, config, [full, full, full], zeta, 0.5, 0.01, 16, 9
         )
         report = cauchy_table(
-            ensembles, [full, full, full], 0.5, fields=moments(ensembles, model),
+            ensembles, 0.5, fields=moments(ensembles),
             model=model, a_low=0.25,
         )
         for row in report.rows:
@@ -252,7 +252,7 @@ class TestCauchy:
         )
         p = model.p
         report = cauchy_table(
-            ensembles, levels, 0.5, fields=moments(ensembles, model), model=model, a_low=0.25
+            ensembles, 0.5, fields=moments(ensembles), model=model, a_low=0.25
         )
         weights = np.exp(-0.5 * config.radii)
         for row in report.rows:
@@ -266,7 +266,7 @@ class TestCauchy:
     def test_coupled_levels_decrease(self, level_ensembles):
         config, model, zeta, levels, ensembles = level_ensembles
         report = cauchy_table(
-            ensembles, levels, 0.5, fields=moments(ensembles, model), model=model, a_low=0.25
+            ensembles, 0.5, fields=moments(ensembles), model=model, a_low=0.25
         )
         assert report.decreasing_ok
 
@@ -276,7 +276,7 @@ class TestCauchy:
         ensembles = simulate_levels(model, config, [full, full], zeta, 0.5, 0.01, 8, 11)
         with pytest.raises(ValueError):
             cauchy_table(
-                ensembles, [full, full], 0.2, fields=moments(ensembles, model),
+                ensembles, 0.2, fields=moments(ensembles),
                 model=model, a_low=0.25,
             )
 
@@ -287,7 +287,7 @@ class TestCauchy:
         b = lat.simulate_truncated(model, config, full, zeta, 0.25, 0.01, 4, 2)
         with pytest.raises(ValueError, match="seed"):
             cauchy_table(
-                [a, b], [full, full], 0.5, fields=moments([a, b], model),
+                [a, b], 0.5, fields=moments([a, b]),
                 model=model, a_low=0.25,
             )
 

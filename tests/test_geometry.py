@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ class TestSampleConfiguration:
             lat.sample_configuration(math.nan, 5.0, 1, 1.0, 1)
         with pytest.raises(ValueError):
             lat.sample_configuration(1.0, math.inf, 1, 1.0, 1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rho_too_small_for_the_window_rejected(self, dim):
+        # S / rho or sqrt(d) / rho past the float range: cell coordinates overflow
+        for box_halfwidth, rho in [(4.0, 1e-310), (0.25, 5e-309)]:
+            with pytest.raises(ValueError, match="rho = .* is too small"):
+                lat.sample_configuration(1.0, box_halfwidth, dim, rho, 1)
+        # the smallest rho that keeps both finite is accepted
+        rho = math.nextafter(math.sqrt(dim) / sys.float_info.max, math.inf)
+        assert lat.sample_configuration(1.0, 0.25, dim, rho, 1).rho == rho
 
     @pytest.mark.parametrize("args", [(2.0, 20.0, 2, 1.0), (1.0, 6.0, 3, 1.0)])
     def test_configuration_bytes_estimates_points_and_band(self, args):

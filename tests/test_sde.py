@@ -546,7 +546,7 @@ class TestSimulation:
         )
         assert ens.has_blowup
         with pytest.raises(ValueError):
-            lat.moment_field(ens, 4.0)
+            lat.moment_field(ens)
 
     def test_tamed_cubic_stays_stable(self, single_site_config):
         model = lat.make_model("cubic", 0.0, p=4.0, sigma0=0.0)

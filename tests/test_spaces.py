@@ -69,23 +69,29 @@ class TestLpNorm:
         assert lhs <= rhs + 1e-12
 
 
+def norms_and_verdict(z, alpha, beta, p):
+    """The two norms of ``z`` from the oracle, and the library's verdict on ``z``."""
+    (verdict,) = lat.verify_scale_monotonicity(z.config, z.values[None], alpha, beta, p)
+    return oracles.lp_norm(z, alpha, p), oracles.lp_norm(z, beta, p), bool(verdict)
+
+
 class TestScaleMonotonicity:
     def test_zero_sequence(self, poisson_1d):
         z = lat.WeightedSeq(poisson_1d, np.zeros(poisson_1d.n_sites))
-        na, nb, ok = lat.verify_scale_monotonicity(z, 0.5, 1.0, 2.0)
+        na, nb, ok = norms_and_verdict(z, 0.5, 1.0, 2.0)
         assert (na, nb, ok) == (0.0, 0.0, True)
 
     def test_support_at_origin_gives_equality(self):
         cfg = lat.configuration_from_points([[0.0], [1.5]], rho=0.5)
         z = lat.WeightedSeq(cfg, np.array([3.0, 0.0]))
-        na, nb, ok = lat.verify_scale_monotonicity(z, 0.5, 1.0, 2.0)
+        na, nb, ok = norms_and_verdict(z, 0.5, 1.0, 2.0)
         assert na == nb and ok
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 2.5])
     def test_list_matches_one_norm_per_sequence(self, p):
         # the batched trials of `verify`: 100 sequences drawn as one array
         # equal 100 draws one after another, and checked together each gets
-        # the norms lp_norm gives it alone, bitwise
+        # the verdict of the norms lp_norm gives it alone
         cfg = lat.sample_configuration(2.0, 6.0, 2, 1.0, 102)
         rows = np.random.default_rng(3).standard_normal((100, cfg.n_sites))
         rng = np.random.default_rng(3)
@@ -93,17 +99,13 @@ class TestScaleMonotonicity:
         for _ in range(100):
             z = lat.WeightedSeq(cfg, rng.standard_normal(cfg.n_sites))
             na, nb = oracles.lp_norm(z, 0.5, p), oracles.lp_norm(z, 1.25, p)
-            one_by_one.append((na, nb, nb <= na + lat.spaces.NORM_SLACK))
-        trials = [lat.WeightedSeq(cfg, row) for row in rows]
-        assert lat.verify_scale_monotonicity(trials, 0.5, 1.25, p) == one_by_one
-        assert lat.verify_scale_monotonicity([], 0.5, 1.25, p) == []
+            one_by_one.append(nb <= na + lat.spaces.NORM_SLACK)
+        assert lat.verify_scale_monotonicity(cfg, rows, 0.5, 1.25, p).tolist() == one_by_one
+        assert lat.verify_scale_monotonicity(cfg, rows[:0], 0.5, 1.25, p).tolist() == []
         with pytest.raises(ValueError):
-            lat.verify_scale_monotonicity(trials, 1.25, 0.5, p)
-        other = lat.sample_configuration(2.0, 6.0, 2, 1.0, 103)
+            lat.verify_scale_monotonicity(cfg, rows, 1.25, 0.5, p)
         with pytest.raises(ValueError):
-            lat.verify_scale_monotonicity(
-                [trials[0], lat.WeightedSeq(other, np.ones(other.n_sites))], 0.5, 1.25, p
-            )
+            lat.verify_scale_monotonicity(cfg, rows[:, 1:], 0.5, 1.25, p)
 
     def test_random_sequences_hold_strictly(self):
         cfg = lat.sample_configuration(2.0, 5.0, 1, 1.0, 101)  # about 20 sites
@@ -111,15 +113,15 @@ class TestScaleMonotonicity:
         for seed in range(1000):
             values = np.random.default_rng(seed).standard_normal(cfg.n_sites)
             z = lat.WeightedSeq(cfg, values)
-            na, nb, ok = lat.verify_scale_monotonicity(z, 0.5, 1.0, 2.0)
+            na, nb, ok = norms_and_verdict(z, 0.5, 1.0, 2.0)
             assert ok
             if np.any(values[cfg.radii > 0] != 0.0):
                 assert nb < na
 
     def test_bad_weight_order_rejected(self, poisson_1d):
-        z = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        values = np.ones((1, poisson_1d.n_sites))
         with pytest.raises(ValueError):
-            lat.verify_scale_monotonicity(z, 1.0, 0.5, 2.0)
+            lat.verify_scale_monotonicity(poisson_1d, values, 1.0, 0.5, 2.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -131,9 +133,7 @@ class TestScaleMonotonicity:
         cfg = lattice_1d(-6, 6)
         beta = alpha * ratio
         values = np.random.default_rng(seed).standard_normal(cfg.n_sites)
-        z = lat.WeightedSeq(cfg, values)
-        _, _, ok = lat.verify_scale_monotonicity(z, alpha, beta, 2.0)
-        assert ok
+        assert lat.verify_scale_monotonicity(cfg, values[None], alpha, beta, 2.0).all()
 
 
 class TestDegreeSummability:
@@ -183,6 +183,12 @@ class TestDegreeSummability:
         cfg = lat.configuration_from_points([[0.0]], rho=1.0)
         assert lat.degree_summability_check(cfg, a_low) == (1.0, math.inf)
 
+    @pytest.mark.parametrize("rho", [1.01e-308, 1.2e-308])
+    def test_tail_for_a_tiny_rho_is_inf(self, rho):
+        # sqrt(d) / rho near the float maximum: 2^k and 2^(k+2) leave the float range
+        cfg = lat.configuration_from_points([[0.0]], rho=rho)
+        assert lat.degree_summability_check(cfg, 0.25) == (1.0, math.inf)
+
     @pytest.mark.parametrize("a_low", [math.inf, math.nan, 0.0, -1.0])
     def test_a_low_must_be_finite_and_positive(self, a_low):
         cfg = lat.configuration_from_points([[0.0]], rho=1.0)
@@ -191,17 +197,6 @@ class TestDegreeSummability:
 
 
 class TestTypes:
-    def test_scale_params_validation(self):
-        lat.ScaleParams(0.25, 2.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            lat.ScaleParams(0.0, 1.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            lat.ScaleParams(1.0, 0.5, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            lat.ScaleParams(0.5, 1.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            lat.ScaleParams(0.5, 1.0, 2.0, 0.0)
-
     def test_weighted_seq_validation(self, poisson_1d):
         with pytest.raises(ValueError):
             lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites + 1))
