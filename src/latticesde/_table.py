@@ -48,7 +48,7 @@ def read_table(path, header, keys, n_values, sep=",", n_sites=None):
         kinds = keys + "f" * (head[0] if n_values is None else n_values)
         rows = [[_PARSE[k](f) for k, f in zip(kinds, line.split(sep), strict=True)] for line in lines]
         table = np.array(rows, dtype=float).reshape(len(rows), len(kinds))
-        if len(np.unique(table[:, : len(keys)], axis=0)) < len(rows):
+        if len(np.unique(table[:, : len(keys)], axis=0, return_index=True)[1]) < len(rows):
             raise ValueError("two rows share their keys")
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

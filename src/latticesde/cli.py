@@ -28,7 +28,6 @@ from .convergence import (
     moment_constants,
     cauchy_constants,
     moment_field,
-    simulate_levels,
     tail_bound_check,
     z_norm,
 )
@@ -51,7 +50,7 @@ from .ovsjannikov import (
     solve_linear_evolution,
     verify_ovs_bound,
 )
-from .sde import SCHEMES, make_model, simulation_bytes, step_count, worker_count
+from .sde import SCHEMES, make_model, simulate_levels, simulation_bytes, step_count, worker_count
 from .spaces import (
     WeightedSeq,
     degree_summability_check,
@@ -256,12 +255,12 @@ def _build_configuration(cfg: ExperimentConfig):
     )
 
 
-def _simulation_levels(cfg: ExperimentConfig, config, n_pairs, keep_paths, threads):
+def _simulation_levels(cfg: ExperimentConfig, config, cauchy, keep_paths, threads):
     """The exhaustion levels, once the arrays of simulating them are known to fit in memory."""
     n_steps = step_count(cfg.horizon, cfg.dt)
     need = simulation_bytes(
         config.n_sites, int(config.degrees.max()), cfg.levels, cfg.n_paths, n_steps,
-        n_pairs=n_pairs, keep_paths=keep_paths, threads=threads,
+        cauchy=cauchy, keep_paths=keep_paths, threads=threads,
     )
     items = "states, noise and path sums" + (" and path tensors" if keep_paths else "")
     _check_memory(need, "simulating", items, "n_paths, levels or horizon/dt")
@@ -302,7 +301,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     if config.n_sites:
         model = cfg.build_model()
         zeta = WeightedSeq(config, np.full(config.n_sites, cfg.zeta))
-        levels = _simulation_levels(cfg, config, 0, cfg.dump_paths, threads)
+        levels = _simulation_levels(cfg, config, cauchy=False, keep_paths=cfg.dump_paths,
+                                    threads=threads)
         ensembles = simulate_levels(
             model, config, levels, zeta, cfg.horizon, cfg.dt, cfg.n_paths,
             cfg.seed, scheme=cfg.scheme, threads=threads, cauchy=False,
@@ -344,8 +344,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         )
         return 0
 
-    # the 2 levels - 3 pairs of cauchy_pairs, counted without listing them
-    levels = _simulation_levels(cfg, config, 2 * cfg.levels - 3, False, threads)
+    levels = _simulation_levels(cfg, config, cauchy=True, keep_paths=False, threads=threads)
     model = cfg.build_model()
     rng = np.random.default_rng(cfg.seed)
     alpha_lo = min(cfg.alphas)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .geometry import Configuration, estimate_growth_constant
 from .ovsjannikov import norm_bound_series, norm_bound_series_log10, ovs_constant
-from .sde import ModelSpec, PathEnsemble, simulate_coupled
+from .sde import ModelSpec, PathEnsemble, cauchy_pairs
 from .sde import simulate_truncated  # noqa: F401 -- bench/tracer.py wraps it under this name
 from .spaces import weighted_sum
 
@@ -33,8 +33,6 @@ __all__ = [
     "moment_ceiling",
     "TailBoundReport",
     "tail_bound_check",
-    "simulate_levels",
-    "cauchy_pairs",
     "CauchyRow",
     "CauchyReport",
     "cauchy_table",
@@ -189,32 +187,6 @@ def tail_bound_check(fields, alpha, *, model, zeta, a_low, T) -> TailBoundReport
     )
 
 
-def cauchy_pairs(k: int) -> list:
-    """The level pairs (n, m) a Cauchy table of ``k`` levels reports: consecutive
-    levels, then every level against the last."""
-    return [(j, j + 1) for j in range(k - 1)] + [(j, k - 1) for j in range(k - 2)]
-
-
-def simulate_levels(
-    model, config, levels, zeta, T, dt, n_paths, seed, scheme="tamed",
-    noise_refine=1, threads=1, cauchy=True, keep_paths=False,
-):
-    """One coupled ensemble per nested truncation level, from one noise draw.
-
-    With ``cauchy`` the level differences of :func:`cauchy_pairs` are reduced
-    too, for :func:`cauchy_table`; ``keep_paths`` stores the path tensors.
-    """
-    levels = [np.asarray(lv, dtype=np.int64) for lv in levels]
-    for smaller, larger in zip(levels, levels[1:]):
-        if not set(smaller.tolist()) <= set(larger.tolist()):
-            raise ValueError("truncation levels must be nested")
-    return simulate_coupled(
-        model, config, levels, zeta, T, dt, n_paths, seed, scheme=scheme,
-        noise_refine=noise_refine, threads=threads,
-        pairs=cauchy_pairs(len(levels)) if cauchy else (), keep_paths=keep_paths,
-    )
-
-
 @dataclass(frozen=True)
 class CauchyRow:
     level_n: int
@@ -278,11 +250,12 @@ def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
         if m_idx not in diffs:
             raise ValueError(
                 f"levels {n_idx} and {m_idx} were not reduced together; "
-                "simulate them with simulate_levels(..., cauchy=True)"
+                "simulate them with sde.simulate_levels(..., cauchy=True)"
             )
         pair_sup = (diffs[m_idx] / ensembles[n_idx].n_paths).max(axis=0)
         dist = weighted_sum(config.radii, alpha, pair_sup)
-        tail = np.setdiff1d(ensembles[m_idx].active, ensembles[n_idx].active)
+        tail = np.setdiff1d(ensembles[m_idx].active, ensembles[n_idx].active,
+                            assume_unique=True)
         tail_sum = weighted_sum(config.radii[tail], alpha_mid, moment_sup[tail])
         dominator = 2.0**p * K * tail_sum if tail_sum else 0.0   # K may be inf
         rows.append(CauchyRow(n_idx, m_idx, dist, dominator))

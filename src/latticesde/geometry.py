@@ -134,7 +134,7 @@ def sample_configuration(intensity, box_halfwidth, dim, rho, seed) -> Configurat
         first = _first_copies(points)
         if first.size == count:
             break
-        later = np.setdiff1d(np.arange(count), first)
+        later = np.setdiff1d(np.arange(count), first, assume_unique=True)
         points[later] = rng.uniform(-box_halfwidth, box_halfwidth, size=(later.size, dim))
     return _from_distinct_points(points, rho, box_halfwidth, seed)
 

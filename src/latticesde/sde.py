@@ -46,7 +46,8 @@ __all__ = [
     "step_count",
     "simulation_bytes",
     "worker_count",
-    "simulate_coupled",
+    "cauchy_pairs",
+    "simulate_levels",
     "simulate_truncated",
 ]
 
@@ -294,8 +295,8 @@ class EnsembleSums:
     the paths in path order, so they are bitwise the sums of one reduction
     over a stored path tensor.  ``m2`` sums the squared deviations of
     |xi|^p from its sample mean, merged across path blocks as in Chan, Golub
-    & LeVeque (1983).  ``diffs`` is keyed by the position of the other
-    truncation in the coupled set.  The columns of frozen sites were
+    & LeVeque (1983).  ``diffs`` is keyed by the position of the larger
+    level in the sequence.  The columns of frozen sites were
     settled once per path block, not node by node, with the same bytes;
     a ``diffs`` column is 0 where both truncations freeze the site.
     """
@@ -350,11 +351,27 @@ def step_count(T, dt) -> int:
     return n_steps
 
 
-def _validate_active(config: Configuration, lambda_n) -> np.ndarray:
-    active = np.unique(np.asarray(lambda_n, dtype=np.int64))
-    if active.size and (active[0] < 0 or active[-1] >= config.n_sites):
-        raise ValueError("active set contains out-of-range site indices")
-    return active
+def _nested_levels(config: Configuration, levels) -> list:
+    """Each level's sorted distinct sites; ValueError unless every site is one
+    of the configuration's and each level lies inside the next."""
+    masks = []
+    for level in levels:
+        level = np.asarray(level, dtype=np.int64)
+        # checked before indexing, so that site -1 cannot wrap to the last one
+        if level.size and (level.min() < 0 or level.max() >= config.n_sites):
+            raise ValueError("a truncation level contains out-of-range site indices")
+        mask = np.zeros(config.n_sites, dtype=bool)
+        mask[level] = True
+        if masks and np.any(masks[-1] & ~mask):
+            raise ValueError("truncation levels must be nested")
+        masks.append(mask)
+    return [np.flatnonzero(mask) for mask in masks]
+
+
+def cauchy_pairs(k: int) -> list:
+    """The level pairs (n, m) a Cauchy table of ``k`` levels reports: consecutive
+    levels, then every level against the last."""
+    return [(j, j + 1) for j in range(k - 1)] + [(j, k - 1) for j in range(k - 2)]
 
 
 def _band_slots(model: ModelSpec, config: Configuration, active: np.ndarray):
@@ -405,8 +422,8 @@ def _chunk_nodes(n_steps, n_sets, n_pairs) -> int:
 
 
 def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine=1,
-                     n_pairs=0, keep_paths=False, threads=1) -> int:
-    """An upper bound on the bytes :func:`simulate_coupled` allocates for its arrays.
+                     cauchy=True, keep_paths=False, threads=1) -> int:
+    """An upper bound on the bytes :func:`simulate_levels` allocates for its arrays.
 
     Per truncation (``n_sets`` of them): a block's run buffer (a run's
     nodes and one more row), spread and running max, its band
@@ -417,13 +434,14 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     seven step temporaries and one slice of gathered band rows
     (``_GATHER_CAP`` doubles, or one row).  Per thread: a run's path-order
     rows (one more than the block has paths) and three run temporaries.
-    Per Cauchy pair (``n_pairs``): one (node, site) sum.  One step-major
+    Per Cauchy pair (with ``cauchy``): one (node, site) sum.  One step-major
     noise block over every site.  Per drawing worker (at most
     ``threads``): one site's fine draws for the block and, with
     ``noise_refine > 1``, their sums over each step.  The path tensors
     count only when they are kept.  Everything per site is counted over
     every site, so the estimate stays an upper bound.
     """
+    n_pairs = max(2 * n_sets - 3, 0) if cauchy else 0   # len(cauchy_pairs(n_sets)), not listed
     block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
     n_nodes = n_steps + 1
     chunk = min(n_nodes, _chunk_nodes(n_steps, n_sets, n_pairs))
@@ -530,7 +548,7 @@ class _Workspace(threading.local):
 
 
 class _Level:
-    """One truncation of a coupled set: its band, its run buffer and the sums
+    """One level of a coupled run: its band, its run buffer and the sums
     reduced from it; reduction rows and step temporaries are the thread's.
 
     The run buffer ``nodes`` is (chunk + 1, active site + tail, path): row 0
@@ -545,25 +563,28 @@ class _Level:
     numpy's checking copy.
     """
 
-    def __init__(self, model, tamed, dt, config, zeta_values, active, union, n_paths, n_nodes,
+    def __init__(self, model, tamed, dt, config, zeta_values, active, drawn, n_paths, n_nodes,
                  keep_paths):
         n_sites = config.n_sites
         self.model, self.tamed, self.dt, self.p = model, tamed, dt, float(model.p)
         self.active = active
         slots, self.weights, degrees = _band_slots(model, config, active)
         self.spread = model.sigma2 * degrees[:, None]   # sigma2 n_x
-        # its sites among the noise block's, None for all
-        self.rows = None if active.size == union.size else np.searchsorted(union, active)
+        # its sites among those the noise block is drawn for, None for all
+        self.rows = None if active.size == drawn.size else np.searchsorted(drawn, active)
         if slots.size and not 0 <= slots.min() <= slots.max() < n_sites:
             raise ValueError(f"a truncation's band names a site outside [0, {n_sites})")
+        in_band = np.zeros(n_sites, dtype=bool)
+        in_band[slots] = True
+        in_band[active] = False
         # the band's frozen sites follow the active ones in the run buffer
-        self.tail = np.setdiff1d(slots, active)
+        self.tail = np.flatnonzero(in_band)
         row_of = np.empty(n_sites, dtype=np.int64)
         row_of[active] = np.arange(active.size)
         row_of[self.tail] = np.arange(active.size, active.size + self.tail.size)
         self.slots = row_of[slots]
         self.zeta = zeta_values
-        self.frozen = np.setdiff1d(np.arange(n_sites), active)
+        self.frozen = np.delete(np.arange(n_sites), active)
         frozen_size = np.abs(zeta_values[self.frozen])
         # NaN fails the comparison too
         self.frozen_bounded = bool(np.all(frozen_size <= _BLOWUP_LIMIT))
@@ -675,23 +696,25 @@ class _Level:
             _merge_moments(self.mean[k0:k1], self.m2[k0:k1], powed, start)
 
     def places(self, sites):
-        """How the level's states lay out over ``sites``, a sorted superset of
-        its active set: None if they are its active sites, else the positions
-        of its active sites among them, and the positions and zeta of the rest."""
+        """How the level's states lay out over ``sites``, the active sites of a
+        level it lies inside: None if they are its own active sites, else the
+        positions of its active sites among them, and the positions and zeta
+        of the rest."""
         if sites.size == self.active.size:
             return None
-        mine = np.isin(sites, self.active)
-        return np.flatnonzero(mine), np.flatnonzero(~mine), self.zeta[sites[~mine], None]
+        mine = np.searchsorted(sites, self.active)
+        rest = np.delete(np.arange(sites.size), mine)
+        return mine, rest, self.zeta[sites[rest], None]
 
-    def states_over(self, place, n_nodes, work, name) -> np.ndarray:
+    def states_over(self, place, n_nodes, work) -> np.ndarray:
         """The first ``n_nodes`` states of the current run over the sites of
-        ``place``; unless those are its active sites, laid out in the
-        workspace buffer ``name``."""
+        ``place``; unless those are its active sites, laid out in a workspace
+        buffer."""
         nodes = self.nodes[1 : n_nodes + 1, : self.active.size]
         if place is None:
             return nodes
         mine, rest, zeta = place
-        out = work.get(name, (n_nodes, mine.size + rest.size, nodes.shape[2]))
+        out = work.get("ours", (n_nodes, mine.size + rest.size, nodes.shape[2]))
         out[:, mine] = nodes
         out[:, rest] = zeta
         return out
@@ -710,67 +733,64 @@ class _Level:
 
 
 class _Pair:
-    """The path sums of |xi^small - xi^large|^p of two truncations of a coupled set.
+    """The path sums of |xi^small - xi^large|^p of a level and a level it lies inside.
 
-    They cover the union of the two active sets.  A site frozen in both
+    They cover the larger level's active sites.  A site frozen in both
     holds zeta in both, differs by exactly 0 and is skipped; a site frozen
-    in one of them reads its zeta there.
+    only in the smaller level reads its zeta there.
     """
 
     def __init__(self, small, large, n_nodes):
         self.small, self.large = small, large
-        self.sites = np.union1d(small.active, large.active)
-        self.places = (small.places(self.sites), large.places(self.sites))
-        self.diffs = np.zeros((n_nodes, self.sites.size))
+        self.place = small.places(large.active)
+        self.diffs = np.zeros((n_nodes, large.active.size))
 
     def reduce(self, k0, k1, work) -> None:
         """Add the path sums at nodes k0 .. k1 - 1."""
-        width = self.small.nodes.shape[2]
-        shape = (k1 - k0, self.sites.size, width)
-        ours, theirs = (
-            level.states_over(place, k1 - k0, work, name)
-            for level, place, name in zip((self.small, self.large), self.places, ("ours", "theirs"))
-        )
+        ours = self.small.states_over(self.place, k1 - k0, work)
+        theirs = self.large.states_over(None, k1 - k0, work)
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = np.subtract(ours, theirs, out=work.get("run", shape))
+            diff = np.subtract(ours, theirs, out=work.get("run", theirs.shape))
             _abs_power(diff, self.small.p, out=diff)
-            _add_in_path_order(self.diffs[k0:k1], diff, work.get("rows", (width + 1, *shape[:2])))
+            _add_in_path_order(self.diffs[k0:k1], diff,
+                               work.get("rows", (theirs.shape[2] + 1, *theirs.shape[:2])))
 
     def spread(self, n_sites) -> np.ndarray:
-        """The (node, site) sums over every site, 0 where both truncations
-        freeze it.  The pair's own sums are released."""
+        """The (node, site) sums over every site, 0 where both levels freeze
+        it.  The pair's own sums are released."""
         full = np.zeros((self.diffs.shape[0], n_sites))
-        full[:, self.sites] = self.diffs
+        full[:, self.large.active] = self.diffs
         self.diffs = None
         return full
 
 
-def simulate_coupled(model: ModelSpec, config: Configuration, active_sets, zeta: WeightedSeq, T,
-                     dt, n_paths, seed, scheme="tamed", noise_refine=1, threads=1, pairs=(),
-                     keep_paths=False) -> list:
-    """Euler-Maruyama ensembles of several truncations, driven by one noise draw.
+def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: WeightedSeq, T, dt,
+                    n_paths, seed, scheme="tamed", noise_refine=1, threads=1, cauchy=True,
+                    keep_paths=False) -> list:
+    """Euler-Maruyama ensembles of nested truncation levels, driven by one noise draw.
 
-    Per block of paths, the site streams of the union of the active sets
-    are drawn once, continuing from the previous block, and every
-    truncation steps from its own rows of that block.
-    States are reduced while stepping into per (node, site) sums (see
-    :class:`EnsembleSums`) at the model's moment order: |xi|^p for every
-    truncation, and |xi^n - xi^m|^p for each position pair (n, m) in
-    ``pairs``, for which the truncations step in lockstep, meeting after
-    every short run of nodes.  Only active sites are stepped, stored and
-    reduced node by node; frozen sites are settled once per path block.
-    Each site stream's generator state is kept for the next block, except
-    after the last one.  The path tensors are stored only with
+    Each level lists sites of the configuration and lies inside the next
+    one, as an exhaustion sequence does; ValueError otherwise.  Per block
+    of paths, the site streams of the last level are drawn once, continuing
+    from the previous block, and every level steps from its own rows of
+    that block.  States are reduced while stepping into per (node, site)
+    sums (see :class:`EnsembleSums`) at the model's moment order: |xi|^p
+    for every level and, with ``cauchy``, |xi^n - xi^m|^p for each pair
+    (n, m) of :func:`cauchy_pairs`, for which the levels step in lockstep,
+    meeting after every short run of nodes.  Only active sites are stepped,
+    stored and reduced node by node; frozen sites are settled once per path
+    block.  Each site stream's generator state is kept for the next block,
+    except after the last one.  The path tensors are stored only with
     ``keep_paths``.  With ``threads > 1`` (at most the usable CPUs) the
-    sites of each draw, and the truncations, then the pairs, of each run
-    are handed to a thread pool; no output byte depends on it.
+    sites of each draw, and the levels, then the pairs, of each run are
+    handed to a thread pool; no output byte depends on it.
     Under the tamed scheme the drift increment is Phi dt / (1 + dt |Phi|),
     which keeps the superlinear cubic decay stable where the explicit scheme
-    can blow up.  Sites outside a truncation's active set stay bitwise
-    frozen at their initial value.  Path blocks depend on the configuration,
-    not on the sets, so each truncation's paths are bitwise those of a lone
-    :func:`simulate_truncated` run, and sets with a common site share its
-    increments bitwise.
+    can blow up.  Sites outside a level stay bitwise frozen at their
+    initial value.  Path blocks depend on the configuration, not on the
+    levels, so each level's paths are bitwise those of a lone
+    :func:`simulate_truncated` run, and levels share the increments of
+    their common sites bitwise.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}")
@@ -779,25 +799,22 @@ def simulate_coupled(model: ModelSpec, config: Configuration, active_sets, zeta:
     n_steps = step_count(T, dt)
     if n_paths < 1 or noise_refine < 1:
         raise ValueError("need n_paths >= 1 and noise_refine >= 1")
-    actives = [_validate_active(config, lv) for lv in active_sets]
-    if not actives:
+    sites = _nested_levels(config, levels)
+    if not sites:
         return []
     threads = worker_count(threads)
-    pairs = [(int(n), int(m)) for n, m in pairs]
-    if any(not 0 <= n < len(actives) or not 0 <= m < len(actives) for n, m in pairs):
-        raise ValueError("pairs must name positions of the active sets")
 
-    union = np.unique(np.concatenate(actives))
     n_nodes = n_steps + 1
     levels = [
-        _Level(model, scheme == "tamed", dt, config, zeta.values, a, union, n_paths, n_nodes,
-               keep_paths)
-        for a in actives
+        _Level(model, scheme == "tamed", dt, config, zeta.values, active, sites[-1], n_paths,
+               n_nodes, keep_paths)
+        for active in sites
     ]
-    cauchy = [_Pair(levels[n], levels[m], n_nodes) for n, m in pairs]
+    pairs = cauchy_pairs(len(levels)) if cauchy else []
+    reduced = [_Pair(levels[n], levels[m], n_nodes) for n, m in pairs]
     chunk = _chunk_nodes(n_steps, len(levels), len(pairs))
-    # pairs compare the truncations node by node, so with pairs they meet
-    # after every run of nodes; without, each steps through its block alone
+    # pairs compare the levels node by node, so with pairs they meet after
+    # every run of nodes; without, each steps through its block alone
     span = chunk if pairs else n_nodes
     path_block = _block_paths(config.n_sites, n_steps, noise_refine)
 
@@ -807,14 +824,14 @@ def simulate_coupled(model: ModelSpec, config: Configuration, active_sets, zeta:
         for start in range(0, n_paths, path_block):
             stop = min(start + path_block, n_paths)
             # the streams continue unless this is their last block
-            noise = _noise_block(source, stop - start, union, n_steps, dt, noise_refine,
+            noise = _noise_block(source, stop - start, sites[-1], n_steps, dt, noise_refine,
                                  run, threads, stop < n_paths)
             for level in levels:
                 level.start_block(stop - start, chunk)
             for k0 in range(0, n_nodes, span):
                 k1 = min(k0 + span, n_nodes)
                 list(run(lambda level: level.advance(noise, start, k0, k1, work), levels))
-                list(run(lambda pair: pair.reduce(k0, k1, work), cauchy))
+                list(run(lambda pair: pair.reduce(k0, k1, work), reduced))
             for level in levels:
                 level.finish_block(start, work)
             del noise   # freed before the next block is drawn
@@ -832,7 +849,7 @@ def simulate_coupled(model: ModelSpec, config: Configuration, active_sets, zeta:
             noise_refine=int(noise_refine),
             blowup=level.blowup,
             sums=level.sums({m: pair.spread(config.n_sites)
-                             for (n, m), pair in zip(pairs, cauchy) if n == i}),
+                             for (n, m), pair in zip(pairs, reduced) if n == i}),
         )
         for i, level in enumerate(levels)
     ]
@@ -842,12 +859,12 @@ def simulate_truncated(model: ModelSpec, config: Configuration, lambda_n, zeta: 
                        dt, n_paths, seed, scheme="tamed", noise_refine=1) -> PathEnsemble:
     """Euler-Maruyama time stepping of one truncated system.
 
-    The one-set case of :func:`simulate_coupled`, with its paths kept.
+    The one-level case of :func:`simulate_levels`, with its paths kept.
     The increments of a (path, site) pair depend only on (seed, site index,
     path, n_steps * noise_refine), so ensembles with different active sets
     share increments sitewise.
     """
-    return simulate_coupled(
+    return simulate_levels(
         model, config, [lambda_n], zeta, T, dt, n_paths, seed,
         scheme=scheme, noise_refine=noise_refine, keep_paths=True,
     )[0]

@@ -115,7 +115,7 @@ def level_ensembles(cubic_setup):
     """Four coupled truncation levels, shared by the moment and Cauchy criteria."""
     config, model, zeta = cubic_setup
     levels = lat.exhaustion_sequence(config, 4)
-    from latticesde.convergence import simulate_levels
+    from latticesde.sde import simulate_levels
 
     ensembles = simulate_levels(
         model, config, levels, zeta, 1.0, 0.01, 2000, 271, scheme="tamed",

@@ -587,13 +587,45 @@ def test_every_traced_name_is_called(tmp_path, monkeypatch):
     for command in ("generate", "simulate", "verify", "picard"):
         assert main([command, "--config", str(DEMO), "--out", str(tmp_path)]) == 0
     # two entries are never called: simulate_truncated, the one known blind
-    # entry, since the CLI simulates every level through simulate_coupled
+    # entry, since the CLI simulates every level through simulate_levels
     # (ROADMAP item 2 moves the instrument into the package), and the
     # convergence binding of moment_field, which nothing calls through while
     # cli's binding of the same function feeds that metric
     uncalled = {key for key, n in calls.items() if n == 0}
     assert uncalled == {("convergence", "simulate_truncated"), ("convergence", "moment_field")}
     assert {wrapped[key] for key in calls if calls[key]} == set(wrapped.values()) - {"sde.simulate"}
+
+
+# Runs the four subcommands on the config argv[1] into argv[2], then reads
+# back the configuration and the Picard grid they saved; fails at the first
+# step that imported numpy.ma.
+_UNMASKED_RUN = """
+import sys
+import latticesde as lat
+from latticesde.cli import main
+from latticesde.ovsjannikov import load_grid_function
+
+config_file, out = sys.argv[1:]
+for command in ("generate", "simulate", "verify", "picard"):
+    assert main([command, "--config", config_file, "--out", out]) == 0, command
+    assert "numpy.ma" not in sys.modules, command
+config = lat.load_configuration(out + "/configuration.txt")
+load_grid_function(config, out + "/picard_solution.csv")
+assert "numpy.ma" not in sys.modules, "reading back"
+"""
+
+
+@pytest.mark.parametrize("dim", [None, "2"])
+def test_runs_never_import_numpy_ma(tmp_path, dim):
+    # numpy imports numpy.ma on the first plain np.unique, which setdiff1d and
+    # union1d call unless told their input is unique: that costs 12-16 ms,
+    # and under an address-space limit the import once failed with a traceback
+    config = DEMO if dim is None else write_config(tmp_path, dim=dim)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    args = [sys.executable, "-c", _UNMASKED_RUN, str(config), str(tmp_path / "o")]
+    run = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 # Runs one subcommand in a child whose address space is capped at argv[1]

@@ -6,13 +6,8 @@ import pytest
 
 import latticesde as lat
 from latticesde import sde
-from latticesde.convergence import (
-    cauchy_constants,
-    cauchy_pairs,
-    cauchy_table,
-    moment_constants,
-    simulate_levels,
-)
+from latticesde.convergence import cauchy_constants, cauchy_table, moment_constants
+from latticesde.sde import cauchy_pairs, simulate_levels
 from latticesde.spaces import weighted_sum
 import oracles
 
@@ -336,18 +331,13 @@ class TestSharedDraw:
         config, model, zeta = coupled_setup
         levels = lat.exhaustion_sequence(config, 3)
         if depth == "partial":
-            # the union of these levels leaves the outer sites out
+            # the largest of these levels leaves the outer sites out
             levels = lat.exhaustion_sequence(config, 4)[:2]
             assert levels[-1].size < config.n_sites
-        if path_block is None:
-            ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, 7, 21,
-                                        noise_refine=noise_refine, threads=threads,
-                                        keep_paths=True)
-        else:
+        if path_block is not None:
             monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
-            ensembles = sde.simulate_coupled(model, config, levels, zeta, 0.1, 0.01, 7, 21,
-                                             noise_refine=noise_refine, threads=threads,
-                                             pairs=cauchy_pairs(len(levels)), keep_paths=True)
+        ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, 7, 21,
+                                    noise_refine=noise_refine, threads=threads, keep_paths=True)
         for level, ens in zip(levels, ensembles):
             lone = lat.simulate_truncated(
                 model, config, level, zeta, 0.1, 0.01, 7, 21, noise_refine=noise_refine,
@@ -415,9 +405,9 @@ class TestSharedDraw:
         monkeypatch.setattr(sde._NoiseSource, "_rekey", counted_rekey)
         monkeypatch.setattr(sde._NoiseSource, "fill_normals", counted_fill)
         simulate_levels(model, config, levels, zeta, 0.05, 0.01, 9, 22)
-        union = levels[-1].tolist()
-        assert sorted(keyed) == union
-        assert sorted(fills) == sorted((site, width) for site in union for width in (4, 4, 1))
+        drawn = levels[-1].tolist()
+        assert sorted(keyed) == drawn
+        assert sorted(fills) == sorted((site, width) for site in drawn for width in (4, 4, 1))
 
 
 class TestFrozenRows:
@@ -431,20 +421,19 @@ class TestFrozenRows:
         config, model, zeta = coupled_setup
         n = config.n_sites
         sets = [
-            np.arange(n // 2),           # overlaps the next one without nesting in it,
-            np.arange(n // 3, n - 1),    # and both freeze site n - 1
             np.array([n // 2]),          # one active site: one sum column per node
+            np.arange(n // 3, n - 1),    # this level and the first freeze site n - 1,
+            np.arange(n // 3, n - 1),    # and so do these two identical levels
             np.arange(1, n),             # one frozen site
             np.arange(n),
         ]
-        pairs = [(0, 1), (2, 0), (2, 1), (3, 4), (0, 4)]
         if path_block is not None:
             monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
         if chunk is not None:
             monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
         n_paths = 10   # above 8, where numpy starts summing pairwise
-        ensembles = sde.simulate_coupled(model, config, sets, zeta, 0.1, 0.01, n_paths, 25,
-                                         threads=threads, pairs=pairs, keep_paths=True)
+        ensembles = simulate_levels(model, config, sets, zeta, 0.1, 0.01, n_paths, 25,
+                                    threads=threads, keep_paths=True)
         for active, ens in zip(sets, ensembles):
             assert np.array_equal(ens.active, active)
             power, m2 = reference_sums(ens.paths, model.p, path_block or n_paths)
@@ -453,12 +442,14 @@ class TestFrozenRows:
             frozen = np.setdiff1d(np.arange(n), active)
             assert np.all(ens.paths[:, frozen] == zeta.values[frozen, None])
             assert not ens.has_blowup
-        for small, large in pairs:
+        for small, large in cauchy_pairs(len(sets)):
             want = reference_diffs(ensembles[small].paths, ensembles[large].paths, model.p)
             assert ensembles[small].sums.diffs[large].tobytes() == want.tobytes()
-        # site n - 1 is frozen in both truncations of the first pair
+        # site n - 1 is frozen in both levels of the first pair
         assert np.all(ensembles[0].sums.diffs[1][:, n - 1] == 0.0)
         assert np.any(ensembles[0].sums.diffs[1] > 0.0)
+        # identical levels are coupled to identical paths
+        assert not np.any(ensembles[1].sums.diffs[2])
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_frozen_site_beyond_the_limit_flags_every_path(self, decoupled_setup, monkeypatch,
@@ -473,8 +464,8 @@ class TestFrozenRows:
             values = np.ones(n)
             values[-1] = last
             zeta = lat.WeightedSeq(config, values)
-            ensembles = sde.simulate_coupled(model, config, sets, zeta, 0.05, 0.01, 7, 26,
-                                             threads=threads, pairs=[(0, 1)], keep_paths=True)
+            ensembles = simulate_levels(model, config, sets, zeta, 0.05, 0.01, 7, 26,
+                                        threads=threads, keep_paths=True)
             assert [bool(e.blowup.all()) for e in ensembles] == [flagged, flagged]
             assert [bool(e.blowup.any()) for e in ensembles] == [flagged, flagged]
             sums = ensembles[0].sums
@@ -519,9 +510,8 @@ class TestFrozenRows:
 
         model = dataclasses.replace(model, potential=sde.Potential("custom", func=kicked))
         sets = [np.arange(n - 1), np.arange(n)]
-        ensembles = sde.simulate_coupled(model, config, sets, zeta, n_steps * dt, dt, n_paths,
-                                         27, scheme="explicit", threads=threads, pairs=[(0, 1)],
-                                         keep_paths=True)
+        ensembles = simulate_levels(model, config, sets, zeta, n_steps * dt, dt, n_paths, 27,
+                                    scheme="explicit", threads=threads, keep_paths=True)
         for ens in ensembles:
             in_range = np.all(np.abs(ens.paths) <= 1e75, axis=(1, 2))
             assert np.array_equal(ens.blowup, ~in_range)

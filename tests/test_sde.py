@@ -10,11 +10,10 @@ import pytest
 
 import latticesde as lat
 from latticesde import sde
-from latticesde.convergence import cauchy_pairs, simulate_levels
 from latticesde.sde import (
     _noise_block,
     _NoiseSource,
-    simulate_coupled,
+    simulate_levels,
     simulation_bytes,
 )
 import oracles
@@ -304,29 +303,6 @@ class TestSimulation:
                 want = oracles.wiener_increments(5, path, site, 20, 0.1, refine=refine)
                 assert np.array_equal(block[:, si, pi], want)
 
-    def test_coupled_sets_need_not_nest(self, poisson_1d, monkeypatch):
-        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3,
-                               sigma2=0.05, p=4.0)
-        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
-        sets = [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7, 8], []]
-        monkeypatch.setattr(sde, "_PATH_BLOCK", 2)
-        ensembles = simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 5, 31,
-                                     threads=2, keep_paths=True)
-        for active, ens in zip(sets, ensembles):
-            lone = lat.simulate_truncated(model, poisson_1d, active, zeta, 0.1, 0.01, 5, 31)
-            assert np.array_equal(ens.paths, lone.paths)
-
-    def test_repeated_pair_is_summed_once(self, poisson_1d):
-        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3, p=4.0)
-        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
-        sets = lat.exhaustion_sequence(poisson_1d, 3)[:2]
-        once, twice = (
-            simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 5, 31, pairs=pairs)[0]
-            for pairs in ([(0, 1)], [(0, 1), (0, 1)])
-        )
-        assert np.any(once.sums.diffs[1] > 0.0)
-        assert twice.sums.diffs[1].tobytes() == once.sums.diffs[1].tobytes()
-
     def test_band_naming_a_missing_site_is_refused(self, pair_config):
         # the step gathers with mode="clip", so the band is checked once, up front,
         # instead of a bad index being clamped to the last site
@@ -338,6 +314,20 @@ class TestSimulation:
         with pytest.raises(ValueError, match="outside"):
             lat.simulate_truncated(model, broken, [0, 1], zeta, 0.1, 0.01, 3, 0)
 
+    @pytest.mark.parametrize("levels, message", [
+        (lambda n: [[-1]], "out-of-range"),   # a site mask would wrap it to the last site
+        (lambda n: [[0], [0, n]], "out-of-range"),
+        (lambda n: [[0, 1], [1, 2]], "nested"),
+        (lambda n: [[n - 1], list(range(n - 1)), list(range(n))], "nested"),
+    ])
+    def test_levels_outside_the_configuration_or_not_nested_are_refused(
+            self, poisson_1d, levels, message):
+        n = poisson_1d.n_sites
+        model = lat.make_model("linear", 1.0, kernel_cap=0.1, rho=1.0, sigma0=0.3, p=2.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.ones(n))
+        with pytest.raises(ValueError, match=message):
+            simulate_levels(model, poisson_1d, levels(n), zeta, 0.02, 0.01, 2, 0)
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 2])
     def test_run_buffer_steps_like_the_full_site_state(self, monkeypatch, chunk, threads):
@@ -348,13 +338,12 @@ class TestSimulation:
                                sigma0=0.2, sigma1=0.1, sigma2=0.05, p=3.0)
         zeta = lat.WeightedSeq(cfg, np.random.default_rng(4).uniform(-1.0, 1.0, cfg.n_sites))
         sets = [np.flatnonzero(cfg.radii <= r) for r in (1.5, 3.0, np.inf)]
-        pairs = [(0, 1), (1, 2), (0, 2)]
         monkeypatch.setattr(sde, "_PATH_BLOCK", 3)
         monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
 
         def run():
-            return simulate_coupled(model, cfg, sets, zeta, 0.05, 0.01, 7, 19, threads=threads,
-                                    pairs=pairs, keep_paths=True)
+            return simulate_levels(model, cfg, sets, zeta, 0.05, 0.01, 7, 19, threads=threads,
+                                   keep_paths=True)
 
         new = run()
         monkeypatch.setattr(sde._Level, "_step", full_site_step(cfg))
@@ -395,10 +384,10 @@ class TestSimulation:
         model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3, p=4.0)
         zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
         sets = lat.exhaustion_sequence(poisson_1d, 3)
-        simulate_coupled(model, poisson_1d, sets, zeta, 0.05, 0.01, 4, 3, threads=10**9,
-                         pairs=[(0, 1)])
+        simulate_levels(model, poisson_1d, sets, zeta, 0.05, 0.01, 4, 3, threads=10**9)
         assert pools == [3]
-        assert max(tasks) == 3   # the sites of the draw in three parts, and three levels
+        # the sites of the draw in three parts, three levels and their three pairs
+        assert max(tasks) == 3
         monkeypatch.delattr(sde.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
         assert sde.worker_count(10**9) == 2
@@ -421,26 +410,33 @@ class TestSimulation:
         n, steps, degree = poisson_1d.n_sites, 10, int(poisson_1d.degrees.max())
         with monkeypatch.context() as patch:
             patch.setattr(sde, "_PATH_BLOCK", 5)
-            plain = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2)
+            plain = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, cauchy=False)
             # the two path tensors count only when they are kept
-            kept = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, keep_paths=True)
+            kept = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, cauchy=False,
+                                    keep_paths=True)
             assert kept - plain == 8 * 2 * 7 * n * (steps + 1)
             # the block of 5 paths x n sites x 10 steps does not depend on the
             # refinement; a drawing worker's buffer holds 5 paths x 20 fine
             # draws and their 10 sums at refine 2, and 10 draws at refine 1
-            once = simulation_bytes(n, degree, 2, 7, steps, noise_refine=1)
+            once = simulation_bytes(n, degree, 2, 7, steps, noise_refine=1, cauchy=False)
             assert plain - once == 8 * 5 * 2 * steps
             # each further drawing worker adds its own buffer, each further
             # thread its path-order rows (6 per site) and three temporaries
             # for a run of one node, and each thread beyond the two
             # truncations its seven step temporaries and its band gather,
             # here every band row in one slice
-            three = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, threads=3)
+            three = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, cauchy=False,
+                                     threads=3)
             assert three - plain == 8 * (2 * 5 * 3 * steps + 2 * n * (6 + 3 * 5)
                                          + n * 5 * (7 + degree))
-            # a Cauchy pair adds one (node, site) sum
-            pair = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, n_pairs=1)
+            # the one Cauchy pair of two levels adds one (node, site) sum
+            pair = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2)
             assert pair - plain == 8 * n * (steps + 1)
+        # the estimate counts the pairs of cauchy_pairs without listing them
+        for k in range(1, 7):
+            extra = (simulation_bytes(n, degree, k, 7, steps)
+                     - simulation_bytes(n, degree, k, 7, steps, cauchy=False))
+            assert extra == 8 * len(sde.cauchy_pairs(k)) * n * (steps + 1)
         # past one full block, more paths cost only their blow-up flag
         big = simulation_bytes(n, degree, 2, 10**9, steps)
         assert big - simulation_bytes(n, degree, 2, 10**8, steps) == 8 * 2 * 9 * 10**8
@@ -461,7 +457,7 @@ class TestSimulation:
         finally:
             tracemalloc.stop()
         need = simulation_bytes(poisson_1d.n_sites, int(poisson_1d.degrees.max()), 3, n_paths,
-                                steps, n_pairs=len(cauchy_pairs(3)), keep_paths=keep_paths)
+                                steps, keep_paths=keep_paths)
         assert peak < need
 
     def test_simulation_bytes_bounds_traced_peak_of_a_truncated_window(self):
@@ -477,10 +473,10 @@ class TestSimulation:
                            steps + 1, False)
         assert level.tail.size > 0
         assert level.slots.shape[1] * n_paths * active.size > sde._GATHER_CAP
-        simulate_coupled(model, cfg, [active], zeta, 0.05, 0.01, 2, 3)   # imports done
+        simulate_levels(model, cfg, [active], zeta, 0.05, 0.01, 2, 3)   # imports done
         tracemalloc.start()
         try:
-            simulate_coupled(model, cfg, [active], zeta, steps * 0.01, 0.01, n_paths, 3)
+            simulate_levels(model, cfg, [active], zeta, steps * 0.01, 0.01, n_paths, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -503,33 +499,32 @@ class TestSimulation:
         finally:
             tracemalloc.stop()
         need = simulation_bytes(poisson_1d.n_sites, int(poisson_1d.degrees.max()), 6, n_paths,
-                                steps, n_pairs=len(cauchy_pairs(6)))
+                                steps)
         assert peak < need
 
     def test_cauchy_pairs_share_the_threads_rows(self, poisson_1d, monkeypatch):
-        # with many more paths than steps, one (paths + 1, run, union) buffer
+        # with many more paths than steps, one (paths + 1, run, site) buffer
         # of path-order rows per pair would be most of what the pairs add
         model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3,
                                sigma2=0.05, p=4.0)
         zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
         sets = lat.exhaustion_sequence(poisson_1d, 4)
-        pairs = cauchy_pairs(4)
         n_paths, steps, chunk = 400, 10, 5
         monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
-        simulate_coupled(model, poisson_1d, sets, zeta, 0.05, 0.01, 2, 3, pairs=pairs)
+        simulate_levels(model, poisson_1d, sets, zeta, 0.05, 0.01, 2, 3)
         peaks = []
-        for with_pairs in (pairs, ()):
+        for cauchy in (True, False):
             tracemalloc.start()
             try:
-                simulate_coupled(model, poisson_1d, sets, zeta, steps * 0.01, 0.01, n_paths, 3,
-                                 pairs=with_pairs)
+                simulate_levels(model, poisson_1d, sets, zeta, steps * 0.01, 0.01, n_paths, 3,
+                                cauchy=cauchy)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        union = np.unique(np.concatenate(sets)).size
-        # each pair's sums over its sites and spread over every site
-        sums = len(pairs) * (steps + 1) * (union + poisson_1d.n_sites)
-        rows = (n_paths + 1) * chunk * union
+        largest = sets[-1].size
+        # each pair's sums over its larger level's sites and spread over every site
+        sums = len(sde.cauchy_pairs(4)) * (steps + 1) * (largest + poisson_1d.n_sites)
+        rows = (n_paths + 1) * chunk * largest
         assert peaks[0] - peaks[1] <= 8 * (sums + rows)
 
     def test_dt_must_divide_horizon(self, single_site_config):
@@ -629,8 +624,8 @@ class TestNoiseLayout:
 
         monkeypatch.setattr(sde, "_noise_block", recorded)
         monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
-        simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31, noise_refine=2,
-                         threads=threads)
+        simulate_levels(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31, noise_refine=2,
+                        threads=threads, cauchy=False)
         assert len(drawn) == -(-10 // path_block)
         whole = noise_block(_NoiseSource(31), 10, sets[-1], 10, 0.01, 2)
         assert np.concatenate(drawn, axis=2).tobytes() == whole.tobytes()
@@ -642,8 +637,8 @@ class TestNoiseLayout:
         model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3, p=4.0)
         zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
         sets = lat.exhaustion_sequence(poisson_1d, 4)[:3]
-        whole = simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31,
-                                 threads=threads, keep_paths=True)
+        whole = simulate_levels(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31,
+                                threads=threads, cauchy=False, keep_paths=True)
         drawn, carried = [], []
         noise_block, carry = sde._noise_block, _NoiseSource.carry
 
@@ -658,8 +653,8 @@ class TestNoiseLayout:
         monkeypatch.setattr(sde, "_noise_block", recorded)
         monkeypatch.setattr(_NoiseSource, "carry", counted)
         monkeypatch.setattr(sde, "_PATH_BLOCK", 4)
-        split = simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31,
-                                 threads=threads, keep_paths=True)
+        split = simulate_levels(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31,
+                                threads=threads, cauchy=False, keep_paths=True)
         assert [block.shape[2] for block in drawn] == [4, 4, 2]
         assert sorted(carried) == sorted(2 * sets[-1].tolist())
         one_block = noise_block(_NoiseSource(31), 10, sets[-1], 10, 0.01)
@@ -707,8 +702,8 @@ class TestNoiseLayout:
         zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
         small, big = list(range(4)), list(range(poisson_1d.n_sites))
         monkeypatch.setattr(sde, "_PATH_BLOCK", 3)
-        ens = simulate_coupled(model, poisson_1d, [small, small, big], zeta, 0.2, 0.01, 8, 77,
-                               pairs=[(0, 1), (0, 2)], keep_paths=True)
+        ens = simulate_levels(model, poisson_1d, [small, small, big], zeta, 0.2, 0.01, 8, 77,
+                              keep_paths=True)
         for x in small:
             assert np.array_equal(ens[0].paths[:, x], ens[2].paths[:, x])
         assert np.array_equal(ens[0].paths, ens[1].paths)
@@ -725,8 +720,7 @@ class TestNoiseLayout:
         sets = lat.exhaustion_sequence(poisson_1d, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            simulate_coupled(model, poisson_1d, sets, zeta, 0.1, 0.01, 40, 31,
-                             pairs=[(0, 1), (0, 2), (1, 2)])
+            simulate_levels(model, poisson_1d, sets, zeta, 0.1, 0.01, 40, 31)
 
 
 class TestOuOracle:
