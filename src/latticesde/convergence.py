@@ -47,7 +47,6 @@ class MomentField:
     p: float
     per_site: np.ndarray
     stderr: np.ndarray
-    n_paths: int
 
     def __post_init__(self):
         if np.any(self.per_site < 0):
@@ -74,7 +73,7 @@ def moment_field(ensemble: PathEnsemble) -> MomentField:
         stderr = np.sqrt(sums.m2[argmax, sites] / (n - 1)) / math.sqrt(n)
     else:
         stderr = np.zeros(ensemble.config.n_sites)
-    return MomentField(ensemble.config, float(sums.p), per_site, stderr, n)
+    return MomentField(ensemble.config, float(sums.p), per_site, stderr)
 
 
 def _sums(ensemble: PathEnsemble):
@@ -118,8 +117,8 @@ def moment_ceiling(model, config, zeta, a_low, alpha, T):
     The majorant matrix of the moment chain is banded with entries bounded by
     (p^2 (A1 + A2) + A3) n_x^4, so its scale constant and the series majorant
     are fully determined by the declared model constants.  Returns
-    (ceiling, K, log10_K, L); the ceiling may be inf -- it stays a valid
-    one-sided bound.
+    (ceiling, log10 K); the ceiling may be inf -- it stays a valid one-sided
+    bound.
     """
     consts = moment_constants(model, T)
     p = model.p
@@ -129,7 +128,7 @@ def moment_ceiling(model, config, zeta, a_low, alpha, T):
     K = norm_bound_series(L, T, 0.5, a_low, alpha)
     log10_K = norm_bound_series_log10(L, T, 0.5, a_low, alpha)
     weighted = weighted_sum(config.radii, a_low, np.abs(zeta.values) ** p + consts["A4"])
-    return K * weighted if weighted else 0.0, K, log10_K, L
+    return K * weighted if weighted else 0.0, log10_K
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,7 @@ class TailBoundReport:
     ceiling: float
     ceiling_ok: bool
     level_sums: tuple
-    K: float
     log10_K: float
-    L: float
 
 
 def tail_bound_check(fields, alpha, *, model, zeta, a_low, T) -> TailBoundReport:
@@ -174,16 +171,14 @@ def tail_bound_check(fields, alpha, *, model, zeta, a_low, T) -> TailBoundReport
         rel_change(level_sums[-2], level_sums[-1]) < 0.05
         and rel_change(level_sums[-3], level_sums[-2]) < 0.05
     )
-    ceiling, K, log10_K, L = moment_ceiling(model, config, zeta, a_low, alpha, T)
+    ceiling, log10_K = moment_ceiling(model, config, zeta, a_low, alpha, T)
     return TailBoundReport(
         sup_sum=sup_sum,
         plateau_ok=plateau_ok,
         ceiling=ceiling,
         ceiling_ok=sup_sum <= ceiling,
         level_sums=level_sums,
-        K=K,
         log10_K=log10_K,
-        L=L,
     )
 
 
@@ -200,11 +195,6 @@ class CauchyReport:
     rows: tuple
     decreasing_ok: bool
     dominated_ok: bool
-    alpha: float
-    alpha_mid: float
-    K: float
-    log10_K: float
-    L: float
 
 
 def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
@@ -239,7 +229,6 @@ def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
     T = float(ensembles[0].times[-1])
     L = ovs_constant(band_c, 4.0, n_hat, config.rho, alpha_mid)
     K = norm_bound_series(L, T, 0.5, alpha_mid, alpha)
-    log10_K = norm_bound_series_log10(L, T, 0.5, alpha_mid, alpha)
 
     moment_sup = np.stack([f.per_site for f in fields]).max(axis=0)
 
@@ -272,13 +261,4 @@ def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
         else:
             decreasing_ok = decreasing_ok and later.distance < earlier.distance
     dominated_ok = all(r.distance <= r.dominator for r in rows)
-    return CauchyReport(
-        rows=tuple(rows),
-        decreasing_ok=decreasing_ok,
-        dominated_ok=dominated_ok,
-        alpha=alpha,
-        alpha_mid=alpha_mid,
-        K=K,
-        log10_K=log10_K,
-        L=L,
-    )
+    return CauchyReport(tuple(rows), decreasing_ok, dominated_ok)

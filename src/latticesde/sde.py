@@ -167,13 +167,8 @@ def make_model(
     sigma1=0.0,
     sigma2=0.0,
     p=2.0,
-    growth_c=None,
-    growth_R=None,
-    dissipativity_b=None,
-    lipschitz_m1=None,
-    lipschitz_m2=None,
 ) -> ModelSpec:
-    """Assemble a model; growth constants default to the tight built-in values."""
+    """Assemble a model with tight growth constants; ``dataclasses.replace`` declares others."""
     if potential == "linear":
         pot = Potential("linear", lam=potential_param)
         c = max(potential_param, sigma0)
@@ -193,11 +188,11 @@ def make_model(
         sigma0=sigma0,
         sigma1=sigma1,
         sigma2=sigma2,
-        growth_c=c if growth_c is None else growth_c,
-        growth_R=R if growth_R is None else growth_R,
-        dissipativity_b=b if dissipativity_b is None else dissipativity_b,
-        lipschitz_m1=sigma1 if lipschitz_m1 is None else lipschitz_m1,
-        lipschitz_m2=sigma2 if lipschitz_m2 is None else lipschitz_m2,
+        growth_c=c,
+        growth_R=R,
+        dissipativity_b=b,
+        lipschitz_m1=sigma1,
+        lipschitz_m2=sigma2,
         p=p,
     )
 

@@ -11,6 +11,7 @@ Verdicts on many sums are settled by :func:`bounded_sums` instead: a
 exact sum (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
 section 4.2), so a verdict that holds over that interval is the one the
 ``fsum`` value gives, and ``fsum`` is called only on the rows it cannot settle.
+Every site-weighted sum of the package is formed by these two functions.
 """
 
 from __future__ import annotations
@@ -63,32 +64,35 @@ def weighted_sum(radii: np.ndarray, a: float, values) -> float:
     return math.fsum((np.exp(-a * radii) * values).tolist())
 
 
-def bounded_sums(weights: np.ndarray, rows: np.ndarray):
-    """``(terms, lo, hi)``: the products ``weights * rows`` of nonnegative
-    ``rows`` (row, site), and per row an interval [lo, hi] of doubles that
-    holds the exact sum of its terms, so also their ``math.fsum``.
+def bounded_sums(radii: np.ndarray, a: float, rows: np.ndarray):
+    """``(lo, hi)``: per row of nonnegative ``rows`` (row, site) an interval of
+    doubles that holds its exact weighted sum, so also its :func:`weighted_sum`.
 
-    The interval is the row's ``np.sum`` widened by 2 gamma_n + 4u, and by one
-    more ulp for the rounding of the widening; a row whose sum is 0 has [0, 0].
-    A row whose interval is not finite (an inf or NaN term, or a sum near the
-    float maximum) is summed with ``math.fsum`` instead, lo = hi = its value,
-    and so are all rows when they hold at most _EXACT_TERMS terms in all.
-    ``fsum``'s OverflowError propagates.  ``weights`` are the e^(-a |x|).
-    Callers overflow quietly under ``np.errstate(over="ignore", invalid="ignore")``.
+    The interval is the ``np.sum`` of the row's terms e^(-a |x|) v_x widened
+    by 2 gamma_n + 4u, and by one more ulp for the rounding of the widening; a
+    row whose sum is 0 has [0, 0].  A row whose interval is not finite (an inf
+    or NaN term, or a sum near the float maximum) is summed with
+    :func:`weighted_sum` instead, lo = hi = its value, and so are all rows when
+    they hold at most _EXACT_TERMS terms in all.  ``fsum``'s OverflowError
+    propagates.  Callers overflow quietly under
+    ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    terms = weights * rows
-    if terms.size <= _EXACT_TERMS:
-        exact = np.array([math.fsum(row) for row in terms.tolist()])
-        return terms, exact, exact
+    if rows.size <= _EXACT_TERMS:
+        exact = np.array([weighted_sum(radii, a, row) for row in rows])
+        return exact, exact
+    # terms lives until the return: freed before lo and hi are built, it left
+    # verify's heap such that an address-space cap at its peak mostly ended in
+    # numpy's SIGSEGV instead of MemoryError (test_out_of_memory_exits_2_or_runs_unchanged)
+    terms = np.exp(-a * radii) * rows
     sums = np.sum(terms, axis=1)
-    nu = terms.shape[1] * _U
+    nu = rows.shape[1] * _U
     play = 2.0 * nu / (1.0 - nu) + 4.0 * _U
     lo = np.nextafter(sums * (1.0 - play), 0.0)
     hi = np.nextafter(sums * (1.0 + play), np.inf)
     hi[sums == 0.0] = 0.0
     for i in np.flatnonzero(~np.isfinite(hi)):
-        lo[i] = hi[i] = math.fsum(terms[i].tolist())
-    return terms, lo, hi
+        lo[i] = hi[i] = weighted_sum(radii, a, rows[i])
+    return lo, hi
 
 
 def _power_bounds(lo, hi, p):
@@ -118,15 +122,15 @@ def verify_scale_monotonicity(config: Configuration, values, alpha: float, beta:
     powed = np.abs(np.asarray(values, dtype=float)) ** p
     if powed.ndim != 2 or powed.shape[1] != config.n_sites:
         raise ValueError(f"values of shape {powed.shape} are not rows of {config.n_sites} sites")
-    w_alpha, w_beta = np.exp(-alpha * config.radii), np.exp(-beta * config.radii)
+    radii = config.radii
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha_low, alpha_high = _power_bounds(*bounded_sums(w_alpha, powed)[1:], p)
-        beta_low, beta_high = _power_bounds(*bounded_sums(w_beta, powed)[1:], p)
+        alpha_low, alpha_high = _power_bounds(*bounded_sums(radii, alpha, powed), p)
+        beta_low, beta_high = _power_bounds(*bounded_sums(radii, beta, powed), p)
         held = beta_high <= alpha_low + NORM_SLACK
         failed = beta_low > alpha_high + NORM_SLACK
     for i in np.flatnonzero(~(held | failed)):
-        norm_alpha = math.fsum((w_alpha * powed[i]).tolist()) ** (1.0 / p)
-        norm_beta = math.fsum((w_beta * powed[i]).tolist()) ** (1.0 / p)
+        norm_alpha = weighted_sum(radii, alpha, powed[i]) ** (1.0 / p)
+        norm_beta = weighted_sum(radii, beta, powed[i]) ** (1.0 / p)
         held[i] = norm_beta <= norm_alpha + NORM_SLACK
     return held
 

@@ -12,11 +12,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import latticesde as lat
 from latticesde import spaces
 from latticesde.ovsjannikov import BandedOperator, _max_ratio, _picard_sums
-from latticesde.spaces import bounded_sums, verify_scale_monotonicity
+from latticesde.spaces import bounded_sums, verify_scale_monotonicity, weighted_sum
 import oracles
 from test_ovsjannikov import banded_from_dense
 
@@ -115,15 +117,20 @@ ADVERSARIAL_ROWS = {
 }
 
 
+# site radii 0, 1, 2, 0 at weight log 2: the weights 1, 1/2, 1/4, 1
+RADII, A = np.array([0.0, 1.0, 2.0, 0.0]), math.log(2.0)
+
+SPECIAL_VALUES = [0.0, TINY, 2.0**-1060, sys.float_info.min, 1.0,
+                  sys.float_info.max / 4, sys.float_info.max, math.inf, math.nan]
+
+
 class TestBoundedSums:
     @pytest.mark.parametrize("name", ADVERSARIAL_ROWS)
     def test_interval_holds_the_fsum(self, name):
         row = np.array(ADVERSARIAL_ROWS[name])
-        weights = np.array([1.0, 0.5, 0.25, 1.0])
         with np.errstate(over="ignore", invalid="ignore"):
-            terms, lo, hi = bounded_sums(weights, row[None])
-        exact = fsum_of(weights, row)
-        assert terms[0].tobytes() == (weights * row).tobytes()
+            lo, hi = bounded_sums(RADII, A, row[None])
+        exact = weighted_sum(RADII, A, row)
         if math.isnan(exact):
             assert math.isnan(lo[0]) and math.isnan(hi[0])
         else:
@@ -133,24 +140,51 @@ class TestBoundedSums:
 
     def test_overflowing_fsum_raises(self):
         with np.errstate(over="ignore"), pytest.raises(OverflowError):
-            bounded_sums(np.ones(2), np.array([[1.7e308, 1.7e308]]))
+            bounded_sums(np.zeros(2), 1.0, np.array([[1.7e308, 1.7e308]]))
 
     def test_lossy_sum(self):
         # np.sum drops the tiny terms that meet 1.0 in its accumulator: an
         # error of several ulps, which only the gamma_n term covers
         row = np.full(8000, 2.0**-53)
         row[0] = 1.0
-        lo, hi = bounded_sums(np.ones(row.size), row[None])[1:]
+        lo, hi = bounded_sums(np.zeros(row.size), 1.0, row[None])
         exact = math.fsum(row.tolist())
         assert abs(float(np.sum(row)) - exact) > 4 * 2.0**-52 * exact
         assert lo[0] <= exact <= hi[0]
 
     def test_interval_is_tight(self):
         rows = np.random.default_rng(1).random((50, 3000))
-        lo, hi = bounded_sums(np.ones(3000), rows)[1:]
+        lo, hi = bounded_sums(np.zeros(3000), 1.0, rows)
         exact = np.array([math.fsum(row.tolist()) for row in rows])
         assert np.all((lo <= exact) & (exact <= hi))
         assert np.all(hi - lo <= 2e-12 * exact)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 3), st.sampled_from([1.0, 2.0]), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 4.0), st.data())
+    def test_interval_holds_weighted_sum(self, dim, box, seed, a, data):
+        config = lat.sample_configuration(1.0, box, dim, 1.0, seed)
+        value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(0.0, sys.float_info.max))
+        n_rows = data.draw(st.integers(1, 6))
+        rows = np.array([[data.draw(value) for _ in range(config.n_sites)]
+                         for _ in range(n_rows)]).reshape(n_rows, config.n_sites)
+        exact_all = rows.size <= spaces._EXACT_TERMS
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = [weighted_sum(config.radii, a, row) for row in rows]
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    bounded_sums(config.radii, a, rows)
+                return
+            lo, hi = bounded_sums(config.radii, a, rows)
+        for low, high, exact in zip(lo.tolist(), hi.tolist(), want):
+            if math.isnan(exact):
+                assert math.isnan(low) and math.isnan(high)
+            elif exact_all or exact in (0.0, math.inf):   # summed exactly, or [0, 0]
+                assert low == high == exact
+            else:
+                assert low <= exact <= high
 
 
 class TestMonotonicityVerdicts:

@@ -447,7 +447,7 @@ class TestSimulate:
         )
         per_site[:2] = [0.0, 5e-324]
         stderr = rng.standard_normal(poisson_1d.n_sites) ** 2
-        field = MomentField(poisson_1d, 4.0, per_site, stderr, 40)
+        field = MomentField(poisson_1d, 4.0, per_site, stderr)
         _write_moments_csv(field, tmp_path / "moments.csv")
         with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
             fh.write("site,per_site,stderr\n")
@@ -479,7 +479,7 @@ class TestVerifyTables:
     def test_cauchy_csv_bytes_match_per_value_writer(self, tmp_path, monkeypatch):
         values = [0.0, -0.0, 5e-324, 1.2345678901234567e-300, 3.0, float("inf")]
         rows = tuple(CauchyRow(n, n + 1, d, e) for n, (d, e) in enumerate(zip(values, values[::-1])))
-        report = CauchyReport(rows, True, True, 1.0, 0.75, 2.0, 0.3, 1.0)
+        report = CauchyReport(rows, True, True)
         monkeypatch.setattr(cli, "cauchy_table", lambda *args, **kwargs: report)
         out = tmp_path / "o"
         main(["verify", "--config", str(write_config(tmp_path)), "--out", str(out)])

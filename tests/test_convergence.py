@@ -119,16 +119,16 @@ class TestMomentField:
 
 class TestZNorm:
     def test_zero_field(self, single_site_config):
-        field = lat.MomentField(single_site_config, 2.0, np.zeros(1), np.zeros(1), 4)
+        field = lat.MomentField(single_site_config, 2.0, np.zeros(1), np.zeros(1))
         assert lat.z_norm(field, 1.0) == 0.0
 
     def test_single_site_at_origin(self, single_site_config):
-        field = lat.MomentField(single_site_config, 2.0, np.ones(1), np.zeros(1), 4)
+        field = lat.MomentField(single_site_config, 2.0, np.ones(1), np.zeros(1))
         assert lat.z_norm(field, 1.0) == pytest.approx(1.0)
 
     def test_two_site_value(self):
         cfg = lat.configuration_from_points([[0.0], [1.0]], rho=0.5)
-        field = lat.MomentField(cfg, 2.0, np.ones(2), np.zeros(2), 4)
+        field = lat.MomentField(cfg, 2.0, np.ones(2), np.zeros(2))
         assert lat.z_norm(field, 1.0) == pytest.approx(
             math.sqrt(1.0 + math.exp(-1.0))
         )
@@ -138,7 +138,7 @@ class TestZNorm:
         rng = np.random.default_rng(3)
         field = lat.MomentField(
             poisson_1d, 2.0, rng.uniform(0, 2, poisson_1d.n_sites),
-            np.zeros(poisson_1d.n_sites), 4,
+            np.zeros(poisson_1d.n_sites),
         )
         for alpha, beta in [(0.3, 0.5), (0.5, 1.0), (1.0, 2.0)]:
             assert lat.z_norm(field, beta) <= lat.z_norm(field, alpha) + 1e-12

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latticesde as lat
 from conftest import brute_force_neighbors, corrupt_table, dense_operator
@@ -581,6 +583,18 @@ class TestNormBoundSeries:
         # the saddle-point location exp((log A + q)/(1 - q)) leaves the float range
         assert lat.norm_bound_series(361.0, 0.5, 0.99, 0.25, 0.5) == math.inf
         assert norm_bound_series_log10(361.0, 0.5, 0.99, 0.25, 0.5) == math.inf
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 50.0), st.floats(0.0, 2.0), st.floats(0.0, 0.9),
+           st.floats(0.0, 2.0), st.floats(0.05, 2.0))
+    def test_at_least_one_and_log10_agrees(self, L, T, q, alpha, gap):
+        # A = L T / gap^q stays below 1.5e3
+        K = lat.norm_bound_series(L, T, q, alpha, alpha + gap)
+        assert K >= 1.0
+        if K < math.inf:
+            # log10(K) of a K within an ulp or two of 1 is only that close
+            assert norm_bound_series_log10(L, T, q, alpha, alpha + gap) == pytest.approx(
+                math.log10(K), rel=1e-12, abs=1e-15)
 
 
 @pytest.fixture(scope="module")

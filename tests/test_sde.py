@@ -142,8 +142,8 @@ class TestDissipativity:
         assert any(tag == "D" for tag, _ in rep.witnesses)
 
     def test_understated_lipschitz_fails(self, pair_config):
-        model = lat.make_model(
-            "linear", 1.0, sigma1=1.0, p=2.0, lipschitz_m1=0.1
+        model = dataclasses.replace(
+            lat.make_model("linear", 1.0, sigma1=1.0, p=2.0), lipschitz_m1=0.1
         )
         rep = oracles.check_dissipativity(model, 200, 5.0, 4, config=pair_config)
         assert not rep.e_ok
