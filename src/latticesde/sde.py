@@ -18,7 +18,9 @@ runs with the same seed and the same M therefore share Wiener increments
 sitewise no matter which truncation set is active and no matter how work is
 scheduled -- the coupling the finite-volume diagnostics rely on.  A run with
 another M (a longer horizon, say) gives every path after the first other
-increments, not a longer prefix.
+increments, not a longer prefix.  Nested levels share one site order, level
+0's sites and then those each next level adds, so each level's sites, states
+and noise rows are a prefix of the next level's.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ _BLOWUP_LIMIT = 1e75
 _DRAW_CAP = 1 << 25   # raw draws per noise block, ~256 MB
 _PATH_BLOCK = 4096    # paths per noise block, unless _DRAW_CAP binds first
 _GATHER_CAP = 1 << 16  # doubles of band neighbors gathered at a time, 512 kB
+_NOISE_GROUP = 1 << 16  # fine draws per group of sites a drawing worker draws, 512 kB
 SCHEMES = ("explicit", "tamed")
 
 
@@ -207,35 +210,29 @@ class _NoiseSource:
     the generator state of every site is carried from one path block to the
     next.  A stream is a pure function of its 128-bit key (Salmon et al.,
     SC'11), so any Philox can draw any site: each drawing worker re-keys its
-    own generator through its state, and no byte depends on which worker
-    drew which site.
+    own generator by writing each site into one prepared state, and no byte
+    depends on which worker drew which site.
     """
 
     def __init__(self, seed: int):
         self._seed = seed & _MASK64
         self._carried = {}   # site -> generator state
 
-    def _rekey(self, bitgen, site: int) -> None:
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([self._seed, site & _MASK64], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    def generator(self):
+        """A drawing worker's generator, and its state at the start of the
+        stream keyed (seed, 0), which :meth:`fill_normals` re-keys per site."""
+        gen = np.random.Generator(np.random.Philox(key=self._seed))
+        return gen, gen.bit_generator.state
 
-    def fill_normals(self, gen, site: int, out: np.ndarray) -> None:
-        """Fill ``out`` (paths, M) with the site's next paths: from path 0, or
-        from where its carried state stopped."""
+    def fill_normals(self, gen, prepared, site: int, out: np.ndarray) -> None:
+        """Fill ``out`` (paths, M) with the site's next paths: from path 0, keyed
+        by writing the site into the worker's ``prepared`` state, or from
+        where its carried state stopped."""
         state = self._carried.get(site)
         if state is None:
-            self._rekey(gen.bit_generator, site)
-        else:
-            gen.bit_generator.state = state
+            prepared["state"]["key"][1] = site
+            state = prepared
+        gen.bit_generator.state = state
         gen.standard_normal(out=out)
 
     def carry(self, gen, site: int) -> None:
@@ -248,37 +245,43 @@ def _noise_block(source, width, sites, n_steps, dt, refine=1, run=map, workers=1
     """Brownian increments of the next ``width`` paths at ``sites``, shaped (n_steps, sites, paths).
 
     The streams of the :class:`_NoiseSource` ``source`` continue where its
-    previous block stopped, or start at path 0.  Each site's paths
-    are drawn with one call at resolution dt/refine into a reusable
-    (paths, n_steps * refine) buffer, scaled, summed in blocks of
-    ``refine`` and stored transposed, so each time step reads one
-    contiguous (site, path) slab.  Runs at compatible step sizes (dt with
-    refine 2r versus dt/2 with refine r, same seed) draw bitwise the same
-    underlying Brownian path.  The sites are split over ``workers`` tasks
-    handed to ``run``, each with its own Philox and buffers.  Unless
-    ``carry`` is false, the streams' states are kept for the next block.
+    previous block stopped, or start at path 0.  Each site's paths are drawn
+    with one call at resolution dt/refine into a reusable (site, path,
+    n_steps * refine) buffer of as many sites as fit ``_NOISE_GROUP`` draws,
+    or one; each such group is scaled, summed in blocks of ``refine`` and
+    stored transposed, so each time step reads one contiguous (site, path)
+    slab.  Runs at compatible step sizes (dt with refine 2r versus dt/2
+    with refine r, same seed) draw bitwise the same underlying Brownian
+    path.  The sites are split over ``workers`` tasks handed to ``run``,
+    each with its own Philox and buffers.  Unless ``carry`` is false, the
+    streams' states are kept for the next block.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
     block = np.empty((n_steps, len(sites), width))
-    scale = math.sqrt(dt / refine)
+    scale, n_fine = math.sqrt(dt / refine), n_steps * refine
+    group = max(1, _NOISE_GROUP // max(1, width * n_fine))   # sites per draw
 
-    def fill(positions) -> None:
-        gen = np.random.Generator(np.random.Philox(key=0))
-        fine = np.empty((width, n_steps * refine))
-        coarse = fine if refine == 1 else np.empty((width, n_steps))
-        for si in positions:
-            source.fill_normals(gen, int(sites[si]), fine)
-            if carry:
-                source.carry(gen, int(sites[si]))
-            fine *= scale
+    def fill(bounds) -> None:
+        (s0, s1), (gen, prepared) = bounds, source.generator()
+        fine = np.empty((min(group, s1 - s0), width, n_fine))
+        coarse = fine if refine == 1 else np.empty((len(fine), width, n_steps))
+        for g0 in range(s0, s1, group):
+            g1 = min(g0 + group, s1)
+            draws, sums = fine[: g1 - g0], coarse[: g1 - g0]
+            for site, out in zip(sites[g0:g1], draws):
+                source.fill_normals(gen, prepared, int(site), out)
+                if carry:
+                    source.carry(gen, int(site))
+            draws *= scale
             if refine > 1:
-                np.sum(fine.reshape(width, n_steps, refine), axis=2, out=coarse)
-            block[:, si, :] = coarse.T
+                np.sum(draws.reshape(g1 - g0, width, n_steps, refine), axis=3, out=sums)
+            block[:, g0:g1] = sums.transpose(2, 0, 1)
 
     if width:
-        parts = np.array_split(np.arange(len(sites)), max(1, min(workers, len(sites))))
-        list(run(fill, parts))
+        parts = max(1, min(workers, len(sites)))
+        list(run(fill, [(len(sites) * i // parts, len(sites) * (i + 1) // parts)
+                        for i in range(parts)]))
     return block
 
 
@@ -346,10 +349,11 @@ def step_count(T, dt) -> int:
     return n_steps
 
 
-def _nested_levels(config: Configuration, levels) -> list:
-    """Each level's sorted distinct sites; ValueError unless every site is one
-    of the configuration's and each level lies inside the next."""
-    masks = []
+def _nested_levels(config: Configuration, levels):
+    """The sites in nested-prefix order (level 0's, then those each next level
+    adds, each part sorted) and each level's count of them; ValueError unless
+    all are the configuration's sites and each level lies inside the next."""
+    seen, added = np.zeros(config.n_sites, dtype=bool), []
     for level in levels:
         level = np.asarray(level, dtype=np.int64)
         # checked before indexing, so that site -1 cannot wrap to the last one
@@ -357,10 +361,12 @@ def _nested_levels(config: Configuration, levels) -> list:
             raise ValueError("a truncation level contains out-of-range site indices")
         mask = np.zeros(config.n_sites, dtype=bool)
         mask[level] = True
-        if masks and np.any(masks[-1] & ~mask):
+        if np.any(seen & ~mask):
             raise ValueError("truncation levels must be nested")
-        masks.append(mask)
-    return [np.flatnonzero(mask) for mask in masks]
+        added.append(np.flatnonzero(mask & ~seen))
+        seen = mask
+    order = np.concatenate(added) if added else np.empty(0, dtype=np.int64)
+    return order, np.cumsum([part.size for part in added], dtype=np.int64)
 
 
 def cauchy_pairs(k: int) -> list:
@@ -428,13 +434,14 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     only their flags.  Per thread, or per truncation if there are more:
     seven step temporaries and one slice of gathered band rows
     (``_GATHER_CAP`` doubles, or one row).  Per thread: a run's path-order
-    rows (one more than the block has paths) and three run temporaries.
-    Per Cauchy pair (with ``cauchy``): one (node, site) sum.  One step-major
-    noise block over every site.  Per drawing worker (at most
-    ``threads``): one site's fine draws for the block and, with
-    ``noise_refine > 1``, their sums over each step.  The path tensors
-    count only when they are kept.  Everything per site is counted over
-    every site, so the estimate stays an upper bound.
+    rows (one more than the block has paths) and three run temporaries,
+    which the Cauchy differences fill in groups no wider than a level.  Per
+    pair (with ``cauchy``): one (node, site) sum.  One step-major noise
+    block over every site.  Per drawing worker (at most ``threads``): a
+    group of sites' fine draws for the block (``_NOISE_GROUP`` doubles, or
+    one site) and, with ``noise_refine > 1``, their sums over each step.
+    The path tensors count only when they are kept.  Everything per site is
+    counted over every site, so the estimate stays an upper bound.
     """
     n_pairs = max(2 * n_sets - 3, 0) if cauchy else 0   # len(cauchy_pairs(n_sets)), not listed
     block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
@@ -445,7 +452,8 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     steps = max(threads, n_sets) * (7 * n_sites * block + per_gather * max_degree * block)
     runs = threads * chunk * n_sites * (4 * block + 1)
     workers = min(threads, max(n_sites, 1))
-    buffers = workers * block * n_steps * (noise_refine + (noise_refine > 1))
+    per_draw = min(n_sites, max(1, _NOISE_GROUP // max(1, block * n_steps * noise_refine)))
+    buffers = workers * per_draw * block * n_steps * (noise_refine + (noise_refine > 1))
     noise = block * n_sites * n_steps + buffers
     tensors = n_sets * n_paths * n_sites * n_nodes if keep_paths else 0
     return 8 * (n_sets * level + steps + runs + n_pairs * n_sites * n_nodes + noise + tensors)
@@ -481,15 +489,16 @@ def _power(size, p) -> np.ndarray:
     return size
 
 
-def _add_in_path_order(total, values, rows) -> None:
+def _add_in_path_order(total, values, work) -> None:
     """Add the sums over paths of ``values`` (..., path) to ``total`` (...), path by path.
 
-    ``rows`` is a (path + 1, ...) buffer: row 0 carries the running total
-    and the paths are copied below it, so one reduction down its leading
-    axis adds them in path order.  That is bitwise the sum one reduction
+    The thread's (path + 1, ...) buffer of ``rows`` in ``work`` carries
+    the running total in row 0 and the paths below it, so one reduction
+    down its leading axis adds them in path order.  That is bitwise the sum one reduction
     over all paths gives, however the paths are split into blocks (a sum
     along a contiguous axis would be pairwise and round differently).
     """
+    rows = work.get("rows", (values.shape[-1] + 1, *values.shape[:-1]))
     rows[0] = total
     rows[1:] = np.moveaxis(values, -1, 0)
     if total.size == 1:   # a lone column would be reduced pairwise
@@ -546,27 +555,26 @@ class _Level:
     """One level of a coupled run: its band, its run buffer and the sums
     reduced from it; reduction rows and step temporaries are the thread's.
 
-    The run buffer ``nodes`` is (chunk + 1, active site + tail, path): row 0
-    is the state a run starts from (zeta, then the last node of the previous
-    run), and each node is stepped straight from the row above it.  The
-    tail rows hold zeta at the frozen sites of the band, written once per
-    block, and ``slots`` index these rows.  The sums cover only the active
-    sites; a frozen site's are settled once per path block and spread over
-    the nodes when the ensemble is built.  The band is range-checked once,
-    before it is remapped (the active sites and noise rows are in range by
-    construction), so the step gathers with ``mode="clip"``, which skips
-    numpy's checking copy.
+    ``active`` lists its sites in nested-prefix order: they are the first
+    rows of the noise block and of every larger level's run buffer.  The run
+    buffer ``nodes`` is (chunk + 1, active site + tail, path): row 0 is the
+    state a run starts from (zeta, then the last node of the previous run),
+    and each node is stepped straight from the row above it.  The tail rows
+    hold zeta at the frozen sites of the band, written once per block, and
+    ``slots`` index these rows.  The sums cover only the active sites; a
+    frozen site's are settled once per path block and spread over the nodes
+    when the ensemble is built.  The band is range-checked once, before it
+    is remapped (the active sites are in range by construction), so the
+    step gathers with ``mode="clip"``, which skips numpy's checking copy.
     """
 
-    def __init__(self, model, tamed, dt, config, zeta_values, active, drawn, n_paths, n_nodes,
+    def __init__(self, model, tamed, dt, config, zeta_values, active, n_paths, n_nodes,
                  keep_paths):
         n_sites = config.n_sites
         self.model, self.tamed, self.dt, self.p = model, tamed, dt, float(model.p)
         self.active = active
         slots, self.weights, degrees = _band_slots(model, config, active)
         self.spread = model.sigma2 * degrees[:, None]   # sigma2 n_x
-        # its sites among those the noise block is drawn for, None for all
-        self.rows = None if active.size == drawn.size else np.searchsorted(drawn, active)
         if slots.size and not 0 <= slots.min() <= slots.max() < n_sites:
             raise ValueError(f"a truncation's band names a site outside [0, {n_sites})")
         in_band = np.zeros(n_sites, dtype=bool)
@@ -575,8 +583,7 @@ class _Level:
         # the band's frozen sites follow the active ones in the run buffer
         self.tail = np.flatnonzero(in_band)
         row_of = np.empty(n_sites, dtype=np.int64)
-        row_of[active] = np.arange(active.size)
-        row_of[self.tail] = np.arange(active.size, active.size + self.tail.size)
+        row_of[np.concatenate([active, self.tail])] = np.arange(active.size + self.tail.size)
         self.slots = row_of[slots]
         self.zeta = zeta_values
         self.frozen = np.delete(np.arange(n_sites), active)
@@ -608,7 +615,7 @@ class _Level:
             power, mean, m2 = self.settled
             powed = np.repeat(self.frozen_power[:, None], width, axis=1)   # (site, path)
             with np.errstate(over="ignore", invalid="ignore"):
-                _add_in_path_order(power, powed, work.get("rows", (width + 1, self.frozen.size)))
+                _add_in_path_order(power, powed, work)
                 _merge_moments(mean, m2, powed, start)
         self.nodes = self.spread_paths = self.peak = None
 
@@ -657,10 +664,7 @@ class _Level:
                     np.abs(phi, out=tmp)
                     tmp += 1.0
                     phi /= tmp
-                if self.rows is None:
-                    psi *= noise[k - 1]
-                else:
-                    psi *= noise[k - 1].take(self.rows, axis=0, out=tmp, mode="clip")
+                psi *= noise[k - 1, :n]
                 np.add(prev, phi, out=own)
                 own += psi
         nodes[0, :n] = nodes[k1 - k0, :n]
@@ -686,33 +690,8 @@ class _Level:
                 bounded &= np.all(size[-1] <= _BLOWUP_LIMIT, axis=0)
                 self.blowup[start : start + width] = ~(bounded & self.frozen_bounded)
             powed = _power(size, self.p)
-            rows = work.get("rows", (width + 1, *size.shape[:2]))
-            _add_in_path_order(self.power[k0:k1], powed, rows)
+            _add_in_path_order(self.power[k0:k1], powed, work)
             _merge_moments(self.mean[k0:k1], self.m2[k0:k1], powed, start)
-
-    def places(self, sites):
-        """How the level's states lay out over ``sites``, the active sites of a
-        level it lies inside: None if they are its own active sites, else the
-        positions of its active sites among them, and the positions and zeta
-        of the rest."""
-        if sites.size == self.active.size:
-            return None
-        mine = np.searchsorted(sites, self.active)
-        rest = np.delete(np.arange(sites.size), mine)
-        return mine, rest, self.zeta[sites[rest], None]
-
-    def states_over(self, place, n_nodes, work) -> np.ndarray:
-        """The first ``n_nodes`` states of the current run over the sites of
-        ``place``; unless those are its active sites, laid out in a workspace
-        buffer."""
-        nodes = self.nodes[1 : n_nodes + 1, : self.active.size]
-        if place is None:
-            return nodes
-        mine, rest, zeta = place
-        out = work.get("ours", (n_nodes, mine.size + rest.size, nodes.shape[2]))
-        out[:, mine] = nodes
-        out[:, rest] = zeta
-        return out
 
     def sums(self, diffs) -> EnsembleSums:
         """The sums over every site, the frozen ones spread over the nodes.
@@ -727,36 +706,55 @@ class _Level:
         return EnsembleSums(self.p, power, m2, diffs)
 
 
-class _Pair:
-    """The path sums of |xi^small - xi^large|^p of a level and a level it lies inside.
+class _Differences:
+    """The path sums of |xi^n - xi^m|^p over level m's sites, for each level
+    n that :func:`cauchy_pairs` pairs with a larger level m.
 
-    They cover the larger level's active sites.  A site frozen in both
-    holds zeta in both, differs by exactly 0 and is skipped; a site frozen
-    only in the smaller level reads its zeta there.
+    Level n's sites are the first n_n rows of both run buffers; level n
+    holds zeta at m's other rows, compared once over [min n_n, n_m) for all
+    n.  A site both levels freeze differs by exactly 0 and is skipped.
+    Columns are reduced in groups no wider than m, in the run temporary.
     """
 
-    def __init__(self, small, large, n_nodes):
-        self.small, self.large = small, large
-        self.place = small.places(large.active)
-        self.diffs = np.zeros((n_nodes, large.active.size))
+    def __init__(self, levels, m, smaller, n_nodes):
+        self.levels, self.m, n_m = levels, m, levels[m].active.size
+        self.low = min(levels[n].active.size for n in smaller)
+        self.zeta = levels[m].zeta[levels[m].active[self.low :], None]
+        # a group lists (smaller level or None for zeta, rows r0 .. r1, first column)
+        self.groups, width = [], n_m + 1
+        segments = [(n, 0, levels[n].active.size) for n in smaller] + [(None, self.low, n_m)]
+        for n, r0, r1 in segments:
+            if width + r1 - r0 > n_m:
+                self.groups.append([])
+                width = 0
+            self.groups[-1].append((n, r0, r1, width))
+            width += r1 - r0
+        self.sums = [np.zeros((n_nodes, sum(r1 - r0 for _, r0, r1, _ in g))) for g in self.groups]
 
     def reduce(self, k0, k1, work) -> None:
         """Add the path sums at nodes k0 .. k1 - 1."""
-        ours = self.small.states_over(self.place, k1 - k0, work)
-        theirs = self.large.states_over(None, k1 - k0, work)
+        theirs = self.levels[self.m].nodes[1 : k1 - k0 + 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = np.subtract(ours, theirs, out=work.get("run", theirs.shape))
-            _abs_power(diff, self.small.p, out=diff)
-            _add_in_path_order(self.diffs[k0:k1], diff,
-                               work.get("rows", (theirs.shape[2] + 1, *theirs.shape[:2])))
+            for group, sums in zip(self.groups, self.sums):
+                diff = work.get("run", (k1 - k0, sums.shape[1], theirs.shape[2]))
+                for n, r0, r1, c0 in group:
+                    ours = self.zeta if n is None else self.levels[n].nodes[1 : k1 - k0 + 1, r0:r1]
+                    np.subtract(ours, theirs[:, r0:r1], out=diff[:, c0 : c0 + r1 - r0])
+                _abs_power(diff, self.levels[self.m].p, out=diff)
+                _add_in_path_order(sums[k0:k1], diff, work)
 
-    def spread(self, n_sites) -> np.ndarray:
-        """The (node, site) sums over every site, 0 where both levels freeze
-        it.  The pair's own sums are released."""
-        full = np.zeros((self.diffs.shape[0], n_sites))
-        full[:, self.large.active] = self.diffs
-        self.diffs = None
-        return full
+    def spread(self, n_sites, diffs) -> None:
+        """Enter each pair's (node, site) sums over every site, 0 where both
+        levels freeze it, in ``diffs`` of its smaller level; release our own."""
+        columns = {n: sums[:, c0 : c0 + r1 - r0]
+                   for group, sums in zip(self.groups, self.sums) for n, r0, r1, c0 in group}
+        sites, frozen = self.levels[self.m].active, columns.pop(None)
+        for n, ours in columns.items():
+            full, size = np.zeros((len(ours), n_sites)), ours.shape[1]
+            full[:, sites[:size]] = ours
+            full[:, sites[size:]] = frozen[:, size - self.low :]
+            diffs[n][self.m] = full
+        self.groups = self.sums = None
 
 
 def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: WeightedSeq, T, dt,
@@ -767,8 +765,9 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     Each level lists sites of the configuration and lies inside the next
     one, as an exhaustion sequence does; ValueError otherwise.  Per block
     of paths, the site streams of the last level are drawn once, continuing
-    from the previous block, and every level steps from its own rows of
-    that block.  States are reduced while stepping into per (node, site)
+    from the previous block, in nested-prefix order (level 0's sites, then
+    those each next level adds), so every level steps from the first rows
+    of that block.  States are reduced while stepping into per (node, site)
     sums (see :class:`EnsembleSums`) at the model's moment order: |xi|^p
     for every level and, with ``cauchy``, |xi^n - xi^m|^p for each pair
     (n, m) of :func:`cauchy_pairs`, for which the levels step in lockstep,
@@ -777,8 +776,8 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     block.  Each site stream's generator state is kept for the next block,
     except after the last one.  The path tensors are stored only with
     ``keep_paths``.  With ``threads > 1`` (at most the usable CPUs) the
-    sites of each draw, and the levels, then the pairs, of each run are
-    handed to a thread pool; no output byte depends on it.
+    sites of each draw, and the levels, then each larger level's pairs, of
+    each run are handed to a thread pool; no output byte depends on it.
     Under the tamed scheme the drift increment is Phi dt / (1 + dt |Phi|),
     which keeps the superlinear cubic decay stable where the explicit scheme
     can blow up.  Sites outside a level stay bitwise frozen at their
@@ -794,19 +793,17 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     n_steps = step_count(T, dt)
     if n_paths < 1 or noise_refine < 1:
         raise ValueError("need n_paths >= 1 and noise_refine >= 1")
-    sites = _nested_levels(config, levels)
-    if not sites:
+    order, counts = _nested_levels(config, levels)
+    if not counts.size:
         return []
     threads = worker_count(threads)
 
     n_nodes = n_steps + 1
-    levels = [
-        _Level(model, scheme == "tamed", dt, config, zeta.values, active, sites[-1], n_paths,
-               n_nodes, keep_paths)
-        for active in sites
-    ]
+    levels = [_Level(model, scheme == "tamed", dt, config, zeta.values, order[:count], n_paths,
+                     n_nodes, keep_paths) for count in counts]
     pairs = cauchy_pairs(len(levels)) if cauchy else []
-    reduced = [_Pair(levels[n], levels[m], n_nodes) for n, m in pairs]
+    reduced = [_Differences(levels, m, [n for n, large in pairs if large == m], n_nodes)
+               for m in sorted({m for _, m in pairs})]
     chunk = _chunk_nodes(n_steps, len(levels), len(pairs))
     # pairs compare the levels node by node, so with pairs they meet after
     # every run of nodes; without, each steps through its block alone
@@ -819,23 +816,27 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
         for start in range(0, n_paths, path_block):
             stop = min(start + path_block, n_paths)
             # the streams continue unless this is their last block
-            noise = _noise_block(source, stop - start, sites[-1], n_steps, dt, noise_refine,
+            noise = _noise_block(source, stop - start, order, n_steps, dt, noise_refine,
                                  run, threads, stop < n_paths)
             for level in levels:
                 level.start_block(stop - start, chunk)
             for k0 in range(0, n_nodes, span):
                 k1 = min(k0 + span, n_nodes)
                 list(run(lambda level: level.advance(noise, start, k0, k1, work), levels))
-                list(run(lambda pair: pair.reduce(k0, k1, work), reduced))
+                list(run(lambda diffs: diffs.reduce(k0, k1, work), reduced))
             for level in levels:
                 level.finish_block(start, work)
             del noise   # freed before the next block is drawn
 
     times = np.linspace(0.0, T, n_nodes)
+    diffs = [{} for _ in levels]
+    sums = [level.sums(diffs[i]) for i, level in enumerate(levels)]
+    for larger in reduced:   # once the levels' own sums are released
+        larger.spread(config.n_sites, diffs)
     return [
         PathEnsemble(
             config=config,
-            active=level.active,
+            active=np.sort(level.active),
             times=times,
             paths=level.paths,
             seed=int(seed),
@@ -843,8 +844,7 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
             dt=float(dt),
             noise_refine=int(noise_refine),
             blowup=level.blowup,
-            sums=level.sums({m: pair.spread(config.n_sites)
-                             for (n, m), pair in zip(pairs, reduced) if n == i}),
+            sums=sums[i],
         )
         for i, level in enumerate(levels)
     ]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import latticesde as lat
 from latticesde import sde
@@ -391,23 +393,86 @@ class TestSharedDraw:
         levels = lat.exhaustion_sequence(config, 4)[:3]
         # four paths per noise block, so the streams run over three blocks
         monkeypatch.setattr(sde, "_PATH_BLOCK", 4)
-        keyed, fills = [], []
-        rekey, fill = sde._NoiseSource._rekey, sde._NoiseSource.fill_normals
+        keyed, prepared, fills = [], [], []
+        generator, fill = sde._NoiseSource.generator, sde._NoiseSource.fill_normals
 
-        def counted_rekey(source, bitgen, site):
-            keyed.append(site)
-            rekey(source, bitgen, site)
+        class RecordedKey(np.ndarray):
+            def __setitem__(self, index, site):
+                keyed.append(int(site))
+                super().__setitem__(index, site)
 
-        def counted_fill(source, gen, site, out):
+        def recorded_generator(source):
+            gen, state = generator(source)
+            assert state["state"]["key"].tolist() == [22, 0]
+            state["state"]["key"] = state["state"]["key"].view(RecordedKey)
+            prepared.append(state)
+            return gen, state
+
+        def counted_fill(source, gen, state, site, out):
             fills.append((site, len(out)))
-            fill(source, gen, site, out)
+            fill(source, gen, state, site, out)
 
-        monkeypatch.setattr(sde._NoiseSource, "_rekey", counted_rekey)
+        monkeypatch.setattr(sde._NoiseSource, "generator", recorded_generator)
         monkeypatch.setattr(sde._NoiseSource, "fill_normals", counted_fill)
-        simulate_levels(model, config, levels, zeta, 0.05, 0.01, 9, 22)
         drawn = levels[-1].tolist()
-        assert sorted(keyed) == drawn
-        assert sorted(fills) == sorted((site, width) for site in drawn for width in (4, 4, 1))
+        for threads in (1, 3):
+            del keyed[:], prepared[:], fills[:]
+            simulate_levels(model, config, levels, zeta, 0.05, 0.01, 9, 22, threads=threads)
+            # each site is keyed once, through the state its drawing worker
+            # prepared for the block: one per worker and block
+            assert sorted(keyed) == drawn
+            assert len(prepared) == 3 * sde.worker_count(threads)
+            assert sorted(fills) == sorted((site, width) for site in drawn for width in (4, 4, 1))
+
+
+@pytest.fixture(scope="module")
+def small_setups():
+    """A 1-d and a 2-d configuration of some 20 sites, with state-dependent diffusion."""
+    setups = {}
+    for dim, half, p in ((1, 5.0, 4.0), (2, 1.6, 3.0)):
+        config = lat.sample_configuration(2.0, half, dim, 1.0, 40 + dim)
+        model = lat.make_model("cubic", 0.1, kernel="triangular", kernel_cap=0.3, rho=1.0,
+                               sigma0=0.2, sigma1=0.1, sigma2=0.05, p=p)
+        values = np.random.default_rng(dim).uniform(-1.0, 1.0, config.n_sites)
+        setups[dim] = config, model, lat.WeightedSeq(config, values)
+    return setups
+
+
+class TestPrefixOrder:
+    """Nested levels run in one site order: the first level's, then those each next one adds."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("path_block", [3, None])
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), shuffle=st.integers(0, 2**16),
+           cuts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5))
+    # a one-site first level, two identical levels and the whole configuration
+    @example(dim=2, shuffle=0, cuts=[0.0, 0.5, 0.5, 1.0])
+    @example(dim=1, shuffle=1, cuts=[0.0, 1.0, 1.0])
+    def test_shuffled_levels_match_lone_runs(self, small_setups, path_block, threads, dim,
+                                             shuffle, cuts):
+        config, model, zeta = small_setups[dim]
+        rng = np.random.default_rng(shuffle)
+        sites = rng.permutation(config.n_sites)
+        counts = sorted(max(1, math.ceil(cut * config.n_sites)) for cut in cuts)
+        levels = [rng.permutation(sites[:count]) for count in counts]
+        n_paths = 10   # above 8, where numpy starts summing pairwise
+        with pytest.MonkeyPatch.context() as patch:
+            if path_block is not None:
+                patch.setattr(sde, "_PATH_BLOCK", path_block)
+            ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, n_paths, 29,
+                                        threads=threads, keep_paths=True)
+            for level, ens in zip(levels, ensembles):
+                assert np.array_equal(ens.active, np.sort(level))
+                lone = lat.simulate_truncated(model, config, level, zeta, 0.1, 0.01, n_paths, 29)
+                assert ens.paths.tobytes() == lone.paths.tobytes()
+                assert ens.blowup.tobytes() == lone.blowup.tobytes()
+                power, m2 = reference_sums(ens.paths, model.p, path_block or n_paths)
+                assert ens.sums.power.tobytes() == power.tobytes()
+                assert ens.sums.m2.tobytes() == m2.tobytes()
+        for small, large in cauchy_pairs(len(levels)):
+            want = reference_diffs(ensembles[small].paths, ensembles[large].paths, model.p)
+            assert ensembles[small].sums.diffs[large].tobytes() == want.tobytes()
 
 
 class TestFrozenRows:

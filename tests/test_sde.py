@@ -11,6 +11,7 @@ import pytest
 import latticesde as lat
 from latticesde import sde
 from latticesde.sde import (
+    _NOISE_GROUP,
     _noise_block,
     _NoiseSource,
     simulate_levels,
@@ -40,11 +41,18 @@ def full_site_step(config):
                         phi = phi / (1.0 + np.abs(phi))
                     psi = (model.sigma1 * own + model.sigma0
                            + model.sigma2 * degrees[:, None] * sums[:, 1])
-                    dw = noise[k - 1] if level.rows is None else noise[k - 1][level.rows]
+                    dw = noise[k - 1, : active.size]
                     state[active] = own + phi + psi * dw
                 level.nodes[row, : active.size] = state[active]
 
     return step
+
+
+def prefix_order(levels):
+    """The sites of nested levels in the order a coupled run draws them: the
+    first level's, then those each next level adds, each part sorted."""
+    parts = [np.unique(levels[0])] + [np.setdiff1d(b, a) for a, b in zip(levels, levels[1:])]
+    return np.concatenate(parts)
 
 
 def site_stream(seed, site, n_paths, n_fine):
@@ -386,8 +394,9 @@ class TestSimulation:
         sets = lat.exhaustion_sequence(poisson_1d, 3)
         simulate_levels(model, poisson_1d, sets, zeta, 0.05, 0.01, 4, 3, threads=10**9)
         assert pools == [3]
-        # the sites of the draw in three parts, three levels and their three pairs
-        assert max(tasks) == 3
+        # the sites of the draw in three parts; then, in each of the six runs of
+        # one node, three levels and the differences against levels 1 and 2
+        assert tasks == [3] + [3, 2] * 6
         monkeypatch.delattr(sde.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
         assert sde.worker_count(10**9) == 2
@@ -416,10 +425,12 @@ class TestSimulation:
                                     keep_paths=True)
             assert kept - plain == 8 * 2 * 7 * n * (steps + 1)
             # the block of 5 paths x n sites x 10 steps does not depend on the
-            # refinement; a drawing worker's buffer holds 5 paths x 20 fine
-            # draws and their 10 sums at refine 2, and 10 draws at refine 1
+            # refinement; a drawing worker's buffer holds every site's 5 paths
+            # x 20 fine draws and their 10 sums at refine 2, and 10 draws at
+            # refine 1
+            assert _NOISE_GROUP >= n * 5 * 2 * steps
             once = simulation_bytes(n, degree, 2, 7, steps, noise_refine=1, cauchy=False)
-            assert plain - once == 8 * 5 * 2 * steps
+            assert plain - once == 8 * n * 5 * 2 * steps
             # each further drawing worker adds its own buffer, each further
             # thread its path-order rows (6 per site) and three temporaries
             # for a run of one node, and each thread beyond the two
@@ -427,11 +438,18 @@ class TestSimulation:
             # here every band row in one slice
             three = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, cauchy=False,
                                      threads=3)
-            assert three - plain == 8 * (2 * 5 * 3 * steps + 2 * n * (6 + 3 * 5)
+            assert three - plain == 8 * (2 * n * 5 * 3 * steps + 2 * n * (6 + 3 * 5)
                                          + n * 5 * (7 + degree))
             # the one Cauchy pair of two levels adds one (node, site) sum
             pair = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2)
             assert pair - plain == 8 * n * (steps + 1)
+            # a group of sites whose draws fill _NOISE_GROUP, or one site
+            patch.setattr(sde, "_NOISE_GROUP", 3 * 5 * 2 * steps + 1)
+            group = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, cauchy=False)
+            assert plain - group == 8 * (n - 3) * 5 * 3 * steps
+            patch.setattr(sde, "_NOISE_GROUP", 1)
+            site = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, cauchy=False)
+            assert plain - site == 8 * (n - 1) * 5 * 3 * steps
         # the estimate counts the pairs of cauchy_pairs without listing them
         for k in range(1, 7):
             extra = (simulation_bytes(n, degree, k, 7, steps)
@@ -469,8 +487,8 @@ class TestSimulation:
         zeta = lat.WeightedSeq(cfg, np.ones(cfg.n_sites))
         active = np.flatnonzero(cfg.radii <= 3.0)
         n_paths, steps = 300, 40
-        level = sde._Level(model, True, 0.01, cfg, zeta.values, active, active, n_paths,
-                           steps + 1, False)
+        level = sde._Level(model, True, 0.01, cfg, zeta.values, active, n_paths, steps + 1,
+                           False)
         assert level.tail.size > 0
         assert level.slots.shape[1] * n_paths * active.size > sde._GATHER_CAP
         simulate_levels(model, cfg, [active], zeta, 0.05, 0.01, 2, 3)   # imports done
@@ -627,7 +645,7 @@ class TestNoiseLayout:
         simulate_levels(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31, noise_refine=2,
                         threads=threads, cauchy=False)
         assert len(drawn) == -(-10 // path_block)
-        whole = noise_block(_NoiseSource(31), 10, sets[-1], 10, 0.01, 2)
+        whole = noise_block(_NoiseSource(31), 10, prefix_order(sets), 10, 0.01, 2)
         assert np.concatenate(drawn, axis=2).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -657,7 +675,7 @@ class TestNoiseLayout:
                                 threads=threads, cauchy=False, keep_paths=True)
         assert [block.shape[2] for block in drawn] == [4, 4, 2]
         assert sorted(carried) == sorted(2 * sets[-1].tolist())
-        one_block = noise_block(_NoiseSource(31), 10, sets[-1], 10, 0.01)
+        one_block = noise_block(_NoiseSource(31), 10, prefix_order(sets), 10, 0.01)
         assert np.concatenate(drawn, axis=2).tobytes() == one_block.tobytes()
         for a, b in zip(whole, split):
             assert a.paths.tobytes() == b.paths.tobytes()
@@ -680,6 +698,26 @@ class TestNoiseLayout:
                     assert one.tobytes() == many.tobytes()
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("group", [1, 3, None])
+    def test_sites_drawn_in_groups_alike(self, monkeypatch, group, refine, workers):
+        # one site, three sites or as many as _NOISE_GROUP holds per draw
+        # buffer, over three carried blocks: each site's paths are its stream's
+        sites, n_steps, dt, widths = [4, 0, 9, 2, 7, 11, 5], 6, 0.1, (2, 3, 1)
+        source, blocks = _NoiseSource(13), []
+        with ThreadPoolExecutor(3) as pool:
+            for width in widths:
+                if group is not None:
+                    monkeypatch.setattr(sde, "_NOISE_GROUP", group * width * n_steps * refine)
+                blocks.append(_noise_block(source, width, sites, n_steps, dt, refine, pool.map,
+                                           workers))
+        drawn = np.concatenate(blocks, axis=2)
+        for si, site in enumerate(sites):
+            fine = math.sqrt(dt / refine) * site_stream(13, site, sum(widths), n_steps * refine)
+            want = fine.reshape(sum(widths), n_steps, refine).sum(axis=2)
+            assert drawn[:, si].tobytes() == want.T.tobytes()
 
     @pytest.mark.parametrize("refine", [1, 3])
     def test_path_zero_is_the_per_path_stream(self, refine):
