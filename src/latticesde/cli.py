@@ -4,8 +4,9 @@ Subcommands: ``generate`` (configuration + degree-growth report),
 ``simulate`` (truncated-system ensembles + moment CSVs), ``verify`` (bounds
 report with machine-readable pass/fail) and ``picard`` (linear-evolution
 solve with its norm ceiling).  Every command is deterministic given the
-config file and seed; ``--threads`` caps worker count without affecting any
-output byte.  Exit codes: 0 pass, 1 check failed, 2 invalid input.
+config file and seed; the simulator runs on one thread, and ``--threads``
+(at least 1) changes nothing.  Exit codes: 0 pass, 1 check failed, 2
+invalid input.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .ovsjannikov import (
     solve_linear_evolution,
     verify_ovs_bound,
 )
-from .sde import SCHEMES, make_model, simulate_levels, simulation_bytes, step_count, worker_count
+from .sde import SCHEMES, make_model, simulate_levels, simulation_bytes, step_count
 from .spaces import (
     WeightedSeq,
     degree_summability_check,
@@ -255,19 +256,19 @@ def _build_configuration(cfg: ExperimentConfig):
     )
 
 
-def _simulation_levels(cfg: ExperimentConfig, config, cauchy, keep_paths, threads):
+def _simulation_levels(cfg: ExperimentConfig, config, cauchy, keep_paths):
     """The exhaustion levels, once the arrays of simulating them are known to fit in memory."""
     n_steps = step_count(cfg.horizon, cfg.dt)
     need = simulation_bytes(
         config.n_sites, int(config.degrees.max()), cfg.levels, cfg.n_paths, n_steps,
-        cauchy=cauchy, keep_paths=keep_paths, threads=threads,
+        cauchy=cauchy, keep_paths=keep_paths,
     )
     items = "states, noise and path sums" + (" and path tensors" if keep_paths else "")
     _check_memory(need, "simulating", items, "n_paths, levels or horizon/dt")
     return exhaustion_sequence(config, cfg.levels)
 
 
-def cmd_generate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_generate(cfg: ExperimentConfig, out_dir: Path) -> int:
     config = _build_configuration(cfg)
     save_configuration(config, out_dir / "configuration.txt")
     if config.n_sites:
@@ -293,7 +294,7 @@ def cmd_generate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     config = _build_configuration(cfg)
     save_configuration(config, out_dir / "configuration.txt")
     summary = {"config": asdict(cfg), "levels": [], "site_count": config.n_sites}
@@ -301,12 +302,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     if config.n_sites:
         model = cfg.build_model()
         zeta = WeightedSeq(config, np.full(config.n_sites, cfg.zeta))
-        levels = _simulation_levels(cfg, config, cauchy=False, keep_paths=cfg.dump_paths,
-                                    threads=threads)
+        levels = _simulation_levels(cfg, config, cauchy=False, keep_paths=cfg.dump_paths)
         ensembles = simulate_levels(
             model, config, levels, zeta, cfg.horizon, cfg.dt, cfg.n_paths,
-            cfg.seed, scheme=cfg.scheme, threads=threads, cauchy=False,
-            keep_paths=cfg.dump_paths,
+            cfg.seed, scheme=cfg.scheme, cauchy=False, keep_paths=cfg.dump_paths,
         )
         for j, ens in enumerate(ensembles):
             entry = {
@@ -330,7 +329,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 1 if failed else 0
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.levels < 3:
         raise ConfigError("verify needs at least 3 truncation levels")
     config = _build_configuration(cfg)
@@ -344,7 +343,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         )
         return 0
 
-    levels = _simulation_levels(cfg, config, cauchy=True, keep_paths=False, threads=threads)
+    levels = _simulation_levels(cfg, config, cauchy=True, keep_paths=False)
     model = cfg.build_model()
     rng = np.random.default_rng(cfg.seed)
     alpha_lo = min(cfg.alphas)
@@ -409,10 +408,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 
     # simulations: uniform moments and level distances
     zeta = WeightedSeq(config, np.full(config.n_sites, cfg.zeta))
-    ensembles = simulate_levels(
-        model, config, levels, zeta, cfg.horizon, cfg.dt, cfg.n_paths,
-        cfg.seed, scheme=cfg.scheme, threads=threads,
-    )
+    ensembles = simulate_levels(model, config, levels, zeta, cfg.horizon, cfg.dt, cfg.n_paths,
+                                cfg.seed, scheme=cfg.scheme)
     blowups = int(sum(np.sum(e.blowup) for e in ensembles))
     if blowups:
         checks.append({"name": "simulation", "ok": False, "blowup_paths": blowups})
@@ -451,7 +448,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_picard(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_picard(cfg: ExperimentConfig, out_dir: Path) -> int:
     config = _build_configuration(cfg)
     if config.n_sites == 0:
         _write_json({"note": "empty configuration", "config": asdict(cfg)},
@@ -505,7 +502,8 @@ def _parse_args(argv):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="experiment config file")
         cmd.add_argument("--out", default="out", help="output directory")
-        cmd.add_argument("--threads", type=int, default=1, help="worker cap")
+        cmd.add_argument("--threads", type=int, default=1,
+                         help="accepted for compatibility; changes nothing (must be >= 1)")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
     return parser.parse_args(argv)
 
@@ -520,8 +518,7 @@ def main(argv=None) -> int:
             raise ConfigError("--threads must be >= 1")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # the memory estimate and the thread pools see the same, capped count
-        return _COMMANDS[args.command](cfg, out_dir, worker_count(args.threads))
+        return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

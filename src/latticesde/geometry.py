@@ -177,24 +177,27 @@ def build_neighborhoods(points, rho):
     """Closed-ball neighbor band: B_x = {y : |x - y| <= rho}, x included.
 
     Returns ``(indptr, indices, distances)`` in compressed-row form, indices
-    sorted within each row.  A cell list with cell size rho: sites are sorted
-    by cell, and each of the 3^d neighboring cells is located for all sites
-    at once by binary search, so only nearby pairs are ever compared.  Ties at
-    distance exactly rho are included.
+    sorted within each row.  A cell list with cells just wider than rho:
+    sites are sorted by cell, and each of the 3^d neighboring cells is
+    located for all sites at once by binary search, so only nearby pairs
+    are ever compared.  Ties at distance exactly rho are included.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, dim = points.shape
     if n == 0:
         return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
 
+    # The cells are wider than rho by more than the rounding of the quotients
+    # below, so no pair whose computed distance is at most rho lies two apart.
     # Per axis, rank the occupied cell coordinates so that adjacent cells stay
     # one apart and farther ones two apart; the linear cell ids then stay small
     # however far the points spread.  The margin of 1 keeps every offset cell
     # id inside the grid, so no two cells alias.
+    width = rho * (1.0 + 8.0 * np.finfo(float).eps * (np.max(np.abs(points)) / rho + 2.0))
     coords = np.empty((n, dim), dtype=np.int64)
     shape = []
     for k in range(dim):
-        cells, inverse = np.unique(np.floor(points[:, k] / rho), return_inverse=True)
+        cells, inverse = np.unique(np.floor(points[:, k] / width), return_inverse=True)
         ranks = np.concatenate(([1], 1 + np.cumsum(np.minimum(np.diff(cells), 2))))
         coords[:, k] = ranks.astype(np.int64)[inverse]
         shape.append(int(ranks[-1]) + 2)

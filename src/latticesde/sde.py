@@ -15,21 +15,17 @@ Noise is organized as one independent stream per site, a counter-based
 generator keyed (seed, site) and drawn path-major: path p takes the fine
 draws [p M, (p + 1) M) of its site's stream, with M = n_steps * refine.  Two
 runs with the same seed and the same M therefore share Wiener increments
-sitewise no matter which truncation set is active and no matter how work is
-scheduled -- the coupling the finite-volume diagnostics rely on.  A run with
-another M (a longer horizon, say) gives every path after the first other
-increments, not a longer prefix.  Nested levels share one site order, level
-0's sites and then those each next level adds, so each level's sites, states
-and noise rows are a prefix of the next level's.
+sitewise no matter which truncation set is active -- the coupling the
+finite-volume diagnostics rely on.  A run with another M (a longer horizon,
+say) gives every path after the first other increments, not a longer
+prefix.  Nested levels share one site order, level 0's sites and then those
+each next level adds, so each level's sites, states and noise rows are a
+prefix of the next level's.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,7 +43,6 @@ __all__ = [
     "EnsembleSums",
     "step_count",
     "simulation_bytes",
-    "worker_count",
     "cauchy_pairs",
     "simulate_levels",
     "simulate_truncated",
@@ -58,7 +53,7 @@ _BLOWUP_LIMIT = 1e75
 _DRAW_CAP = 1 << 25   # raw draws per noise block, ~256 MB
 _PATH_BLOCK = 4096    # paths per noise block, unless _DRAW_CAP binds first
 _GATHER_CAP = 1 << 16  # doubles of band neighbors gathered at a time, 512 kB
-_NOISE_GROUP = 1 << 16  # fine draws per group of sites a drawing worker draws, 512 kB
+_NOISE_GROUP = 1 << 16  # fine draws per group of sites drawn into one buffer, 512 kB
 SCHEMES = ("explicit", "tamed")
 
 
@@ -209,39 +204,33 @@ class _NoiseSource:
     path's place in the stream cannot be computed from the counter; instead
     the generator state of every site is carried from one path block to the
     next.  A stream is a pure function of its 128-bit key (Salmon et al.,
-    SC'11), so any Philox can draw any site: each drawing worker re-keys its
-    own generator by writing each site into one prepared state, and no byte
-    depends on which worker drew which site.
+    SC'11), so one Philox draws every site: it is re-keyed by writing each
+    site into one prepared state, its state at the start of the stream keyed
+    (seed, 0).
     """
 
     def __init__(self, seed: int):
-        self._seed = seed & _MASK64
+        self._gen = np.random.Generator(np.random.Philox(key=seed & _MASK64))
+        self._prepared = self._gen.bit_generator.state
         self._carried = {}   # site -> generator state
 
-    def generator(self):
-        """A drawing worker's generator, and its state at the start of the
-        stream keyed (seed, 0), which :meth:`fill_normals` re-keys per site."""
-        gen = np.random.Generator(np.random.Philox(key=self._seed))
-        return gen, gen.bit_generator.state
-
-    def fill_normals(self, gen, prepared, site: int, out: np.ndarray) -> None:
+    def fill_normals(self, site: int, out: np.ndarray) -> None:
         """Fill ``out`` (paths, M) with the site's next paths: from path 0, keyed
-        by writing the site into the worker's ``prepared`` state, or from
-        where its carried state stopped."""
+        by writing the site into the prepared state, or from where its
+        carried state stopped."""
         state = self._carried.get(site)
         if state is None:
-            prepared["state"]["key"][1] = site
-            state = prepared
-        gen.bit_generator.state = state
-        gen.standard_normal(out=out)
+            self._prepared["state"]["key"][1] = site
+            state = self._prepared
+        self._gen.bit_generator.state = state
+        self._gen.standard_normal(out=out)
 
-    def carry(self, gen, site: int) -> None:
-        """Keep ``gen``'s state as where the site's stream continues."""
-        self._carried[site] = gen.bit_generator.state
+    def carry(self, site: int) -> None:
+        """Keep the generator's state as where the site's stream continues."""
+        self._carried[site] = self._gen.bit_generator.state
 
 
-def _noise_block(source, width, sites, n_steps, dt, refine=1, run=map, workers=1,
-                 carry=True) -> np.ndarray:
+def _noise_block(source, width, sites, n_steps, dt, refine=1, carry=True) -> np.ndarray:
     """Brownian increments of the next ``width`` paths at ``sites``, shaped (n_steps, sites, paths).
 
     The streams of the :class:`_NoiseSource` ``source`` continue where its
@@ -252,36 +241,29 @@ def _noise_block(source, width, sites, n_steps, dt, refine=1, run=map, workers=1
     stored transposed, so each time step reads one contiguous (site, path)
     slab.  Runs at compatible step sizes (dt with refine 2r versus dt/2
     with refine r, same seed) draw bitwise the same underlying Brownian
-    path.  The sites are split over ``workers`` tasks handed to ``run``,
-    each with its own Philox and buffers.  Unless ``carry`` is false, the
-    streams' states are kept for the next block.
+    path.  Unless ``carry`` is false, the streams' states are kept for the
+    next block.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
     block = np.empty((n_steps, len(sites), width))
+    if not width:
+        return block
     scale, n_fine = math.sqrt(dt / refine), n_steps * refine
     group = max(1, _NOISE_GROUP // max(1, width * n_fine))   # sites per draw
-
-    def fill(bounds) -> None:
-        (s0, s1), (gen, prepared) = bounds, source.generator()
-        fine = np.empty((min(group, s1 - s0), width, n_fine))
-        coarse = fine if refine == 1 else np.empty((len(fine), width, n_steps))
-        for g0 in range(s0, s1, group):
-            g1 = min(g0 + group, s1)
-            draws, sums = fine[: g1 - g0], coarse[: g1 - g0]
-            for site, out in zip(sites[g0:g1], draws):
-                source.fill_normals(gen, prepared, int(site), out)
-                if carry:
-                    source.carry(gen, int(site))
-            draws *= scale
-            if refine > 1:
-                np.sum(draws.reshape(g1 - g0, width, n_steps, refine), axis=3, out=sums)
-            block[:, g0:g1] = sums.transpose(2, 0, 1)
-
-    if width:
-        parts = max(1, min(workers, len(sites)))
-        list(run(fill, [(len(sites) * i // parts, len(sites) * (i + 1) // parts)
-                        for i in range(parts)]))
+    fine = np.empty((min(group, len(sites)), width, n_fine))
+    coarse = fine if refine == 1 else np.empty((len(fine), width, n_steps))
+    for g0 in range(0, len(sites), group):
+        g1 = min(g0 + group, len(sites))
+        draws, sums = fine[: g1 - g0], coarse[: g1 - g0]
+        for site, out in zip(sites[g0:g1], draws):
+            source.fill_normals(int(site), out)
+            if carry:
+                source.carry(int(site))
+        draws *= scale
+        if refine > 1:
+            np.sum(draws.reshape(g1 - g0, width, n_steps, refine), axis=3, out=sums)
+        block[:, g0:g1] = sums.transpose(2, 0, 1)
     return block
 
 
@@ -410,20 +392,19 @@ def _block_paths(n_sites, n_steps, noise_refine) -> int:
 def _chunk_nodes(n_steps, n_sets, n_pairs) -> int:
     """Nodes per run of steps that the truncations step before they meet.
 
-    A run takes n_sets + 4 (site, path) arrays per node and thread, fewer
-    where the sets leave sites frozen: each truncation's states, and per
-    thread the path-order rows of the reductions and three temporaries.
-    The runs are as long as if each truncation and each pair held rows of
-    its own, 2 n_sets + n_pairs + 3 arrays per node: a run of at most
-    n_steps / twice that many nodes then holds at most half as many doubles
-    as a noise block over every site.  Longer runs would spend the memory
-    that sharing the rows saves.
+    A run takes n_sets + 4 (site, path) arrays per node, fewer where the
+    sets leave sites frozen: each truncation's states, the path-order rows
+    of the reductions and three temporaries.  The runs are as long as if
+    each truncation and each pair held rows of its own, 2 n_sets + n_pairs
+    + 3 arrays per node: a run of at most n_steps / twice that many nodes
+    then holds at most half as many doubles as a noise block over every
+    site.  Longer runs would spend the memory that sharing the rows saves.
     """
     return max(1, n_steps // (2 * (2 * n_sets + n_pairs + 3)))
 
 
 def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine=1,
-                     cauchy=True, keep_paths=False, threads=1) -> int:
+                     cauchy=True, keep_paths=False) -> int:
     """An upper bound on the bytes :func:`simulate_levels` allocates for its arrays.
 
     Per truncation (``n_sets`` of them): a block's run buffer (a run's
@@ -431,17 +412,17 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     (``max_degree`` slots and weights per site), a few per-site vectors,
     three (node, site) sums and a blow-up flag per path; the states are
     held per block, not per path, so past one full block more paths cost
-    only their flags.  Per thread, or per truncation if there are more:
+    only their flags.  Per truncation, though the levels reuse one set:
     seven step temporaries and one slice of gathered band rows
-    (``_GATHER_CAP`` doubles, or one row).  Per thread: a run's path-order
-    rows (one more than the block has paths) and three run temporaries,
-    which the Cauchy differences fill in groups no wider than a level.  Per
-    pair (with ``cauchy``): one (node, site) sum.  One step-major noise
-    block over every site.  Per drawing worker (at most ``threads``): a
-    group of sites' fine draws for the block (``_NOISE_GROUP`` doubles, or
-    one site) and, with ``noise_refine > 1``, their sums over each step.
-    The path tensors count only when they are kept.  Everything per site is
-    counted over every site, so the estimate stays an upper bound.
+    (``_GATHER_CAP`` doubles, or one row).  Once: a run's path-order rows
+    (one more than the block has paths) and three run temporaries, which
+    the Cauchy differences fill in groups no wider than a level.  Per pair
+    (with ``cauchy``): one (node, site) sum.  One step-major noise block
+    over every site, and a group of sites' fine draws for the block
+    (``_NOISE_GROUP`` doubles, or one site) with, for ``noise_refine > 1``,
+    their sums over each step.  The path tensors count only when they are
+    kept.  Everything per site is counted over every site, so the estimate
+    stays an upper bound.
     """
     n_pairs = max(2 * n_sets - 3, 0) if cauchy else 0   # len(cauchy_pairs(n_sets)), not listed
     block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
@@ -449,20 +430,13 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     chunk = min(n_nodes, _chunk_nodes(n_steps, n_sets, n_pairs))
     level = n_sites * (block * (chunk + 3) + 3 * max_degree + 8 + 3 * n_nodes) + n_paths
     per_gather = min(n_sites, max(1, _GATHER_CAP // max(1, max_degree * block)))
-    steps = max(threads, n_sets) * (7 * n_sites * block + per_gather * max_degree * block)
-    runs = threads * chunk * n_sites * (4 * block + 1)
-    workers = min(threads, max(n_sites, 1))
+    steps = max(1, n_sets) * (7 * n_sites * block + per_gather * max_degree * block)
+    runs = chunk * n_sites * (4 * block + 1)
     per_draw = min(n_sites, max(1, _NOISE_GROUP // max(1, block * n_steps * noise_refine)))
-    buffers = workers * per_draw * block * n_steps * (noise_refine + (noise_refine > 1))
+    buffers = per_draw * block * n_steps * (noise_refine + (noise_refine > 1))
     noise = block * n_sites * n_steps + buffers
     tensors = n_sets * n_paths * n_sites * n_nodes if keep_paths else 0
     return 8 * (n_sets * level + steps + runs + n_pairs * n_sites * n_nodes + noise + tensors)
-
-
-def worker_count(threads) -> int:
-    """``threads``, capped at the number of CPUs this process may run on."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(threads, cpus or 1))
 
 
 def _abs_power(x, p, out) -> np.ndarray:
@@ -492,7 +466,7 @@ def _power(size, p) -> np.ndarray:
 def _add_in_path_order(total, values, work) -> None:
     """Add the sums over paths of ``values`` (..., path) to ``total`` (...), path by path.
 
-    The thread's (path + 1, ...) buffer of ``rows`` in ``work`` carries
+    The (path + 1, ...) buffer of ``rows`` in ``work`` carries
     the running total in row 0 and the paths below it, so one reduction
     down its leading axis adds them in path order.  That is bitwise the sum one reduction
     over all paths gives, however the paths are split into blocks (a sum
@@ -530,8 +504,8 @@ def _merge_moments(mean, m2, values, count) -> None:
         m2 += block_m2 + delta * delta * (count * m / n)
 
 
-class _Workspace(threading.local):
-    """Buffers that each thread reuses for every step and reduction it runs.
+class _Workspace:
+    """Buffers reused for every step and reduction of a run.
 
     A fresh numpy temporary above glibc's mmap threshold (128 kB unless a
     larger mapped block was freed earlier) is mapped when it is allocated
@@ -553,7 +527,7 @@ class _Workspace(threading.local):
 
 class _Level:
     """One level of a coupled run: its band, its run buffer and the sums
-    reduced from it; reduction rows and step temporaries are the thread's.
+    reduced from it; reduction rows and step temporaries are the run's.
 
     ``active`` lists its sites in nested-prefix order: they are the first
     rows of the noise block and of every larger level's run buffer.  The run
@@ -619,17 +593,9 @@ class _Level:
                 _merge_moments(mean, m2, powed, start)
         self.nodes = self.spread_paths = self.peak = None
 
-    def advance(self, noise, start, k0, k1, work) -> None:
-        """Step through nodes k0 .. k1 - 1 of the path block (node 0 is the
-        start state), reducing each run of nodes after it is stepped."""
-        chunk = self.nodes.shape[0] - 1
-        for c0 in range(k0, k1, chunk):
-            c1 = min(c0 + chunk, k1)
-            self._step(noise, c0, c1, work)
-            self._reduce(start, c0, c1, work)
-
     def _step(self, noise, k0, k1, work) -> None:
-        """Nodes k0 .. k1 - 1 into rows 1 .. k1 - k0; the last is copied into row 0."""
+        """Nodes k0 .. k1 - 1 of the path block (node 0 is the start state; at
+        most a run of them) into rows 1 .. k1 - k0; the last is copied into row 0."""
         model, nodes, slots, weights = self.model, self.nodes, self.slots, self.weights
         n, width = self.active.size, nodes.shape[2]
         # the band rows are gathered and contracted a slice of rows at a time
@@ -758,7 +724,7 @@ class _Differences:
 
 
 def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: WeightedSeq, T, dt,
-                    n_paths, seed, scheme="tamed", noise_refine=1, threads=1, cauchy=True,
+                    n_paths, seed, scheme="tamed", noise_refine=1, cauchy=True,
                     keep_paths=False) -> list:
     """Euler-Maruyama ensembles of nested truncation levels, driven by one noise draw.
 
@@ -770,17 +736,14 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     of that block.  States are reduced while stepping into per (node, site)
     sums (see :class:`EnsembleSums`) at the model's moment order: |xi|^p
     for every level and, with ``cauchy``, |xi^n - xi^m|^p for each pair
-    (n, m) of :func:`cauchy_pairs`, for which the levels step in lockstep,
-    meeting after every short run of nodes.  Only active sites are stepped,
-    stored and reduced node by node; frozen sites are settled once per path
-    block.  Each site stream's generator state is kept for the next block,
-    except after the last one.  The path tensors are stored only with
-    ``keep_paths``.  With ``threads > 1`` (at most the usable CPUs) the
-    sites of each draw, and the levels, then each larger level's pairs, of
-    each run are handed to a thread pool; no output byte depends on it.
-    Under the tamed scheme the drift increment is Phi dt / (1 + dt |Phi|),
-    which keeps the superlinear cubic decay stable where the explicit scheme
-    can blow up.  Sites outside a level stay bitwise frozen at their
+    (n, m) of :func:`cauchy_pairs`.  The levels step in lockstep, meeting
+    after every short run of nodes.  Only active sites are stepped, stored
+    and reduced node by node; frozen sites are settled once per path block.
+    Each site stream's generator state is kept for the next block, except
+    after the last one.  The path tensors are stored only with
+    ``keep_paths``.  Under the tamed scheme the drift increment is
+    Phi dt / (1 + dt |Phi|), which keeps the superlinear cubic decay stable
+    where the explicit scheme can blow up.  Sites outside a level stay bitwise frozen at their
     initial value.  Path blocks depend on the configuration, not on the
     levels, so each level's paths are bitwise those of a lone
     :func:`simulate_truncated` run, and levels share the increments of
@@ -796,7 +759,6 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     order, counts = _nested_levels(config, levels)
     if not counts.size:
         return []
-    threads = worker_count(threads)
 
     n_nodes = n_steps + 1
     levels = [_Level(model, scheme == "tamed", dt, config, zeta.values, order[:count], n_paths,
@@ -805,28 +767,26 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     reduced = [_Differences(levels, m, [n for n, large in pairs if large == m], n_nodes)
                for m in sorted({m for _, m in pairs})]
     chunk = _chunk_nodes(n_steps, len(levels), len(pairs))
-    # pairs compare the levels node by node, so with pairs they meet after
-    # every run of nodes; without, each steps through its block alone
-    span = chunk if pairs else n_nodes
     path_block = _block_paths(config.n_sites, n_steps, noise_refine)
 
     source, work = _NoiseSource(seed), _Workspace()
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        for start in range(0, n_paths, path_block):
-            stop = min(start + path_block, n_paths)
-            # the streams continue unless this is their last block
-            noise = _noise_block(source, stop - start, order, n_steps, dt, noise_refine,
-                                 run, threads, stop < n_paths)
-            for level in levels:
-                level.start_block(stop - start, chunk)
-            for k0 in range(0, n_nodes, span):
-                k1 = min(k0 + span, n_nodes)
-                list(run(lambda level: level.advance(noise, start, k0, k1, work), levels))
-                list(run(lambda diffs: diffs.reduce(k0, k1, work), reduced))
-            for level in levels:
-                level.finish_block(start, work)
-            del noise   # freed before the next block is drawn
+    for start in range(0, n_paths, path_block):
+        stop = min(start + path_block, n_paths)
+        # the streams continue unless this is their last block
+        noise = _noise_block(source, stop - start, order, n_steps, dt, noise_refine,
+                             stop < n_paths)
+        for level in levels:
+            level.start_block(stop - start, chunk)
+        for k0 in range(0, n_nodes, chunk):
+            k1 = min(k0 + chunk, n_nodes)
+            for level in levels:   # each run of nodes is reduced once it is stepped
+                level._step(noise, k0, k1, work)
+                level._reduce(start, k0, k1, work)
+            for diffs in reduced:
+                diffs.reduce(k0, k1, work)
+        for level in levels:
+            level.finish_block(start, work)
+        del noise   # freed before the next block is drawn
 
     times = np.linspace(0.0, T, n_nodes)
     diffs = [{} for _ in levels]

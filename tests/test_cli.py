@@ -4,6 +4,7 @@ import re
 import runpy
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import latticesde as lat
-from latticesde import cli, sde
+from latticesde import cli
 from latticesde.cli import (
     ConfigError,
     ExperimentConfig,
@@ -22,7 +23,6 @@ from latticesde.cli import (
     parse_config,
 )
 from latticesde.convergence import CauchyReport, CauchyRow, MomentField
-from latticesde.sde import simulation_bytes
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "configs" / "demo.cfg"
@@ -507,26 +507,25 @@ class TestDeterminism:
             assert tree1[name] == tree2[name], f"{command}: {name} differs"
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
-    def test_thread_count_capped_at_usable_cpus(self, tmp_path, monkeypatch, command):
-        # on one usable CPU, --threads 10^9 is one worker for the memory
-        # estimate and for the run: no pool is started
+    def test_threads_flag_range_checked_and_inert(self, tmp_path, monkeypatch, capsys, command):
+        # --threads is parsed and range-checked, and no value starts a thread
         path = write_config(tmp_path)
-        main([command, "--config", str(path), "--out", str(tmp_path / "one")])
-        estimated = []
+        for bad in ("0", "-3"):
+            code = main([command, "--config", str(path), "--out", str(tmp_path / "bad"),
+                         "--threads", bad])
+            assert (code, capsys.readouterr().err) == (2, "error: --threads must be >= 1\n")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "one")]) == 0
+        started, start = [], threading.Thread.start
 
-        def recorded(*args, **kwargs):
-            estimated.append(kwargs["threads"])
-            return simulation_bytes(*args, **kwargs)
+        def recorded(thread):
+            started.append(thread.name)
+            start(thread)
 
-        def no_pool(max_workers):
-            raise AssertionError(f"a pool of {max_workers} threads was started")
-
-        monkeypatch.setattr(cli, "simulation_bytes", recorded)
-        monkeypatch.setattr(sde, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        main([command, "--config", str(path), "--out", str(tmp_path / "many"),
-              "--threads", str(10**9)])
-        assert estimated == [1]
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        before = threading.active_count()
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "many"),
+                     "--threads", str(10**9)])
+        assert (code, started, threading.active_count()) == (0, [], before)
         assert read_tree(tmp_path / "many") == read_tree(tmp_path / "one")
 
 
@@ -605,10 +604,14 @@ import latticesde as lat
 from latticesde.cli import main
 from latticesde.ovsjannikov import load_grid_function
 
+def unused_imports():
+    return [name for name in ("numpy.ma", "concurrent.futures", "logging") if name in sys.modules]
+
+assert unused_imports() == [], "import"
 config_file, out = sys.argv[1:]
 for command in ("generate", "simulate", "verify", "picard"):
     assert main([command, "--config", config_file, "--out", out]) == 0, command
-    assert "numpy.ma" not in sys.modules, command
+    assert unused_imports() == [], command
 config = lat.load_configuration(out + "/configuration.txt")
 load_grid_function(config, out + "/picard_solution.csv")
 assert "numpy.ma" not in sys.modules, "reading back"
@@ -619,7 +622,8 @@ assert "numpy.ma" not in sys.modules, "reading back"
 def test_runs_never_import_numpy_ma(tmp_path, dim):
     # numpy imports numpy.ma on the first plain np.unique, which setdiff1d and
     # union1d call unless told their input is unique: that costs 12-16 ms,
-    # and under an address-space limit the import once failed with a traceback
+    # and under an address-space limit the import once failed with a traceback;
+    # nor does a run import concurrent.futures or logging, about 5 ms
     config = DEMO if dim is None else write_config(tmp_path, dim=dim)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}

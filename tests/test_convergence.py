@@ -296,21 +296,6 @@ class TestCauchy:
                 0.5, 0.01, 4, 12,
             )
 
-    def test_threads_do_not_change_results(self, decoupled_setup):
-        config, model, zeta = decoupled_setup
-        levels = lat.exhaustion_sequence(config, 3)
-        seq = simulate_levels(model, config, levels, zeta, 0.25, 0.01, 8, 13, threads=1,
-                              keep_paths=True)
-        par = simulate_levels(model, config, levels, zeta, 0.25, 0.01, 8, 13, threads=3,
-                              keep_paths=True)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.paths, b.paths)
-            for name in ("power", "m2"):
-                assert getattr(a.sums, name).tobytes() == getattr(b.sums, name).tobytes()
-            assert a.sums.diffs.keys() == b.sums.diffs.keys()
-            for m in a.sums.diffs:
-                assert a.sums.diffs[m].tobytes() == b.sums.diffs[m].tobytes()
-
 
 @pytest.fixture(scope="module")
 def coupled_setup():
@@ -324,13 +309,15 @@ def coupled_setup():
 
 
 class TestSharedDraw:
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("noise_refine", [1, 2])
     @pytest.mark.parametrize("path_block", [1, 3, None])
     @pytest.mark.parametrize("depth", ["full", "partial"])
     def test_levels_match_lone_runs(self, coupled_setup, monkeypatch, depth, path_block,
-                                    noise_refine, threads):
+                                    noise_refine, chunk):
+        # the levels meet after every run of one or three nodes
         config, model, zeta = coupled_setup
+        monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
         levels = lat.exhaustion_sequence(config, 3)
         if depth == "partial":
             # the largest of these levels leaves the outer sites out
@@ -339,7 +326,7 @@ class TestSharedDraw:
         if path_block is not None:
             monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
         ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, 7, 21,
-                                    noise_refine=noise_refine, threads=threads, keep_paths=True)
+                                    noise_refine=noise_refine, keep_paths=True)
         for level, ens in zip(levels, ensembles):
             lone = lat.simulate_truncated(
                 model, config, level, zeta, 0.1, 0.01, 7, 21, noise_refine=noise_refine,
@@ -351,26 +338,27 @@ class TestSharedDraw:
         # paths: bitwise, except that stderr merges across path blocks
         assert_reductions_match_paths(ensembles, levels, model, one_block=path_block is None)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("noise_refine", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 3, 4, 11])
     def test_runs_of_nodes_reduce_like_single_nodes(self, coupled_setup, monkeypatch, chunk,
-                                                    threads):
+                                                    noise_refine):
         # 10 steps in runs of 3 or 4 nodes leave the terminal node inside a longer run
         config, model, zeta = coupled_setup
         levels = lat.exhaustion_sequence(config, 3)
         monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
         ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, 7, 24,
-                                    threads=threads, keep_paths=True)
+                                    noise_refine=noise_refine, keep_paths=True)
         assert_reductions_match_paths(ensembles, levels, model, one_block=True)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_draw_cap_blocks_by_configuration(self, coupled_setup, monkeypatch, threads):
+    @pytest.mark.parametrize("noise_refine", [1, 2])
+    def test_draw_cap_blocks_by_configuration(self, coupled_setup, monkeypatch, noise_refine):
         # With the raw-draw cap binding, every level and every lone run steps
-        # in blocks sized for the whole configuration, so they stay bitwise equal.
+        # in blocks sized for the whole configuration, so they stay bitwise
+        # equal; the cap counts the refined draws.
         config, model, zeta = coupled_setup
         levels = lat.exhaustion_sequence(config, 4)[:3]
         n_steps, n_paths = 10, 11
-        monkeypatch.setattr(sde, "_DRAW_CAP", 3 * config.n_sites * n_steps)
+        monkeypatch.setattr(sde, "_DRAW_CAP", 3 * config.n_sites * n_steps * noise_refine)
         blocks = []
         noise_block = sde._noise_block
 
@@ -380,11 +368,12 @@ class TestSharedDraw:
 
         monkeypatch.setattr(sde, "_noise_block", recorded)
         ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, n_paths, 23,
-                                    threads=threads, keep_paths=True)
+                                    noise_refine=noise_refine, keep_paths=True)
         assert blocks == [(3, levels[-1].size)] * 3 + [(2, levels[-1].size)]
         for level, ens in zip(levels, ensembles):
             blocks.clear()
-            lone = lat.simulate_truncated(model, config, level, zeta, 0.1, 0.01, n_paths, 23)
+            lone = lat.simulate_truncated(model, config, level, zeta, 0.1, 0.01, n_paths, 23,
+                                          noise_refine=noise_refine)
             assert [b for b, _ in blocks] == [3, 3, 3, 2]
             assert np.array_equal(ens.paths, lone.paths)
 
@@ -394,35 +383,33 @@ class TestSharedDraw:
         # four paths per noise block, so the streams run over three blocks
         monkeypatch.setattr(sde, "_PATH_BLOCK", 4)
         keyed, prepared, fills = [], [], []
-        generator, fill = sde._NoiseSource.generator, sde._NoiseSource.fill_normals
+        init, fill = sde._NoiseSource.__init__, sde._NoiseSource.fill_normals
 
         class RecordedKey(np.ndarray):
             def __setitem__(self, index, site):
                 keyed.append(int(site))
                 super().__setitem__(index, site)
 
-        def recorded_generator(source):
-            gen, state = generator(source)
+        def recorded_init(source, seed):
+            init(source, seed)
+            state = source._prepared
             assert state["state"]["key"].tolist() == [22, 0]
             state["state"]["key"] = state["state"]["key"].view(RecordedKey)
             prepared.append(state)
-            return gen, state
 
-        def counted_fill(source, gen, state, site, out):
+        def counted_fill(source, site, out):
             fills.append((site, len(out)))
-            fill(source, gen, state, site, out)
+            fill(source, site, out)
 
-        monkeypatch.setattr(sde._NoiseSource, "generator", recorded_generator)
+        monkeypatch.setattr(sde._NoiseSource, "__init__", recorded_init)
         monkeypatch.setattr(sde._NoiseSource, "fill_normals", counted_fill)
         drawn = levels[-1].tolist()
-        for threads in (1, 3):
-            del keyed[:], prepared[:], fills[:]
-            simulate_levels(model, config, levels, zeta, 0.05, 0.01, 9, 22, threads=threads)
-            # each site is keyed once, through the state its drawing worker
-            # prepared for the block: one per worker and block
-            assert sorted(keyed) == drawn
-            assert len(prepared) == 3 * sde.worker_count(threads)
-            assert sorted(fills) == sorted((site, width) for site in drawn for width in (4, 4, 1))
+        simulate_levels(model, config, levels, zeta, 0.05, 0.01, 9, 22)
+        # each site is keyed once, through the one state the source prepared
+        # for all three blocks
+        assert sorted(keyed) == drawn
+        assert len(prepared) == 1
+        assert sorted(fills) == sorted((site, width) for site in drawn for width in (4, 4, 1))
 
 
 @pytest.fixture(scope="module")
@@ -441,7 +428,7 @@ def small_setups():
 class TestPrefixOrder:
     """Nested levels run in one site order: the first level's, then those each next one adds."""
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("path_block", [3, None])
     @settings(derandomize=True, max_examples=15, deadline=None)
     @given(dim=st.sampled_from([1, 2]), shuffle=st.integers(0, 2**16),
@@ -449,7 +436,7 @@ class TestPrefixOrder:
     # a one-site first level, two identical levels and the whole configuration
     @example(dim=2, shuffle=0, cuts=[0.0, 0.5, 0.5, 1.0])
     @example(dim=1, shuffle=1, cuts=[0.0, 1.0, 1.0])
-    def test_shuffled_levels_match_lone_runs(self, small_setups, path_block, threads, dim,
+    def test_shuffled_levels_match_lone_runs(self, small_setups, path_block, chunk, dim,
                                              shuffle, cuts):
         config, model, zeta = small_setups[dim]
         rng = np.random.default_rng(shuffle)
@@ -458,10 +445,12 @@ class TestPrefixOrder:
         levels = [rng.permutation(sites[:count]) for count in counts]
         n_paths = 10   # above 8, where numpy starts summing pairwise
         with pytest.MonkeyPatch.context() as patch:
+            # the levels meet after every run of one or three nodes
+            patch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
             if path_block is not None:
                 patch.setattr(sde, "_PATH_BLOCK", path_block)
             ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, n_paths, 29,
-                                        threads=threads, keep_paths=True)
+                                        keep_paths=True)
             for level, ens in zip(levels, ensembles):
                 assert np.array_equal(ens.active, np.sort(level))
                 lone = lat.simulate_truncated(model, config, level, zeta, 0.1, 0.01, n_paths, 29)
@@ -478,11 +467,11 @@ class TestPrefixOrder:
 class TestFrozenRows:
     """Run buffers and sums cover the active sites; frozen sites are settled once per block."""
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("noise_refine", [1, 3])
     @pytest.mark.parametrize("chunk", [1, None])
     @pytest.mark.parametrize("path_block", [3, None])
     def test_sums_match_every_site_reductions(self, coupled_setup, monkeypatch, path_block,
-                                              chunk, threads):
+                                              chunk, noise_refine):
         config, model, zeta = coupled_setup
         n = config.n_sites
         sets = [
@@ -498,7 +487,7 @@ class TestFrozenRows:
             monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
         n_paths = 10   # above 8, where numpy starts summing pairwise
         ensembles = simulate_levels(model, config, sets, zeta, 0.1, 0.01, n_paths, 25,
-                                    threads=threads, keep_paths=True)
+                                    noise_refine=noise_refine, keep_paths=True)
         for active, ens in zip(sets, ensembles):
             assert np.array_equal(ens.active, active)
             power, m2 = reference_sums(ens.paths, model.p, path_block or n_paths)
@@ -516,9 +505,9 @@ class TestFrozenRows:
         # identical levels are coupled to identical paths
         assert not np.any(ensembles[1].sums.diffs[2])
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("noise_refine", [1, 3])
     def test_frozen_site_beyond_the_limit_flags_every_path(self, decoupled_setup, monkeypatch,
-                                                           threads):
+                                                           noise_refine):
         # sites do not interact, so only the huge site itself can flag a path:
         # frozen in the first truncation, stepped in the second
         config, model, _ = decoupled_setup
@@ -530,7 +519,7 @@ class TestFrozenRows:
             values[-1] = last
             zeta = lat.WeightedSeq(config, values)
             ensembles = simulate_levels(model, config, sets, zeta, 0.05, 0.01, 7, 26,
-                                        threads=threads, keep_paths=True)
+                                        noise_refine=noise_refine, keep_paths=True)
             assert [bool(e.blowup.all()) for e in ensembles] == [flagged, flagged]
             assert [bool(e.blowup.any()) for e in ensembles] == [flagged, flagged]
             sums = ensembles[0].sums
@@ -538,11 +527,11 @@ class TestFrozenRows:
                                  reference_sums(ensembles[0].paths, model.p, 3)):
                 assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("noise_refine", [1, 3])
     @pytest.mark.parametrize("chunk", [1, None])
     @pytest.mark.parametrize("path_block", [3, None])
     def test_blowup_flags_match_the_kept_paths(self, decoupled_setup, monkeypatch, path_block,
-                                               chunk, threads):
+                                               chunk, noise_refine):
         # the flags are read off the running max, which skips the terminal
         # node, and the terminal node: a drift kicks chosen paths of site 0
         # out of range at chosen nodes, some of them only for one node
@@ -552,7 +541,7 @@ class TestFrozenRows:
             monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
         if chunk is not None:
             monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
-        width = sde._block_paths(n, n_steps, 1)
+        width = sde._block_paths(n, n_steps, noise_refine)
         run = sde._chunk_nodes(n_steps, 2, 1)
         last = n_steps // run * run   # the first node of the last run
         kicks = [   # (path, node, kick)
@@ -576,7 +565,8 @@ class TestFrozenRows:
         model = dataclasses.replace(model, potential=sde.Potential("custom", func=kicked))
         sets = [np.arange(n - 1), np.arange(n)]
         ensembles = simulate_levels(model, config, sets, zeta, n_steps * dt, dt, n_paths, 27,
-                                    scheme="explicit", threads=threads, keep_paths=True)
+                                    scheme="explicit", noise_refine=noise_refine,
+                                    keep_paths=True)
         for ens in ensembles:
             in_range = np.all(np.abs(ens.paths) <= 1e75, axis=(1, 2))
             assert np.array_equal(ens.blowup, ~in_range)

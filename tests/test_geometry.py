@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latticesde as lat
@@ -18,6 +18,32 @@ def band_lists(points, rho):
     """Per-site neighbor arrays and degrees from build_neighborhoods."""
     indptr, indices, _ = lat.build_neighborhoods(points, rho)
     return [indices[a:b] for a, b in zip(indptr[:-1], indptr[1:])], np.diff(indptr)
+
+
+@st.composite
+def small_bands(draw):
+    """A few distinct points in d = 1, 2 or 3 and a rho: coordinates on cell
+    boundaries (integer multiples of rho, 0 and negative ones included),
+    crowding the origin or anywhere within three cells of it, and copies of
+    some points moved by rho along an axis."""
+    dim = draw(st.integers(1, 3))
+    rho = draw(st.sampled_from([0.25, 0.3, 1.0, 2.5]))
+    coordinate = st.one_of(
+        st.integers(-3, 3).map(lambda k: k * rho),
+        # below half an ulp of rho: moved by rho, such a point rounds onto a
+        # cell boundary, at a computed distance of exactly rho
+        st.floats(-1e-20, 1e-20),
+        st.floats(-3.0 * rho, 3.0 * rho),
+    )
+    points = np.array(draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=10)))
+    moved = []
+    for i, axis, sign in draw(st.lists(st.tuples(st.integers(0, len(points) - 1),
+                                                 st.integers(0, dim - 1),
+                                                 st.sampled_from([-1.0, 1.0])), max_size=4)):
+        point = points[i].copy()
+        point[axis] += sign * rho
+        moved.append(point)
+    return np.unique(np.concatenate([points, np.reshape(moved, (-1, dim))]), axis=0), rho
 
 
 class TestSampleConfiguration:
@@ -162,7 +188,18 @@ class TestNeighborhoods:
         assert np.array_equal(distances, want)
         assert np.all(distances <= 1.0)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(small_bands())
+    @example((np.array([[0.0], [5e-324], [-5e-324], [1.0], [-1.0], [2.0]]), 1.0))
+    @example((np.array([[0.0, 0.0], [0.3, 0.0], [0.0, -0.3], [0.6, 0.3], [-0.3, -0.6]]), 0.3))
+    def test_band_matches_brute_force_on_drawn_configurations(self, case):
+        points, rho = case
+        indptr, indices, _ = lat.build_neighborhoods(points, rho)
+        oracle = brute_force_neighbors(points, rho)
+        assert np.array_equal(np.diff(indptr), [row.size for row in oracle])
+        assert np.array_equal(indices, np.concatenate(oracle))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_neighbor_symmetry(self, seed):
         cfg = lat.sample_configuration(1.5, 3.0, 2, 0.8, seed)

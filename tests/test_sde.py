@@ -1,9 +1,7 @@
 import dataclasses
 import math
-import sys
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -336,11 +334,12 @@ class TestSimulation:
         with pytest.raises(ValueError, match=message):
             simulate_levels(model, poisson_1d, levels(n), zeta, 0.02, 0.01, 2, 0)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("noise_refine", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 2])
-    def test_run_buffer_steps_like_the_full_site_state(self, monkeypatch, chunk, threads):
+    def test_run_buffer_steps_like_the_full_site_state(self, monkeypatch, chunk, noise_refine):
         # truncated 2-d levels and their pairs, in blocks of 3 paths and runs
-        # of 1 or 2 nodes: paths and sums are bitwise those of the old step
+        # of 1 or 2 nodes, on coarse or refined noise: paths and sums are
+        # bitwise those of the old step
         cfg = lat.sample_configuration(2.0, 4.0, 2, 1.0, 12)
         model = lat.make_model("cubic", 0.1, kernel="triangular", kernel_cap=0.3, rho=1.0,
                                sigma0=0.2, sigma1=0.1, sigma2=0.05, p=3.0)
@@ -350,8 +349,8 @@ class TestSimulation:
         monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
 
         def run():
-            return simulate_levels(model, cfg, sets, zeta, 0.05, 0.01, 7, 19, threads=threads,
-                                   keep_paths=True)
+            return simulate_levels(model, cfg, sets, zeta, 0.05, 0.01, 7, 19,
+                                   noise_refine=noise_refine, keep_paths=True)
 
         new = run()
         monkeypatch.setattr(sde._Level, "_step", full_site_step(cfg))
@@ -365,41 +364,6 @@ class TestSimulation:
             for m in want.sums.diffs:
                 assert ours.sums.diffs[m].tobytes() == want.sums.diffs[m].tobytes()
         assert np.any(new[0].sums.diffs[1] > 0.0)
-
-    def test_threads_capped_at_usable_cpus(self, poisson_1d, monkeypatch):
-        # a huge thread count sizes the pool, and the noise draw's split of
-        # the sites, by the CPUs the process may run on; no thread starts
-        pools, tasks = [], []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                items = list(items)
-                tasks.append(len(items))
-                return map(fn, items)
-
-        monkeypatch.setattr(sde, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(sde.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert [sde.worker_count(t) for t in (1, 2, 10**9)] == [1, 2, 3]
-        model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3, p=4.0)
-        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
-        sets = lat.exhaustion_sequence(poisson_1d, 3)
-        simulate_levels(model, poisson_1d, sets, zeta, 0.05, 0.01, 4, 3, threads=10**9)
-        assert pools == [3]
-        # the sites of the draw in three parts; then, in each of the six runs of
-        # one node, three levels and the differences against levels 1 and 2
-        assert tasks == [3] + [3, 2] * 6
-        monkeypatch.delattr(sde.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
-        assert sde.worker_count(10**9) == 2
 
     @pytest.mark.parametrize("cap", [1, 500])
     def test_band_gathered_in_slices_steps_alike(self, monkeypatch, cap):
@@ -425,21 +389,11 @@ class TestSimulation:
                                     keep_paths=True)
             assert kept - plain == 8 * 2 * 7 * n * (steps + 1)
             # the block of 5 paths x n sites x 10 steps does not depend on the
-            # refinement; a drawing worker's buffer holds every site's 5 paths
-            # x 20 fine draws and their 10 sums at refine 2, and 10 draws at
-            # refine 1
+            # refinement; the draw buffer holds every site's 5 paths x 20 fine
+            # draws and their 10 sums at refine 2, and 10 draws at refine 1
             assert _NOISE_GROUP >= n * 5 * 2 * steps
             once = simulation_bytes(n, degree, 2, 7, steps, noise_refine=1, cauchy=False)
             assert plain - once == 8 * n * 5 * 2 * steps
-            # each further drawing worker adds its own buffer, each further
-            # thread its path-order rows (6 per site) and three temporaries
-            # for a run of one node, and each thread beyond the two
-            # truncations its seven step temporaries and its band gather,
-            # here every band row in one slice
-            three = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2, cauchy=False,
-                                     threads=3)
-            assert three - plain == 8 * (2 * n * 5 * 3 * steps + 2 * n * (6 + 3 * 5)
-                                         + n * 5 * (7 + degree))
             # the one Cauchy pair of two levels adds one (node, site) sum
             pair = simulation_bytes(n, degree, 2, 7, steps, noise_refine=2)
             assert pair - plain == 8 * n * (steps + 1)
@@ -459,9 +413,9 @@ class TestSimulation:
         big = simulation_bytes(n, degree, 2, 10**9, steps)
         assert big - simulation_bytes(n, degree, 2, 10**8, steps) == 8 * 2 * 9 * 10**8
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("noise_refine", [1, 2])
     @pytest.mark.parametrize("keep_paths", [False, True])
-    def test_simulation_bytes_bounds_traced_peak(self, poisson_1d, keep_paths, threads):
+    def test_simulation_bytes_bounds_traced_peak(self, poisson_1d, keep_paths, noise_refine):
         model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3,
                                sigma2=0.05, p=4.0)
         zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
@@ -470,12 +424,12 @@ class TestSimulation:
         tracemalloc.start()
         try:
             simulate_levels(model, poisson_1d, levels, zeta, steps * 0.01, 0.01, n_paths, 3,
-                            threads=threads, keep_paths=keep_paths)
+                            noise_refine=noise_refine, keep_paths=keep_paths)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         need = simulation_bytes(poisson_1d.n_sites, int(poisson_1d.degrees.max()), 3, n_paths,
-                                steps, keep_paths=keep_paths)
+                                steps, noise_refine=noise_refine, keep_paths=keep_paths)
         assert peak < need
 
     def test_simulation_bytes_bounds_traced_peak_of_a_truncated_window(self):
@@ -625,10 +579,10 @@ class TestNoiseLayout:
         if r == 1:
             assert np.array_equal(coarse, halved.reshape(n, 2).sum(axis=1))
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("noise_refine", [1, 3])
     @pytest.mark.parametrize("path_block", [1, 3, 7])
     def test_block_independent_of_path_split(self, poisson_1d, monkeypatch, path_block,
-                                             threads):
+                                             noise_refine):
         # each site's generator state is carried from one path block to the next
         model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3, p=4.0)
         zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
@@ -642,21 +596,21 @@ class TestNoiseLayout:
 
         monkeypatch.setattr(sde, "_noise_block", recorded)
         monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
-        simulate_levels(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31, noise_refine=2,
-                        threads=threads, cauchy=False)
+        simulate_levels(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31,
+                        noise_refine=noise_refine, cauchy=False)
         assert len(drawn) == -(-10 // path_block)
-        whole = noise_block(_NoiseSource(31), 10, prefix_order(sets), 10, 0.01, 2)
+        whole = noise_block(_NoiseSource(31), 10, prefix_order(sets), 10, 0.01, noise_refine)
         assert np.concatenate(drawn, axis=2).tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_states_carried_between_blocks_only(self, poisson_1d, monkeypatch, threads):
+    @pytest.mark.parametrize("noise_refine", [1, 2])
+    def test_states_carried_between_blocks_only(self, poisson_1d, monkeypatch, noise_refine):
         # three path blocks: every site's generator state is kept after the
         # first two, not after the last, and the run is the one-block run
         model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3, p=4.0)
         zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
         sets = lat.exhaustion_sequence(poisson_1d, 4)[:3]
         whole = simulate_levels(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31,
-                                threads=threads, cauchy=False, keep_paths=True)
+                                noise_refine=noise_refine, cauchy=False, keep_paths=True)
         drawn, carried = [], []
         noise_block, carry = sde._noise_block, _NoiseSource.carry
 
@@ -664,55 +618,36 @@ class TestNoiseLayout:
             drawn.append(noise_block(*args))
             return drawn[-1]
 
-        def counted(source, gen, site):
+        def counted(source, site):
             carried.append(site)
-            carry(source, gen, site)
+            carry(source, site)
 
         monkeypatch.setattr(sde, "_noise_block", recorded)
         monkeypatch.setattr(_NoiseSource, "carry", counted)
         monkeypatch.setattr(sde, "_PATH_BLOCK", 4)
         split = simulate_levels(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31,
-                                threads=threads, cauchy=False, keep_paths=True)
+                                noise_refine=noise_refine, cauchy=False, keep_paths=True)
         assert [block.shape[2] for block in drawn] == [4, 4, 2]
         assert sorted(carried) == sorted(2 * sets[-1].tolist())
-        one_block = noise_block(_NoiseSource(31), 10, prefix_order(sets), 10, 0.01)
+        one_block = noise_block(_NoiseSource(31), 10, prefix_order(sets), 10, 0.01, noise_refine)
         assert np.concatenate(drawn, axis=2).tobytes() == one_block.tobytes()
         for a, b in zip(whole, split):
             assert a.paths.tobytes() == b.paths.tobytes()
             assert a.sums.power.tobytes() == b.sums.power.tobytes()
 
-    @pytest.mark.parametrize("workers", [2, 3, 40])
-    def test_block_independent_of_threads(self, workers):
-        # the workers share the carried generator states and the block; more
-        # threads than cores and a short switch interval give a lost update
-        # every chance to show, over three blocks drawn in turn
-        sites = list(range(0, 60, 3))
-        serial, threaded = sde._NoiseSource(9), sde._NoiseSource(9)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(8) as pool:
-                for width in (5, 1, 7):
-                    one = _noise_block(serial, width, sites, 12, 0.05, 2)
-                    many = _noise_block(threaded, width, sites, 12, 0.05, 2, pool.map, workers)
-                    assert one.tobytes() == many.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_steps", [1, 3])
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("group", [1, 3, None])
-    def test_sites_drawn_in_groups_alike(self, monkeypatch, group, refine, workers):
+    def test_sites_drawn_in_groups_alike(self, monkeypatch, group, refine, n_steps):
         # one site, three sites or as many as _NOISE_GROUP holds per draw
-        # buffer, over three carried blocks: each site's paths are its stream's
-        sites, n_steps, dt, widths = [4, 0, 9, 2, 7, 11, 5], 6, 0.1, (2, 3, 1)
+        # buffer, over three carried blocks of one or three steps: each
+        # site's paths are its stream's
+        sites, dt, widths = [4, 0, 9, 2, 7, 11, 5], 0.1, (2, 3, 1)
         source, blocks = _NoiseSource(13), []
-        with ThreadPoolExecutor(3) as pool:
-            for width in widths:
-                if group is not None:
-                    monkeypatch.setattr(sde, "_NOISE_GROUP", group * width * n_steps * refine)
-                blocks.append(_noise_block(source, width, sites, n_steps, dt, refine, pool.map,
-                                           workers))
+        for width in widths:
+            if group is not None:
+                monkeypatch.setattr(sde, "_NOISE_GROUP", group * width * n_steps * refine)
+            blocks.append(_noise_block(source, width, sites, n_steps, dt, refine))
         drawn = np.concatenate(blocks, axis=2)
         for si, site in enumerate(sites):
             fine = math.sqrt(dt / refine) * site_stream(13, site, sum(widths), n_steps * refine)

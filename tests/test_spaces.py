@@ -42,7 +42,7 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             oracles.lp_norm(z, 1.0, 0.5)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
         st.floats(-1e6, 1e6, allow_nan=False),
         st.integers(0, 2**16),
@@ -55,7 +55,7 @@ class TestLpNorm:
         base = oracles.lp_norm(z, 0.7, 2.0)
         assert oracles.lp_norm(zc, 0.7, 2.0) == pytest.approx(abs(c) * base, rel=1e-12, abs=1e-12)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.integers(0, 2**16), st.floats(1.0, 4.0))
     def test_triangle_inequality(self, seed, p):
         cfg = lattice_1d(-5, 5)
@@ -123,7 +123,7 @@ class TestScaleMonotonicity:
         with pytest.raises(ValueError):
             lat.verify_scale_monotonicity(poisson_1d, values, 1.0, 0.5, 2.0)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
         st.integers(0, 2**16),
         st.floats(0.1, 1.0),
