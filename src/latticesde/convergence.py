@@ -56,31 +56,23 @@ class MomentField:
 def moment_field(ensemble: PathEnsemble) -> MomentField:
     """Sitewise sup over the grid of the sample p-th absolute moment.
 
-    Reads the path sums the simulator reduced at the model's moment order
-    p.  Standard errors come from the sample variance of |xi|^p at the
-    maximizing grid node.  Ensembles with blow-up flags are rejected: their
-    moments are meaningless.
+    Reads the ensemble's ``power`` and ``m2`` path sums, reduced while it
+    was simulated at the model's moment order p.  Standard errors come from
+    the sample variance of |xi|^p at the maximizing grid node.  Ensembles
+    with blow-up flags are rejected: their moments are meaningless.
     """
     if ensemble.has_blowup:
         raise ValueError("ensemble contains blown-up paths; moments are unusable")
-    sums = _sums(ensemble)
     n = ensemble.n_paths
-    means = sums.power / n                       # (nodes, sites)
+    means = ensemble.power / n                   # (nodes, sites)
     argmax = means.argmax(axis=0)
     sites = np.arange(ensemble.config.n_sites)
     per_site = means[argmax, sites]
     if n > 1:
-        stderr = np.sqrt(sums.m2[argmax, sites] / (n - 1)) / math.sqrt(n)
+        stderr = np.sqrt(ensemble.m2[argmax, sites] / (n - 1)) / math.sqrt(n)
     else:
         stderr = np.zeros(ensemble.config.n_sites)
-    return MomentField(ensemble.config, float(sums.p), per_site, stderr)
-
-
-def _sums(ensemble: PathEnsemble):
-    """The ensemble's reductions."""
-    if ensemble.sums is None:
-        raise ValueError("the ensemble carries no reductions: it was not simulated")
-    return ensemble.sums
+    return MomentField(ensemble.config, float(ensemble.p), per_site, stderr)
 
 
 def z_norm(field: MomentField, alpha: float) -> float:
@@ -235,7 +227,7 @@ def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
     k = len(ensembles)
     rows = []
     for n_idx, m_idx in cauchy_pairs(k):
-        diffs = _sums(ensembles[n_idx]).diffs
+        diffs = ensembles[n_idx].diffs
         if m_idx not in diffs:
             raise ValueError(
                 f"levels {n_idx} and {m_idx} were not reduced together; "

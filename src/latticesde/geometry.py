@@ -180,7 +180,8 @@ def build_neighborhoods(points, rho):
     sorted within each row.  A cell list with cells just wider than rho:
     sites are sorted by cell, and each of the 3^d neighboring cells is
     located for all sites at once by binary search, so only nearby pairs
-    are ever compared.  Ties at distance exactly rho are included.
+    are ever compared; each cell's pairs are cut to rho before the cells are
+    joined.  Ties at distance exactly rho are included.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, dim = points.shape
@@ -208,20 +209,19 @@ def build_neighborhoods(points, rho):
     ordered = points[order]
 
     sites = np.arange(n, dtype=np.int64)
-    rows, cols = [], []
+    pairs = []   # per offset cell, the (row, column, squared distance) within rho
     for offset in itertools.product((-1, 0, 1), repeat=dim):
         target = cell_id + np.asarray(offset, dtype=np.int64) @ strides
         start = np.searchsorted(cell_id, target, side="left")
         count = np.searchsorted(cell_id, target, side="right") - start
         row = np.repeat(sites, count)
-        rows.append(row)
-        cols.append(np.repeat(start - (np.cumsum(count) - count), count) + np.arange(row.size))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    diff = ordered[cols] - ordered[rows]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    inside = d2 <= rho * rho
-    rows, cols, d2 = order[rows[inside]], order[cols[inside]], d2[inside]
+        col = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(row.size)
+        diff = ordered[col] - ordered[row]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        inside = d2 <= rho * rho
+        pairs.append((row[inside], col[inside], d2[inside]))
+    rows, cols, d2 = (np.concatenate(part) for part in zip(*pairs))
+    rows, cols = order[rows], order[cols]
     band = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])

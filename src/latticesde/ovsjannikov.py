@@ -28,7 +28,6 @@ into a verifiable grid computation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -277,21 +276,6 @@ def _grid(T: float, n_nodes: int) -> np.ndarray:
     return np.linspace(0.0, T, n_nodes)
 
 
-def _picard_sums(Q: BandedOperator, z0: WeightedSeq, times: np.ndarray):
-    """Yield (t^k/k!, Q^k z0, sum_{j<=k} t^j/j! Q^j z0, updated in place) on the grid, k = 0, 1, ..."""
-    if z0.config is not Q.config:
-        raise ValueError("operator and sequence live on different configurations")
-    power = z0.values.copy()
-    coeff = np.ones(times.size)
-    total = np.outer(coeff, power)
-    term = np.empty_like(total)
-    for k in itertools.count(1):
-        yield coeff, power, total
-        power = Q.matvec(power)
-        coeff = coeff * times / k
-        total += np.multiply(coeff[:, None], power, out=term)   # np.outer's products
-
-
 def solve_linear_evolution(Q: BandedOperator, z0: WeightedSeq, T, tol, beta=0.0, n_nodes=33) -> GridFunction:
     """Iterate the Picard map until the grid increment falls below tol.
 
@@ -307,13 +291,21 @@ def solve_linear_evolution(Q: BandedOperator, z0: WeightedSeq, T, tol, beta=0.0,
         raise ValueError("tol must be > 0")
     times = _grid(T, n_nodes)
     opnorm = float(np.max(Q.column_abs_sums())) if Q.n_sites else 0.0
-    # a huge operator diverges long before any cap; islice takes one up to sys.maxsize
+    # a huge operator diverges long before any cap; an infinite norm still gives an int
     max_iter = int(min(10 * (math.e * opnorm * T + 10), sys.maxsize - 1))
+    if z0.config is not Q.config:
+        raise ValueError("operator and sequence live on different configurations")
     radii = Q.config.radii
+    # the grid sums t^k/k! Q^k z0 in k order, each term np.outer's products
+    power, coeff = z0.values.copy(), np.ones(times.size)
+    total = np.outer(coeff, power)
+    term = np.empty_like(total)
     below = 0
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the increment
-        sums = itertools.islice(_picard_sums(Q, z0, times), 1, max_iter + 1)
-        for k, (coeff, power, total) in enumerate(sums, 1):
+        for k in range(1, max_iter + 1):
+            power = Q.matvec(power)
+            coeff = coeff * times / k
+            total += np.multiply(coeff[:, None], power, out=term)
             # the increment is t^k/k! times the fsum of the terms; its bounds
             # settle it unless they straddle tol or leave the float range
             try:
@@ -457,6 +449,8 @@ def comparison_check(Q: BandedOperator, z0: WeightedSeq, g: GridFunction, slack=
         raise ValueError("comparison requires nonnegative initial data")
     if g.config is not Q.config:
         raise ValueError("grid function lives on a different configuration")
+    if g.times.size < 2 or g.times[0] != 0.0:   # the integral runs from t = 0
+        raise ValueError("grid must start at t = 0 and have at least two nodes")
     steps = np.diff(g.times)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("grid must be uniform")

@@ -40,7 +40,6 @@ __all__ = [
     "ModelSpec",
     "make_model",
     "PathEnsemble",
-    "EnsembleSums",
     "step_count",
     "simulation_bytes",
     "cauchy_pairs",
@@ -268,34 +267,23 @@ def _noise_block(source, width, sites, n_steps, dt, refine=1, carry=True) -> np.
 
 
 @dataclass(frozen=True, eq=False)
-class EnsembleSums:
-    """Path sums reduced from one truncation's trajectories while it was stepped.
+class PathEnsemble:
+    """Monte Carlo trajectories of one truncated system, and the path sums
+    reduced from them while they were stepped.
+
+    ``paths[path, site, node]`` covers every site, with rows of frozen sites
+    bitwise constant at their initial value; it is None unless the paths
+    were kept.  ``blowup`` flags paths that left the representable range
+    (possible under the explicit scheme with a superlinear potential).
 
     ``power`` and each ``diffs`` entry are indexed (node, site) and sum over
     the paths in path order, so they are bitwise the sums of one reduction
     over a stored path tensor.  ``m2`` sums the squared deviations of
     |xi|^p from its sample mean, merged across path blocks as in Chan, Golub
     & LeVeque (1983).  ``diffs`` is keyed by the position of the larger
-    level in the sequence.  The columns of frozen sites were
-    settled once per path block, not node by node, with the same bytes;
-    a ``diffs`` column is 0 where both truncations freeze the site.
-    """
-
-    p: float
-    power: np.ndarray       # (node, site) sums of |xi|^p
-    m2: np.ndarray          # (node, site) squared deviations of |xi|^p
-    diffs: dict             # m -> (node, site) sums of |xi - xi^m|^p
-
-
-@dataclass(frozen=True, eq=False)
-class PathEnsemble:
-    """Monte Carlo trajectories of one truncated system.
-
-    ``paths[path, site, node]`` covers every site, with rows of frozen sites
-    bitwise constant at their initial value; it is None unless the paths
-    were kept.  ``sums`` holds what was reduced while stepping.  ``blowup``
-    flags paths that left the representable range (possible under the
-    explicit scheme with a superlinear potential).
+    level in the sequence.  The columns of frozen sites were settled once
+    per path block, not node by node, with the same bytes; a ``diffs``
+    column is 0 where both truncations freeze the site.
     """
 
     config: Configuration
@@ -307,7 +295,10 @@ class PathEnsemble:
     dt: float
     noise_refine: int
     blowup: np.ndarray
-    sums: EnsembleSums | None = None
+    p: float                # the moment order of the sums
+    power: np.ndarray       # (node, site) sums of |xi|^p
+    m2: np.ndarray          # (node, site) squared deviations of |xi|^p
+    diffs: dict             # m -> (node, site) sums of |xi - xi^m|^p
 
     @property
     def n_paths(self) -> int:
@@ -659,9 +650,10 @@ class _Level:
             _add_in_path_order(self.power[k0:k1], powed, work)
             _merge_moments(self.mean[k0:k1], self.m2[k0:k1], powed, start)
 
-    def sums(self, diffs) -> EnsembleSums:
-        """The sums over every site, the frozen ones spread over the nodes.
-        The level's own sums are released, so each sum is held once."""
+    def sums(self) -> tuple:
+        """The (node, site) ``power`` and ``m2`` sums over every site, the
+        frozen ones spread over the nodes.  The level's own sums are
+        released, so each sum is held once."""
         n_nodes, n_sites = self.power.shape[0], self.zeta.size
         power, m2 = np.empty((n_nodes, n_sites)), np.empty((n_nodes, n_sites))
         for full, ours, settled in ((power, self.power, self.settled[0]),
@@ -669,7 +661,7 @@ class _Level:
             full[:, self.active] = ours
             full[:, self.frozen] = settled
         self.power = self.mean = self.m2 = None
-        return EnsembleSums(self.p, power, m2, diffs)
+        return power, m2
 
 
 class _Differences:
@@ -734,7 +726,7 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     from the previous block, in nested-prefix order (level 0's sites, then
     those each next level adds), so every level steps from the first rows
     of that block.  States are reduced while stepping into per (node, site)
-    sums (see :class:`EnsembleSums`) at the model's moment order: |xi|^p
+    sums (see :class:`PathEnsemble`) at the model's moment order: |xi|^p
     for every level and, with ``cauchy``, |xi^n - xi^m|^p for each pair
     (n, m) of :func:`cauchy_pairs`.  The levels step in lockstep, meeting
     after every short run of nodes.  Only active sites are stepped, stored
@@ -789,8 +781,8 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
         del noise   # freed before the next block is drawn
 
     times = np.linspace(0.0, T, n_nodes)
+    sums = [level.sums() for level in levels]
     diffs = [{} for _ in levels]
-    sums = [level.sums(diffs[i]) for i, level in enumerate(levels)]
     for larger in reduced:   # once the levels' own sums are released
         larger.spread(config.n_sites, diffs)
     return [
@@ -804,9 +796,12 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
             dt=float(dt),
             noise_refine=int(noise_refine),
             blowup=level.blowup,
-            sums=sums[i],
+            p=level.p,
+            power=power,
+            m2=m2,
+            diffs=level_diffs,
         )
-        for i, level in enumerate(levels)
+        for level, (power, m2), level_diffs in zip(levels, sums, diffs)
     ]
 
 

@@ -1,14 +1,13 @@
 """Reference implementations and diagnostics that only the tests run, written
 for clarity, not speed; none of the four subcommands calls them."""
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from latticesde.geometry import Configuration
-from latticesde.ovsjannikov import BandedOperator, GridFunction, _grid, _picard_sums
+from latticesde.ovsjannikov import BandedOperator, GridFunction, _grid
 from latticesde.sde import ModelSpec, PathEnsemble, _noise_block, _NoiseSource, simulate_truncated
 from latticesde.spaces import WeightedSeq, weighted_sum
 
@@ -187,7 +186,12 @@ def picard_iterate(Q: BandedOperator, z0: WeightedSeq, T, n, n_nodes=33) -> Grid
     if n < 0:
         raise ValueError("need n >= 0")
     times = _grid(T, n_nodes)
-    _, _, total = next(itertools.islice(_picard_sums(Q, z0, times), n, None))
+    power, coeff = z0.values.copy(), np.ones(times.size)
+    total = np.outer(coeff, power)
+    for k in range(1, n + 1):
+        power = Q.matvec(power)
+        coeff = coeff * times / k
+        total += np.outer(coeff, power)
     return GridFunction(Q.config, times, total)
 
 

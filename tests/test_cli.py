@@ -437,7 +437,7 @@ class TestSimulate:
         kept = command == "simulate" and dump_paths == "true"
         assert [ens.paths is not None for ens in runs[0]] == [kept] * 3
         # verify reduces the level pairs of its Cauchy table, simulate none
-        pairs = {(n, m) for n, ens in enumerate(runs[0]) for m in ens.sums.diffs}
+        pairs = {(n, m) for n, ens in enumerate(runs[0]) for m in ens.diffs}
         assert pairs == ({(0, 1), (1, 2), (0, 2)} if command == "verify" else set())
 
     def test_moments_csv_bytes_match_per_value_writer(self, tmp_path, poisson_1d):
@@ -463,8 +463,11 @@ class TestSimulate:
         )
         values[0, 0, :3] = [0.0, -0.0, 5e-324]
         times = np.linspace(0.0, 0.05, nodes)
-        ens = lat.PathEnsemble(poisson_1d, np.arange(n_sites), times, values, 1, "tamed",
-                               0.01, 1, np.zeros(n_sites), np.zeros(3, dtype=bool))
+        sums = np.zeros((nodes, n_sites))
+        ens = lat.PathEnsemble(poisson_1d, np.arange(n_sites), times, values, seed=1,
+                               scheme="tamed", dt=0.01, noise_refine=1,
+                               blowup=np.zeros(3, dtype=bool), p=2.0, power=sums, m2=sums,
+                               diffs={})
         _write_paths_csv(ens, tmp_path / "paths.csv")
         with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
             fh.write("path,site,t,value\n")
@@ -593,6 +596,28 @@ def test_every_traced_name_is_called(tmp_path, monkeypatch):
     uncalled = {key for key, n in calls.items() if n == 0}
     assert uncalled == {("convergence", "simulate_truncated"), ("convergence", "moment_field")}
     assert {wrapped[key] for key in calls if calls[key]} == set(wrapped.values()) - {"sde.simulate"}
+
+
+def test_traced_counts_read_real_results():
+    # the tracer reads its counts off what the wrapped calls return; no run
+    # reaches its sde.simulate branch, so a changed ensemble would go unseen
+    info = runpy.run_path(str(ROOT / "bench" / "tracer.py"))["_info"]
+    config = lat.sample_configuration(2.0, 3.0, 1, 1.0, 5)
+    operator = lat.random_banded_operator(config, 0.5, 1.0, 7)
+    model = lat.make_model("cubic", 0.1, kernel_cap=0.1, rho=1.0, sigma0=0.2, p=4.0)
+    zeta = lat.WeightedSeq(config, np.ones(config.n_sites))
+    active = np.arange(config.n_sites // 2)
+    ens = lat.simulate_truncated(model, config, active, zeta, 0.03, 0.01, 4, 6, noise_refine=2)
+    counts = [info("geometry.sample", config), info("ovsjannikov.operator_build", operator),
+              info("sde.simulate", ens)]
+    streams = 4 * active.size
+    assert counts == [
+        {"sites": config.n_sites, "nnz": config.indices.size},
+        {"entries": config.indices.size},
+        {"streams": streams, "path_site_steps": 3 * streams, "normals": 6 * streams,
+         "path_bytes": ens.paths.nbytes, "blowup_paths": 0},
+    ]
+    assert all(type(n) is int for count in counts for n in count.values())
 
 
 # Runs the four subcommands on the config argv[1] into argv[2], then reads

@@ -457,11 +457,11 @@ class TestPrefixOrder:
                 assert ens.paths.tobytes() == lone.paths.tobytes()
                 assert ens.blowup.tobytes() == lone.blowup.tobytes()
                 power, m2 = reference_sums(ens.paths, model.p, path_block or n_paths)
-                assert ens.sums.power.tobytes() == power.tobytes()
-                assert ens.sums.m2.tobytes() == m2.tobytes()
+                assert ens.power.tobytes() == power.tobytes()
+                assert ens.m2.tobytes() == m2.tobytes()
         for small, large in cauchy_pairs(len(levels)):
             want = reference_diffs(ensembles[small].paths, ensembles[large].paths, model.p)
-            assert ensembles[small].sums.diffs[large].tobytes() == want.tobytes()
+            assert ensembles[small].diffs[large].tobytes() == want.tobytes()
 
 
 class TestFrozenRows:
@@ -491,19 +491,19 @@ class TestFrozenRows:
         for active, ens in zip(sets, ensembles):
             assert np.array_equal(ens.active, active)
             power, m2 = reference_sums(ens.paths, model.p, path_block or n_paths)
-            assert ens.sums.power.tobytes() == power.tobytes()
-            assert ens.sums.m2.tobytes() == m2.tobytes()
+            assert ens.power.tobytes() == power.tobytes()
+            assert ens.m2.tobytes() == m2.tobytes()
             frozen = np.setdiff1d(np.arange(n), active)
             assert np.all(ens.paths[:, frozen] == zeta.values[frozen, None])
             assert not ens.has_blowup
         for small, large in cauchy_pairs(len(sets)):
             want = reference_diffs(ensembles[small].paths, ensembles[large].paths, model.p)
-            assert ensembles[small].sums.diffs[large].tobytes() == want.tobytes()
+            assert ensembles[small].diffs[large].tobytes() == want.tobytes()
         # site n - 1 is frozen in both levels of the first pair
-        assert np.all(ensembles[0].sums.diffs[1][:, n - 1] == 0.0)
-        assert np.any(ensembles[0].sums.diffs[1] > 0.0)
+        assert np.all(ensembles[0].diffs[1][:, n - 1] == 0.0)
+        assert np.any(ensembles[0].diffs[1] > 0.0)
         # identical levels are coupled to identical paths
-        assert not np.any(ensembles[1].sums.diffs[2])
+        assert not np.any(ensembles[1].diffs[2])
 
     @pytest.mark.parametrize("noise_refine", [1, 3])
     def test_frozen_site_beyond_the_limit_flags_every_path(self, decoupled_setup, monkeypatch,
@@ -522,8 +522,7 @@ class TestFrozenRows:
                                         noise_refine=noise_refine, keep_paths=True)
             assert [bool(e.blowup.all()) for e in ensembles] == [flagged, flagged]
             assert [bool(e.blowup.any()) for e in ensembles] == [flagged, flagged]
-            sums = ensembles[0].sums
-            for got, want in zip((sums.power, sums.m2),
+            for got, want in zip((ensembles[0].power, ensembles[0].m2),
                                  reference_sums(ensembles[0].paths, model.p, 3)):
                 assert got.tobytes() == want.tobytes()
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,19 @@ class TestNeighborhoods:
         pairs = dict(zip(zip(cfg.rows.tolist(), cfg.indices.tolist()), cfg.distances))
         for (x, y), r in pairs.items():
             assert pairs[(y, x)] == r
+
+    def test_build_peak_is_a_few_results(self):
+        # each of the 27 offset cells is filtered before the candidates are
+        # joined; joined unfiltered, the 3-d build peaks at about 21 results
+        points = lat.sample_configuration(2.0, 5.0, 3, 1.0, 7).points
+        tracemalloc.start()
+        try:
+            band = lat.build_neighborhoods(points, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) > 1500
+        assert peak < 8 * sum(part.nbytes for part in band)
 
 
 class TestGrowthConstant:

@@ -663,6 +663,19 @@ class TestComparison:
         with pytest.raises(ValueError):
             lat.comparison_check(Q, lat.WeightedSeq(cfg, -np.ones(cfg.n_sites)), g)
 
+    def test_grid_not_from_zero_rejected(self, setup):
+        # on [1, 2], g would be integrated from 0 and compared with f at other times
+        cfg, Q, z0 = setup
+        g = lat.GridFunction(cfg, np.linspace(1.0, 2.0, 9), np.zeros((9, cfg.n_sites)))
+        with pytest.raises(ValueError, match="start at t = 0"):
+            lat.comparison_check(Q, z0, g)
+
+    def test_one_node_grid_rejected(self, setup):
+        cfg, Q, z0 = setup
+        g = lat.GridFunction(cfg, np.zeros(1), np.zeros((1, cfg.n_sites)))
+        with pytest.raises(ValueError, match="at least two nodes"):
+            lat.comparison_check(Q, z0, g)
+
 
 class TestIterateEstimate:
     def test_increment_below_series_bound(self):

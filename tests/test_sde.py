@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import latticesde as lat
 from latticesde import sde
@@ -234,17 +236,26 @@ class TestSimulation:
         for x in small:
             assert np.array_equal(e1.paths[:, x, :], e2.paths[:, x, :])
 
-    def test_one_step_matches_dense_reference(self):
-        cfg = lat.sample_configuration(2.0, 4.0, 2, 1.0, 12)
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 3), seed=st.integers(0, 2**16),
+           scheme=st.sampled_from(sde.SCHEMES), kernel=st.sampled_from(["constant", "triangular"]),
+           cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    def test_one_step_matches_dense_reference(self, dim, seed, scheme, kernel, cuts):
+        # some 25 sites in d = 1, 2 or 3, and nested levels drawn as prefixes
+        # of a shuffle of them
+        cfg = lat.sample_configuration(2.0, {1: 6.0, 2: 1.8, 3: 1.2}[dim], dim, 1.0, seed)
+        assume(cfg.n_sites > 0)
         model = lat.make_model(
-            "cubic", 0.5, kernel="triangular", kernel_cap=0.3, rho=1.0,
+            "cubic", 0.5, kernel=kernel, kernel_cap=0.3, rho=1.0,
             sigma0=0.2, sigma1=0.1, sigma2=0.05, p=4.0,
         )
-        rng = np.random.default_rng(13)
+        rng = np.random.default_rng(seed)
         zeta = lat.WeightedSeq(cfg, rng.uniform(-1.0, 1.0, cfg.n_sites))
-        active = np.flatnonzero(cfg.radii <= 3.0)
-        dt = 0.01
-        ens = lat.simulate_truncated(model, cfg, active, zeta, dt, dt, 3, 14)
+        sites = rng.permutation(cfg.n_sites)
+        levels = [sites[: max(1, math.ceil(cut * cfg.n_sites))] for cut in sorted(cuts)]
+        dt, n_paths = 0.01, 2
+        ensembles = simulate_levels(model, cfg, levels, zeta, dt, dt, n_paths, seed,
+                                    scheme=scheme, keep_paths=True)
         # dense all-pairs reference, independent of the band
         diff = cfg.points[:, None, :] - cfg.points[None, :, :]
         d2 = np.sum(diff**2, axis=2)
@@ -252,13 +263,16 @@ class TestSimulation:
         adj = (d2 <= 1.0).astype(float)
         x0 = zeta.values
         phi = model.potential(x0) + K @ x0
+        drift = phi * dt / (1.0 + dt * np.abs(phi)) if scheme == "tamed" else phi * dt
         psi = model.sigma0 + model.sigma1 * x0 + model.sigma2 * adj.sum(axis=1) * (adj @ x0)
-        for path in range(3):
-            dw = np.array([oracles.wiener_increments(14, path, int(x), 1, dt)[0] for x in active])
-            want = x0.copy()
-            want[active] += (phi * dt / (1.0 + dt * np.abs(phi)))[active] + psi[active] * dw
-            got = ens.paths[path, :, 1]
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for active, ens in zip(levels, ensembles):
+            for path in range(n_paths):
+                dw = np.array([oracles.wiener_increments(seed, path, int(x), 1, dt)[0]
+                               for x in active])
+                want = x0.copy()
+                want[active] += drift[active] + psi[active] * dw
+                got = ens.paths[path, :, 1]
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_memory_stays_below_one_dense_matrix(self):
         # 2-d window with S = 32: about 8k sites, so one n x n float64 matrix
@@ -359,11 +373,11 @@ class TestSimulation:
             assert ours.paths.tobytes() == want.paths.tobytes()
             assert ours.blowup.tobytes() == want.blowup.tobytes()
             for name in ("power", "m2"):
-                assert getattr(ours.sums, name).tobytes() == getattr(want.sums, name).tobytes()
-            assert ours.sums.diffs.keys() == want.sums.diffs.keys()
-            for m in want.sums.diffs:
-                assert ours.sums.diffs[m].tobytes() == want.sums.diffs[m].tobytes()
-        assert np.any(new[0].sums.diffs[1] > 0.0)
+                assert getattr(ours, name).tobytes() == getattr(want, name).tobytes()
+            assert ours.diffs.keys() == want.diffs.keys()
+            for m in want.diffs:
+                assert ours.diffs[m].tobytes() == want.diffs[m].tobytes()
+        assert np.any(new[0].diffs[1] > 0.0)
 
     @pytest.mark.parametrize("cap", [1, 500])
     def test_band_gathered_in_slices_steps_alike(self, monkeypatch, cap):
@@ -633,7 +647,7 @@ class TestNoiseLayout:
         assert np.concatenate(drawn, axis=2).tobytes() == one_block.tobytes()
         for a, b in zip(whole, split):
             assert a.paths.tobytes() == b.paths.tobytes()
-            assert a.sums.power.tobytes() == b.sums.power.tobytes()
+            assert a.power.tobytes() == b.power.tobytes()
 
     @pytest.mark.parametrize("n_steps", [1, 3])
     @pytest.mark.parametrize("refine", [1, 2])
@@ -680,8 +694,8 @@ class TestNoiseLayout:
         for x in small:
             assert np.array_equal(ens[0].paths[:, x], ens[2].paths[:, x])
         assert np.array_equal(ens[0].paths, ens[1].paths)
-        assert np.all(ens[0].sums.diffs[1] == 0.0)
-        assert np.any(ens[0].sums.diffs[2] > 0.0)
+        assert np.all(ens[0].diffs[1] == 0.0)
+        assert np.any(ens[0].diffs[2] > 0.0)
 
     @pytest.mark.parametrize("zeta", [1e76, 1e77])
     def test_huge_frozen_values_sum_without_warnings(self, poisson_1d, zeta):
