@@ -26,6 +26,7 @@ prefix of the next level's.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,7 +48,6 @@ __all__ = [
     "simulate_truncated",
 ]
 
-_MASK64 = (1 << 64) - 1
 _BLOWUP_LIMIT = 1e75
 _DRAW_CAP = 1 << 25   # raw draws per noise block, ~256 MB
 _PATH_BLOCK = 4096    # paths per noise block, unless _DRAW_CAP binds first
@@ -209,7 +209,9 @@ class _NoiseSource:
     """
 
     def __init__(self, seed: int):
-        self._gen = np.random.Generator(np.random.Philox(key=seed & _MASK64))
+        if not 0 <= operator.index(seed) < 1 << 64:   # TypeError for a float (Philox truncates)
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        self._gen = np.random.Generator(np.random.Philox(key=seed))
         self._prepared = self._gen.bit_generator.state
         self._carried = {}   # site -> generator state
 
@@ -328,12 +330,14 @@ def _nested_levels(config: Configuration, levels):
     all are the configuration's sites and each level lies inside the next."""
     seen, added = np.zeros(config.n_sites, dtype=bool), []
     for level in levels:
-        level = np.asarray(level, dtype=np.int64)
+        level = np.asarray(level)
+        if level.size and not np.issubdtype(level.dtype, np.integer):   # a bool mask too
+            raise ValueError(f"a truncation level must list site indices, got dtype {level.dtype}")
         # checked before indexing, so that site -1 cannot wrap to the last one
         if level.size and (level.min() < 0 or level.max() >= config.n_sites):
             raise ValueError("a truncation level contains out-of-range site indices")
         mask = np.zeros(config.n_sites, dtype=bool)
-        mask[level] = True
+        mask[level.astype(np.int64)] = True   # numpy types an empty level as float
         if np.any(seen & ~mask):
             raise ValueError("truncation levels must be nested")
         added.append(np.flatnonzero(mask & ~seen))
@@ -406,9 +410,9 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     only their flags.  Per truncation, though the levels reuse one set:
     seven step temporaries and one slice of gathered band rows
     (``_GATHER_CAP`` doubles, or one row).  Once: a run's path-order rows
-    (one more than the block has paths) and three run temporaries, which
-    the Cauchy differences fill in groups no wider than a level.  Per pair
-    (with ``cauchy``): one (node, site) sum.  One step-major noise block
+    (one more than the block has paths) and three run temporaries, one of
+    which takes each Cauchy pair's differences in turn.  Per pair (with
+    ``cauchy``): one (node, site) sum.  One step-major noise block
     over every site, and a group of sites' fine draws for the block
     (``_NOISE_GROUP`` doubles, or one site) with, for ``noise_refine > 1``,
     their sums over each step.  The path tensors count only when they are
@@ -664,55 +668,31 @@ class _Level:
         return power, m2
 
 
-class _Differences:
-    """The path sums of |xi^n - xi^m|^p over level m's sites, for each level
-    n that :func:`cauchy_pairs` pairs with a larger level m.
+class _Pair:
+    """The path sums of |xi^n - xi^m|^p for one pair (n, m) of :func:`cauchy_pairs`.
 
-    Level n's sites are the first n_n rows of both run buffers; level n
-    holds zeta at m's other rows, compared once over [min n_n, n_m) for all
-    n.  A site both levels freeze differs by exactly 0 and is skipped.
-    Columns are reduced in groups no wider than m, in the run temporary.
+    Level n's sites are the first n_n rows of both run buffers.  With
+    ``thawed`` (for m's smallest partner) the pair also covers m's other
+    sites, where level n holds zeta; m's other pairs copy those columns
+    when the ensembles are built.  A site both levels freeze is skipped.
     """
 
-    def __init__(self, levels, m, smaller, n_nodes):
-        self.levels, self.m, n_m = levels, m, levels[m].active.size
-        self.low = min(levels[n].active.size for n in smaller)
-        self.zeta = levels[m].zeta[levels[m].active[self.low :], None]
-        # a group lists (smaller level or None for zeta, rows r0 .. r1, first column)
-        self.groups, width = [], n_m + 1
-        segments = [(n, 0, levels[n].active.size) for n in smaller] + [(None, self.low, n_m)]
-        for n, r0, r1 in segments:
-            if width + r1 - r0 > n_m:
-                self.groups.append([])
-                width = 0
-            self.groups[-1].append((n, r0, r1, width))
-            width += r1 - r0
-        self.sums = [np.zeros((n_nodes, sum(r1 - r0 for _, r0, r1, _ in g))) for g in self.groups]
+    def __init__(self, ours, theirs, n_nodes, thawed):
+        self.ours, self.theirs, self.n = ours, theirs, ours.active.size
+        self.zeta = theirs.zeta[theirs.active[self.n :], None] if thawed else None
+        self.sums = np.zeros((n_nodes, theirs.active.size if thawed else self.n))
 
     def reduce(self, k0, k1, work) -> None:
-        """Add the path sums at nodes k0 .. k1 - 1."""
-        theirs = self.levels[self.m].nodes[1 : k1 - k0 + 1]
+        """Add the path sums at nodes k0 .. k1 - 1, in the run temporary."""
+        n, rows = self.n, slice(1, k1 - k0 + 1)
+        theirs = self.theirs.nodes[rows, : self.sums.shape[1]]
+        diff = work.get("run", theirs.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            for group, sums in zip(self.groups, self.sums):
-                diff = work.get("run", (k1 - k0, sums.shape[1], theirs.shape[2]))
-                for n, r0, r1, c0 in group:
-                    ours = self.zeta if n is None else self.levels[n].nodes[1 : k1 - k0 + 1, r0:r1]
-                    np.subtract(ours, theirs[:, r0:r1], out=diff[:, c0 : c0 + r1 - r0])
-                _abs_power(diff, self.levels[self.m].p, out=diff)
-                _add_in_path_order(sums[k0:k1], diff, work)
-
-    def spread(self, n_sites, diffs) -> None:
-        """Enter each pair's (node, site) sums over every site, 0 where both
-        levels freeze it, in ``diffs`` of its smaller level; release our own."""
-        columns = {n: sums[:, c0 : c0 + r1 - r0]
-                   for group, sums in zip(self.groups, self.sums) for n, r0, r1, c0 in group}
-        sites, frozen = self.levels[self.m].active, columns.pop(None)
-        for n, ours in columns.items():
-            full, size = np.zeros((len(ours), n_sites)), ours.shape[1]
-            full[:, sites[:size]] = ours
-            full[:, sites[size:]] = frozen[:, size - self.low :]
-            diffs[n][self.m] = full
-        self.groups = self.sums = None
+            np.subtract(self.ours.nodes[rows, :n], theirs[:, :n], out=diff[:, :n])
+            if self.zeta is not None:
+                np.subtract(self.zeta, theirs[:, n:], out=diff[:, n:])
+            _abs_power(diff, self.theirs.p, out=diff)
+            _add_in_path_order(self.sums[k0:k1], diff, work)
 
 
 def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: WeightedSeq, T, dt,
@@ -720,24 +700,26 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
                     keep_paths=False) -> list:
     """Euler-Maruyama ensembles of nested truncation levels, driven by one noise draw.
 
-    Each level lists sites of the configuration and lies inside the next
-    one, as an exhaustion sequence does; ValueError otherwise.  Per block
+    Each level is an integer array of sites of the configuration and lies
+    inside the next one, as an exhaustion sequence does, and ``seed`` lies
+    in [0, 2**64); ValueError otherwise.  Per block
     of paths, the site streams of the last level are drawn once, continuing
     from the previous block, in nested-prefix order (level 0's sites, then
     those each next level adds), so every level steps from the first rows
     of that block.  States are reduced while stepping into per (node, site)
     sums (see :class:`PathEnsemble`) at the model's moment order: |xi|^p
     for every level and, with ``cauchy``, |xi^n - xi^m|^p for each pair
-    (n, m) of :func:`cauchy_pairs`.  The levels step in lockstep, meeting
-    after every short run of nodes.  Only active sites are stepped, stored
-    and reduced node by node; frozen sites are settled once per path block.
-    Each site stream's generator state is kept for the next block, except
-    after the last one.  The path tensors are stored only with
-    ``keep_paths``.  Under the tamed scheme the drift increment is
-    Phi dt / (1 + dt |Phi|), which keeps the superlinear cubic decay stable
-    where the explicit scheme can blow up.  Sites outside a level stay bitwise frozen at their
-    initial value.  Path blocks depend on the configuration, not on the
-    levels, so each level's paths are bitwise those of a lone
+    (n, m) of :func:`cauchy_pairs`, one reduction per pair (see
+    :class:`_Pair`).  The levels step in lockstep, meeting after every
+    short run of nodes.  Only active sites are stepped, stored and reduced
+    node by node; frozen sites are settled once per path block.  Each site
+    stream's generator state is kept for the next block, except after the
+    last one.  The path tensors are stored only with ``keep_paths``.  Under
+    the tamed scheme the drift increment is Phi dt / (1 + dt |Phi|), which
+    keeps the superlinear cubic decay stable where the explicit scheme can
+    blow up.  Sites outside a level stay bitwise frozen at their initial
+    value.  Path blocks depend on the configuration, not on the levels, so
+    each level's paths are bitwise those of a lone
     :func:`simulate_truncated` run, and levels share the increments of
     their common sites bitwise.
     """
@@ -748,6 +730,7 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     n_steps = step_count(T, dt)
     if n_paths < 1 or noise_refine < 1:
         raise ValueError("need n_paths >= 1 and noise_refine >= 1")
+    source = _NoiseSource(seed)
     order, counts = _nested_levels(config, levels)
     if not counts.size:
         return []
@@ -756,12 +739,11 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     levels = [_Level(model, scheme == "tamed", dt, config, zeta.values, order[:count], n_paths,
                      n_nodes, keep_paths) for count in counts]
     pairs = cauchy_pairs(len(levels)) if cauchy else []
-    reduced = [_Differences(levels, m, [n for n, large in pairs if large == m], n_nodes)
-               for m in sorted({m for _, m in pairs})]
+    smallest = {m: min(n for n, large in pairs if large == m) for _, m in pairs}
+    reduced = {(n, m): _Pair(levels[n], levels[m], n_nodes, n == smallest[m]) for n, m in pairs}
     chunk = _chunk_nodes(n_steps, len(levels), len(pairs))
-    path_block = _block_paths(config.n_sites, n_steps, noise_refine)
+    path_block, work = _block_paths(config.n_sites, n_steps, noise_refine), _Workspace()
 
-    source, work = _NoiseSource(seed), _Workspace()
     for start in range(0, n_paths, path_block):
         stop = min(start + path_block, n_paths)
         # the streams continue unless this is their last block
@@ -774,8 +756,8 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
             for level in levels:   # each run of nodes is reduced once it is stepped
                 level._step(noise, k0, k1, work)
                 level._reduce(start, k0, k1, work)
-            for diffs in reduced:
-                diffs.reduce(k0, k1, work)
+            for pair in reduced.values():
+                pair.reduce(k0, k1, work)
         for level in levels:
             level.finish_block(start, work)
         del noise   # freed before the next block is drawn
@@ -783,8 +765,11 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     times = np.linspace(0.0, T, n_nodes)
     sums = [level.sums() for level in levels]
     diffs = [{} for _ in levels]
-    for larger in reduced:   # once the levels' own sums are released
-        larger.spread(config.n_sites, diffs)
+    for (n, m), pair in reduced.items():   # once the levels' own sums are released
+        full, sites, size = np.zeros((n_nodes, config.n_sites)), levels[m].active, pair.n
+        full[:, sites[:size]] = pair.sums[:, :size]
+        full[:, sites[size:]] = reduced[smallest[m], m].sums[:, size:]
+        diffs[n][m] = full
     return [
         PathEnsemble(
             config=config,

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import strategies as st
 
 import latticesde as lat
 
@@ -19,6 +20,32 @@ def brute_force_neighbors(points, rho):
         d2 = np.sum((points - points[i]) ** 2, axis=1)
         neighbors.append(np.flatnonzero(d2 <= rho * rho).astype(np.int64))
     return neighbors
+
+
+@st.composite
+def small_bands(draw):
+    """A few distinct points in d = 1, 2 or 3 and a rho: coordinates on cell
+    boundaries (integer multiples of rho, 0 and negative ones included),
+    crowding the origin or anywhere within three cells of it, and copies of
+    some points moved by rho along an axis."""
+    dim = draw(st.integers(1, 3))
+    rho = draw(st.sampled_from([0.25, 0.3, 1.0, 2.5]))
+    coordinate = st.one_of(
+        st.integers(-3, 3).map(lambda k: k * rho),
+        # below half an ulp of rho: moved by rho, such a point rounds onto a
+        # cell boundary, at a computed distance of exactly rho
+        st.floats(-1e-20, 1e-20),
+        st.floats(-3.0 * rho, 3.0 * rho),
+    )
+    points = np.array(draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=10)))
+    moved = []
+    for i, axis, sign in draw(st.lists(st.tuples(st.integers(0, len(points) - 1),
+                                                 st.integers(0, dim - 1),
+                                                 st.sampled_from([-1.0, 1.0])), max_size=4)):
+        point = points[i].copy()
+        point[axis] += sign * rho
+        moved.append(point)
+    return np.unique(np.concatenate([points, np.reshape(moved, (-1, dim))]), axis=0), rho
 
 
 def dense_operator(Q):

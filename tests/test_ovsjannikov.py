@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticesde as lat
-from conftest import brute_force_neighbors, corrupt_table, dense_operator
+from conftest import brute_force_neighbors, corrupt_table, dense_operator, small_bands
 from latticesde import ovsjannikov
 from latticesde.ovsjannikov import (
     BandedOperator,
@@ -638,6 +638,23 @@ class TestComparison:
         # at the shaved site the domination is strict for every grid time
         f = lat.solve_linear_evolution(Q, z0, 0.5, 1e-12, n_nodes=65)
         assert np.all(f.values[:, 0] - g.values[:, 0] >= 0.5 - 1e-9)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(small_bands(), st.floats(0.005, 0.05), st.floats(1.0, 1.5), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 0.2), st.floats(0.5, 0.95))
+    def test_comparison_principle_on_drawn_configurations(self, case, C, q, seed, T, s):
+        # the solution g from s z0 is a sub-solution (the trapezoid rule only
+        # overestimates the integral of the convex Q g), and so is f itself
+        points, rho = case
+        cfg = lat.configuration_from_points(points, rho)
+        Q = lat.random_banded_operator(cfg, C, q, seed, nonnegative=True)
+        z0 = lat.WeightedSeq(cfg, np.random.default_rng(seed).uniform(0.1, 2.0, cfg.n_sites))
+        f = lat.solve_linear_evolution(Q, z0, T, 1e-12, n_nodes=33)
+        g = lat.solve_linear_evolution(Q, lat.WeightedSeq(cfg, s * z0.values), T, 1e-12,
+                                       n_nodes=33)
+        for sub in (g, f):
+            rep = lat.comparison_check(Q, z0, sub)
+            assert rep.hypothesis_ok and rep.ok
 
     def test_violating_function_fails_hypothesis(self, setup):
         cfg, Q, z0 = setup

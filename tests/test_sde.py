@@ -339,6 +339,9 @@ class TestSimulation:
         (lambda n: [[0], [0, n]], "out-of-range"),
         (lambda n: [[0, 1], [1, 2]], "nested"),
         (lambda n: [[n - 1], list(range(n - 1)), list(range(n))], "nested"),
+        # a site mask, cast to integers, would name sites 0 and 1 instead
+        (lambda n: [np.arange(n) < 8], "dtype bool"),
+        (lambda n: [[0.7, 2.9]], "dtype float64"),   # cast, it would name sites 0 and 2
     ])
     def test_levels_outside_the_configuration_or_not_nested_are_refused(
             self, poisson_1d, levels, message):
@@ -347,6 +350,35 @@ class TestSimulation:
         zeta = lat.WeightedSeq(poisson_1d, np.ones(n))
         with pytest.raises(ValueError, match=message):
             simulate_levels(model, poisson_1d, levels(n), zeta, 0.02, 0.01, 2, 0)
+
+    def test_empty_level_is_accepted(self, poisson_1d):
+        # numpy types an empty list as float64
+        model = lat.make_model("linear", 1.0, kernel_cap=0.1, rho=1.0, sigma0=0.3, p=2.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
+        empty, first = simulate_levels(model, poisson_1d, [[], [0, 1]], zeta, 0.02, 0.01, 2, 0)
+        assert empty.active.size == 0 and first.active.tolist() == [0, 1]
+        assert np.all(empty.power == 2.0)   # two paths of |1|^2 at every site
+
+    @pytest.mark.parametrize("seed, error", [
+        # masked to 64 bits, 2**64 + 8 would draw seed 8's noise and -1 that of 2**64 - 1
+        (-1, r"seed must lie in \[0, 2\*\*64\)"),
+        (2**64 + 8, r"seed must lie in \[0, 2\*\*64\)"),
+        (8.5, None),   # Philox would truncate it to 8
+    ])
+    def test_seed_outside_64_bits_is_refused(self, single_site_config, seed, error):
+        model = lat.make_model("linear", 1.0, sigma0=0.3, p=2.0)
+        zeta = lat.WeightedSeq(single_site_config, np.ones(1))
+        with pytest.raises(ValueError if error else TypeError, match=error):
+            simulate_levels(model, single_site_config, [[0]], zeta, 0.02, 0.01, 2, seed)
+
+    def test_largest_seed_is_accepted(self, single_site_config):
+        model = lat.make_model("linear", 1.0, sigma0=0.3, p=2.0)
+        zeta = lat.WeightedSeq(single_site_config, np.ones(1))
+        runs = [lat.simulate_truncated(model, single_site_config, [0], zeta, 0.05, 0.01, 3, seed)
+                for seed in (np.uint64(2**64 - 1), 2**64 - 1, 2**64 - 2)]
+        assert runs[0].seed == 2**64 - 1
+        assert np.array_equal(runs[0].paths, runs[1].paths)
+        assert not np.array_equal(runs[0].paths, runs[2].paths)
 
     @pytest.mark.parametrize("noise_refine", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 2])
@@ -726,6 +758,21 @@ class TestOuOracle:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             oracles.ou_moment_oracle(0.0, 1.0, 0.0, 1.0)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(st.floats(0.2, 2.0), st.floats(0.5, 2.0), st.floats(-1.0, 1.0), st.floats(0.1, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_drawn_linear_models_match_the_closed_form(self, single_site_config, lam, sigma,
+                                                       zeta, T, seed):
+        # lambda dt <= 0.01 keeps the Euler bias of E xi_T^2 far below one standard error
+        n_steps, n_paths = max(10, math.ceil(100 * lam * T)), 2000
+        model = lat.make_model("linear", lam, sigma0=sigma, p=2.0)
+        start = lat.WeightedSeq(single_site_config, np.full(1, zeta))
+        (ens,) = simulate_levels(model, single_site_config, [[0]], start, T, T / n_steps,
+                                 n_paths, seed, scheme="explicit", cauchy=False)
+        se = math.sqrt(ens.m2[-1, 0] / (n_paths - 1) / n_paths)
+        _, second = oracles.ou_moment_oracle(lam, sigma, zeta, T)
+        assert abs(ens.power[-1, 0] / n_paths - second) <= 4.0 * se
 
     def test_monte_carlo_match(self, single_site_config, ou_ensemble):
         terminal = ou_ensemble.paths[:, 0, -1] ** 2
