@@ -12,18 +12,24 @@ _PARSE = {"i": int, "s": int, "f": float}
 def write_table(path, header, blocks, sep=",") -> None:
     """Write ``header``, then each block ``(prefix, keys, *columns)`` with one ``write``.
 
-    Row k of a block is ``prefix + keys[k]`` and the k-th float of each column;
-    keys are pre-joined and end in ``sep``, so one list serves many blocks.
+    Row k of a block is ``prefix + keys[k]``, then the k-th float of each
+    column joined by ``sep``, then a newline; a block of no columns writes
+    ``prefix + keys[k]`` alone.  Keys are pre-joined and end in ``sep``, so one
+    list serves many blocks.  A column whose length is not that of the keys
+    raises ValueError.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for prefix, keys, *columns in blocks:
-            columns = [np.asarray(c, dtype=float).tolist() for c in columns]
-            if len(columns) == 1:  # the large tables hold one float per row
-                rows = [f"{prefix}{k}{v!r}\n" for k, v in zip(keys, columns[0])]
-            else:
-                rows = [f"{prefix}{k}{sep.join(map(repr, v))}\n" for k, *v in zip(keys, *columns)]
-            fh.write("".join(rows))
+            # one slot per piece: prefix, key, each column with sep between, newline
+            width = max(2 * len(columns) + 2, 3)
+            pieces = [sep] * (len(keys) * width)
+            pieces[::width] = [prefix] * len(keys)
+            pieces[1::width] = keys
+            for j, column in enumerate(columns):  # a column of another length raises here
+                pieces[2 + 2 * j :: width] = map(repr, np.asarray(column, dtype=float).tolist())
+            pieces[width - 1 :: width] = ["\n"] * len(keys)
+            fh.write("".join(pieces))
 
 
 def read_table(path, header, keys, n_values, sep=",", n_sites=None):

@@ -112,8 +112,12 @@ def configuration_bytes(intensity, box_halfwidth, dim, rho) -> float:
 
 
 def _first_copies(points) -> np.ndarray:
-    """Index of the first copy of every distinct point."""
-    return np.unique(points, axis=0, return_index=True)[1]
+    """Index of the first copy of every distinct point, in sorted point order."""
+    order = np.lexsort(points.T[::-1])  # stable: each run of copies starts at its first
+    ordered = points[order]
+    first = np.ones(order.size, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    return order[first]
 
 
 def sample_configuration(intensity, box_halfwidth, dim, rho, seed) -> Configuration:
@@ -222,9 +226,13 @@ def build_neighborhoods(points, rho):
         pairs.append((row[inside], col[inside], d2[inside]))
     rows, cols, d2 = (np.concatenate(part) for part in zip(*pairs))
     rows, cols = order[rows], order[cols]
-    band = np.lexsort((cols, rows))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    # the pairs are distinct, so one sort of the key row * n + column orders
+    # them by row, then column; the key is formed in place of the rows
+    rows *= n
+    rows += cols
+    band = np.argsort(rows)
     return indptr, cols[band], np.sqrt(d2[band])
 
 

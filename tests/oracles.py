@@ -12,6 +12,34 @@ from latticesde.sde import ModelSpec, PathEnsemble, _noise_block, _NoiseSource, 
 from latticesde.spaces import WeightedSeq, weighted_sum
 
 
+def write_table_per_row(path, header, blocks, sep=",") -> None:
+    """The table writer as one f-string per row; ``zip`` stops at the shortest input."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for prefix, keys, *columns in blocks:
+            columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+            fh.write("".join(f"{prefix}{k}{sep.join(map(repr, v))}\n" for k, *v in zip(keys, *columns)))
+
+
+def lexsort_band(points, rho):
+    """``(indptr, indices, distances)`` of the closed-ball band, ordered by ``np.lexsort``.
+
+    All pairs are formed column by column and cut to rho, so the sort by row,
+    then column, has every pair to move.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = points.shape[0]
+    cols, rows = (grid.ravel() for grid in np.indices((n, n), dtype=np.int64))
+    diff = points[cols] - points[rows]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    inside = d2 <= rho * rho
+    rows, cols, d2 = rows[inside], cols[inside], d2[inside]
+    band = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[band], np.sqrt(d2[band])
+
+
 def drift(model: ModelSpec, x: int, q: float, Z: WeightedSeq) -> float:
     """Phi_x(q, Z) = V(q) + sum_{y in B_x} a(x-y) z_y (self term included)."""
     config = Z.config

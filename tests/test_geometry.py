@@ -11,6 +11,7 @@ import latticesde as lat
 from conftest import brute_force_neighbors, corrupt_table, lattice_1d, small_bands
 from latticesde import geometry
 from latticesde.geometry import configuration_bytes
+from oracles import lexsort_band
 
 LOG2 = math.log(2.0)
 
@@ -93,6 +94,26 @@ class TestSampleConfiguration:
         # a huge radius makes every site a neighbor of every other, no more
         assert configuration_bytes(1.0, 1.0, 1, 1e300) == 8.0 * 2.0 * (1 + 2 * 2.0)
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.data())
+    @example(None)
+    def test_first_copies_match_unique(self, data):
+        # the same index set as np.unique: each distinct point once, 0.0 and
+        # -0.0 one coordinate, at the index of its first copy
+        if data is None:
+            cases = [np.zeros((0, dim)) for dim in (1, 2, 3)] + [np.full((1, dim), -0.0) for dim in (1, 2, 3)]
+        else:
+            dim = data.draw(st.integers(1, 3))
+            coordinate = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(-2.0, 2.0))
+            points = data.draw(st.lists(st.tuples(*[coordinate] * dim), max_size=12))
+            for i, at in data.draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 12)), max_size=6)):
+                if points:  # plant a copy of point i at position at
+                    points.insert(min(at, len(points)), points[i % len(points)])
+            cases = [np.array(points, dtype=float).reshape(-1, dim)]
+        for points in cases:
+            want = np.unique(points, axis=0, return_index=True)[1]
+            assert np.array_equal(np.sort(geometry._first_copies(points)), np.sort(want))
+
     def test_duplicate_points_rejected_in_from_points(self):
         with pytest.raises(ValueError):
             lat.configuration_from_points([[0.0], [0.0]], rho=1.0)
@@ -169,10 +190,13 @@ class TestNeighborhoods:
     @example((np.array([[0.0, 0.0], [0.3, 0.0], [0.0, -0.3], [0.6, 0.3], [-0.3, -0.6]]), 0.3))
     def test_band_matches_brute_force_on_drawn_configurations(self, case):
         points, rho = case
-        indptr, indices, _ = lat.build_neighborhoods(points, rho)
+        band = lat.build_neighborhoods(points, rho)
+        indptr, indices, _ = band
         oracle = brute_force_neighbors(points, rho)
         assert np.array_equal(np.diff(indptr), [row.size for row in oracle])
         assert np.array_equal(indices, np.concatenate(oracle))
+        for got, want in zip(band, lexsort_band(points, rho), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
