@@ -237,13 +237,13 @@ def _max_ratio(Q: BandedOperator, values: np.ndarray, alpha, beta) -> float:
             denoms[:, t : t + len(block)] = bounded_sums(radii, alpha, np.abs(block))
             numers[:, t : t + len(block)] = bounded_sums(radii, beta, np.abs(Q.matvec(block)))
         ratio_low, ratio_high = numers[0] / denoms[1], numers[1] / denoms[0]
-    counted = denoms[1] != 0.0
-    floor = np.fmax.reduce(ratio_low[counted], initial=0.0)   # NaN ratios never count
-    max_ratio = 0.0
-    for i in np.flatnonzero(counted & ~(ratio_high < floor) & ~(ratio_high <= 0.0)):
-        denom = weighted_sum(radii, alpha, np.abs(values[i]))
-        numer = weighted_sum(radii, beta, np.abs(Q.matvec(values[i])))
-        max_ratio = max(max_ratio, numer / denom)
+        counted = denoms[1] != 0.0
+        floor = np.fmax.reduce(ratio_low[counted], initial=0.0)   # NaN ratios never count
+        max_ratio = 0.0
+        for i in np.flatnonzero(counted & ~(ratio_high < floor) & ~(ratio_high <= 0.0)):
+            denom = weighted_sum(radii, alpha, np.abs(values[i]))
+            numer = weighted_sum(radii, beta, np.abs(Q.matvec(values[i])))
+            max_ratio = max(max_ratio, numer / denom)
     return max_ratio
 
 
@@ -308,13 +308,10 @@ def solve_linear_evolution(Q: BandedOperator, z0: WeightedSeq, T, tol, beta=0.0,
             total += np.multiply(coeff[:, None], power, out=term)
             # the increment is t^k/k! times the fsum of the terms; its bounds
             # settle it unless they straddle tol or leave the float range
-            try:
-                lo, hi = bounded_sums(radii, beta, np.abs(power)[None])
-                low, high = coeff[-1] * lo[0], coeff[-1] * hi[0]
-                if not (math.isfinite(high) and (high < tol or low >= tol)):
-                    high = coeff[-1] * weighted_sum(radii, beta, np.abs(power))
-            except OverflowError:
-                high = math.inf
+            lo, hi = bounded_sums(radii, beta, np.abs(power)[None])
+            low, high = coeff[-1] * lo[0], coeff[-1] * hi[0]
+            if not (math.isfinite(high) and (high < tol or low >= tol)):
+                high = coeff[-1] * weighted_sum(radii, beta, np.abs(power))
             if not math.isfinite(high):
                 raise RuntimeError(f"Picard iterate {k} left the float range; {_DIVERGED}")
             below = below + 1 if high < tol else 0

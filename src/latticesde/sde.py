@@ -319,7 +319,7 @@ def step_count(T, dt) -> int:
     if not math.isfinite(ratio):
         raise ValueError(f"the step count T/dt = {T!r}/{dt!r} leaves the float range")
     n_steps = int(round(ratio))
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * T:
         raise ValueError("dt must divide T")
     return n_steps
 
@@ -575,7 +575,7 @@ class _Level:
         self.nodes[0, :n] = self.zeta[self.active, None]
         self.nodes[:, n:] = self.zeta[self.tail, None]
         self.spread_paths = np.repeat(self.spread, width, axis=1)   # (active site, path)
-        self.peak = np.empty((n, width))   # running max of |xi|, for the blow-up flags
+        self.peak = np.zeros((n, width))   # running max of |xi| from 0, for the blow-up flags
 
     def finish_block(self, start, work) -> None:
         """Settle the block's sums of the frozen sites."""
@@ -583,9 +583,8 @@ class _Level:
         if self.frozen.size:
             power, mean, m2 = self.settled
             powed = np.repeat(self.frozen_power[:, None], width, axis=1)   # (site, path)
-            with np.errstate(over="ignore", invalid="ignore"):
-                _add_in_path_order(power, powed, work)
-                _merge_moments(mean, m2, powed, start)
+            _add_in_path_order(power, powed, work)
+            _merge_moments(mean, m2, powed, start)
         self.nodes = self.spread_paths = self.peak = None
 
     def _step(self, noise, k0, k1, work) -> None:
@@ -604,30 +603,29 @@ class _Level:
                           sums[:, r0:r1].transpose(1, 0, 2)))
         phi, psi, tmp, scratch = (work.get(name, (n, width))
                                   for name in ("phi", "psi", "tmp", "scratch"))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for row, k in enumerate(range(k0, k1), start=1):
-                prev, own = nodes[row - 1, :n], nodes[row, :n]
-                if not k:
-                    own[...] = prev
-                    continue
-                for band, part, w, out in parts:
-                    nodes[row - 1].take(band, axis=0, out=part, mode="clip")
-                    np.matmul(w, part, out=out)
-                model.potential(prev, out=phi, scratch=scratch)
-                phi += sums[0]
-                # psi = sigma0 + sigma1 prev + sigma2 n_x (sum over the band)
-                np.multiply(model.sigma1, prev, out=psi)
-                psi += model.sigma0
-                np.multiply(self.spread_paths, sums[1], out=tmp)
-                psi += tmp
-                phi *= self.dt
-                if self.tamed:   # phi dt / (1 + |phi dt|), bitwise phi dt / (1 + dt |phi|)
-                    np.abs(phi, out=tmp)
-                    tmp += 1.0
-                    phi /= tmp
-                psi *= noise[k - 1, :n]
-                np.add(prev, phi, out=own)
-                own += psi
+        for row, k in enumerate(range(k0, k1), start=1):
+            prev, own = nodes[row - 1, :n], nodes[row, :n]
+            if not k:
+                own[...] = prev
+                continue
+            for band, part, w, out in parts:
+                nodes[row - 1].take(band, axis=0, out=part, mode="clip")
+                np.matmul(w, part, out=out)
+            model.potential(prev, out=phi, scratch=scratch)
+            phi += sums[0]
+            # psi = sigma0 + sigma1 prev + sigma2 n_x (sum over the band)
+            np.multiply(model.sigma1, prev, out=psi)
+            psi += model.sigma0
+            np.multiply(self.spread_paths, sums[1], out=tmp)
+            psi += tmp
+            phi *= self.dt
+            if self.tamed:   # phi dt / (1 + |phi dt|), bitwise phi dt / (1 + dt |phi|)
+                np.abs(phi, out=tmp)
+                tmp += 1.0
+                phi /= tmp
+            psi *= noise[k - 1, :n]
+            np.add(prev, phi, out=own)
+            own += psi
         nodes[0, :n] = nodes[k1 - k0, :n]
 
     def _reduce(self, start, k0, k1, work) -> None:
@@ -635,24 +633,19 @@ class _Level:
         after the terminal node, the block's blow-up flags."""
         nodes = self.nodes[1 : k1 - k0 + 1, : self.active.size]
         width = nodes.shape[2]
-        with np.errstate(over="ignore", invalid="ignore"):
-            size = np.abs(nodes, out=work.get("run", nodes.shape))
-            if self.paths is not None:
-                self.paths[start : start + width, self.active, k0:k1] = nodes.transpose(2, 1, 0)
-            peak = self.peak   # (active site, path in the block)
-            if k0 == 0:
-                peak[...] = size[0]
-            terminal = k1 == self.power.shape[0]   # the running max skips the terminal node
-            for node in size[: k1 - k0 - terminal]:
-                np.maximum(peak, node, out=peak)
-            if terminal:
-                # np.maximum carries NaN into peak, and NaN fails the comparison
-                bounded = np.all(peak <= _BLOWUP_LIMIT, axis=0)
-                bounded &= np.all(size[-1] <= _BLOWUP_LIMIT, axis=0)
-                self.blowup[start : start + width] = ~(bounded & self.frozen_bounded)
-            powed = _power(size, self.p)
-            _add_in_path_order(self.power[k0:k1], powed, work)
-            _merge_moments(self.mean[k0:k1], self.m2[k0:k1], powed, start)
+        size = np.abs(nodes, out=work.get("run", nodes.shape))
+        if self.paths is not None:
+            self.paths[start : start + width, self.active, k0:k1] = nodes.transpose(2, 1, 0)
+        peak = self.peak   # (active site, path in the block)
+        for node in size:
+            np.maximum(peak, node, out=peak)
+        if k1 == self.power.shape[0]:
+            # np.maximum carries NaN into peak, and NaN fails the comparison
+            bounded = np.all(peak <= _BLOWUP_LIMIT, axis=0)
+            self.blowup[start : start + width] = ~(bounded & self.frozen_bounded)
+        powed = _power(size, self.p)
+        _add_in_path_order(self.power[k0:k1], powed, work)
+        _merge_moments(self.mean[k0:k1], self.m2[k0:k1], powed, start)
 
     def sums(self) -> tuple:
         """The (node, site) ``power`` and ``m2`` sums over every site, the
@@ -687,12 +680,11 @@ class _Pair:
         n, rows = self.n, slice(1, k1 - k0 + 1)
         theirs = self.theirs.nodes[rows, : self.sums.shape[1]]
         diff = work.get("run", theirs.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(self.ours.nodes[rows, :n], theirs[:, :n], out=diff[:, :n])
-            if self.zeta is not None:
-                np.subtract(self.zeta, theirs[:, n:], out=diff[:, n:])
-            _abs_power(diff, self.theirs.p, out=diff)
-            _add_in_path_order(self.sums[k0:k1], diff, work)
+        np.subtract(self.ours.nodes[rows, :n], theirs[:, :n], out=diff[:, :n])
+        if self.zeta is not None:
+            np.subtract(self.zeta, theirs[:, n:], out=diff[:, n:])
+        _abs_power(diff, self.theirs.p, out=diff)
+        _add_in_path_order(self.sums[k0:k1], diff, work)
 
 
 def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: WeightedSeq, T, dt,
@@ -744,23 +736,25 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     chunk = _chunk_nodes(n_steps, len(levels), len(pairs))
     path_block, work = _block_paths(config.n_sites, n_steps, noise_refine), _Workspace()
 
-    for start in range(0, n_paths, path_block):
-        stop = min(start + path_block, n_paths)
-        # the streams continue unless this is their last block
-        noise = _noise_block(source, stop - start, order, n_steps, dt, noise_refine,
-                             stop < n_paths)
-        for level in levels:
-            level.start_block(stop - start, chunk)
-        for k0 in range(0, n_nodes, chunk):
-            k1 = min(k0 + chunk, n_nodes)
-            for level in levels:   # each run of nodes is reduced once it is stepped
-                level._step(noise, k0, k1, work)
-                level._reduce(start, k0, k1, work)
-            for pair in reduced.values():
-                pair.reduce(k0, k1, work)
-        for level in levels:
-            level.finish_block(start, work)
-        del noise   # freed before the next block is drawn
+    # paths that overflow or turn NaN are flagged by the blow-up test, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_paths, path_block):
+            stop = min(start + path_block, n_paths)
+            # the streams continue unless this is their last block
+            noise = _noise_block(source, stop - start, order, n_steps, dt, noise_refine,
+                                 stop < n_paths)
+            for level in levels:
+                level.start_block(stop - start, chunk)
+            for k0 in range(0, n_nodes, chunk):
+                k1 = min(k0 + chunk, n_nodes)
+                for level in levels:   # each run of nodes is reduced once it is stepped
+                    level._step(noise, k0, k1, work)
+                    level._reduce(start, k0, k1, work)
+                for pair in reduced.values():
+                    pair.reduce(k0, k1, work)
+            for level in levels:
+                level.finish_block(start, work)
+            del noise   # freed before the next block is drawn
 
     times = np.linspace(0.0, T, n_nodes)
     sums = [level.sums() for level in levels]

@@ -60,8 +60,13 @@ class WeightedSeq:
 
 
 def weighted_sum(radii: np.ndarray, a: float, values) -> float:
-    """Compensated sum of e^(-a |x|) v_x over sites with the given radii."""
-    return math.fsum((np.exp(-a * radii) * values).tolist())
+    """Compensated sum of e^(-a |x|) v_x over sites with the given radii, the
+    exact sum correctly rounded: inf where ``fsum`` overflows, as the
+    nonnegative terms every caller passes then sum past the float range."""
+    try:
+        return math.fsum((np.exp(-a * radii) * values).tolist())
+    except OverflowError:
+        return math.inf
 
 
 def bounded_sums(radii: np.ndarray, a: float, rows: np.ndarray):
@@ -73,8 +78,7 @@ def bounded_sums(radii: np.ndarray, a: float, rows: np.ndarray):
     row whose sum is 0 has [0, 0].  A row whose interval is not finite (an inf
     or NaN term, or a sum near the float maximum) is summed with
     :func:`weighted_sum` instead, lo = hi = its value, and so are all rows when
-    they hold at most _EXACT_TERMS terms in all.  ``fsum``'s OverflowError
-    propagates.  Callers overflow quietly under
+    they hold at most _EXACT_TERMS terms in all.  Callers overflow quietly under
     ``np.errstate(over="ignore", invalid="ignore")``.
     """
     if rows.size <= _EXACT_TERMS:

@@ -33,7 +33,11 @@ def small_sums(request, monkeypatch):
 
 
 def fsum_of(weights, row):
-    return math.fsum((weights * row).tolist())
+    """The fsum of the nonnegative terms, inf where it overflows (their exact sum rounded)."""
+    try:
+        return math.fsum((weights * row).tolist())
+    except OverflowError:
+        return math.inf
 
 
 def fsum_verdicts(config, values, alpha, beta, p):
@@ -74,10 +78,7 @@ def fsum_solve(Q, z0, T, tol, beta=0.0, n_nodes=33):
             power = Q.matvec(power)
             coeff = coeff * times / k
             total += np.outer(coeff, power)
-            try:
-                increment = coeff[-1] * fsum_of(np.exp(-beta * Q.config.radii), np.abs(power))
-            except OverflowError:
-                increment = math.inf
+            increment = coeff[-1] * fsum_of(np.exp(-beta * Q.config.radii), np.abs(power))
             increments.append(increment)
             if not math.isfinite(increment):
                 return f"Picard iterate {k} left the float range", k, increments
@@ -142,8 +143,11 @@ class TestBoundedSums:
             assert lo[0] == hi[0] == exact
 
     def test_overflowing_fsum_raises(self):
-        with np.errstate(over="ignore"), pytest.raises(OverflowError):
-            bounded_sums(np.zeros(2), 1.0, np.array([[1.7e308, 1.7e308]]))
+        row = np.array([1.7e308, 1.7e308])
+        assert fsum_of(np.ones(2), row) == weighted_sum(np.zeros(2), 1.0, row) == math.inf
+        with np.errstate(over="ignore"):
+            lo, hi = bounded_sums(np.zeros(2), 1.0, row[None])
+        assert lo[0] == hi[0] == math.inf
 
     def test_lossy_sum(self):
         # np.sum drops the tiny terms that meet 1.0 in its accumulator: an
@@ -174,12 +178,7 @@ class TestBoundedSums:
                          for _ in range(n_rows)]).reshape(n_rows, config.n_sites)
         exact_all = rows.size <= spaces._EXACT_TERMS
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                want = [weighted_sum(config.radii, a, row) for row in rows]
-            except OverflowError:
-                with pytest.raises(OverflowError):
-                    bounded_sums(config.radii, a, rows)
-                return
+            want = [weighted_sum(config.radii, a, row) for row in rows]
             lo, hi = bounded_sums(config.radii, a, rows)
         for low, high, exact in zip(lo.tolist(), hi.tolist(), want):
             if math.isnan(exact):
@@ -227,10 +226,9 @@ class TestMonotonicityVerdicts:
     def test_overflowing_sum_raises_like_fsum(self):
         cfg = lat.configuration_from_points([[0.0], [0.5]], rho=1.0)
         values = np.array([[1.7e308, 1.7e308]])
-        with pytest.raises(OverflowError):
-            fsum_verdicts(cfg, values, 0.5, 1.0, 1.0)
-        with pytest.raises(OverflowError):
-            verify_scale_monotonicity(cfg, values, 0.5, 1.0, 1.0)
+        want = fsum_verdicts(cfg, values, 0.5, 1.0, 1.0)
+        assert want == [True]   # both norms are inf, and inf <= inf + NORM_SLACK
+        assert verify_scale_monotonicity(cfg, values, 0.5, 1.0, 1.0).tolist() == want
 
     def test_random_verdicts_need_no_fsum(self, monkeypatch):
         cfg = lat.sample_configuration(2.0, 6.0, 2, 1.0, 102)
@@ -281,10 +279,9 @@ class TestMaxRatio:
 
     def test_overflowing_sum_raises_like_fsum(self, operator):
         values = np.full((3, operator.n_sites), 1.7e308)
-        with pytest.raises(OverflowError):
-            fsum_max_ratio(operator, values, 0.01, 1.5)
-        with pytest.raises(OverflowError):
-            _max_ratio(operator, values, 0.01, 1.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = fsum_max_ratio(operator, values, 0.01, 1.5)
+        assert _max_ratio(operator, values, 0.01, 1.5) == want
 
     def test_verify_sums_few_trials_exactly(self, monkeypatch):
         cfg = lat.sample_configuration(2.0, 8.0, 2, 1.0, 7)

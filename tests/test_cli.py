@@ -295,6 +295,26 @@ class TestExitCodes:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("zeta", ["2.5e38", "3e38"])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_overflowing_weighted_sums_are_inf(self, tmp_path, capsys, command, zeta):
+        # |zeta|^8 is finite, but its weighted sums over the sites pass the
+        # float maximum: every norm and the moment ceiling are inf
+        path = write_config(tmp_path, text=DEMO.read_text(), p="8.0", n_paths="1", zeta=zeta)
+        out = tmp_path / "o"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        if command == "simulate":
+            assert code == 0
+            summary = json.loads((out / "ensemble_summary.json").read_text())
+            assert {v for level in summary["levels"] for v in level["z_norms"].values()} == {"inf"}
+        else:
+            assert code == 1
+            report = json.loads((out / "verify_report.json").read_text())
+            checks = {c["name"]: c for c in report["checks"]}
+            assert checks["tail_bound"]["ok"] is False
+
     def test_zero_cauchy_distances_pass(self, tmp_path):
         # at report weight 1e12 every weighted distance underflows to 0.0
         path = write_config(tmp_path, text=DEMO.read_text(), a_high="1e12", alphas="1e12")
@@ -328,6 +348,22 @@ class TestExitCodes:
         assert "left the float range" in checks["comparison"]["error"]
         assert "cauchy" in checks and "tail_bound" in checks
         assert code == 1 == (0 if all(c["ok"] for c in report["checks"]) else 1)
+
+    def test_verify_reports_comparison_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # the solve inside comparison_check fails after verify's own solve converged
+        def diverged(*args, **kwargs):
+            raise RuntimeError("Picard iterate 1 left the float range")
+
+        monkeypatch.setattr(lat.ovsjannikov, "solve_linear_evolution", diverged)
+        out = tmp_path / "o"
+        code = main(["verify", "--config", str(DEMO), "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "verify_report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        assert not checks["comparison"]["ok"]
+        assert "left the float range" in checks["comparison"]["error"]
+        assert "cauchy" in checks and "tail_bound" in checks
+        assert code == 1
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_oversized_ensemble_refused(self, tmp_path, capsys, command):

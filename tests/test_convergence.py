@@ -531,9 +531,9 @@ class TestFrozenRows:
     @pytest.mark.parametrize("path_block", [3, None])
     def test_blowup_flags_match_the_kept_paths(self, decoupled_setup, monkeypatch, path_block,
                                                chunk, noise_refine):
-        # the flags are read off the running max, which skips the terminal
-        # node, and the terminal node: a drift kicks chosen paths of site 0
-        # out of range at chosen nodes, some of them only for one node
+        # the flags are read off the running max over every node of a run,
+        # the terminal node too: a drift kicks chosen paths of site 0 out of
+        # range at chosen nodes, some of them only for one node
         config, model, zeta = decoupled_setup
         n, n_steps, n_paths, dt = config.n_sites, 50, 8, 1 / 64   # kicks scale exactly
         if path_block is not None:

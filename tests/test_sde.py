@@ -550,6 +550,9 @@ class TestSimulation:
         zeta = lat.WeightedSeq(single_site_config, np.zeros(1))
         with pytest.raises(ValueError):
             lat.simulate_truncated(model, single_site_config, [0], zeta, 1.0, 0.3, 1, 0)
+        # 3 steps of 7e-10 cover 2.1e-9: the tolerance is relative to a tiny T too
+        with pytest.raises(ValueError):
+            lat.simulate_truncated(model, single_site_config, [0], zeta, 2e-9, 7e-10, 1, 0)
 
     def test_explicit_cubic_blowup_flagged(self, single_site_config):
         model = lat.make_model("cubic", 0.0, p=4.0, sigma0=0.0)
