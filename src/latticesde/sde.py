@@ -52,6 +52,7 @@ _BLOWUP_LIMIT = 1e75
 _DRAW_CAP = 1 << 25   # raw draws per noise block, ~256 MB
 _PATH_BLOCK = 4096    # paths per noise block, unless _DRAW_CAP binds first
 _GATHER_CAP = 1 << 16  # doubles of band neighbors gathered at a time, 512 kB
+_RUN_BYTES = 1 << 21  # run arrays that a run of nodes fills at least, 2 MiB
 _NOISE_GROUP = 1 << 16  # fine draws per group of sites drawn into one buffer, 512 kB
 SCHEMES = ("explicit", "tamed")
 
@@ -384,24 +385,31 @@ def _block_paths(n_sites, n_steps, noise_refine) -> int:
     return _PATH_BLOCK
 
 
-def _chunk_nodes(n_steps, n_sets, n_pairs) -> int:
+def _chunk_nodes(n_steps, n_sets, n_pairs, plane) -> int:
     """Nodes per run of steps that the truncations step before they meet.
 
     A run takes n_sets + 4 (site, path) arrays per node, fewer where the
     sets leave sites frozen: each truncation's states, the path-order rows
-    of the reductions and three temporaries.  The runs are as long as if
+    of the reductions and three temporaries; ``plane`` is one such array's
+    size, every site of the configuration times the paths of a block.  A
+    run's reductions cost a fixed number of numpy calls per level and pair,
+    however few nodes it has, so a run is at least as long as fills
+    ``_RUN_BYTES`` with these arrays.  Past that, the runs are as long as if
     each truncation and each pair held rows of its own, 2 n_sets + n_pairs
     + 3 arrays per node: a run of at most n_steps / twice that many nodes
     then holds at most half as many doubles as a noise block over every
-    site.  Longer runs would spend the memory that sharing the rows saves.
+    site.  No run is longer than all n_steps + 1 nodes.
     """
-    return max(1, n_steps // (2 * (2 * n_sets + n_pairs + 3)))
+    floor = _RUN_BYTES // (8 * (n_sets + 4) * max(1, plane))
+    return min(n_steps + 1, max(1, floor, n_steps // (2 * (2 * n_sets + n_pairs + 3))))
 
 
 def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine=1,
                      cauchy=True, keep_paths=False) -> int:
     """An upper bound on the bytes :func:`simulate_levels` allocates for its arrays.
 
+    A run's nodes are those of :func:`_chunk_nodes`, for a block over every
+    site: at least ``_RUN_BYTES`` of run arrays, and at most every node.
     Per truncation (``n_sets`` of them): a block's run buffer (a run's
     nodes and one more row), spread and running max, its band
     (``max_degree`` slots and weights per site), a few per-site vectors,
@@ -422,7 +430,7 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     n_pairs = max(2 * n_sets - 3, 0) if cauchy else 0   # len(cauchy_pairs(n_sets)), not listed
     block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
     n_nodes = n_steps + 1
-    chunk = min(n_nodes, _chunk_nodes(n_steps, n_sets, n_pairs))
+    chunk = _chunk_nodes(n_steps, n_sets, n_pairs, n_sites * block)
     level = n_sites * (block * (chunk + 3) + 3 * max_degree + 8 + 3 * n_nodes) + n_paths
     per_gather = min(n_sites, max(1, _GATHER_CAP // max(1, max_degree * block)))
     steps = max(1, n_sets) * (7 * n_sites * block + per_gather * max_degree * block)
@@ -733,8 +741,9 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     pairs = cauchy_pairs(len(levels)) if cauchy else []
     smallest = {m: min(n for n, large in pairs if large == m) for _, m in pairs}
     reduced = {(n, m): _Pair(levels[n], levels[m], n_nodes, n == smallest[m]) for n, m in pairs}
-    chunk = _chunk_nodes(n_steps, len(levels), len(pairs))
     path_block, work = _block_paths(config.n_sites, n_steps, noise_refine), _Workspace()
+    chunk = _chunk_nodes(n_steps, len(levels), len(pairs),
+                         config.n_sites * min(n_paths, path_block))
 
     # paths that overflow or turn NaN are flagged by the blow-up test, not warned of
     with np.errstate(over="ignore", invalid="ignore"):

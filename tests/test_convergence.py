@@ -527,13 +527,15 @@ class TestFrozenRows:
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("noise_refine", [1, 3])
-    @pytest.mark.parametrize("chunk", [1, None])
+    @pytest.mark.parametrize("chunk", [1, 4, None])
     @pytest.mark.parametrize("path_block", [3, None])
     def test_blowup_flags_match_the_kept_paths(self, decoupled_setup, monkeypatch, path_block,
                                                chunk, noise_refine):
         # the flags are read off the running max over every node of a run,
         # the terminal node too: a drift kicks chosen paths of site 0 out of
-        # range at chosen nodes, some of them only for one node
+        # range at chosen nodes, some of them only for one node; runs of 1
+        # and 4 nodes leave path 5 out for one node, while the default rule
+        # makes one run of all 51 nodes here, where path 5 is out from node 1
         config, model, zeta = decoupled_setup
         n, n_steps, n_paths, dt = config.n_sites, 50, 8, 1 / 64   # kicks scale exactly
         if path_block is not None:
@@ -541,7 +543,7 @@ class TestFrozenRows:
         if chunk is not None:
             monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
         width = sde._block_paths(n, n_steps, noise_refine)
-        run = sde._chunk_nodes(n_steps, 2, 1)
+        run = sde._chunk_nodes(n_steps, 2, 1, n * min(n_paths, width))
         last = n_steps // run * run   # the first node of the last run
         kicks = [   # (path, node, kick)
             (1, n_steps, 1e80),                        # out of range at the terminal node only

@@ -62,6 +62,17 @@ def site_stream(seed, site, n_paths, n_fine):
     return np.random.Generator(np.random.Philox(key=key)).standard_normal((n_paths, n_fine))
 
 
+def run_nodes(n_sites, n_paths, n_steps, n_sets, n_pairs, noise_refine=1):
+    """The nodes per run of :func:`simulate_levels`, from its first path block's width."""
+    block = min(n_paths, sde._block_paths(n_sites, n_steps, noise_refine))
+    return sde._chunk_nodes(n_steps, n_sets, n_pairs, n_sites * block)
+
+
+def short_run_nodes(n_steps, n_sets, n_pairs):
+    """The run length without the byte floor: n_steps / twice the arrays per node."""
+    return max(1, n_steps // (2 * (2 * n_sets + n_pairs + 3)))
+
+
 @pytest.fixture(scope="module")
 def pair_config():
     return lat.configuration_from_points([[0.0], [0.5]], rho=1.0)
@@ -459,6 +470,26 @@ class TestSimulation:
         big = simulation_bytes(n, degree, 2, 10**9, steps)
         assert big - simulation_bytes(n, degree, 2, 10**8, steps) == 8 * 2 * 9 * 10**8
 
+    @pytest.mark.parametrize("shape, cauchy_runs, plain_runs", [
+        ((51, 500, 100, 4), 3, 4),   # levels1d: the floor is below the short runs
+        ((2064, 32, 50, 3), 2, 2),   # window2d: the floor is 0 nodes
+        ((14, 400, 50, 3), None, None),   # demo: the floor binds
+    ])
+    def test_run_length_per_shape(self, shape, cauchy_runs, plain_runs):
+        # (sites, paths, steps, levels) of the bench workloads: the byte floor
+        # lengthens only the runs of small planes, where the reductions' fixed
+        # numpy calls per run cost most
+        n_sites, n_paths, steps, n_sets = shape
+        n_pairs = len(sde.cauchy_pairs(n_sets))
+        runs = [run_nodes(n_sites, n_paths, steps, n_sets, k) for k in (n_pairs, 0)]
+        if cauchy_runs is None:
+            assert [short_run_nodes(steps, n_sets, k) for k in (n_pairs, 0)] == [2, 2]
+            assert min(runs) >= 5
+        else:
+            assert runs == [cauchy_runs, plain_runs]
+            assert runs == [short_run_nodes(steps, n_sets, k) for k in (n_pairs, 0)]
+        assert max(runs) <= steps + 1
+
     @pytest.mark.parametrize("noise_refine", [1, 2])
     @pytest.mark.parametrize("keep_paths", [False, True])
     def test_simulation_bytes_bounds_traced_peak(self, poisson_1d, keep_paths, noise_refine):
@@ -467,6 +498,10 @@ class TestSimulation:
         zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
         levels = lat.exhaustion_sequence(poisson_1d, 3)
         n_paths, steps = 300, 40
+        # the byte floor, not n_steps, sets the runs here, so the estimate
+        # must cover runs longer than the short rule's
+        assert (run_nodes(poisson_1d.n_sites, n_paths, steps, 3, 3, noise_refine)
+                > short_run_nodes(steps, 3, 3))
         tracemalloc.start()
         try:
             simulate_levels(model, poisson_1d, levels, zeta, steps * 0.01, 0.01, n_paths, 3,

@@ -20,7 +20,9 @@ BLAS thread.  The script compares the trees, the exit codes and stderr, lists
 each difference (for a CSV or text table, with the largest relative
 difference of its numeric fields), and exits 1 on any difference, else 0.
 Simulated bytes are reproducible only on one host and BLAS kernel, so both
-sides must run on the same machine.  Standard library only.
+sides must run on the same machine, and before its verdict the script prints
+the numpy version, BLAS library and OpenBLAS core it ran under.  Standard
+library only, apart from the child process that reads that line from numpy.
 """
 
 from __future__ import annotations
@@ -156,6 +158,35 @@ def compare_trees(old, new):
     return lines, len(files[old] | files[new])
 
 
+BLAS_PROBE = """
+import ctypes
+import numpy as np
+
+blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+core = "unknown"
+try:
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+except (AttributeError, OSError):
+    lib = None
+for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):   # wheel, system
+    corename = getattr(lib, name, None)
+    if corename is not None:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+        break
+print(f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, core {core}")
+"""
+
+
+def blas_line() -> str:
+    """The numpy version, BLAS library and OpenBLAS core of a child run with ``THREAD_ENV``."""
+    probe = subprocess.run([sys.executable, "-c", BLAS_PROBE], env={**os.environ, **THREAD_ENV},
+                           capture_output=True, text=True)
+    if probe.returncode:
+        return f"BLAS unknown: {(probe.stderr.strip().splitlines() or ['no output'])[-1]}"
+    return probe.stdout.strip()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", help="a src directory or a git revision")
@@ -183,6 +214,7 @@ def main(argv=None) -> int:
         differences += lines
     for line in differences:
         print(line)
+    print(blas_line())
     verdict = "differ" if differences else "identical"
     print(f"{len(configs)} cases x {len(SUBCOMMANDS)} subcommands, {n_files} files: {verdict} "
           f"({args.old} against {args.new})")
