@@ -13,7 +13,6 @@ they are never treated as tight targets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,23 +55,14 @@ class MomentField:
 def moment_field(ensemble: PathEnsemble) -> MomentField:
     """Sitewise sup over the grid of the sample p-th absolute moment.
 
-    Reads the ensemble's ``power`` and ``m2`` path sums, reduced while it
-    was simulated at the model's moment order p.  Standard errors come from
+    Reads the ensemble's ``moment`` and ``stderr``, reduced while it was
+    simulated at the model's moment order p: the standard errors come from
     the sample variance of |xi|^p at the maximizing grid node.  Ensembles
     with blow-up flags are rejected: their moments are meaningless.
     """
     if ensemble.has_blowup:
         raise ValueError("ensemble contains blown-up paths; moments are unusable")
-    n = ensemble.n_paths
-    means = ensemble.power / n                   # (nodes, sites)
-    argmax = means.argmax(axis=0)
-    sites = np.arange(ensemble.config.n_sites)
-    per_site = means[argmax, sites]
-    if n > 1:
-        stderr = np.sqrt(ensemble.m2[argmax, sites] / (n - 1)) / math.sqrt(n)
-    else:
-        stderr = np.zeros(ensemble.config.n_sites)
-    return MomentField(ensemble.config, float(ensemble.p), per_site, stderr)
+    return MomentField(ensemble.config, float(ensemble.p), ensemble.moment, ensemble.stderr)
 
 
 def z_norm(field: MomentField, alpha: float) -> float:
@@ -193,9 +183,9 @@ def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
     """Pairwise level distances against the weighted tail dominator.
 
     For each pair (n, m) of :func:`cauchy_pairs` the distance is the weighted
-    sum of the sitewise sup-over-time sample E|xi^n - xi^m|^p, read from the
-    sums reduced from the coupled trajectories while they were stepped
-    (identical levels therefore give exactly zero).
+    sum of the sitewise sup-over-time sample E|xi^n - xi^m|^p, read from
+    level n's ``diffs``, reduced from the coupled trajectories while they
+    were stepped (identical levels therefore give exactly zero).
     The dominator charges only the sites thawed between the two levels:
     2^p K(mid, alpha) sum_{tail} e^(-mid |x|) * (max-over-level moment), with
     mid the midpoint weight between a_low and alpha.  ``fields`` are the
@@ -233,8 +223,7 @@ def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
                 f"levels {n_idx} and {m_idx} were not reduced together; "
                 "simulate them with sde.simulate_levels(..., cauchy=True)"
             )
-        pair_sup = (diffs[m_idx] / ensembles[n_idx].n_paths).max(axis=0)
-        dist = weighted_sum(config.radii, alpha, pair_sup)
+        dist = weighted_sum(config.radii, alpha, diffs[m_idx])
         tail = np.setdiff1d(ensembles[m_idx].active, ensembles[n_idx].active,
                             assume_unique=True)
         tail_sum = weighted_sum(config.radii[tail], alpha_mid, moment_sup[tail])

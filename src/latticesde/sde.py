@@ -271,22 +271,22 @@ def _noise_block(source, width, sites, n_steps, dt, refine=1, carry=True) -> np.
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Monte Carlo trajectories of one truncated system, and the path sums
-    reduced from them while they were stepped.
+    """Monte Carlo trajectories of one truncated system, and the per-site
+    moments reduced from them while they were stepped.
 
     ``paths[path, site, node]`` covers every site, with rows of frozen sites
     bitwise constant at their initial value; it is None unless the paths
     were kept.  ``blowup`` flags paths that left the representable range
     (possible under the explicit scheme with a superlinear potential).
 
-    ``power`` and each ``diffs`` entry are indexed (node, site) and sum over
-    the paths in path order, so they are bitwise the sums of one reduction
-    over a stored path tensor.  ``m2`` sums the squared deviations of
-    |xi|^p from its sample mean, merged across path blocks as in Chan, Golub
-    & LeVeque (1983).  ``diffs`` is keyed by the position of the larger
-    level in the sequence.  The columns of frozen sites were settled once
-    per path block, not node by node, with the same bytes; a ``diffs``
-    column is 0 where both truncations freeze the site.
+    The rest is per site.  ``moment`` is the sup over the nodes of the
+    sample mean of |xi|^p, summed over the paths in path order (bitwise one
+    reduction over a stored path tensor).  ``stderr`` is the standard error
+    of that mean at the node where it peaks, from squared deviations merged
+    across path blocks as in Chan, Golub & LeVeque (1983).  ``diffs`` maps
+    the position m of a larger level in the sequence to the sup over the
+    nodes of the sample mean of |xi - xi^m|^p, 0 where both levels freeze
+    the site.
     """
 
     config: Configuration
@@ -299,13 +299,9 @@ class PathEnsemble:
     noise_refine: int
     blowup: np.ndarray
     p: float                # the moment order of the sums
-    power: np.ndarray       # (node, site) sums of |xi|^p
-    m2: np.ndarray          # (node, site) squared deviations of |xi|^p
-    diffs: dict             # m -> (node, site) sums of |xi - xi^m|^p
-
-    @property
-    def n_paths(self) -> int:
-        return self.blowup.size
+    moment: np.ndarray      # per site: sup over the nodes of the mean of |xi|^p
+    stderr: np.ndarray      # per site: standard error of that mean at its peak
+    diffs: dict             # m -> per site: sup over the nodes of the mean of |xi - xi^m|^p
 
     @property
     def has_blowup(self) -> bool:
@@ -420,7 +416,9 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     (``_GATHER_CAP`` doubles, or one row).  Once: a run's path-order rows
     (one more than the block has paths) and three run temporaries, one of
     which takes each Cauchy pair's differences in turn.  Per pair (with
-    ``cauchy``): one (node, site) sum.  One step-major noise block
+    ``cauchy``): one (node, site) sum, reduced to a per-site sup once the
+    levels have reduced theirs in place and released them; the ensembles
+    keep only such per-site vectors.  One step-major noise block
     over every site, and a group of sites' fine draws for the block
     (``_NOISE_GROUP`` doubles, or one site) with, for ``noise_refine > 1``,
     their sums over each step.  The path tensors count only when they are
@@ -539,10 +537,9 @@ class _Level:
     and each node is stepped straight from the row above it.  The tail rows
     hold zeta at the frozen sites of the band, written once per block, and
     ``slots`` index these rows.  The sums cover only the active sites; a
-    frozen site's are settled once per path block and spread over the nodes
-    when the ensemble is built.  The band is range-checked once, before it
-    is remapped (the active sites are in range by construction), so the
-    step gathers with ``mode="clip"``, which skips numpy's checking copy.
+    frozen site's are settled once per path block, the same at every node.
+    The band is range-checked once, before it is remapped (the active sites
+    are in range by construction), so the step gathers with ``mode="clip"``, which skips numpy's checking copy.
     """
 
     def __init__(self, model, tamed, dt, config, zeta_values, active, n_paths, n_nodes,
@@ -655,18 +652,18 @@ class _Level:
         _add_in_path_order(self.power[k0:k1], powed, work)
         _merge_moments(self.mean[k0:k1], self.m2[k0:k1], powed, start)
 
-    def sums(self) -> tuple:
-        """The (node, site) ``power`` and ``m2`` sums over every site, the
-        frozen ones spread over the nodes.  The level's own sums are
-        released, so each sum is held once."""
-        n_nodes, n_sites = self.power.shape[0], self.zeta.size
-        power, m2 = np.empty((n_nodes, n_sites)), np.empty((n_nodes, n_sites))
-        for full, ours, settled in ((power, self.power, self.settled[0]),
-                                    (m2, self.m2, self.settled[2])):
-            full[:, self.active] = ours
-            full[:, self.frozen] = settled
+    def moments(self) -> tuple:
+        """``moment`` and ``stderr`` of :class:`PathEnsemble` over every site; a
+        frozen site's mean is the same at every node, so it peaks at node 0
+        with its settled sums.  The level's own sums are released."""
+        n, cols = self.blowup.size, np.arange(self.active.size)
+        means = np.divide(self.power, n, out=self.power)
+        peak = means.argmax(axis=0)
+        moment, m2 = np.empty(self.zeta.size), np.empty(self.zeta.size)
+        moment[self.active], m2[self.active] = means[peak, cols], self.m2[peak, cols]
+        moment[self.frozen], m2[self.frozen] = self.settled[0] / n, self.settled[2]
         self.power = self.mean = self.m2 = None
-        return power, m2
+        return moment, np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros_like(m2)
 
 
 class _Pair:
@@ -674,7 +671,7 @@ class _Pair:
 
     Level n's sites are the first n_n rows of both run buffers.  With
     ``thawed`` (for m's smallest partner) the pair also covers m's other
-    sites, where level n holds zeta; m's other pairs copy those columns
+    sites, where level n holds zeta; m's other pairs copy those sites' sups
     when the ensembles are built.  A site both levels freeze is skipped.
     """
 
@@ -707,10 +704,11 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     from the previous block, in nested-prefix order (level 0's sites, then
     those each next level adds), so every level steps from the first rows
     of that block.  States are reduced while stepping into per (node, site)
-    sums (see :class:`PathEnsemble`) at the model's moment order: |xi|^p
-    for every level and, with ``cauchy``, |xi^n - xi^m|^p for each pair
-    (n, m) of :func:`cauchy_pairs`, one reduction per pair (see
-    :class:`_Pair`).  The levels step in lockstep, meeting after every
+    sums at the model's moment order: |xi|^p for every level and, with
+    ``cauchy``, |xi^n - xi^m|^p for each pair (n, m) of
+    :func:`cauchy_pairs`, one reduction per pair (see :class:`_Pair`); then
+    each is reduced over the nodes to the per-site sups of
+    :class:`PathEnsemble`.  The levels step in lockstep, meeting after every
     short run of nodes.  Only active sites are stepped, stored and reduced
     node by node; frozen sites are settled once per path block.  Each site
     stream's generator state is kept for the next block, except after the
@@ -764,14 +762,15 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
             for level in levels:
                 level.finish_block(start, work)
             del noise   # freed before the next block is drawn
+        moments = [level.moments() for level in levels]
+        sups = {key: np.divide(pair.sums, n_paths, out=pair.sums).max(axis=0)
+                for key, pair in reduced.items()}
 
-    times = np.linspace(0.0, T, n_nodes)
-    sums = [level.sums() for level in levels]
-    diffs = [{} for _ in levels]
-    for (n, m), pair in reduced.items():   # once the levels' own sums are released
-        full, sites, size = np.zeros((n_nodes, config.n_sites)), levels[m].active, pair.n
-        full[:, sites[:size]] = pair.sums[:, :size]
-        full[:, sites[size:]] = reduced[smallest[m], m].sums[:, size:]
+    times, diffs = np.linspace(0.0, T, n_nodes), [{} for _ in levels]
+    for (n, m), sup in sups.items():
+        full, sites, size = np.zeros(config.n_sites), levels[m].active, levels[n].active.size
+        full[sites[:size]] = sup[:size]
+        full[sites[size:]] = sups[smallest[m], m][size:]
         diffs[n][m] = full
     return [
         PathEnsemble(
@@ -785,11 +784,11 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
             noise_refine=int(noise_refine),
             blowup=level.blowup,
             p=level.p,
-            power=power,
-            m2=m2,
+            moment=moment,
+            stderr=stderr,
             diffs=level_diffs,
         )
-        for level, (power, m2), level_diffs in zip(levels, sums, diffs)
+        for level, (moment, stderr), level_diffs in zip(levels, moments, diffs)
     ]
 
 

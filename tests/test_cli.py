@@ -499,11 +499,11 @@ class TestSimulate:
         )
         values[0, 0, :3] = [0.0, -0.0, 5e-324]
         times = np.linspace(0.0, 0.05, nodes)
-        sums = np.zeros((nodes, n_sites))
+        per_site = np.zeros(n_sites)
         ens = lat.PathEnsemble(poisson_1d, np.arange(n_sites), times, values, seed=1,
                                scheme="tamed", dt=0.01, noise_refine=1,
-                               blowup=np.zeros(3, dtype=bool), p=2.0, power=sums, m2=sums,
-                               diffs={})
+                               blowup=np.zeros(3, dtype=bool), p=2.0, moment=per_site,
+                               stderr=per_site, diffs={})
         _write_paths_csv(ens, tmp_path / "paths.csv")
         with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
             fh.write("path,site,t,value\n")

@@ -38,20 +38,43 @@ def reference_pair_sup(a, b, p):
 def reference_sums(paths, p, block):
     """power and m2 from a stored path tensor (path, site, node), reduced at
     every site and node, as (node, site): |xi|^p summed in path order, and
-    its squared deviations merged over blocks of ``block`` paths."""
+    its squared deviations merged over blocks of ``block`` paths (Chan,
+    Golub & LeVeque), each block's summed pairwise as np.std sums them."""
     powed = sde._abs_power(paths, p, np.empty_like(paths))
     power = powed.sum(axis=0).T
     values = powed.transpose(2, 1, 0)            # (node, site, path)
-    mean, m2 = np.empty(power.shape), np.empty(power.shape)
     for start in range(0, paths.shape[0], block):
-        sde._merge_moments(mean, m2, values[..., start : start + block].copy(), start)
+        part = values[..., start : start + block].copy()
+        width, count = part.shape[-1], start + part.shape[-1]
+        part_mean = part.sum(axis=-1) / width
+        part_m2 = ((part - part_mean[..., None]) ** 2).sum(axis=-1)
+        if not start:
+            mean, m2 = part_mean, part_m2
+        else:
+            delta = part_mean - mean
+            mean = mean + delta * (width / count)
+            m2 = m2 + (part_m2 + delta * delta * (start * width / count))
     return power, m2
 
 
+def reference_moments(paths, p, block):
+    """``moment`` and ``stderr`` from a stored path tensor: per site, the
+    largest mean over the nodes of :func:`reference_sums`, the standard
+    error at that node, and the node itself."""
+    power, m2 = reference_sums(paths, p, block)
+    n, sites = paths.shape[0], np.arange(paths.shape[1])
+    means = power / n
+    peak = means.argmax(axis=0)
+    stderr = np.sqrt(m2[peak, sites] / (n - 1)) / math.sqrt(n)
+    return means[peak, sites], stderr, peak
+
+
 def reference_diffs(a, b, p):
-    """(node, site) path-order sums of |xi^a - xi^b|^p from two stored path tensors."""
+    """Per site, the sup over the nodes of the path-order mean of |xi^a - xi^b|^p,
+    from two stored path tensors, and the nodes where it peaks."""
     diff = a - b
-    return sde._abs_power(diff, p, out=diff).sum(axis=0).T
+    means = sde._abs_power(diff, p, out=diff).sum(axis=0).T / a.shape[0]
+    return means.max(axis=0), means.argmax(axis=0)
 
 
 def assert_reductions_match_paths(ensembles, levels, model, one_block):
@@ -456,11 +479,11 @@ class TestPrefixOrder:
                 lone = lat.simulate_truncated(model, config, level, zeta, 0.1, 0.01, n_paths, 29)
                 assert ens.paths.tobytes() == lone.paths.tobytes()
                 assert ens.blowup.tobytes() == lone.blowup.tobytes()
-                power, m2 = reference_sums(ens.paths, model.p, path_block or n_paths)
-                assert ens.power.tobytes() == power.tobytes()
-                assert ens.m2.tobytes() == m2.tobytes()
+                moment, stderr, _ = reference_moments(ens.paths, model.p, path_block or n_paths)
+                assert ens.moment.tobytes() == moment.tobytes()
+                assert ens.stderr.tobytes() == stderr.tobytes()
         for small, large in cauchy_pairs(len(levels)):
-            want = reference_diffs(ensembles[small].paths, ensembles[large].paths, model.p)
+            want, _ = reference_diffs(ensembles[small].paths, ensembles[large].paths, model.p)
             assert ensembles[small].diffs[large].tobytes() == want.tobytes()
 
 
@@ -490,17 +513,22 @@ class TestFrozenRows:
                                     noise_refine=noise_refine, keep_paths=True)
         for active, ens in zip(sets, ensembles):
             assert np.array_equal(ens.active, active)
-            power, m2 = reference_sums(ens.paths, model.p, path_block or n_paths)
-            assert ens.power.tobytes() == power.tobytes()
-            assert ens.m2.tobytes() == m2.tobytes()
+            moment, stderr, peak = reference_moments(ens.paths, model.p, path_block or n_paths)
+            assert ens.moment.tobytes() == moment.tobytes()
+            assert ens.stderr.tobytes() == stderr.tobytes()
             frozen = np.setdiff1d(np.arange(n), active)
             assert np.all(ens.paths[:, frozen] == zeta.values[frozen, None])
             assert not ens.has_blowup
+        # the whole level's means peak at several nodes, so a sup or a
+        # standard error read at the wrong node shows
+        assert np.unique(peak).size > 2
         for small, large in cauchy_pairs(len(sets)):
-            want = reference_diffs(ensembles[small].paths, ensembles[large].paths, model.p)
+            want, peak = reference_diffs(ensembles[small].paths, ensembles[large].paths, model.p)
             assert ensembles[small].diffs[large].tobytes() == want.tobytes()
+            if (small, large) == (0, 4):
+                assert np.unique(peak).size > 1
         # site n - 1 is frozen in both levels of the first pair
-        assert np.all(ensembles[0].diffs[1][:, n - 1] == 0.0)
+        assert ensembles[0].diffs[1][n - 1] == 0.0
         assert np.any(ensembles[0].diffs[1] > 0.0)
         # identical levels are coupled to identical paths
         assert not np.any(ensembles[1].diffs[2])
@@ -522,8 +550,8 @@ class TestFrozenRows:
                                         noise_refine=noise_refine, keep_paths=True)
             assert [bool(e.blowup.all()) for e in ensembles] == [flagged, flagged]
             assert [bool(e.blowup.any()) for e in ensembles] == [flagged, flagged]
-            for got, want in zip((ensembles[0].power, ensembles[0].m2),
-                                 reference_sums(ensembles[0].paths, model.p, 3)):
+            for got, want in zip((ensembles[0].moment, ensembles[0].stderr),
+                                 reference_moments(ensembles[0].paths, model.p, 3)):
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("noise_refine", [1, 3])

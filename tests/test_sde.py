@@ -368,7 +368,32 @@ class TestSimulation:
         zeta = lat.WeightedSeq(poisson_1d, np.ones(poisson_1d.n_sites))
         empty, first = simulate_levels(model, poisson_1d, [[], [0, 1]], zeta, 0.02, 0.01, 2, 0)
         assert empty.active.size == 0 and first.active.tolist() == [0, 1]
-        assert np.all(empty.power == 2.0)   # two paths of |1|^2 at every site
+        # two paths of |1|^2 at every site: a mean of 1, without deviations
+        assert np.all(empty.moment == 1.0) and np.all(empty.stderr == 0.0)
+
+    def test_ensembles_hold_only_per_site_values(self):
+        # ten identical full levels of 51 sites over 401 nodes: their sums
+        # and those of their 17 pairs are (node, site) while they are stepped,
+        # and what the returned ensembles hold stays per site
+        config = lat.configuration_from_points(0.5 * np.arange(51.0)[:, None], rho=1.0)
+        model = lat.make_model("linear", 1.0, kernel_cap=0.1, rho=1.0, sigma0=0.3, p=2.0)
+        zeta = lat.WeightedSeq(config, np.ones(config.n_sites))
+        levels = [np.arange(config.n_sites)] * 10
+        vectors = len(levels) + len(sde.cauchy_pairs(len(levels)))
+        # a short run first, so that the modules numpy imports lazily are not counted
+        simulate_levels(model, config, levels[:2], zeta, 0.002, 0.001, 1, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ensembles = simulate_levels(model, config, levels, zeta, 0.4, 0.001, 1, 3)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ensembles) == 10 and ensembles[0].times.size == 401
+        # per level its moments, standard errors and sorted sites, per pair
+        # its sups, and the node times: within 8 doubles per vector and site,
+        # where a (node, site) array per level and pair takes 401
+        assert held <= 8 * 8 * vectors * config.n_sites, held
 
     @pytest.mark.parametrize("seed, error", [
         # masked to 64 bits, 2**64 + 8 would draw seed 8's noise and -1 that of 2**64 - 1
@@ -415,7 +440,7 @@ class TestSimulation:
         for ours, want in zip(new, old):
             assert ours.paths.tobytes() == want.paths.tobytes()
             assert ours.blowup.tobytes() == want.blowup.tobytes()
-            for name in ("power", "m2"):
+            for name in ("moment", "stderr"):
                 assert getattr(ours, name).tobytes() == getattr(want, name).tobytes()
             assert ours.diffs.keys() == want.diffs.keys()
             for m in want.diffs:
@@ -717,7 +742,8 @@ class TestNoiseLayout:
         assert np.concatenate(drawn, axis=2).tobytes() == one_block.tobytes()
         for a, b in zip(whole, split):
             assert a.paths.tobytes() == b.paths.tobytes()
-            assert a.power.tobytes() == b.power.tobytes()
+            # the standard errors are merged across blocks, so only the sums are bitwise
+            assert a.moment.tobytes() == b.moment.tobytes()
 
     @pytest.mark.parametrize("n_steps", [1, 3])
     @pytest.mark.parametrize("refine", [1, 2])
@@ -807,10 +833,12 @@ class TestOuOracle:
         model = lat.make_model("linear", lam, sigma0=sigma, p=2.0)
         start = lat.WeightedSeq(single_site_config, np.full(1, zeta))
         (ens,) = simulate_levels(model, single_site_config, [[0]], start, T, T / n_steps,
-                                 n_paths, seed, scheme="explicit", cauchy=False)
-        se = math.sqrt(ens.m2[-1, 0] / (n_paths - 1) / n_paths)
+                                 n_paths, seed, scheme="explicit", cauchy=False, keep_paths=True)
+        # the terminal node, which the sup over the nodes misses when the moment decreases
+        terminal = ens.paths[:, 0, -1] ** 2
+        se = terminal.std(ddof=1) / math.sqrt(n_paths)
         _, second = oracles.ou_moment_oracle(lam, sigma, zeta, T)
-        assert abs(ens.power[-1, 0] / n_paths - second) <= 4.0 * se
+        assert abs(terminal.mean() - second) <= 4.0 * se
 
     def test_monte_carlo_match(self, single_site_config, ou_ensemble):
         terminal = ou_ensemble.paths[:, 0, -1] ** 2
