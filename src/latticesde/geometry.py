@@ -20,6 +20,7 @@ from ._table import read_table, write_table
 
 __all__ = [
     "Configuration",
+    "band_sum",
     "check_sampling_args",
     "configuration_bytes",
     "sample_configuration",
@@ -71,6 +72,25 @@ class Configuration:
     def row(self, x: int) -> slice:
         """Band positions of site x: its neighbors are ``indices[row(x)]``."""
         return slice(int(self.indptr[x]), int(self.indptr[x + 1]))
+
+
+def band_sum(x, columns, out, part) -> np.ndarray:
+    """Sum band rows of ``x`` into ``out``, one band column at a time.
+
+    ``columns`` lists per band column j the pair ``(rows, weights)``: row i of
+    ``out`` gets ``x[rows[i]]``, times ``weights[i]`` unless ``weights`` is
+    None, for i below ``rows.size``.  ``out`` starts at 0.0 and each column
+    is added in list order with elementwise ufuncs, so every entry of
+    ``out`` is summed in band order whatever ``x``'s trailing shape.
+    ``part`` is scratch of ``out``'s shape; the rows must lie in range.
+    """
+    out.fill(0.0)
+    for rows, weights in columns:
+        products = x.take(rows, axis=0, out=part[: rows.size], mode="clip")
+        if weights is not None:
+            np.multiply(weights, products, out=products)
+        out[: rows.size] += products
+    return out
 
 
 def _check_finite(name, value):

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from ._table import read_table, write_table
-from .geometry import Configuration, estimate_growth_constant
+from .geometry import Configuration, band_sum, estimate_growth_constant
 from .spaces import WeightedSeq, bounded_sums, weighted_sum
 
 __all__ = [
@@ -116,9 +116,9 @@ class BandedOperator:
         entries in band order from 0.0, as it would alone.
 
         Many sequences are contracted column by column, a few at a time in
-        site-major buffers of _CONTRACT_TERMS doubles: entry j of every row
-        that has more than j entries is multiplied and added in place, over a
-        prefix of the rows sorted by degree.
+        site-major buffers of _CONTRACT_TERMS doubles by :func:`band_sum`:
+        entry j of every row that has more than j entries is multiplied and
+        added in place, over a prefix of the rows sorted by degree.
         """
         if values.ndim == 1:
             return _sum_by(self.config.rows, self.vals * values[self.config.indices], self.n_sites)
@@ -133,13 +133,8 @@ class BandedOperator:
             if len(block) < width:
                 x, sums, terms = np.empty((3, n, len(block)))
             x[...] = block.T
-            sums.fill(0.0)
-            for cols, vals in columns:
-                # the band's indices are site indices, as build_neighborhoods made them
-                head, products = sums[: cols.size], terms[: cols.size]
-                np.take(x, cols, axis=0, out=products, mode="clip")
-                head += np.multiply(vals, products, out=products)
-            out[t : t + len(block), order] = sums.T
+            # the band's indices are site indices, as build_neighborhoods made them
+            out[t : t + len(block), order] = band_sum(x, columns, sums, terms).T
         return out.reshape(values.shape)
 
     @cached_property

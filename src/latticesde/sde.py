@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Configuration
+from .geometry import Configuration, band_sum
 from .spaces import WeightedSeq
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
 _BLOWUP_LIMIT = 1e75
 _DRAW_CAP = 1 << 25   # raw draws per noise block, ~256 MB
 _PATH_BLOCK = 4096    # paths per noise block, unless _DRAW_CAP binds first
-_GATHER_CAP = 1 << 16  # doubles of band neighbors gathered at a time, 512 kB
 _RUN_BYTES = 1 << 21  # run arrays that a run of nodes fills at least, 2 MiB
 _NOISE_GROUP = 1 << 16  # fine draws per group of sites drawn into one buffer, 512 kB
 SCHEMES = ("explicit", "tamed")
@@ -353,9 +352,8 @@ def _band_slots(model: ModelSpec, config: Configuration, active: np.ndarray):
     """The band rows of the active sites, padded to one width.
 
     Row i of ``slots`` lists the neighbors of site ``active[i]``, padded up
-    to the largest active degree with the site itself.  ``weights[i]`` stacks
-    the kernel weights a(x - y) over the adjacency indicator, both 0 on the
-    padding, so that one batched product yields the drift and diffusion sums.
+    to the largest active degree with the site itself; ``real`` marks the
+    neighbors, and ``kernel`` holds their weights a(x - y), 0 on the padding.
     """
     start = config.indptr[active]
     degree = config.indptr[active + 1] - start
@@ -364,8 +362,7 @@ def _band_slots(model: ModelSpec, config: Configuration, active: np.ndarray):
     pos = np.where(real, start[:, None] + width, 0)
     slots = np.where(real, config.indices[pos], active[:, None])
     kernel = np.where(real, model.kernel(config.distances)[pos], 0.0)
-    weights = np.stack([kernel, real.astype(float)], axis=1)
-    return slots, weights, degree.astype(float)
+    return slots, real, kernel, degree.astype(float)
 
 
 def _block_paths(n_sites, n_steps, noise_refine) -> int:
@@ -373,8 +370,9 @@ def _block_paths(n_sites, n_steps, noise_refine) -> int:
 
     ``n_sites`` is the size of the configuration, not of an active set, so
     every truncation of one configuration is stepped in the same path
-    blocks.  That matters for bitwise reproducibility: the batched
-    ``np.matmul`` of the step rounds differently for different block widths.
+    blocks.  Only the ``stderr`` of :class:`PathEnsemble` depends on the
+    blocks, through its merge across them; the step and every other sum
+    give the same bytes for any block width.
     """
     if n_sites:
         return min(_PATH_BLOCK, max(1, _DRAW_CAP // (n_sites * n_steps * noise_refine)))
@@ -407,19 +405,18 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     A run's nodes are those of :func:`_chunk_nodes`, for a block over every
     site: at least ``_RUN_BYTES`` of run arrays, and at most every node.
     Per truncation (``n_sets`` of them): a block's run buffer (a run's
-    nodes and one more row), spread and running max, its band
-    (``max_degree`` slots and weights per site), a few per-site vectors,
-    three (node, site) sums and a blow-up flag per path; the states are
-    held per block, not per path, so past one full block more paths cost
-    only their flags.  Per truncation, though the levels reuse one set:
-    seven step temporaries and one slice of gathered band rows
-    (``_GATHER_CAP`` doubles, or one row).  Once: a run's path-order rows
-    (one more than the block has paths) and three run temporaries, one of
-    which takes each Cauchy pair's differences in turn.  Per pair (with
-    ``cauchy``): one (node, site) sum, reduced to a per-site sup once the
-    levels have reduced theirs in place and released them; the ensembles
-    keep only such per-site vectors.  One step-major noise block
-    over every site, and a group of sites' fine draws for the block
+    nodes and one more row, over every site and one zero row), spread and
+    running max, its band (``max_degree`` slots, band columns and weights
+    per site), a few per-site vectors, three (node, site) sums and a
+    blow-up flag per path; the states are held per block, not per path, so
+    past one full block more paths cost only their flags.  Per truncation,
+    though the levels reuse one set: seven step temporaries.  Once: a
+    run's path-order rows (one more than the block has paths) and three
+    run temporaries, one of which takes each Cauchy pair's differences in
+    turn.  Per pair (with ``cauchy``): one (node, site) sum, reduced to a
+    per-site sup once the levels have reduced theirs in place and released
+    them; the ensembles keep only such per-site vectors.  One step-major
+    noise block over every site, and a group of sites' fine draws for the block
     (``_NOISE_GROUP`` doubles, or one site) with, for ``noise_refine > 1``,
     their sums over each step.  The path tensors count only when they are
     kept.  Everything per site is counted over every site, so the estimate
@@ -429,9 +426,9 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     block = min(n_paths, _block_paths(n_sites, n_steps, noise_refine))
     n_nodes = n_steps + 1
     chunk = _chunk_nodes(n_steps, n_sets, n_pairs, n_sites * block)
-    level = n_sites * (block * (chunk + 3) + 3 * max_degree + 8 + 3 * n_nodes) + n_paths
-    per_gather = min(n_sites, max(1, _GATHER_CAP // max(1, max_degree * block)))
-    steps = max(1, n_sets) * (7 * n_sites * block + per_gather * max_degree * block)
+    level = (n_sites * (block * (chunk + 3) + 3 * max_degree + 8 + 3 * n_nodes)
+             + (chunk + 1) * block + n_paths)
+    steps = max(1, n_sets) * 7 * n_sites * block
     runs = chunk * n_sites * (4 * block + 1)
     per_draw = min(n_sites, max(1, _NOISE_GROUP // max(1, block * n_steps * noise_refine)))
     buffers = per_draw * block * n_steps * (noise_refine + (noise_refine > 1))
@@ -532,14 +529,18 @@ class _Level:
 
     ``active`` lists its sites in nested-prefix order: they are the first
     rows of the noise block and of every larger level's run buffer.  The run
-    buffer ``nodes`` is (chunk + 1, active site + tail, path): row 0 is the
+    buffer ``nodes`` is (chunk + 1, active site + tail + 1, path): row 0 is the
     state a run starts from (zeta, then the last node of the previous run),
     and each node is stepped straight from the row above it.  The tail rows
-    hold zeta at the frozen sites of the band, written once per block, and
-    ``slots`` index these rows.  The sums cover only the active sites; a
-    frozen site's are settled once per path block, the same at every node.
-    The band is range-checked once, before it is remapped (the active sites
-    are in range by construction), so the step gathers with ``mode="clip"``, which skips numpy's checking copy.
+    hold zeta at the frozen sites of the band and then one zero row, written
+    once per block.  ``columns`` lists per band column the rows of each
+    active site's neighbor in that column, the zero row past its degree, so
+    :func:`band_sum` adds each site's band in band order whatever the block
+    width.  The sums cover only the active sites; a frozen site's are
+    settled once per path block, the same at every node.  The band is
+    range-checked once, before it is remapped (the active sites are in
+    range by construction), so the step gathers with ``mode="clip"``, which
+    skips numpy's checking copy.
     """
 
     def __init__(self, model, tamed, dt, config, zeta_values, active, n_paths, n_nodes,
@@ -547,18 +548,25 @@ class _Level:
         n_sites = config.n_sites
         self.model, self.tamed, self.dt, self.p = model, tamed, dt, float(model.p)
         self.active = active
-        slots, self.weights, degrees = _band_slots(model, config, active)
+        slots, real, kernel, degrees = _band_slots(model, config, active)
         self.spread = model.sigma2 * degrees[:, None]   # sigma2 n_x
         if slots.size and not 0 <= slots.min() <= slots.max() < n_sites:
             raise ValueError(f"a truncation's band names a site outside [0, {n_sites})")
         in_band = np.zeros(n_sites, dtype=bool)
         in_band[slots] = True
         in_band[active] = False
-        # the band's frozen sites follow the active ones in the run buffer
+        # the band's frozen sites follow the active ones in the run buffer, then the zero row
         self.tail = np.flatnonzero(in_band)
+        self.fixed = np.append(zeta_values[self.tail], 0.0)
         row_of = np.empty(n_sites, dtype=np.int64)
         row_of[np.concatenate([active, self.tail])] = np.arange(active.size + self.tail.size)
-        self.slots = row_of[slots]
+        rows = np.where(real, row_of[slots], active.size + self.tail.size).T.copy()
+        self.columns = [(column, None) for column in rows]
+        weights = kernel[real]
+        self.weighted = None   # a kernel equal over the band drifts by cap times the band sum
+        if weights.size and weights.min() != weights.max():
+            self.weighted = list(zip(rows, kernel.T[:, :, None].copy()))
+        self.cap = weights[0] if weights.size else 0.0
         self.zeta = zeta_values
         self.frozen = np.delete(np.arange(n_sites), active)
         frozen_size = np.abs(zeta_values[self.frozen])
@@ -576,9 +584,9 @@ class _Level:
 
     def start_block(self, width, chunk) -> None:
         n = self.active.size
-        self.nodes = np.empty((chunk + 1, n + self.tail.size, width))
+        self.nodes = np.empty((chunk + 1, n + self.fixed.size, width))
         self.nodes[0, :n] = self.zeta[self.active, None]
-        self.nodes[:, n:] = self.zeta[self.tail, None]
+        self.nodes[:, n:] = self.fixed[:, None]
         self.spread_paths = np.repeat(self.spread, width, axis=1)   # (active site, path)
         self.peak = np.zeros((n, width))   # running max of |xi| from 0, for the blow-up flags
 
@@ -595,33 +603,25 @@ class _Level:
     def _step(self, noise, k0, k1, work) -> None:
         """Nodes k0 .. k1 - 1 of the path block (node 0 is the start state; at
         most a run of them) into rows 1 .. k1 - k0; the last is copied into row 0."""
-        model, nodes, slots, weights = self.model, self.nodes, self.slots, self.weights
-        n, width = self.active.size, nodes.shape[2]
-        # the band rows are gathered and contracted a slice of rows at a time
-        per_gather = max(1, _GATHER_CAP // max(1, slots.shape[1] * width))
-        gathered = work.get("gathered", (min(per_gather, n), slots.shape[1], width))
-        sums = work.get("sums", (2, n, width))   # drift and diffusion sums, one plane each
-        parts = []   # per slice: its band rows, gather buffer, weights and (row, 2, path) sums
-        for r0 in range(0, n, per_gather):
-            band, r1 = slots[r0 : r0 + per_gather], r0 + per_gather
-            parts.append((band, gathered[: len(band)], weights[r0:r1],
-                          sums[:, r0:r1].transpose(1, 0, 2)))
-        phi, psi, tmp, scratch = (work.get(name, (n, width))
-                                  for name in ("phi", "psi", "tmp", "scratch"))
+        model, nodes, n = self.model, self.nodes, self.active.size
+        band, part, phi, psi, tmp, scratch = (work.get(name, (n, nodes.shape[2])) for name in
+                                              ("band", "part", "phi", "psi", "tmp", "scratch"))
         for row, k in enumerate(range(k0, k1), start=1):
-            prev, own = nodes[row - 1, :n], nodes[row, :n]
+            above, own = nodes[row - 1], nodes[row, :n]
+            prev = above[:n]
             if not k:
                 own[...] = prev
                 continue
-            for band, part, w, out in parts:
-                nodes[row - 1].take(band, axis=0, out=part, mode="clip")
-                np.matmul(w, part, out=out)
+            band_sum(above, self.columns, band, part)
             model.potential(prev, out=phi, scratch=scratch)
-            phi += sums[0]
+            if self.weighted is None:
+                phi += np.multiply(self.cap, band, out=tmp)
+            else:
+                phi += band_sum(above, self.weighted, tmp, part)
             # psi = sigma0 + sigma1 prev + sigma2 n_x (sum over the band)
             np.multiply(model.sigma1, prev, out=psi)
             psi += model.sigma0
-            np.multiply(self.spread_paths, sums[1], out=tmp)
+            np.multiply(self.spread_paths, band, out=tmp)
             psi += tmp
             phi *= self.dt
             if self.tamed:   # phi dt / (1 + |phi dt|), bitwise phi dt / (1 + dt |phi|)

@@ -1,14 +1,14 @@
-"""The bytes of the output files that do not depend on the host, pinned.
+"""The bytes of the output files, pinned, and the same under every BLAS core.
 
-``output_bytes.json`` holds the SHA-256 of every file ``generate`` and
-``picard`` write, and of ``verify_report.json``, for ``configs/demo.cfg`` and
+``output_bytes.json`` holds the SHA-256 of every file ``generate``,
+``simulate``, ``verify`` and ``picard`` write for ``configs/demo.cfg`` and
 the 2-d window of the CI workflow (the demo and demo2d cases of
-``tools/same_bytes.py``), run in process.  Of these, only the ``sup_sum`` of
-a verify report is simulated; it came out the same under the OpenBLAS cores
-Haswell, Sandybridge and Prescott and the detected one.  The moment and
-Cauchy tables did not, so they are left out.  numpy does not promise the
-same ``Generator`` streams across versions (NEP 19), so the manifest names
-the numpy version it was written under, and on any other the test fails.
+``tools/same_bytes.py``), run in process.  Every sum that reaches them is
+added in a fixed order by elementwise ufuncs or ``math.fsum``, never by a
+BLAS kernel, so the simulated files come out the same under every OpenBLAS
+core.  numpy does not promise the same ``Generator`` streams across
+versions (NEP 19), so the manifest names the numpy version it was written
+under, and on any other the test fails.
 
 After a change that moves these bytes on purpose, rewrite the manifest with
 
@@ -17,6 +17,8 @@ After a change that moves these bytes on purpose, rewrite the manifest with
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,11 +29,19 @@ from latticesde.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("output_bytes.json")
 CASES = ("demo", "demo2d")
-UNPINNED = ("cauchy_table.csv", "moments.csv")   # their last bits move with the BLAS kernel
+COMMANDS = ("generate", "simulate", "verify", "picard")
+CORES = (None, "Haswell", "Sandybridge", "Prescott")   # None: the core OpenBLAS detects
+CHILD = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_output_bytes import output_hashes
+print(json.dumps(output_hashes(Path(sys.argv[2]), ("simulate", "verify"))))
+"""
 
 
-def output_hashes(work: Path) -> dict:
-    """``case/file`` -> SHA-256 of the pinned files of each case, written under ``work``."""
+def output_hashes(work: Path, commands=COMMANDS) -> dict:
+    """``case/file`` -> SHA-256 of the files ``commands`` write for each case under ``work``."""
     sys.path.insert(0, str(ROOT / "tools"))
     try:
         from same_bytes import cases
@@ -41,11 +51,10 @@ def output_hashes(work: Path) -> dict:
     for case in CASES:
         config, out = work / f"{case}.cfg", work / case
         config.write_text(configs[case], encoding="utf-8")
-        for command in ("generate", "picard", "verify"):
+        for command in commands:
             assert main([command, "--config", str(config), "--out", str(out)]) == 0, command
         for path in sorted(out.iterdir()):
-            if path.name not in UNPINNED:
-                hashes[f"{case}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            hashes[f"{case}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return hashes
 
 
@@ -58,6 +67,30 @@ def test_output_bytes_match_the_manifest(tmp_path):
     got, want = output_hashes(tmp_path), manifest["sha256"]
     differ = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
     assert not differ, f"output bytes differ from the manifest in {', '.join(differ)}"
+
+
+def test_simulated_bytes_are_the_same_under_every_blas_core(tmp_path):
+    # simulate and verify of each case in a child process per OpenBLAS core
+    trees = {}
+    for core in CORES:
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        work = tmp_path / (core or "detected")
+        work.mkdir()
+        child = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).parent), str(work)],
+                               env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        trees[core] = json.loads(child.stdout.splitlines()[-1])
+    detected = trees.pop(None)
+    assert len(detected) > 2 * len(CASES)
+    for core, tree in trees.items():
+        differ = sorted(name for name in tree.keys() | detected.keys()
+                        if tree.get(name) != detected.get(name))
+        assert not differ, f"under OPENBLAS_CORETYPE={core} the bytes differ in {', '.join(differ)}"
 
 
 if __name__ == "__main__":

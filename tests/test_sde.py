@@ -21,26 +21,35 @@ import oracles
 
 
 def full_site_step(config):
-    """The step as it was before the run buffer carried the band: every
-    site's state in one (site, path) array, the band gathered from it and
-    the active rows scattered back after each node, written into the run
-    buffer's rows for the reductions.  A stand-in for ``_Level._step``."""
+    """The step on every site's state in one (site, path) array, the active
+    rows scattered back after each node and written into the run buffer's
+    rows for the reductions.  The band sums add one band column after the
+    other from 0.0, 0.0 past a site's degree; the drift is the kernel's value
+    times the band sum where the kernel is equal over the band, else the sum
+    of the kernel-weighted columns.  A stand-in for ``_Level._step``."""
     def step(level, noise, k0, k1, work):
         model, active = level.model, level.active
-        slots, weights, degrees = sde._band_slots(model, config, active)
+        slots, real, kernel, degrees = sde._band_slots(model, config, active)
+        weights = kernel[real]
         if k0 == 0:
             level.state = np.repeat(level.zeta[:, None], level.nodes.shape[2], axis=1)
         state = level.state
         with np.errstate(over="ignore", invalid="ignore"):
             for row, k in enumerate(range(k0, k1), start=1):
                 if k:
-                    sums = np.matmul(weights, state[slots])
+                    band, drift = np.zeros((2, active.size, state.shape[1]))
+                    for j in range(slots.shape[1]):
+                        column = np.where(real[:, j, None], state[slots[:, j]], 0.0)
+                        band += column
+                        drift += kernel[:, j, None] * column
+                    if weights.min() == weights.max():
+                        drift = weights[0] * band
                     own = state[active]
-                    phi = (model.potential(own) + sums[:, 0]) * level.dt
+                    phi = (model.potential(own) + drift) * level.dt
                     if level.tamed:
                         phi = phi / (1.0 + np.abs(phi))
                     psi = (model.sigma1 * own + model.sigma0
-                           + model.sigma2 * degrees[:, None] * sums[:, 1])
+                           + model.sigma2 * degrees[:, None] * band)
                     dw = noise[k - 1, : active.size]
                     state[active] = own + phi + psi * dw
                 level.nodes[row, : active.size] = state[active]
@@ -416,14 +425,19 @@ class TestSimulation:
         assert np.array_equal(runs[0].paths, runs[1].paths)
         assert not np.array_equal(runs[0].paths, runs[2].paths)
 
-    @pytest.mark.parametrize("noise_refine", [1, 2])
-    @pytest.mark.parametrize("chunk", [1, 2])
-    def test_run_buffer_steps_like_the_full_site_state(self, monkeypatch, chunk, noise_refine):
+    @pytest.mark.parametrize("chunk, noise_refine, kernel", [   # id: chunk-refine[-kernel]
+        pytest.param(chunk, refine, kernel,
+                     id=f"{chunk}-{refine}" + ("" if kernel == "triangular" else f"-{kernel}"))
+        for kernel in ("triangular", "constant") for chunk in (1, 2) for refine in (1, 2)
+    ])
+    def test_run_buffer_steps_like_the_full_site_state(self, monkeypatch, chunk, noise_refine,
+                                                        kernel):
         # truncated 2-d levels and their pairs, in blocks of 3 paths and runs
-        # of 1 or 2 nodes, on coarse or refined noise: paths and sums are
-        # bitwise those of the old step
+        # of 1 or 2 nodes, on coarse or refined noise, with a drift that is
+        # the constant kernel's cap times the band sum or a weighted band sum:
+        # paths and sums are bitwise those of the full-site step
         cfg = lat.sample_configuration(2.0, 4.0, 2, 1.0, 12)
-        model = lat.make_model("cubic", 0.1, kernel="triangular", kernel_cap=0.3, rho=1.0,
+        model = lat.make_model("cubic", 0.1, kernel=kernel, kernel_cap=0.3, rho=1.0,
                                sigma0=0.2, sigma1=0.1, sigma2=0.05, p=3.0)
         zeta = lat.WeightedSeq(cfg, np.random.default_rng(4).uniform(-1.0, 1.0, cfg.n_sites))
         sets = [np.flatnonzero(cfg.radii <= r) for r in (1.5, 3.0, np.inf)]
@@ -447,19 +461,29 @@ class TestSimulation:
                 assert ours.diffs[m].tobytes() == want.diffs[m].tobytes()
         assert np.any(new[0].diffs[1] > 0.0)
 
-    @pytest.mark.parametrize("cap", [1, 500])
-    def test_band_gathered_in_slices_steps_alike(self, monkeypatch, cap):
-        # the step gathers and contracts the band a slice of rows at a time;
-        # one row or a few rows per slice give the bytes of one slice
+    @pytest.mark.parametrize("kernel", ["constant", "triangular"])
+    def test_path_block_width_leaves_the_bytes(self, monkeypatch, kernel):
+        # truncated 2-d levels in blocks of 1, 3 or 7 paths or in one block:
+        # the step adds each band in band order, path by path, so paths,
+        # moments, blow-up flags and Cauchy sups are bitwise the same (the
+        # stderr column is merged per block and left out)
         cfg = lat.sample_configuration(2.0, 4.0, 2, 1.0, 12)
-        model = lat.make_model("cubic", 0.1, kernel="triangular", kernel_cap=0.3, rho=1.0,
-                               sigma0=0.2, sigma1=0.1, sigma2=0.05, p=4.0)
-        zeta = lat.WeightedSeq(cfg, np.random.default_rng(2).uniform(-1.0, 1.0, cfg.n_sites))
-        active = np.flatnonzero(cfg.radii <= 3.0)
-        whole = lat.simulate_truncated(model, cfg, active, zeta, 0.1, 0.01, 3, 14)
-        monkeypatch.setattr(sde, "_GATHER_CAP", cap)
-        sliced = lat.simulate_truncated(model, cfg, active, zeta, 0.1, 0.01, 3, 14)
-        assert sliced.paths.tobytes() == whole.paths.tobytes()
+        model = lat.make_model("cubic", 0.1, kernel=kernel, kernel_cap=0.3, rho=1.0,
+                               sigma0=0.2, sigma1=0.1, sigma2=0.05, p=3.0)
+        zeta = lat.WeightedSeq(cfg, np.random.default_rng(4).uniform(-1.0, 1.0, cfg.n_sites))
+        sets = [np.flatnonzero(cfg.radii <= r) for r in (1.5, 3.0, np.inf)]
+        runs = []
+        for width in (sde._PATH_BLOCK, 1, 3, 7):
+            monkeypatch.setattr(sde, "_PATH_BLOCK", width)
+            runs.append(simulate_levels(model, cfg, sets, zeta, 0.05, 0.01, 7, 19,
+                                        keep_paths=True))
+        for run in runs[1:]:
+            for ours, want in zip(run, runs[0]):
+                for name in ("paths", "moment", "blowup"):
+                    assert getattr(ours, name).tobytes() == getattr(want, name).tobytes()
+                assert ours.diffs.keys() == want.diffs.keys()
+                for m in want.diffs:
+                    assert ours.diffs[m].tobytes() == want.diffs[m].tobytes()
 
     def test_simulation_bytes_counts_tensors_and_one_block(self, poisson_1d, monkeypatch):
         n, steps, degree = poisson_1d.n_sites, 10, int(poisson_1d.degrees.max())
@@ -540,7 +564,7 @@ class TestSimulation:
 
     def test_simulation_bytes_bounds_traced_peak_of_a_truncated_window(self):
         # a truncated 2-d level: its run buffer carries the frozen sites of
-        # its band, and its band is gathered in slices
+        # its band and the zero row
         cfg = lat.sample_configuration(2.0, 4.0, 2, 1.0, 12)
         model = lat.make_model("cubic", 0.0, kernel_cap=0.2, rho=1.0, sigma0=0.3,
                                sigma2=0.05, p=4.0)
@@ -550,7 +574,6 @@ class TestSimulation:
         level = sde._Level(model, True, 0.01, cfg, zeta.values, active, n_paths, steps + 1,
                            False)
         assert level.tail.size > 0
-        assert level.slots.shape[1] * n_paths * active.size > sde._GATHER_CAP
         simulate_levels(model, cfg, [active], zeta, 0.05, 0.01, 2, 3)   # imports done
         tracemalloc.start()
         try:

@@ -19,10 +19,10 @@ run the same inputs, and each subcommand runs in a fresh interpreter with one
 BLAS thread.  The script compares the trees, the exit codes and stderr, lists
 each difference (for a CSV or text table, with the largest relative
 difference of its numeric fields), and exits 1 on any difference, else 0.
-Simulated bytes are reproducible only on one host and BLAS kernel, so both
-sides must run on the same machine, and before its verdict the script prints
-the numpy version, BLAS library and OpenBLAS core it ran under.  Standard
-library only, apart from the child process that reads that line from numpy.
+Before its verdict the script prints the numpy version, BLAS library and
+OpenBLAS core it ran under; the bytes depend on the numpy version, not on
+the BLAS kernel.  Standard library only, apart from the child process that
+reads that line from numpy.
 """
 
 from __future__ import annotations
