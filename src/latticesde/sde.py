@@ -278,14 +278,16 @@ class PathEnsemble:
     were kept.  ``blowup`` flags paths that left the representable range
     (possible under the explicit scheme with a superlinear potential).
 
-    The rest is per site.  ``moment`` is the sup over the nodes of the
-    sample mean of |xi|^p, summed over the paths in path order (bitwise one
-    reduction over a stored path tensor).  ``stderr`` is the standard error
-    of that mean at the node where it peaks, from squared deviations merged
-    across path blocks as in Chan, Golub & LeVeque (1983).  ``diffs`` maps
-    the position m of a larger level in the sequence to the sup over the
-    nodes of the sample mean of |xi - xi^m|^p, 0 where both levels freeze
-    the site.
+    The rest is per site, and every sum behind it is taken over the paths
+    in path order, so no byte depends on how the paths are split into
+    blocks.  ``moment`` is the sup over the nodes of the sample mean of
+    |xi|^p (bitwise one reduction over a stored path tensor).  ``stderr`` is
+    the standard error of that mean at the node where it peaks, from the
+    squared deviations from path 0's |xi|^p (see ``_Level.moments``); it is
+    exactly 0.0 where every path holds the same |xi|^p, as at a frozen site.
+    ``diffs`` maps the position m of a larger level in the sequence to the
+    sup over the nodes of the sample mean of |xi - xi^m|^p, 0 where both
+    levels freeze the site.
     """
 
     config: Configuration
@@ -370,9 +372,8 @@ def _block_paths(n_sites, n_steps, noise_refine) -> int:
 
     ``n_sites`` is the size of the configuration, not of an active set, so
     every truncation of one configuration is stepped in the same path
-    blocks.  Only the ``stderr`` of :class:`PathEnsemble` depends on the
-    blocks, through its merge across them; the step and every other sum
-    give the same bytes for any block width.
+    blocks.  The step and every sum over the paths give the same bytes for
+    any block width, so the blocks bound memory only.
     """
     if n_sites:
         return min(_PATH_BLOCK, max(1, _DRAW_CAP // (n_sites * n_steps * noise_refine)))
@@ -479,29 +480,6 @@ def _add_in_path_order(total, values, work) -> None:
         np.add.reduce(rows, axis=0, out=total)
 
 
-def _merge_moments(mean, m2, values, count) -> None:
-    """Merge the sample mean and squared deviations of ``values`` (..., path) into
-    those of ``count`` earlier paths (Chan, Golub & LeVeque 1983).
-
-    Within a block both sum pairwise along the paths, as ``np.std`` does, so
-    a run in one path block gives ``np.std``'s bytes.  ``values`` is
-    overwritten with the squared deviations.
-    """
-    m = values.shape[-1]
-    block_mean = values.sum(axis=-1) / m
-    values -= block_mean[..., None]
-    values *= values
-    block_m2 = values.sum(axis=-1)
-    if count == 0:
-        mean[...] = block_mean
-        m2[...] = block_m2
-    else:
-        n = count + m
-        delta = block_mean - mean
-        mean += delta * (m / n)
-        m2 += block_m2 + delta * delta * (count * m / n)
-
-
 class _Workspace:
     """Buffers reused for every step and reduction of a run.
 
@@ -536,8 +514,9 @@ class _Level:
     once per block.  ``columns`` lists per band column the rows of each
     active site's neighbor in that column, the zero row past its degree, so
     :func:`band_sum` adds each site's band in band order whatever the block
-    width.  The sums cover only the active sites; a frozen site's are
-    settled once per path block, the same at every node.  The band is
+    width.  The sums cover only the active sites: of |xi|^p and of its
+    squared deviations from the shift, path 0's |xi|^p, in path order; a
+    frozen site's power sum is settled once per path block.  The band is
     range-checked once, before it is remapped (the active sites are in
     range by construction), so the step gathers with ``mode="clip"``, which
     skips numpy's checking copy.
@@ -573,9 +552,10 @@ class _Level:
         # NaN fails the comparison too
         self.frozen_bounded = bool(np.all(frozen_size <= _BLOWUP_LIMIT))
         self.frozen_power = _abs_power(frozen_size, self.p, out=frozen_size)
-        self.settled = np.zeros((3, self.frozen.size))   # frozen power, mean and m2
+        self.settled = np.zeros(self.frozen.size)   # the frozen sites' power sums
         self.blowup = np.empty(n_paths, dtype=bool)
-        self.power, self.mean, self.m2 = np.zeros((3, n_nodes, active.size))
+        # sums of |xi|^p, path 0's |xi|^p, and sums of the squared deviations from it
+        self.power, self.shift, self.squares = np.zeros((3, n_nodes, active.size))
         self.paths = None
         if keep_paths:
             self.paths = np.empty((n_paths, n_sites, n_nodes))
@@ -590,14 +570,12 @@ class _Level:
         self.spread_paths = np.repeat(self.spread, width, axis=1)   # (active site, path)
         self.peak = np.zeros((n, width))   # running max of |xi| from 0, for the blow-up flags
 
-    def finish_block(self, start, work) -> None:
-        """Settle the block's sums of the frozen sites."""
+    def finish_block(self, work) -> None:
+        """Add the block's power sums of the frozen sites."""
         width = self.nodes.shape[2]
         if self.frozen.size:
-            power, mean, m2 = self.settled
             powed = np.repeat(self.frozen_power[:, None], width, axis=1)   # (site, path)
-            _add_in_path_order(power, powed, work)
-            _merge_moments(mean, m2, powed, start)
+            _add_in_path_order(self.settled, powed, work)
         self.nodes = self.spread_paths = self.peak = None
 
     def _step(self, noise, k0, k1, work) -> None:
@@ -650,20 +628,36 @@ class _Level:
             self.blowup[start : start + width] = ~(bounded & self.frozen_bounded)
         powed = _power(size, self.p)
         _add_in_path_order(self.power[k0:k1], powed, work)
-        _merge_moments(self.mean[k0:k1], self.m2[k0:k1], powed, start)
+        shift = self.shift[k0:k1]
+        if not start:
+            shift[...] = powed[..., 0]
+        powed -= shift[..., None]
+        powed *= powed
+        _add_in_path_order(self.squares[k0:k1], powed, work)
 
     def moments(self) -> tuple:
-        """``moment`` and ``stderr`` of :class:`PathEnsemble` over every site; a
-        frozen site's mean is the same at every node, so it peaks at node 0
-        with its settled sums.  The level's own sums are released."""
+        """``moment`` and ``stderr`` of :class:`PathEnsemble` over every site.
+
+        The squared deviations were summed from a sample, the shift (the
+        shifted data of Chan, Golub & LeVeque 1983): at the node where a
+        site's mean peaks, D = power - n shift, and the squared deviations
+        from the mean are max(squares - D^2 / n, 0), exactly 0 where every
+        path holds the same |xi|^p, as a frozen site does at every node.
+        The level's own sums are released.
+        """
         n, cols = self.blowup.size, np.arange(self.active.size)
+        shifted = np.multiply(self.shift, n, out=self.shift)
+        deviation = np.subtract(self.power, shifted, out=shifted)   # D at every node
         means = np.divide(self.power, n, out=self.power)
         peak = means.argmax(axis=0)
-        moment, m2 = np.empty(self.zeta.size), np.empty(self.zeta.size)
-        moment[self.active], m2[self.active] = means[peak, cols], self.m2[peak, cols]
-        moment[self.frozen], m2[self.frozen] = self.settled[0] / n, self.settled[2]
-        self.power = self.mean = self.m2 = None
-        return moment, np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros_like(m2)
+        moment, stderr = np.empty(self.zeta.size), np.zeros(self.zeta.size)
+        moment[self.active], moment[self.frozen] = means[peak, cols], self.settled / n
+        if n > 1:
+            d = deviation[peak, cols]
+            m2 = np.maximum(self.squares[peak, cols] - d * d / n, 0.0)
+            stderr[self.active] = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
+        self.power = self.shift = self.squares = None
+        return moment, stderr
 
 
 class _Pair:
@@ -716,8 +710,8 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     the tamed scheme the drift increment is Phi dt / (1 + dt |Phi|), which
     keeps the superlinear cubic decay stable where the explicit scheme can
     blow up.  Sites outside a level stay bitwise frozen at their initial
-    value.  Path blocks depend on the configuration, not on the levels, so
-    each level's paths are bitwise those of a lone
+    value.  Every sum is added in path order, so no byte depends on the
+    path blocks: each level's paths and sups are bitwise those of a lone
     :func:`simulate_truncated` run, and levels share the increments of
     their common sites bitwise.
     """
@@ -760,7 +754,7 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
                 for pair in reduced.values():
                     pair.reduce(k0, k1, work)
             for level in levels:
-                level.finish_block(start, work)
+                level.finish_block(work)
             del noise   # freed before the next block is drawn
         moments = [level.moments() for level in levels]
         sups = {key: np.divide(pair.sums, n_paths, out=pair.sums).max(axis=0)
@@ -799,7 +793,8 @@ def simulate_truncated(model: ModelSpec, config: Configuration, lambda_n, zeta: 
     The one-level case of :func:`simulate_levels`, with its paths kept.
     The increments of a (path, site) pair depend only on (seed, site index,
     path, n_steps * noise_refine), so ensembles with different active sets
-    share increments sitewise.
+    share increments sitewise, and however the paths are split into
+    blocks, its sums are bitwise the same.
     """
     return simulate_levels(
         model, config, [lambda_n], zeta, T, dt, n_paths, seed,

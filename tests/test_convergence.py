@@ -35,37 +35,30 @@ def reference_pair_sup(a, b, p):
     return sde._abs_power(diff, p, out=diff).mean(axis=0).max(axis=1)
 
 
-def reference_sums(paths, p, block):
-    """power and m2 from a stored path tensor (path, site, node), reduced at
-    every site and node, as (node, site): |xi|^p summed in path order, and
-    its squared deviations merged over blocks of ``block`` paths (Chan,
-    Golub & LeVeque), each block's summed pairwise as np.std sums them."""
+def reference_sums(paths, p):
+    """power, shift and S2 from a stored path tensor (path, site, node), as
+    (node, site) at every site and node: |xi|^p summed path by path, path
+    0's |xi|^p, and the squares of the deviations from it summed path by path."""
     powed = sde._abs_power(paths, p, np.empty_like(paths))
-    power = powed.sum(axis=0).T
-    values = powed.transpose(2, 1, 0)            # (node, site, path)
-    for start in range(0, paths.shape[0], block):
-        part = values[..., start : start + block].copy()
-        width, count = part.shape[-1], start + part.shape[-1]
-        part_mean = part.sum(axis=-1) / width
-        part_m2 = ((part - part_mean[..., None]) ** 2).sum(axis=-1)
-        if not start:
-            mean, m2 = part_mean, part_m2
-        else:
-            delta = part_mean - mean
-            mean = mean + delta * (width / count)
-            m2 = m2 + (part_m2 + delta * delta * (start * width / count))
-    return power, m2
+    shift = powed[0].T
+    power, s2 = np.zeros_like(shift), np.zeros_like(shift)
+    for path in powed:
+        power = power + path.T
+        s2 = s2 + (path.T - shift) ** 2
+    return power, shift, s2
 
 
-def reference_moments(paths, p, block):
+def reference_moments(paths, p):
     """``moment`` and ``stderr`` from a stored path tensor: per site, the
     largest mean over the nodes of :func:`reference_sums`, the standard
-    error at that node, and the node itself."""
-    power, m2 = reference_sums(paths, p, block)
+    error at that node from the shifted sums, and the node itself."""
+    power, shift, s2 = reference_sums(paths, p)
     n, sites = paths.shape[0], np.arange(paths.shape[1])
     means = power / n
     peak = means.argmax(axis=0)
-    stderr = np.sqrt(m2[peak, sites] / (n - 1)) / math.sqrt(n)
+    d = power[peak, sites] - n * shift[peak, sites]
+    m2 = np.maximum(s2[peak, sites] - d * d / n, 0.0)
+    stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return means[peak, sites], stderr, peak
 
 
@@ -77,20 +70,18 @@ def reference_diffs(a, b, p):
     return means.max(axis=0), means.argmax(axis=0)
 
 
-def assert_reductions_match_paths(ensembles, levels, model, one_block):
+def assert_reductions_match_paths(ensembles, levels, model):
     """moment_field and cauchy_table against the reference formulas on the stored paths."""
     p = model.p
     fields = [lat.moment_field(e) for e in ensembles]
     for ens, field in zip(ensembles, fields):
         per_site, stderr = reference_moment_field(ens.paths, p)
         assert field.per_site.tobytes() == per_site.tobytes()
-        if one_block:
-            assert field.stderr.tobytes() == stderr.tobytes()
-        else:
-            # merged across blocks: 1e-12 relative, beyond the reference's own
-            # rounding, a few ulps of |xi|^p where the variance is zero (frozen sites)
-            ulps = 4 * np.finfo(float).eps * per_site
-            assert np.all(np.abs(field.stderr - stderr) <= 1e-12 * stderr + ulps)
+        assert field.stderr.tobytes() == reference_moments(ens.paths, p)[1].tobytes()
+        # against np.std: 1e-12 relative, beyond the shifted sums' own
+        # rounding, a few ulps of |xi|^p where the variance is zero
+        ulps = 4 * np.finfo(float).eps * per_site
+        assert np.all(np.abs(field.stderr - stderr) <= 1e-12 * stderr + ulps)
     if len(ensembles) < 2:
         return
     config = ensembles[0].config
@@ -140,6 +131,47 @@ class TestMomentField:
         field = lat.moment_field(ou_ensemble)
         _, stationary = oracles.ou_moment_oracle(1.0, math.sqrt(2.0), 0.0, 1.0)
         assert field.per_site[0] == pytest.approx(stationary, abs=3.5 * field.stderr[0])
+
+
+class TestStandardError:
+    """stderr from the squared deviations about path 0's |xi|^p, in blocks of 3 paths."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_zero_where_every_path_holds_the_same_power(self, poisson_1d, monkeypatch, sigma):
+        # a decoupled linear decay from zeta in [0.8, 1]: every mean peaks at
+        # node 0, where all paths hold zeta, and at sigma = 0 they agree at
+        # every node; the first level leaves two sites frozen
+        n, n_paths = poisson_1d.n_sites, 10
+        model = lat.make_model("linear", 1.0, kernel_cap=0.0, rho=1.0, sigma0=sigma, p=2.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.random.default_rng(5).uniform(0.8, 1.0, n))
+        levels = [np.arange(n - 2), np.arange(n)]
+        monkeypatch.setattr(sde, "_PATH_BLOCK", 3)
+        ensembles = simulate_levels(model, poisson_1d, levels, zeta, 0.1, 0.01, n_paths, 9,
+                                    keep_paths=True)
+        assert_reductions_match_paths(ensembles, levels, model)
+        for ens in ensembles:
+            power, shift, _ = reference_sums(ens.paths, model.p)
+            assert np.all(reference_moments(ens.paths, model.p)[2] == 0)
+            # the equal powers sum to other than n times their value, so
+            # D != 0 and the unclamped S2 - D^2 / n would be negative
+            assert np.any(power[0] != n_paths * shift[0])
+            assert np.all(ens.stderr == 0.0) and not np.any(np.signbit(ens.stderr))
+
+    @pytest.mark.parametrize("sigma", [1e-9, 1e-6, 1e-3])
+    def test_small_spread_follows_np_std(self, poisson_1d, monkeypatch, sigma):
+        # a cubic growth from |zeta| near 0.1 peaks at later nodes, where the
+        # paths spread by about sigma: S2 - D^2 / n cancels, and stderr stays
+        # within 1e-12 relative plus a few ulps of the moment of np.std
+        model = lat.make_model("cubic", 1.0, kernel_cap=0.1, rho=1.0, sigma0=sigma, p=4.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.random.default_rng(6).uniform(0.1, 0.15,
+                                                                          poisson_1d.n_sites))
+        levels = [np.arange(poisson_1d.n_sites)]
+        monkeypatch.setattr(sde, "_PATH_BLOCK", 3)
+        ensembles = simulate_levels(model, poisson_1d, levels, zeta, 0.1, 0.01, 10, 10,
+                                    keep_paths=True)
+        assert_reductions_match_paths(ensembles, levels, model)
+        assert np.all(reference_moments(ensembles[0].paths, model.p)[2] > 0)
+        assert np.all(ensembles[0].stderr > 0.0)
 
 
 class TestZNorm:
@@ -357,9 +389,8 @@ class TestSharedDraw:
             assert np.array_equal(ens.active, lone.active)
             assert np.array_equal(ens.paths, lone.paths)
             assert np.array_equal(ens.blowup, lone.blowup)
-        # the sums reduced while stepping match the tensor formulas on the kept
-        # paths: bitwise, except that stderr merges across path blocks
-        assert_reductions_match_paths(ensembles, levels, model, one_block=path_block is None)
+        # the sums reduced while stepping match the tensor formulas on the kept paths
+        assert_reductions_match_paths(ensembles, levels, model)
 
     @pytest.mark.parametrize("noise_refine", [1, 2])
     @pytest.mark.parametrize("chunk", [1, 3, 4, 11])
@@ -371,7 +402,7 @@ class TestSharedDraw:
         monkeypatch.setattr(sde, "_chunk_nodes", lambda *args: chunk)
         ensembles = simulate_levels(model, config, levels, zeta, 0.1, 0.01, 7, 24,
                                     noise_refine=noise_refine, keep_paths=True)
-        assert_reductions_match_paths(ensembles, levels, model, one_block=True)
+        assert_reductions_match_paths(ensembles, levels, model)
 
     @pytest.mark.parametrize("noise_refine", [1, 2])
     def test_draw_cap_blocks_by_configuration(self, coupled_setup, monkeypatch, noise_refine):
@@ -479,7 +510,7 @@ class TestPrefixOrder:
                 lone = lat.simulate_truncated(model, config, level, zeta, 0.1, 0.01, n_paths, 29)
                 assert ens.paths.tobytes() == lone.paths.tobytes()
                 assert ens.blowup.tobytes() == lone.blowup.tobytes()
-                moment, stderr, _ = reference_moments(ens.paths, model.p, path_block or n_paths)
+                moment, stderr, _ = reference_moments(ens.paths, model.p)
                 assert ens.moment.tobytes() == moment.tobytes()
                 assert ens.stderr.tobytes() == stderr.tobytes()
         for small, large in cauchy_pairs(len(levels)):
@@ -513,7 +544,7 @@ class TestFrozenRows:
                                     noise_refine=noise_refine, keep_paths=True)
         for active, ens in zip(sets, ensembles):
             assert np.array_equal(ens.active, active)
-            moment, stderr, peak = reference_moments(ens.paths, model.p, path_block or n_paths)
+            moment, stderr, peak = reference_moments(ens.paths, model.p)
             assert ens.moment.tobytes() == moment.tobytes()
             assert ens.stderr.tobytes() == stderr.tobytes()
             frozen = np.setdiff1d(np.arange(n), active)
@@ -551,7 +582,7 @@ class TestFrozenRows:
             assert [bool(e.blowup.all()) for e in ensembles] == [flagged, flagged]
             assert [bool(e.blowup.any()) for e in ensembles] == [flagged, flagged]
             for got, want in zip((ensembles[0].moment, ensembles[0].stderr),
-                                 reference_moments(ensembles[0].paths, model.p, 3)):
+                                 reference_moments(ensembles[0].paths, model.p)):
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("noise_refine", [1, 3])

@@ -464,9 +464,9 @@ class TestSimulation:
     @pytest.mark.parametrize("kernel", ["constant", "triangular"])
     def test_path_block_width_leaves_the_bytes(self, monkeypatch, kernel):
         # truncated 2-d levels in blocks of 1, 3 or 7 paths or in one block:
-        # the step adds each band in band order, path by path, so paths,
-        # moments, blow-up flags and Cauchy sups are bitwise the same (the
-        # stderr column is merged per block and left out)
+        # the step adds each band in band order and every sum adds path by
+        # path, so paths, moments, standard errors, blow-up flags and Cauchy
+        # sups are bitwise the same
         cfg = lat.sample_configuration(2.0, 4.0, 2, 1.0, 12)
         model = lat.make_model("cubic", 0.1, kernel=kernel, kernel_cap=0.3, rho=1.0,
                                sigma0=0.2, sigma1=0.1, sigma2=0.05, p=3.0)
@@ -479,7 +479,7 @@ class TestSimulation:
                                         keep_paths=True))
         for run in runs[1:]:
             for ours, want in zip(run, runs[0]):
-                for name in ("paths", "moment", "blowup"):
+                for name in ("paths", "moment", "stderr", "blowup"):
                     assert getattr(ours, name).tobytes() == getattr(want, name).tobytes()
                 assert ours.diffs.keys() == want.diffs.keys()
                 for m in want.diffs:
@@ -765,8 +765,8 @@ class TestNoiseLayout:
         assert np.concatenate(drawn, axis=2).tobytes() == one_block.tobytes()
         for a, b in zip(whole, split):
             assert a.paths.tobytes() == b.paths.tobytes()
-            # the standard errors are merged across blocks, so only the sums are bitwise
             assert a.moment.tobytes() == b.moment.tobytes()
+            assert a.stderr.tobytes() == b.stderr.tobytes()
 
     @pytest.mark.parametrize("n_steps", [1, 3])
     @pytest.mark.parametrize("refine", [1, 2])

@@ -137,7 +137,10 @@ def table_difference(old, new) -> str:
                     return f"line {line} differs in a non-numeric field ({x!r}, {y!r})"
                 count += 1
                 scale = max(abs(x), abs(y))
-                rel = abs(x - y) / scale if math.isfinite(scale) and x == x and y == y else math.inf
+                if not (math.isfinite(scale) and x == x and y == y):
+                    rel = math.inf
+                else:   # 0.0 against -0.0 differ by 0 relative, in the sign only
+                    rel = abs(x - y) / scale if scale else 0.0
                 if where is None or rel > largest:
                     largest, where = rel, line
     return f"numeric fields differ: {count}, the largest by {largest:.3g} relative (line {where})"
