@@ -281,10 +281,12 @@ class PathEnsemble:
     The rest is per site, and every sum behind it is taken over the paths
     in path order, so no byte depends on how the paths are split into
     blocks.  ``moment`` is the sup over the nodes of the sample mean of
-    |xi|^p (bitwise one reduction over a stored path tensor).  ``stderr`` is
-    the standard error of that mean at the node where it peaks, from the
-    squared deviations from path 0's |xi|^p (see ``_Level.moments``); it is
-    exactly 0.0 where every path holds the same |xi|^p, as at a frozen site.
+    |xi|^p (bitwise one reduction over a stored path tensor), and at a
+    frozen site, where every sample is |zeta|^p, that value itself.
+    ``stderr`` is the standard error of that mean at the node where it
+    peaks, from the squared deviations from path 0's |xi|^p (see
+    ``_Level.moments``); it is exactly 0.0 where every path holds the same
+    |xi|^p, as at a frozen site.
     ``diffs`` maps the position m of a larger level in the sequence to the
     sup over the nodes of the sample mean of |xi - xi^m|^p, 0 where both
     levels freeze the site.
@@ -516,7 +518,7 @@ class _Level:
     :func:`band_sum` adds each site's band in band order whatever the block
     width.  The sums cover only the active sites: of |xi|^p and of its
     squared deviations from the shift, path 0's |xi|^p, in path order; a
-    frozen site's power sum is settled once per path block.  The band is
+    frozen site's moment is its |zeta|^p, computed once.  The band is
     range-checked once, before it is remapped (the active sites are in
     range by construction), so the step gathers with ``mode="clip"``, which
     skips numpy's checking copy.
@@ -551,8 +553,8 @@ class _Level:
         frozen_size = np.abs(zeta_values[self.frozen])
         # NaN fails the comparison too
         self.frozen_bounded = bool(np.all(frozen_size <= _BLOWUP_LIMIT))
+        # a frozen site's moment: the mean of n samples that all hold |zeta|^p
         self.frozen_power = _abs_power(frozen_size, self.p, out=frozen_size)
-        self.settled = np.zeros(self.frozen.size)   # the frozen sites' power sums
         self.blowup = np.empty(n_paths, dtype=bool)
         # sums of |xi|^p, path 0's |xi|^p, and sums of the squared deviations from it
         self.power, self.shift, self.squares = np.zeros((3, n_nodes, active.size))
@@ -569,14 +571,6 @@ class _Level:
         self.nodes[:, n:] = self.fixed[:, None]
         self.spread_paths = np.repeat(self.spread, width, axis=1)   # (active site, path)
         self.peak = np.zeros((n, width))   # running max of |xi| from 0, for the blow-up flags
-
-    def finish_block(self, work) -> None:
-        """Add the block's power sums of the frozen sites."""
-        width = self.nodes.shape[2]
-        if self.frozen.size:
-            powed = np.repeat(self.frozen_power[:, None], width, axis=1)   # (site, path)
-            _add_in_path_order(self.settled, powed, work)
-        self.nodes = self.spread_paths = self.peak = None
 
     def _step(self, noise, k0, k1, work) -> None:
         """Nodes k0 .. k1 - 1 of the path block (node 0 is the start state; at
@@ -642,7 +636,8 @@ class _Level:
         shifted data of Chan, Golub & LeVeque 1983): at the node where a
         site's mean peaks, D = power - n shift, and the squared deviations
         from the mean are max(squares - D^2 / n, 0), exactly 0 where every
-        path holds the same |xi|^p, as a frozen site does at every node.
+        path holds the same |xi|^p.  A frozen site's moment is its
+        |zeta|^p and its standard error 0.0, without a sum over the paths.
         The level's own sums are released.
         """
         n, cols = self.blowup.size, np.arange(self.active.size)
@@ -651,7 +646,7 @@ class _Level:
         means = np.divide(self.power, n, out=self.power)
         peak = means.argmax(axis=0)
         moment, stderr = np.empty(self.zeta.size), np.zeros(self.zeta.size)
-        moment[self.active], moment[self.frozen] = means[peak, cols], self.settled / n
+        moment[self.active], moment[self.frozen] = means[peak, cols], self.frozen_power
         if n > 1:
             d = deviation[peak, cols]
             m2 = np.maximum(self.squares[peak, cols] - d * d / n, 0.0)
@@ -704,7 +699,7 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     each is reduced over the nodes to the per-site sups of
     :class:`PathEnsemble`.  The levels step in lockstep, meeting after every
     short run of nodes.  Only active sites are stepped, stored and reduced
-    node by node; frozen sites are settled once per path block.  Each site
+    node by node; a frozen site reports |zeta|^p and no spread.  Each site
     stream's generator state is kept for the next block, except after the
     last one.  The path tensors are stored only with ``keep_paths``.  Under
     the tamed scheme the drift increment is Phi dt / (1 + dt |Phi|), which
@@ -753,9 +748,9 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
                     level._reduce(start, k0, k1, work)
                 for pair in reduced.values():
                     pair.reduce(k0, k1, work)
-            for level in levels:
-                level.finish_block(work)
-            del noise   # freed before the next block is drawn
+            for level in levels:   # run buffers and noise are freed before the next block is drawn
+                level.nodes = level.spread_paths = level.peak = None
+            del noise
         moments = [level.moments() for level in levels]
         sups = {key: np.divide(pair.sums, n_paths, out=pair.sums).max(axis=0)
                 for key, pair in reduced.items()}

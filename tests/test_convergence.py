@@ -14,19 +14,32 @@ from latticesde.spaces import weighted_sum
 import oracles
 
 
-def reference_moment_field(paths, p):
-    """Per-site sup-over-time moment and its standard error from a stored path
-    tensor, by the formulas the moment field used before the simulator reduced
-    while stepping: one mean over the paths, then np.std at the argmax node.
-    |xi|^p is taken as the simulator takes it (sde._abs_power, which
-    test_sde checks against np.power)."""
+def frozen_power(ens, p):
+    """The sites ``ens`` freezes and their |zeta|^p, read off node 0 of path
+    0: the mean of n samples that all hold it, without a sum over the paths."""
+    frozen = np.setdiff1d(np.arange(ens.config.n_sites), ens.active)
+    zeta = ens.paths[0, frozen, 0]
+    return frozen, sde._abs_power(zeta, p, np.empty_like(zeta))
+
+
+def reference_moment_field(ens, p):
+    """Per-site sup-over-time moment and its standard error from the stored
+    path tensor of ``ens``, by the formulas the moment field used before the
+    simulator reduced while stepping: one mean over the paths, then np.std
+    at the argmax node; a frozen site's moment is its |zeta|^p.  |xi|^p is
+    taken as the simulator takes it (sde._abs_power, which test_sde checks
+    against np.power)."""
+    paths = ens.paths
     powed = sde._abs_power(paths, p, np.empty_like(paths))
     means = powed.mean(axis=0)
     argmax = means.argmax(axis=1)
     sites = np.arange(paths.shape[1])
     at_peak = powed[:, sites, argmax]
     stderr = at_peak.std(axis=0, ddof=1) / math.sqrt(paths.shape[0])
-    return means[sites, argmax], stderr
+    moment = means[sites, argmax]
+    frozen, power = frozen_power(ens, p)
+    moment[frozen] = power
+    return moment, stderr
 
 
 def reference_pair_sup(a, b, p):
@@ -48,18 +61,22 @@ def reference_sums(paths, p):
     return power, shift, s2
 
 
-def reference_moments(paths, p):
-    """``moment`` and ``stderr`` from a stored path tensor: per site, the
-    largest mean over the nodes of :func:`reference_sums`, the standard
-    error at that node from the shifted sums, and the node itself."""
-    power, shift, s2 = reference_sums(paths, p)
-    n, sites = paths.shape[0], np.arange(paths.shape[1])
+def reference_moments(ens, p):
+    """``moment`` and ``stderr`` from the stored path tensor of ``ens``: per
+    site, the largest mean over the nodes of :func:`reference_sums`, the
+    standard error at that node from the shifted sums, and the node itself;
+    a frozen site's moment is its |zeta|^p."""
+    power, shift, s2 = reference_sums(ens.paths, p)
+    n, sites = ens.paths.shape[0], np.arange(ens.paths.shape[1])
     means = power / n
     peak = means.argmax(axis=0)
     d = power[peak, sites] - n * shift[peak, sites]
     m2 = np.maximum(s2[peak, sites] - d * d / n, 0.0)
     stderr = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
-    return means[peak, sites], stderr, peak
+    moment = means[peak, sites]
+    frozen, power = frozen_power(ens, p)
+    moment[frozen] = power
+    return moment, stderr, peak
 
 
 def reference_diffs(a, b, p):
@@ -75,9 +92,9 @@ def assert_reductions_match_paths(ensembles, levels, model):
     p = model.p
     fields = [lat.moment_field(e) for e in ensembles]
     for ens, field in zip(ensembles, fields):
-        per_site, stderr = reference_moment_field(ens.paths, p)
+        per_site, stderr = reference_moment_field(ens, p)
         assert field.per_site.tobytes() == per_site.tobytes()
-        assert field.stderr.tobytes() == reference_moments(ens.paths, p)[1].tobytes()
+        assert field.stderr.tobytes() == reference_moments(ens, p)[1].tobytes()
         # against np.std: 1e-12 relative, beyond the shifted sums' own
         # rounding, a few ulps of |xi|^p where the variance is zero
         ulps = 4 * np.finfo(float).eps * per_site
@@ -119,13 +136,24 @@ class TestMomentField:
         zeta = lat.WeightedSeq(poisson_1d, rng.standard_normal(poisson_1d.n_sites))
         ens = lat.simulate_truncated(model, poisson_1d, [0], zeta, 0.5, 0.01, 16, 2)
         field = lat.moment_field(ens)
-        for x in range(1, poisson_1d.n_sites):
-            # trajectory is bitwise constant; the p-th power itself may land
-            # one ulp off the scalar evaluation (vectorized pow)
-            assert field.per_site[x] == pytest.approx(
-                abs(zeta.values[x]) ** 4, rel=1e-15
-            )
-            assert field.stderr[x] == 0.0
+        # the simulator's own power of zeta, which test_sde checks against np.power
+        power = sde._abs_power(zeta.values, 4.0, np.empty(poisson_1d.n_sites))
+        assert field.per_site[1:].tobytes() == power[1:].tobytes()
+        assert field.stderr[1:].tobytes() == np.zeros(poisson_1d.n_sites - 1).tobytes()
+
+    @pytest.mark.parametrize("path_block", [1, 7, 4096])
+    def test_frozen_moment_is_the_power_not_a_path_sum(self, poisson_1d, monkeypatch,
+                                                       path_block):
+        # 400 paths of 0.9^4: a sum of the 400 equal samples, divided by 400,
+        # lands ulps off 0.9^4, so only the power itself passes
+        n = poisson_1d.n_sites
+        model = lat.make_model("linear", 1.0, kernel_cap=0.1, rho=1.0, sigma0=0.3, p=4.0)
+        zeta = lat.WeightedSeq(poisson_1d, np.full(n, 0.9))
+        monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
+        ens, = simulate_levels(model, poisson_1d, [np.arange(n // 2)], zeta, 0.02, 0.01, 400, 3)
+        power = sde._abs_power(np.full(n - n // 2, 0.9), 4.0, np.empty(n - n // 2))
+        assert ens.moment[n // 2 :].tobytes() == power.tobytes()
+        assert ens.stderr[n // 2 :].tobytes() == np.zeros(n - n // 2).tobytes()
 
     def test_ou_sup_matches_oracle(self, ou_ensemble):
         field = lat.moment_field(ou_ensemble)
@@ -151,10 +179,11 @@ class TestStandardError:
         assert_reductions_match_paths(ensembles, levels, model)
         for ens in ensembles:
             power, shift, _ = reference_sums(ens.paths, model.p)
-            assert np.all(reference_moments(ens.paths, model.p)[2] == 0)
-            # the equal powers sum to other than n times their value, so
-            # D != 0 and the unclamped S2 - D^2 / n would be negative
-            assert np.any(power[0] != n_paths * shift[0])
+            assert np.all(reference_moments(ens, model.p)[2] == 0)
+            # at the active sites the equal powers sum to other than n times
+            # their value, so D != 0 and the unclamped S2 - D^2 / n would be
+            # negative
+            assert np.any(power[0, ens.active] != n_paths * shift[0, ens.active])
             assert np.all(ens.stderr == 0.0) and not np.any(np.signbit(ens.stderr))
 
     @pytest.mark.parametrize("sigma", [1e-9, 1e-6, 1e-3])
@@ -170,7 +199,7 @@ class TestStandardError:
         ensembles = simulate_levels(model, poisson_1d, levels, zeta, 0.1, 0.01, 10, 10,
                                     keep_paths=True)
         assert_reductions_match_paths(ensembles, levels, model)
-        assert np.all(reference_moments(ensembles[0].paths, model.p)[2] > 0)
+        assert np.all(reference_moments(ensembles[0], model.p)[2] > 0)
         assert np.all(ensembles[0].stderr > 0.0)
 
 
@@ -510,7 +539,7 @@ class TestPrefixOrder:
                 lone = lat.simulate_truncated(model, config, level, zeta, 0.1, 0.01, n_paths, 29)
                 assert ens.paths.tobytes() == lone.paths.tobytes()
                 assert ens.blowup.tobytes() == lone.blowup.tobytes()
-                moment, stderr, _ = reference_moments(ens.paths, model.p)
+                moment, stderr, _ = reference_moments(ens, model.p)
                 assert ens.moment.tobytes() == moment.tobytes()
                 assert ens.stderr.tobytes() == stderr.tobytes()
         for small, large in cauchy_pairs(len(levels)):
@@ -519,7 +548,7 @@ class TestPrefixOrder:
 
 
 class TestFrozenRows:
-    """Run buffers and sums cover the active sites; frozen sites are settled once per block."""
+    """Run buffers and sums cover the active sites; a frozen site reports its |zeta|^p."""
 
     @pytest.mark.parametrize("noise_refine", [1, 3])
     @pytest.mark.parametrize("chunk", [1, None])
@@ -544,7 +573,7 @@ class TestFrozenRows:
                                     noise_refine=noise_refine, keep_paths=True)
         for active, ens in zip(sets, ensembles):
             assert np.array_equal(ens.active, active)
-            moment, stderr, peak = reference_moments(ens.paths, model.p)
+            moment, stderr, peak = reference_moments(ens, model.p)
             assert ens.moment.tobytes() == moment.tobytes()
             assert ens.stderr.tobytes() == stderr.tobytes()
             frozen = np.setdiff1d(np.arange(n), active)
@@ -582,7 +611,7 @@ class TestFrozenRows:
             assert [bool(e.blowup.all()) for e in ensembles] == [flagged, flagged]
             assert [bool(e.blowup.any()) for e in ensembles] == [flagged, flagged]
             for got, want in zip((ensembles[0].moment, ensembles[0].stderr),
-                                 reference_moments(ensembles[0].paths, model.p)):
+                                 reference_moments(ensembles[0], model.p)):
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("noise_refine", [1, 3])

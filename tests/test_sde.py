@@ -26,10 +26,20 @@ def full_site_step(config):
     rows for the reductions.  The band sums add one band column after the
     other from 0.0, 0.0 past a site's degree; the drift is the kernel's value
     times the band sum where the kernel is equal over the band, else the sum
-    of the kernel-weighted columns.  A stand-in for ``_Level._step``."""
+    of the kernel-weighted columns.  Each site's band and kernel weights are
+    read off its own row of the configuration, ``config.row(x)``.  A
+    stand-in for ``_Level._step``."""
     def step(level, noise, k0, k1, work):
         model, active = level.model, level.active
-        slots, real, kernel, degrees = sde._band_slots(model, config, active)
+        bands = [config.row(x) for x in active]
+        degrees = np.array([band.stop - band.start for band in bands])
+        # row i: site active[i]'s neighbors and their weights a(x - y), then padding
+        slots = np.zeros((active.size, degrees.max()), dtype=np.int64)
+        real = np.arange(degrees.max()) < degrees[:, None]
+        kernel = np.zeros(slots.shape)
+        for i, band in enumerate(bands):
+            slots[i, : degrees[i]] = config.indices[band]
+            kernel[i, : degrees[i]] = model.kernel(config.distances[band])
         weights = kernel[real]
         if k0 == 0:
             level.state = np.repeat(level.zeta[:, None], level.nodes.shape[2], axis=1)

@@ -13,6 +13,8 @@ and ``picard`` into one output tree per case:
 - demo2d: the 2-d window of the CI workflow (``configs/demo.cfg`` with
   ``dim = 2``, ``box_halfwidth = 3.0`` and ``levels = 5``)
 - demo2d-dump: demo2d with ``dump_paths = true``
+- demo-zeta: demo with ``zeta = 0.9``, where a sum of equal |zeta|^p over
+  the paths would land off |zeta|^p itself, so a frozen site's moment shows
 
 The configs are read from the checkout that holds this script, so both sides
 run the same inputs, and each subcommand runs in a fresh interpreter with one
@@ -78,6 +80,7 @@ def cases():
         "window2d": bench_ini(spec["workloads"]["window2d"]),
         "demo2d": two_d,
         "demo2d-dump": edited(two_d, {"dump_paths = false": "dump_paths = true"}),
+        "demo-zeta": edited(demo, {"zeta = 1.0": "zeta = 0.9"}),
     }
 
 
