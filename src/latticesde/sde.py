@@ -554,7 +554,7 @@ class _Level:
         # NaN fails the comparison too
         self.frozen_bounded = bool(np.all(frozen_size <= _BLOWUP_LIMIT))
         # a frozen site's moment: the mean of n samples that all hold |zeta|^p
-        self.frozen_power = _abs_power(frozen_size, self.p, out=frozen_size)
+        self.frozen_power = _power(frozen_size, self.p)
         self.blowup = np.empty(n_paths, dtype=bool)
         # sums of |xi|^p, path 0's |xi|^p, and sums of the squared deviations from it
         self.power, self.shift, self.squares = np.zeros((3, n_nodes, active.size))
