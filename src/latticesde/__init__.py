@@ -40,7 +40,6 @@ from .sde import (
     simulate_truncated,
 )
 from .convergence import (
-    MomentField,
     moment_field,
     tail_bound_check,
     z_norm,

@@ -221,9 +221,9 @@ def _write_json(payload: dict, path: Path) -> None:
     )
 
 
-def _write_moments_csv(field, path: Path) -> None:
-    keys = [f"{i}," for i in range(field.config.n_sites)]
-    write_table(path, "site,per_site,stderr", [("", keys, field.per_site, field.stderr)])
+def _write_moments_csv(ensemble, path: Path) -> None:
+    keys = [f"{i}," for i in range(ensemble.config.n_sites)]
+    write_table(path, "site,per_site,stderr", [("", keys, ensemble.moment, ensemble.stderr)])
 
 
 def _write_paths_csv(ensemble, path: Path) -> None:
@@ -319,9 +319,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
             if ens.has_blowup:
                 failed = True
             else:
-                field = moment_field(ens)
-                _write_moments_csv(field, out_dir / f"moments_level{j}.csv")
-                entry["z_norms"] = {repr(a): z_norm(field, a) for a in cfg.alphas}
+                moment_field(ens)
+                _write_moments_csv(ens, out_dir / f"moments_level{j}.csv")
+                entry["z_norms"] = {repr(a): z_norm(ens, a) for a in cfg.alphas}
             if cfg.dump_paths:
                 _write_paths_csv(ens, out_dir / f"trajectories_level{j}.csv")
             summary["levels"].append(entry)
@@ -414,19 +414,14 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     if blowups:
         checks.append({"name": "simulation", "ok": False, "blowup_paths": blowups})
     else:
-        fields = [moment_field(e) for e in ensembles]
-        tb = tail_bound_check(
-            fields, cfg.alphas[0], model=model, zeta=zeta, a_low=cfg.a_low,
-            T=cfg.horizon,
-        )
+        ensembles = [moment_field(e) for e in ensembles]
+        tb = tail_bound_check(ensembles, cfg.alphas[0], model=model, zeta=zeta, a_low=cfg.a_low)
         checks.append(
             {"name": "tail_bound", "ok": bool(tb.plateau_ok and tb.ceiling_ok),
              "sup_sum": tb.sup_sum, "ceiling": tb.ceiling,
              "log10_ceiling_factor": tb.log10_K}
         )
-        cr = cauchy_table(
-            ensembles, cfg.alphas[0], fields=fields, model=model, a_low=cfg.a_low
-        )
+        cr = cauchy_table(ensembles, cfg.alphas[0], model=model, a_low=cfg.a_low)
         checks.append(
             {"name": "cauchy", "ok": bool(cr.decreasing_ok and cr.dominated_ok),
              "decreasing": cr.decreasing_ok, "dominated": cr.dominated_ok}
@@ -434,7 +429,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         keys = [f"{r.level_n},{r.level_m}," for r in cr.rows]
         columns = ([r.distance for r in cr.rows], [r.dominator for r in cr.rows])
         write_table(out_dir / "cauchy_table.csv", "n,m,D,dominator", [("", keys, *columns)])
-        _write_moments_csv(fields[-1], out_dir / "moments.csv")
+        _write_moments_csv(ensembles[-1], out_dir / "moments.csv")
         mc = moment_constants(model, cfg.horizon)
         cc = cauchy_constants(model)
         constants.update(mc)

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, estimate_growth_constant
+from .geometry import estimate_growth_constant
 from .ovsjannikov import norm_bound_series, norm_bound_series_log10, ovs_constant
 from .sde import ModelSpec, PathEnsemble, cauchy_pairs
 from .sde import simulate_truncated  # noqa: F401 -- bench/tracer.py wraps it under this name
 from .spaces import weighted_sum
 
 __all__ = [
-    "MomentField",
     "moment_field",
     "z_norm",
     "moment_constants",
@@ -38,36 +37,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class MomentField:
-    """Per-site sup-over-time Monte Carlo estimate of E|xi_x,t|^p."""
-
-    config: Configuration
-    p: float
-    per_site: np.ndarray
-    stderr: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.per_site < 0):
-            raise ValueError("moment estimates must be nonnegative")
-
-
-def moment_field(ensemble: PathEnsemble) -> MomentField:
-    """Sitewise sup over the grid of the sample p-th absolute moment.
-
-    Reads the ensemble's ``moment`` and ``stderr``, reduced while it was
-    simulated at the model's moment order p: the standard errors come from
-    the sample variance of |xi|^p at the maximizing grid node.  Ensembles
-    with blow-up flags are rejected: their moments are meaningless.
-    """
+def moment_field(ensemble: PathEnsemble) -> PathEnsemble:
+    """The ensemble, whose ``moment`` and ``stderr`` are its sitewise sup over
+    the grid of the sample p-th absolute moment and that mean's standard error;
+    ValueError if it has blown-up paths, whose moments are meaningless."""
     if ensemble.has_blowup:
         raise ValueError("ensemble contains blown-up paths; moments are unusable")
-    return MomentField(ensemble.config, float(ensemble.p), ensemble.moment, ensemble.stderr)
+    return ensemble
 
 
-def z_norm(field: MomentField, alpha: float) -> float:
-    """(sum_x e^(-alpha |x|) per_site_x)^(1/p), the upper-bound process norm."""
-    return weighted_sum(field.config.radii, alpha, field.per_site) ** (1.0 / field.p)
+def z_norm(ensemble: PathEnsemble, alpha: float) -> float:
+    """(sum_x e^(-alpha |x|) moment_x)^(1/p), the upper-bound process norm."""
+    return weighted_sum(ensemble.config.radii, alpha, ensemble.moment) ** (1.0 / ensemble.p)
 
 
 def moment_constants(model: ModelSpec, T: float) -> dict:
@@ -123,36 +104,37 @@ class TailBoundReport:
     log10_K: float
 
 
-def tail_bound_check(fields, alpha, *, model, zeta, a_low, T) -> TailBoundReport:
+def tail_bound_check(ensembles, alpha, *, model, zeta, a_low) -> TailBoundReport:
     """Uniform-in-level weighted moment sum against plateau and ceiling.
 
-    ``sup_sum`` takes the max over levels sitewise before summing (matching
-    the uniform bound being tested).  The plateau criterion asks that each of
-    the last two level-to-level changes of the weighted sum stays below 5%
-    relative; the ceiling is from :func:`moment_ceiling`.
+    ``sup_sum`` takes the max over levels sitewise of the ensembles'
+    ``moment`` before summing (matching the uniform bound being tested).  The
+    plateau criterion asks that each of the last two level-to-level changes
+    of the weighted sum stays below 5% relative; the ceiling is from
+    :func:`moment_ceiling` at the ensembles' horizon.
     """
-    fields = list(fields)
-    if len(fields) < 3:
+    ensembles = list(ensembles)
+    if len(ensembles) < 3:
         raise ValueError("need at least 3 truncation levels")
-    config = fields[0].config
-    for f in fields:
-        if f.config is not config:
-            raise ValueError("fields live on different configurations")
+    config = ensembles[0].config
+    for e in ensembles:
+        if e.config is not config:
+            raise ValueError("level ensembles live on different configurations")
     if not alpha > a_low:
         raise ValueError("need alpha > a_low")
 
-    level_sums = tuple(weighted_sum(config.radii, alpha, f.per_site) for f in fields)
-    stacked = np.stack([f.per_site for f in fields])
+    level_sums = tuple(weighted_sum(config.radii, alpha, e.moment) for e in ensembles)
+    stacked = np.stack([e.moment for e in ensembles])
     sup_sum = weighted_sum(config.radii, alpha, stacked.max(axis=0))
 
     def rel_change(a, b):
-        base = max(abs(b), 1e-300)
-        return abs(b - a) / base
+        return abs(b - a) / max(abs(b), 1e-300)
 
     plateau_ok = (
         rel_change(level_sums[-2], level_sums[-1]) < 0.05
         and rel_change(level_sums[-3], level_sums[-2]) < 0.05
     )
+    T = float(ensembles[0].times[-1])
     ceiling, log10_K = moment_ceiling(model, config, zeta, a_low, alpha, T)
     return TailBoundReport(
         sup_sum=sup_sum,
@@ -179,7 +161,7 @@ class CauchyReport:
     dominated_ok: bool
 
 
-def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
+def cauchy_table(ensembles, alpha, *, model, a_low) -> CauchyReport:
     """Pairwise level distances against the weighted tail dominator.
 
     For each pair (n, m) of :func:`cauchy_pairs` the distance is the weighted
@@ -188,9 +170,8 @@ def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
     were stepped (identical levels therefore give exactly zero).
     The dominator charges only the sites thawed between the two levels:
     2^p K(mid, alpha) sum_{tail} e^(-mid |x|) * (max-over-level moment), with
-    mid the midpoint weight between a_low and alpha.  ``fields`` are the
-    p-th moment fields of the ensembles, one per level; each level's sites
-    are its ensemble's active set.
+    mid the midpoint weight between a_low and alpha, and the moment each
+    level's ``moment``; each level's sites are its ensemble's active set.
     """
     if not alpha > a_low:
         raise ValueError("need alpha > a_low")
@@ -200,9 +181,9 @@ def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
             raise ValueError("level ensembles must share one seed and grid")
         if e.config is not config:
             raise ValueError("level ensembles live on different configurations")
+        if e.p != model.p:
+            raise ValueError("level ensembles must hold the model's p-th moments")
     p = model.p
-    if len(fields) != len(ensembles) or any(f.p != p for f in fields):
-        raise ValueError("need one p-th moment field per level ensemble")
     alpha_mid = 0.5 * (a_low + alpha)
     consts = cauchy_constants(model)
     # a negative B1 (strong dissipation) only helps, so the majorant drops it
@@ -212,7 +193,7 @@ def cauchy_table(ensembles, alpha, *, fields, model, a_low) -> CauchyReport:
     L = ovs_constant(band_c, 4.0, n_hat, config.rho, alpha_mid)
     K = norm_bound_series(L, T, 0.5, alpha_mid, alpha)
 
-    moment_sup = np.stack([f.per_site for f in fields]).max(axis=0)
+    moment_sup = np.stack([e.moment for e in ensembles]).max(axis=0)
 
     k = len(ensembles)
     rows = []

@@ -59,7 +59,6 @@ __all__ = [
 _ENTRY_TOL = 1e-9  # relative play when validating |Q_xy| <= C n_x^q
 _WINDOW_NATS = 40.0  # window half-depth of the exact log-sum, in nats below the peak
 _LOG_MAX = 709.782712893384  # log(sys.float_info.max), the largest log of a finite float
-_TRIAL_TERMS = 1 << 18  # operator terms per batched matvec of the random trials, 2 MB
 _CONTRACT_TERMS = 1 << 16  # doubles per buffer of a many-sequence matvec, 512 kB
 _DIVERGED = "parameters lie outside the convergent series regime"
 
@@ -217,15 +216,15 @@ def _max_ratio(Q: BandedOperator, values: np.ndarray, alpha, beta) -> float:
     """Max of ||Q v||_beta / ||v||_alpha over the rows v of ``values`` with
     ||v||_alpha != 0, 0.0 if none; each norm a :func:`weighted_sum`.
 
-    The operator is applied to as many rows at a time as keep its terms
-    within _TRIAL_TERMS.  The sums are bounded (:func:`bounded_sums`), and
-    only a row whose ratio can reach the largest lower bound of a ratio is
-    summed exactly.
+    The operator is applied to as many rows at a time as fill one
+    _CONTRACT_TERMS buffer of its matvec.  The sums are bounded
+    (:func:`bounded_sums`), and only a row whose ratio can reach the largest
+    lower bound of a ratio is summed exactly.
     """
     radii = Q.config.radii
     trials = len(values)
     denoms, numers = np.empty((2, trials)), np.empty((2, trials))   # rows lo, hi
-    per_matvec = max(1, _TRIAL_TERMS // max(1, Q.vals.size))
+    per_matvec = max(1, _CONTRACT_TERMS // max(1, Q.n_sites))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for t in range(0, trials, per_matvec):
             block = values[t : t + per_matvec]

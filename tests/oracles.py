@@ -187,6 +187,17 @@ def exit_time_diagnostic(ensemble: PathEnsemble, thresholds):
     return {float(level): (peak >= float(level)).mean(axis=0) for level in thresholds}
 
 
+def moment_ensemble(config: Configuration, p, moment, stderr) -> PathEnsemble:
+    """An ensemble of no paths on every site of ``config`` that holds the given
+    per-site ``moment`` and ``stderr`` at moment order ``p``."""
+    return PathEnsemble(
+        config=config, active=np.arange(config.n_sites), times=np.array([0.0, 1.0]), paths=None,
+        seed=0, scheme="tamed", dt=1.0, noise_refine=1, blowup=np.zeros(0, dtype=bool),
+        p=float(p), moment=np.asarray(moment, dtype=float), stderr=np.asarray(stderr, dtype=float),
+        diffs={},
+    )
+
+
 def lp_norm(z: WeightedSeq, a: float, p: float) -> float:
     """Weighted norm (sum_x e^(-a|x|) |z_x|^p)^(1/p)."""
     if a <= 0.0:

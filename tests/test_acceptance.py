@@ -239,10 +239,7 @@ def test_criterion_07_ou_oracle_match(ou_ensemble):
 def test_criterion_08_uniform_moment_bound(level_ensembles):
     t0 = time.time()
     config, model, zeta, levels, ensembles = level_ensembles
-    fields = [lat.moment_field(e) for e in ensembles]
-    tb = lat.tail_bound_check(
-        fields, 0.5, model=model, zeta=zeta, a_low=0.25, T=1.0
-    )
+    tb = lat.tail_bound_check(ensembles, 0.5, model=model, zeta=zeta, a_low=0.25)
     changes = [
         abs(tb.level_sums[i + 1] - tb.level_sums[i]) / tb.level_sums[i + 1]
         for i in range(len(tb.level_sums) - 1)
@@ -259,8 +256,7 @@ def test_criterion_08_uniform_moment_bound(level_ensembles):
 def test_criterion_09_cauchy_property(level_ensembles):
     t0 = time.time()
     config, model, zeta, levels, ensembles = level_ensembles
-    fields = [lat.moment_field(e) for e in ensembles]
-    table = cauchy_table(ensembles, 0.5, fields=fields, model=model, a_low=0.25)
+    table = cauchy_table(ensembles, 0.5, model=model, a_low=0.25)
     extremes = sorted(
         (r for r in table.rows if r.level_m == len(levels) - 1),
         key=lambda r: r.level_n,

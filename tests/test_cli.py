@@ -6,7 +6,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,8 @@ from latticesde.cli import (
     main,
     parse_config,
 )
-from latticesde.convergence import CauchyReport, CauchyRow, MomentField
+from latticesde.convergence import CauchyReport, CauchyRow
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "configs" / "demo.cfg"
@@ -483,8 +484,8 @@ class TestSimulate:
         )
         per_site[:2] = [0.0, 5e-324]
         stderr = rng.standard_normal(poisson_1d.n_sites) ** 2
-        field = MomentField(poisson_1d, 4.0, per_site, stderr)
-        _write_moments_csv(field, tmp_path / "moments.csv")
+        _write_moments_csv(oracles.moment_ensemble(poisson_1d, 4.0, per_site, stderr),
+                           tmp_path / "moments.csv")
         with open(tmp_path / "ref.csv", "w", encoding="utf-8") as fh:
             fh.write("site,per_site,stderr\n")
             for i in range(poisson_1d.n_sites):
@@ -597,6 +598,78 @@ class TestPicard:
         # K may sanitize to the string "inf"; the bound still holds one-sided
         if isinstance(report["K"], float):
             assert report["final_norm"] <= report["K"] * report["initial_norm"]
+
+
+def finite_config(tmp_path) -> Path:
+    """The demo-finite case of ``tools/same_bytes.py``, written under ``tmp_path``."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from same_bytes import cases
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    path = tmp_path / "demo-finite.cfg"
+    path.write_text(cases()["demo-finite"], encoding="utf-8")
+    return path
+
+
+class TestFiniteBounds:
+    """On demo-finite K, the moment ceiling and every Cauchy dominator are
+    finite, so each check fails once what it measures is scaled past its bound."""
+
+    def verify(self, tmp_path, monkeypatch, **scale):
+        real = cli.simulate_levels
+
+        def scaled(*args, **kwargs):
+            return [replace(e, moment=e.moment * scale.get("moment", 1.0),
+                            diffs={m: d * scale.get("diffs", 1.0) for m, d in e.diffs.items()})
+                    for e in real(*args, **kwargs)]
+
+        monkeypatch.setattr(cli, "simulate_levels", scaled)
+        out = tmp_path / "o"
+        code = main(["verify", "--config", str(finite_config(tmp_path)), "--out", str(out)])
+        report = json.loads((out / "verify_report.json").read_text())
+        return code, {c["name"]: c for c in report["checks"]}
+
+    def test_bounds_are_finite_and_hold(self, tmp_path, monkeypatch):
+        code, checks = self.verify(tmp_path, monkeypatch)
+        assert code == 0 and all(c["ok"] for c in checks.values())
+        assert 1.0 <= checks["series_majorant"]["K"] < 2.0
+        assert 0.0 < checks["tail_bound"]["sup_sum"] < checks["tail_bound"]["ceiling"] < 1e3
+        dominators = [float(row.split(",")[3])
+                      for row in (tmp_path / "o" / "cauchy_table.csv").read_text().splitlines()[1:]]
+        assert len(dominators) == 3 and all(0.0 < d < 1.0 for d in dominators)
+
+    def test_moments_past_the_ceiling_fail_it(self, tmp_path, monkeypatch):
+        # sup_sum 0.196 against a ceiling of 21.1; the dominators scale with
+        # the moments, so the Cauchy check still holds
+        code, checks = self.verify(tmp_path, monkeypatch, moment=1e3)
+        assert code == 1
+        assert checks["tail_bound"]["sup_sum"] > checks["tail_bound"]["ceiling"]
+        assert not checks["tail_bound"]["ok"]
+        assert [name for name, c in checks.items() if not c["ok"]] == ["tail_bound"]
+
+    def test_distances_past_the_dominators_fail_them(self, tmp_path, monkeypatch):
+        # distances 7.3e-12 and 1.1e-16 against dominators 4.4e-6 and 1.1e-9
+        code, checks = self.verify(tmp_path, monkeypatch, diffs=1e8)
+        assert code == 1
+        assert checks["cauchy"]["decreasing"] and not checks["cauchy"]["dominated"]
+        assert [name for name, c in checks.items() if not c["ok"]] == ["cauchy"]
+
+    def test_solution_past_the_picard_bound_fails_it(self, tmp_path, monkeypatch):
+        # final norm 0.090 against K * initial = 1.003 * 1.575
+        real = cli.solve_linear_evolution
+
+        def scaled(*args, **kwargs):
+            f = real(*args, **kwargs)
+            return replace(f, values=f.values * 100.0)
+
+        monkeypatch.setattr(cli, "solve_linear_evolution", scaled)
+        out = tmp_path / "o"
+        assert main(["picard", "--config", str(finite_config(tmp_path)), "--out", str(out)]) == 1
+        report = json.loads((out / "picard_report.json").read_text())
+        assert 1.0 <= report["K"] < 2.0
+        assert report["final_norm"] > report["K"] * report["initial_norm"]
+        assert report["bound_ok"] is False
 
 
 def test_every_traced_name_resolves():

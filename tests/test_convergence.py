@@ -88,21 +88,21 @@ def reference_diffs(a, b, p):
 
 
 def assert_reductions_match_paths(ensembles, levels, model):
-    """moment_field and cauchy_table against the reference formulas on the stored paths."""
+    """The ensembles' moments and cauchy_table against the reference formulas
+    on the stored paths."""
     p = model.p
-    fields = [lat.moment_field(e) for e in ensembles]
-    for ens, field in zip(ensembles, fields):
+    for ens in ensembles:
         per_site, stderr = reference_moment_field(ens, p)
-        assert field.per_site.tobytes() == per_site.tobytes()
-        assert field.stderr.tobytes() == reference_moments(ens, p)[1].tobytes()
+        assert ens.moment.tobytes() == per_site.tobytes()
+        assert ens.stderr.tobytes() == reference_moments(ens, p)[1].tobytes()
         # against np.std: 1e-12 relative, beyond the shifted sums' own
         # rounding, a few ulps of |xi|^p where the variance is zero
         ulps = 4 * np.finfo(float).eps * per_site
-        assert np.all(np.abs(field.stderr - stderr) <= 1e-12 * stderr + ulps)
+        assert np.all(np.abs(ens.stderr - stderr) <= 1e-12 * stderr + ulps)
     if len(ensembles) < 2:
         return
     config = ensembles[0].config
-    report = cauchy_table(ensembles, 0.5, fields=fields, model=model, a_low=0.25)
+    report = cauchy_table(ensembles, 0.5, model=model, a_low=0.25)
     assert [(r.level_n, r.level_m) for r in report.rows] == cauchy_pairs(len(levels))
     for row in report.rows:
         sup = reference_pair_sup(ensembles[row.level_n], ensembles[row.level_m], p)
@@ -126,8 +126,8 @@ class TestMomentField:
         ens = lat.simulate_truncated(
             model, single_site_config, [0], zeta, 0.5, 0.01, 8, 0
         )
-        field = lat.moment_field(ens)
-        assert np.all(field.per_site == 0.0)
+        assert lat.moment_field(ens) is ens
+        assert np.all(ens.moment == 0.0)
 
     def test_frozen_sites_report_exact_power(self, poisson_1d):
         model = lat.make_model("cubic", 0.0, kernel_cap=0.1, rho=1.0,
@@ -135,11 +135,10 @@ class TestMomentField:
         rng = np.random.default_rng(1)
         zeta = lat.WeightedSeq(poisson_1d, rng.standard_normal(poisson_1d.n_sites))
         ens = lat.simulate_truncated(model, poisson_1d, [0], zeta, 0.5, 0.01, 16, 2)
-        field = lat.moment_field(ens)
         # the simulator's own power of zeta, which test_sde checks against np.power
         power = sde._abs_power(zeta.values, 4.0, np.empty(poisson_1d.n_sites))
-        assert field.per_site[1:].tobytes() == power[1:].tobytes()
-        assert field.stderr[1:].tobytes() == np.zeros(poisson_1d.n_sites - 1).tobytes()
+        assert ens.moment[1:].tobytes() == power[1:].tobytes()
+        assert ens.stderr[1:].tobytes() == np.zeros(poisson_1d.n_sites - 1).tobytes()
 
     @pytest.mark.parametrize("path_block", [1, 7, 4096])
     def test_frozen_moment_is_the_power_not_a_path_sum(self, poisson_1d, monkeypatch,
@@ -156,9 +155,9 @@ class TestMomentField:
         assert ens.stderr[n // 2 :].tobytes() == np.zeros(n - n // 2).tobytes()
 
     def test_ou_sup_matches_oracle(self, ou_ensemble):
-        field = lat.moment_field(ou_ensemble)
+        ens = lat.moment_field(ou_ensemble)
         _, stationary = oracles.ou_moment_oracle(1.0, math.sqrt(2.0), 0.0, 1.0)
-        assert field.per_site[0] == pytest.approx(stationary, abs=3.5 * field.stderr[0])
+        assert ens.moment[0] == pytest.approx(stationary, abs=3.5 * ens.stderr[0])
 
 
 class TestStandardError:
@@ -205,29 +204,29 @@ class TestStandardError:
 
 class TestZNorm:
     def test_zero_field(self, single_site_config):
-        field = lat.MomentField(single_site_config, 2.0, np.zeros(1), np.zeros(1))
-        assert lat.z_norm(field, 1.0) == 0.0
+        ens = oracles.moment_ensemble(single_site_config, 2.0, np.zeros(1), np.zeros(1))
+        assert lat.z_norm(ens, 1.0) == 0.0
 
     def test_single_site_at_origin(self, single_site_config):
-        field = lat.MomentField(single_site_config, 2.0, np.ones(1), np.zeros(1))
-        assert lat.z_norm(field, 1.0) == pytest.approx(1.0)
+        ens = oracles.moment_ensemble(single_site_config, 2.0, np.ones(1), np.zeros(1))
+        assert lat.z_norm(ens, 1.0) == pytest.approx(1.0)
 
     def test_two_site_value(self):
         cfg = lat.configuration_from_points([[0.0], [1.0]], rho=0.5)
-        field = lat.MomentField(cfg, 2.0, np.ones(2), np.zeros(2))
-        assert lat.z_norm(field, 1.0) == pytest.approx(
+        ens = oracles.moment_ensemble(cfg, 2.0, np.ones(2), np.zeros(2))
+        assert lat.z_norm(ens, 1.0) == pytest.approx(
             math.sqrt(1.0 + math.exp(-1.0))
         )
-        assert lat.z_norm(field, 1.0) == pytest.approx(1.1695638, abs=1e-6)
+        assert lat.z_norm(ens, 1.0) == pytest.approx(1.1695638, abs=1e-6)
 
     def test_monotone_in_weight(self, poisson_1d):
         rng = np.random.default_rng(3)
-        field = lat.MomentField(
+        ens = oracles.moment_ensemble(
             poisson_1d, 2.0, rng.uniform(0, 2, poisson_1d.n_sites),
             np.zeros(poisson_1d.n_sites),
         )
         for alpha, beta in [(0.3, 0.5), (0.5, 1.0), (1.0, 2.0)]:
-            assert lat.z_norm(field, beta) <= lat.z_norm(field, alpha) + 1e-12
+            assert lat.z_norm(ens, beta) <= lat.z_norm(ens, alpha) + 1e-12
 
 
 class TestConstants:
@@ -263,10 +262,7 @@ class TestTailBound:
             lat.simulate_truncated(model, poisson_1d, [], zeta, 0.5, 0.01, 8, 6)
             for _ in range(3)
         ]
-        fields = [lat.moment_field(e) for e in ensembles]
-        report = lat.tail_bound_check(
-            fields, 0.5, model=model, zeta=zeta, a_low=0.25, T=0.5
-        )
+        report = lat.tail_bound_check(ensembles, 0.5, model=model, zeta=zeta, a_low=0.25)
         exact = math.fsum(
             (np.exp(-0.5 * poisson_1d.radii) * np.abs(zeta.values) ** 4).tolist()
         )
@@ -284,10 +280,7 @@ class TestTailBound:
             )
             for _ in range(3)
         ]
-        fields = [lat.moment_field(e) for e in ensembles]
-        report = lat.tail_bound_check(
-            fields, 0.5, model=model, zeta=zeta, a_low=0.25, T=0.5
-        )
+        report = lat.tail_bound_check(ensembles, 0.5, model=model, zeta=zeta, a_low=0.25)
         assert report.sup_sum == 0.0
         assert report.ceiling > 0.0
         assert report.plateau_ok and report.ceiling_ok
@@ -298,13 +291,8 @@ class TestTailBound:
         ens = lat.simulate_truncated(
             model, poisson_1d, [], zeta, 0.5, 0.01, 4, 8
         )
-        fields = [lat.moment_field(ens)] * 2
         with pytest.raises(ValueError):
-            lat.tail_bound_check(fields, 0.5, model=model, zeta=zeta, a_low=0.25, T=0.5)
-
-
-def moments(ensembles):
-    return [lat.moment_field(e) for e in ensembles]
+            lat.tail_bound_check([ens] * 2, 0.5, model=model, zeta=zeta, a_low=0.25)
 
 
 class TestCauchy:
@@ -314,10 +302,7 @@ class TestCauchy:
         ensembles = simulate_levels(
             model, config, [full, full, full], zeta, 0.5, 0.01, 16, 9
         )
-        report = cauchy_table(
-            ensembles, 0.5, fields=moments(ensembles),
-            model=model, a_low=0.25,
-        )
+        report = cauchy_table(ensembles, 0.5, model=model, a_low=0.25)
         for row in report.rows:
             assert row.distance == 0.0
             assert row.dominator == 0.0
@@ -332,9 +317,7 @@ class TestCauchy:
             model, config, levels, zeta, 0.5, 0.01, 64, 10, keep_paths=True
         )
         p = model.p
-        report = cauchy_table(
-            ensembles, 0.5, fields=moments(ensembles), model=model, a_low=0.25
-        )
+        report = cauchy_table(ensembles, 0.5, model=model, a_low=0.25)
         weights = np.exp(-0.5 * config.radii)
         for row in report.rows:
             big = ensembles[row.level_m]
@@ -346,9 +329,7 @@ class TestCauchy:
 
     def test_coupled_levels_decrease(self, level_ensembles):
         config, model, zeta, levels, ensembles = level_ensembles
-        report = cauchy_table(
-            ensembles, 0.5, fields=moments(ensembles), model=model, a_low=0.25
-        )
+        report = cauchy_table(ensembles, 0.5, model=model, a_low=0.25)
         assert report.decreasing_ok
 
     def test_weight_order_enforced(self, decoupled_setup):
@@ -356,10 +337,7 @@ class TestCauchy:
         full = np.arange(config.n_sites)
         ensembles = simulate_levels(model, config, [full, full], zeta, 0.5, 0.01, 8, 11)
         with pytest.raises(ValueError):
-            cauchy_table(
-                ensembles, 0.2, fields=moments(ensembles),
-                model=model, a_low=0.25,
-            )
+            cauchy_table(ensembles, 0.2, model=model, a_low=0.25)
 
     def test_mismatched_seeds_rejected(self, decoupled_setup):
         config, model, zeta = decoupled_setup
@@ -367,10 +345,15 @@ class TestCauchy:
         a = lat.simulate_truncated(model, config, full, zeta, 0.25, 0.01, 4, 1)
         b = lat.simulate_truncated(model, config, full, zeta, 0.25, 0.01, 4, 2)
         with pytest.raises(ValueError, match="seed"):
-            cauchy_table(
-                [a, b], 0.5, fields=moments([a, b]),
-                model=model, a_low=0.25,
-            )
+            cauchy_table([a, b], 0.5, model=model, a_low=0.25)
+
+    def test_moments_of_another_order_rejected(self, decoupled_setup):
+        config, model, zeta = decoupled_setup
+        full = np.arange(config.n_sites)
+        ensembles = simulate_levels(model, config, [full, full], zeta, 0.25, 0.01, 4, 1)
+        other = lat.make_model("linear", 1.0, kernel_cap=0.0, rho=1.0, sigma0=0.5, p=4.0)
+        with pytest.raises(ValueError, match="p-th moments"):
+            cauchy_table(ensembles, 0.5, model=other, a_low=0.25)
 
     def test_non_nested_levels_rejected(self, decoupled_setup):
         config, model, zeta = decoupled_setup

@@ -2,9 +2,11 @@
 
 ``output_bytes.json`` holds the SHA-256 of every file ``generate``,
 ``simulate``, ``verify`` and ``picard`` write for ``configs/demo.cfg``, the
-levels1d workload of ``bench/workloads.json``, the 2-d window of the CI
-workflow and demo at ``zeta = 0.9`` (the demo, levels1d, demo2d and
-demo-zeta cases of ``tools/same_bytes.py``), run in process.  Every sum that reaches them is added in a fixed order by
+levels1d and window2d workloads of ``bench/workloads.json``, the 2-d window
+of the CI workflow, demo at ``zeta = 0.9`` and demo on a sparse window whose
+theory bounds are finite (the demo, levels1d, window2d, demo2d, demo-zeta and
+demo-finite cases of ``tools/same_bytes.py``; all but demo2d-dump), run in
+process.  Every sum that reaches them is added in a fixed order by
 elementwise ufuncs or ``math.fsum``, never by a BLAS kernel, and over the
 paths in path order, so the simulated files come out the same under every
 OpenBLAS core and however the paths are split into blocks.  numpy does not
@@ -31,7 +33,7 @@ from latticesde.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("output_bytes.json")
-CASES = ("demo", "levels1d", "demo2d", "demo-zeta")
+CASES = ("demo", "levels1d", "demo2d", "demo-zeta", "demo-finite", "window2d")
 CORE_CASES = ("demo", "demo2d")   # the 1-d and 2-d cases run under each BLAS core
 COMMANDS = ("generate", "simulate", "verify", "picard")
 CORES = (None, "Haswell", "Sandybridge", "Prescott")   # None: the core OpenBLAS detects

@@ -163,9 +163,9 @@ class TestVerifyOvsBound:
 
     @pytest.mark.parametrize("terms", [1, 500, None])
     def test_batched_trials_match_per_trial_loop(self, monkeypatch, terms):
-        # one trial per matvec, a few per matvec, and all at once
+        # one trial per matvec, two per matvec (218 sites), and all at once
         if terms is not None:
-            monkeypatch.setattr(ovsjannikov, "_TRIAL_TERMS", terms)
+            monkeypatch.setattr(ovsjannikov, "_CONTRACT_TERMS", terms)
         cfg = lat.sample_configuration(2.0, 5.0, 2, 1.0, 9)
         Q = lat.random_banded_operator(cfg, 0.5, 1.0, 4)
         rng = np.random.default_rng(6)

@@ -15,6 +15,11 @@ and ``picard`` into one output tree per case:
 - demo2d-dump: demo2d with ``dump_paths = true``
 - demo-zeta: demo with ``zeta = 0.9``, where a sum of equal |zeta|^p over
   the paths would land off |zeta|^p itself, so a frozen site's moment shows
+- demo-finite: demo on a sparse window (``intensity = 0.1``,
+  ``box_halfwidth = 80.0``, ``rho = 0.5``) with ``p = 2.0``, a ``linear``
+  potential at 1.0, ``horizon = 0.02`` and ``dt = 0.001``, where the growth
+  constant and horizon are small enough that K, the moment ceiling and every
+  Cauchy dominator are finite, so the bound code shows in the bytes
 
 The configs are read from the checkout that holds this script, so both sides
 run the same inputs, and each subcommand runs in a fresh interpreter with one
@@ -81,6 +86,11 @@ def cases():
         "demo2d": two_d,
         "demo2d-dump": edited(two_d, {"dump_paths = false": "dump_paths = true"}),
         "demo-zeta": edited(demo, {"zeta = 1.0": "zeta = 0.9"}),
+        "demo-finite": edited(demo, {
+            "intensity = 2.0": "intensity = 0.1", "box_halfwidth = 4.0": "box_halfwidth = 80.0",
+            "rho = 1.0": "rho = 0.5", "p = 4.0": "p = 2.0", "horizon = 0.5": "horizon = 0.02",
+            "potential = cubic": "potential = linear", "potential_param = 0.0": "potential_param = 1.0",
+            "dt = 0.01": "dt = 0.001"}),
     }
 
 
