@@ -319,7 +319,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
             if ens.has_blowup:
                 failed = True
             else:
-                moment_field(ens)
                 _write_moments_csv(ens, out_dir / f"moments_level{j}.csv")
                 entry["z_norms"] = {repr(a): z_norm(ens, a) for a in cfg.alphas}
             if cfg.dump_paths:

@@ -94,6 +94,26 @@ def moment_ceiling(model, config, zeta, a_low, alpha, T):
     return K * weighted if weighted else 0.0, log10_K
 
 
+def _levels(ensembles, alpha, model, a_low):
+    """The levels' configuration, horizon T and sitewise max ``moment``; ValueError
+    unless alpha > a_low and the levels share one configuration, seed and grid,
+    hold the model's p-th moments and have no blown-up path."""
+    if not alpha > a_low:
+        raise ValueError("need alpha > a_low")
+    first = ensembles[0]
+    for e in ensembles:
+        if e.config is not first.config:
+            raise ValueError("level ensembles live on different configurations")
+        if e.seed != first.seed or e.dt != first.dt:
+            raise ValueError("level ensembles must share one seed and grid")
+        if e.p != model.p:
+            raise ValueError("level ensembles must hold the model's p-th moments")
+        if e.has_blowup:
+            raise ValueError("level ensembles contain blown-up paths; moments are unusable")
+    moment_sup = np.stack([e.moment for e in ensembles]).max(axis=0)
+    return first.config, float(first.times[-1]), moment_sup
+
+
 @dataclass(frozen=True)
 class TailBoundReport:
     sup_sum: float
@@ -116,16 +136,9 @@ def tail_bound_check(ensembles, alpha, *, model, zeta, a_low) -> TailBoundReport
     ensembles = list(ensembles)
     if len(ensembles) < 3:
         raise ValueError("need at least 3 truncation levels")
-    config = ensembles[0].config
-    for e in ensembles:
-        if e.config is not config:
-            raise ValueError("level ensembles live on different configurations")
-    if not alpha > a_low:
-        raise ValueError("need alpha > a_low")
-
+    config, T, moment_sup = _levels(ensembles, alpha, model, a_low)
     level_sums = tuple(weighted_sum(config.radii, alpha, e.moment) for e in ensembles)
-    stacked = np.stack([e.moment for e in ensembles])
-    sup_sum = weighted_sum(config.radii, alpha, stacked.max(axis=0))
+    sup_sum = weighted_sum(config.radii, alpha, moment_sup)
 
     def rel_change(a, b):
         return abs(b - a) / max(abs(b), 1e-300)
@@ -134,7 +147,6 @@ def tail_bound_check(ensembles, alpha, *, model, zeta, a_low) -> TailBoundReport
         rel_change(level_sums[-2], level_sums[-1]) < 0.05
         and rel_change(level_sums[-3], level_sums[-2]) < 0.05
     )
-    T = float(ensembles[0].times[-1])
     ceiling, log10_K = moment_ceiling(model, config, zeta, a_low, alpha, T)
     return TailBoundReport(
         sup_sum=sup_sum,
@@ -173,27 +185,15 @@ def cauchy_table(ensembles, alpha, *, model, a_low) -> CauchyReport:
     mid the midpoint weight between a_low and alpha, and the moment each
     level's ``moment``; each level's sites are its ensemble's active set.
     """
-    if not alpha > a_low:
-        raise ValueError("need alpha > a_low")
-    config = ensembles[0].config
-    for e in ensembles:
-        if e.seed != ensembles[0].seed or e.dt != ensembles[0].dt:
-            raise ValueError("level ensembles must share one seed and grid")
-        if e.config is not config:
-            raise ValueError("level ensembles live on different configurations")
-        if e.p != model.p:
-            raise ValueError("level ensembles must hold the model's p-th moments")
+    config, T, moment_sup = _levels(ensembles, alpha, model, a_low)
     p = model.p
     alpha_mid = 0.5 * (a_low + alpha)
     consts = cauchy_constants(model)
     # a negative B1 (strong dissipation) only helps, so the majorant drops it
     band_c = p**2 * max(consts["B1"], 0.0) + consts["B2"]
     n_hat = estimate_growth_constant(config) if config.n_sites else 1.0
-    T = float(ensembles[0].times[-1])
     L = ovs_constant(band_c, 4.0, n_hat, config.rho, alpha_mid)
     K = norm_bound_series(L, T, 0.5, alpha_mid, alpha)
-
-    moment_sup = np.stack([e.moment for e in ensembles]).max(axis=0)
 
     k = len(ensembles)
     rows = []

@@ -73,6 +73,14 @@ class Configuration:
         """Band positions of site x: its neighbors are ``indices[row(x)]``."""
         return slice(int(self.indptr[x]), int(self.indptr[x + 1]))
 
+    def band_slots(self, sites) -> np.ndarray:
+        """Band positions of the rows of ``sites``, a (len(sites), largest degree)
+        array padded with -1: column j holds entry j of each row with more than j."""
+        start = self.indptr[sites]
+        degree = self.indptr[sites + 1] - start
+        width = np.arange(int(degree.max()) if degree.size else 0)
+        return np.where(width < degree[:, None], start[:, None] + width, -1)
+
 
 def band_sum(x, columns, out, part) -> np.ndarray:
     """Sum band rows of ``x`` into ``out``, one band column at a time.

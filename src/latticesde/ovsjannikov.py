@@ -140,15 +140,10 @@ class BandedOperator:
     def _columns(self):
         """Rows by falling degree, and per band column j the columns and values
         (as a column vector) of entry j of the rows with more than j."""
-        counts = self.config.degrees
-        order = np.argsort(-counts, kind="stable")
-        starts = self.config.indptr[order]
-        ranked = counts[order]
-        columns = []
-        for j in range(int(ranked[0]) if ranked.size else 0):
-            entry = starts[: np.count_nonzero(ranked > j)] + j
-            columns.append((self.config.indices[entry], self.vals[entry, None]))
-        return order, columns
+        order = np.argsort(-self.config.degrees, kind="stable")
+        # ranked by falling degree, each column's entries are a prefix of it
+        entries = [slots[slots >= 0] for slots in self.config.band_slots(order).T]
+        return order, [(self.config.indices[e], self.vals[e, None]) for e in entries]
 
     def column_abs_sums(self) -> np.ndarray:
         return _sum_by(self.config.indices, np.abs(self.vals), self.n_sites)

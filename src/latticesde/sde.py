@@ -352,23 +352,6 @@ def cauchy_pairs(k: int) -> list:
     return [(j, j + 1) for j in range(k - 1)] + [(j, k - 1) for j in range(k - 2)]
 
 
-def _band_slots(model: ModelSpec, config: Configuration, active: np.ndarray):
-    """The band rows of the active sites, padded to one width.
-
-    Row i of ``slots`` lists the neighbors of site ``active[i]``, padded up
-    to the largest active degree with the site itself; ``real`` marks the
-    neighbors, and ``kernel`` holds their weights a(x - y), 0 on the padding.
-    """
-    start = config.indptr[active]
-    degree = config.indptr[active + 1] - start
-    width = np.arange(int(degree.max()) if active.size else 0)
-    real = width < degree[:, None]
-    pos = np.where(real, start[:, None] + width, 0)
-    slots = np.where(real, config.indices[pos], active[:, None])
-    kernel = np.where(real, model.kernel(config.distances)[pos], 0.0)
-    return slots, real, kernel, degree.astype(float)
-
-
 def _block_paths(n_sites, n_steps, noise_refine) -> int:
     """Paths per noise block: _PATH_BLOCK, capped at _DRAW_CAP raw draws.
 
@@ -529,8 +512,12 @@ class _Level:
         n_sites = config.n_sites
         self.model, self.tamed, self.dt, self.p = model, tamed, dt, float(model.p)
         self.active = active
-        slots, real, kernel, degrees = _band_slots(model, config, active)
-        self.spread = model.sigma2 * degrees[:, None]   # sigma2 n_x
+        # the band rows, padded with the site itself and a weight a(x - y) of 0
+        pos = config.band_slots(active)
+        real = pos >= 0
+        slots = np.where(real, config.indices[pos], active[:, None])
+        kernel = np.where(real, model.kernel(config.distances)[pos], 0.0)
+        self.spread = model.sigma2 * config.degrees[active, None].astype(float)   # sigma2 n_x
         if slots.size and not 0 <= slots.min() <= slots.max() < n_sites:
             raise ValueError(f"a truncation's band names a site outside [0, {n_sites})")
         in_band = np.zeros(n_sites, dtype=bool)

@@ -295,6 +295,21 @@ class TestTailBound:
             lat.tail_bound_check([ens] * 2, 0.5, model=model, zeta=zeta, a_low=0.25)
 
 
+def test_blown_up_levels_rejected(poisson_1d):
+    # explicit cubic steps from zeta = 100 blow up every path of every level:
+    # their moments are meaningless, so neither check reads them
+    model = lat.make_model("cubic", 0.0, kernel_cap=0.05, rho=1.0, sigma0=0.1, p=4.0)
+    zeta = lat.WeightedSeq(poisson_1d, np.full(poisson_1d.n_sites, 100.0))
+    levels = lat.exhaustion_sequence(poisson_1d, 3)
+    ensembles = simulate_levels(model, poisson_1d, levels, zeta, 0.5, 0.01, 8, 13,
+                                scheme="explicit")
+    assert all(np.all(e.blowup) for e in ensembles)
+    with pytest.raises(ValueError, match="blown-up"):
+        lat.tail_bound_check(ensembles, 0.5, model=model, zeta=zeta, a_low=0.25)
+    with pytest.raises(ValueError, match="blown-up"):
+        cauchy_table(ensembles, 0.5, model=model, a_low=0.25)
+
+
 class TestCauchy:
     def test_identical_levels_give_exact_zero(self, decoupled_setup):
         config, model, zeta = decoupled_setup

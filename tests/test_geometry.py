@@ -11,6 +11,7 @@ import latticesde as lat
 from conftest import brute_force_neighbors, corrupt_table, lattice_1d, small_bands
 from latticesde import geometry
 from latticesde.geometry import configuration_bytes
+from latticesde.sde import _nested_levels
 from oracles import lexsort_band
 
 LOG2 = math.log(2.0)
@@ -218,6 +219,30 @@ class TestNeighborhoods:
             tracemalloc.stop()
         assert len(points) > 1500
         assert peak < 8 * sum(part.nbytes for part in band)
+
+
+class TestBandSlots:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_match_brute_force(self, dim):
+        # the far point is its own only neighbor; the site lists are sorted,
+        # in the simulator's nested-prefix order, ranked by falling degree as
+        # the matvec ranks them, that lone site, and empty
+        rng = np.random.default_rng(dim)
+        pts = np.concatenate([rng.uniform(-3.0, 3.0, size=(60, dim)), np.full((1, dim), 50.0)])
+        config = lat.configuration_from_points(pts, 1.2, box_halfwidth=3.0)
+        oracle = brute_force_neighbors(pts, 1.2)
+        nested, _ = _nested_levels(config, lat.exhaustion_sequence(config, 3))
+        assert not np.array_equal(nested, np.sort(nested)) and oracle[-1].tolist() == [60]
+        ranked = np.argsort([-row.size for row in oracle], kind="stable")
+        for sites in (np.arange(61), nested, ranked, np.array([60]), np.zeros(0, dtype=np.int64)):
+            slots = config.band_slots(sites)
+            assert slots.shape == (sites.size, max((oracle[x].size for x in sites), default=0))
+            for x, row in zip(sites, slots):
+                want = oracle[x]
+                assert np.array_equal(config.indices[row[: want.size]], want)
+                np.testing.assert_allclose(config.distances[row[: want.size]],
+                                           np.linalg.norm(pts[want] - pts[x], axis=1), rtol=1e-15)
+                assert np.all(row[want.size :] == -1)
 
 
 class TestGrowthConstant:
