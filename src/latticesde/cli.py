@@ -450,8 +450,7 @@ def cmd_picard(cfg: ExperimentConfig, out_dir: Path) -> int:
         return 0
     model = cfg.build_model()
     consts = moment_constants(model, cfg.horizon)
-    zeta = WeightedSeq(config, np.full(config.n_sites, cfg.zeta))
-    z0 = WeightedSeq(config, np.abs(zeta.values) ** cfg.p + consts["A4"])
+    z0 = WeightedSeq(config, np.full(config.n_sites, abs(cfg.zeta) ** cfg.p + consts["A4"]))
     Q = random_banded_operator(config, 0.05, 1.0, cfg.seed + 5, nonnegative=True)
     beta = max(cfg.alphas)
     f = solve_linear_evolution(Q, z0, cfg.horizon, 1e-10, beta=beta, n_nodes=65)

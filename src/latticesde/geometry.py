@@ -264,6 +264,12 @@ def build_neighborhoods(points, rho):
     return indptr, cols[band], np.sqrt(d2[band])
 
 
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` of each element from libm, whose bits, unlike numpy's exp, log,
+    log1p and power, do not follow numpy's SIMD dispatch."""
+    return np.fromiter(map(fn, values.tolist()), float, values.size)
+
+
 def estimate_growth_constant(config: Configuration) -> float:
     """Smallest constant N such that n_x <= N * max(log(1+|x|), log 2) holds.
 
@@ -273,7 +279,7 @@ def estimate_growth_constant(config: Configuration) -> float:
     """
     if config.n_sites == 0:
         raise ValueError("growth constant is undefined for an empty configuration")
-    denom = np.maximum(np.log1p(config.radii), math.log(2.0))
+    denom = np.maximum(_libm(math.log1p, config.radii), math.log(2.0))
     return float(np.max(config.degrees / denom))
 
 

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from ._table import read_table, write_table
-from .geometry import Configuration, band_sum, estimate_growth_constant
+from .geometry import Configuration, _libm, band_sum, estimate_growth_constant
 from .spaces import WeightedSeq, bounded_sums, weighted_sum
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
 _ENTRY_TOL = 1e-9  # relative play when validating |Q_xy| <= C n_x^q
 _WINDOW_NATS = 40.0  # window half-depth of the exact log-sum, in nats below the peak
 _LOG_MAX = 709.782712893384  # log(sys.float_info.max), the largest log of a finite float
+_STIRLING_N = 2**14  # from this index on, log n! is the Stirling series, not math.lgamma
 _CONTRACT_TERMS = 1 << 16  # doubles per buffer of a many-sequence matvec, 512 kB
 _DIVERGED = "parameters lie outside the convergent series regime"
 
@@ -316,6 +317,22 @@ def _log_term(n: int, log_a: float, q: float, per_term: bool) -> float:
     return n * log_a + (q * n if per_term else q) * math.log(n) - math.lgamma(n + 1)
 
 
+def _log_terms(n: np.ndarray, log_a: float, q: float, per_term: bool) -> np.ndarray:
+    """:func:`_log_term` of each index n >= 0, bitwise below _STIRLING_N.  From
+    there log n! is the Stirling series to 1/(1260 n^5), off by under 1/(1680 n^7)
+    (DLMF 5.11.1, 5.11.10), with n (ln n - 1) exact as p + e (a Veltkamp split,
+    exact for n < 2^26): within 1.6 ulp of log n! up to n = 1e7."""
+    log_n, big = _libm(math.log, np.maximum(n, 1.0)), n >= _STIRLING_N   # l(0) = 0
+    log_fact = np.empty_like(n)
+    log_fact[~big] = _libm(math.lgamma, n[~big] + 1.0)
+    m, x = n[big], log_n[big] - 1.0
+    head = x * 134217729.0 - (x * 134217729.0 - x)   # the top 26 bits of x
+    p, m2 = m * x, m * m
+    e = (m * head - p) + m * (x - head) + 0.5 * log_n[big] + 0.5 * math.log(2.0 * math.pi)
+    log_fact[big] = p + (e + (1 / 12 - (1 / 360 - 1 / 1260 / m2) / m2) / m)
+    return n * log_a + (q * n if per_term else q) * log_n - log_fact
+
+
 def _series_A(L, T, q, alpha, beta) -> tuple[float, float]:
     """Validated A = L T / (beta-alpha)^q and the K terms' saddle point (inf past floats)."""
     if not 0.0 <= q < 1.0:
@@ -325,6 +342,8 @@ def _series_A(L, T, q, alpha, beta) -> tuple[float, float]:
     if not (L >= 0 and T >= 0):
         raise ValueError("need L >= 0 and T >= 0")
     A = L * T / (beta - alpha) ** q
+    if math.isnan(A):   # L T = 0 * inf, or inf / inf
+        raise ValueError("A = L T / (beta-alpha)^q is NaN")
     try:
         return A, math.exp((math.log(A) + q) / (1.0 - q)) if A else 0.0
     except OverflowError:
@@ -336,11 +355,13 @@ def _log_sum(A: float, q: float, per_term: bool, start: float, cap=math.inf) -> 
 
     c is found by climbing from the saddle estimate ``start``.  The walk then
     goes outward from c until, on each side, a term is _WINDOW_NATS below
-    l(c) and still falling: past it the log-terms are concave (for p = q n,
-    q > 1/2, up to a dip of at most 2.3 nats over the first few indices), so
-    the rest of the side stays under half an ulp of the sum.  A saddle term
-    above ``cap`` bounds the sum from below: (inf, 0.0) is returned before
-    anything is summed.
+    l(c), and so below the term before it: past it the log-terms are concave
+    (for p = q n, q > 1/2, up to a dip of at most 2.3 nats over the first few
+    indices), so the rest of the side stays under half an ulp of the sum.  It
+    takes chunks of :func:`_log_terms`, the first about as wide as that drop,
+    each next one twice the last, and sums the indices a walk of one term at a
+    time does.  A saddle term above ``cap`` bounds the sum from below: (inf,
+    0.0) is returned before anything is summed.
     """
     if not math.isfinite(start):
         return math.inf, 0.0
@@ -356,17 +377,19 @@ def _log_sum(A: float, q: float, per_term: bool, start: float, cap=math.inf) -> 
                 break
             c, top = c + step, log_t
     floor = top - _WINDOW_NATS
+    width = 16 + int(1.1 * math.sqrt(2.0 * _WINDOW_NATS * c / ((1.0 - q) if per_term else 1.0)))
     scaled = []
     for step in (1, -1):
-        prev = top
-        n = c + step
+        n, size = c + step, width
         while n >= 0:
-            log_t = _log_term(n, log_a, q, per_term)
-            scaled.append(math.exp(log_t - top))
-            if log_t < floor and log_t < prev:
+            log_t = _log_terms(np.arange(n, max(n + step * size, -1), step, dtype=float),
+                               log_a, q, per_term)
+            below = np.flatnonzero(log_t < floor)
+            end = int(below[0]) + 1 if below.size else None
+            scaled.extend(map(math.exp, (log_t[:end] - top).tolist()))
+            if end:
                 break
-            prev = log_t
-            n += step
+            n, size = n + step * log_t.size, 2 * size
     return top, math.fsum(scaled)
 
 

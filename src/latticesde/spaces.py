@@ -4,8 +4,9 @@ For a weight a > 0 and order p >= 1 the norm of a real sequence z indexed by
 the sites is ``(sum_x exp(-a |x|) |z_x|^p)^(1/p)``.  Raising the weight can
 only shrink the norm, which makes the family a scale; that monotonicity and
 the summability of the degree sequence are the checkable facts this module
-exposes.  Reported sums are exact sums correctly rounded (math.fsum), so the
-scale inequalities can be asserted with tiny absolute slack instead of fuzz.
+exposes.  Reported sums are exact sums correctly rounded (math.fsum) of terms
+weighted by libm's exp, so the scale inequalities can be asserted with tiny
+absolute slack instead of fuzz, and their bits do not follow numpy's SIMD.
 Verdicts on many sums are settled by :func:`bounded_sums` instead: a
 ``np.sum`` of nonnegative terms lies within a relative gamma_{n-1} of the
 exact sum (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, estimate_growth_constant
+from .geometry import Configuration, _libm, estimate_growth_constant
 
 __all__ = [
     "WeightedSeq",
@@ -64,37 +65,44 @@ def weighted_sum(radii: np.ndarray, a: float, values) -> float:
     exact sum correctly rounded: inf where ``fsum`` overflows, as the
     nonnegative terms every caller passes then sum past the float range."""
     try:
-        return math.fsum((np.exp(-a * radii) * values).tolist())
+        return math.fsum((_libm(math.exp, -a * radii) * values).tolist())
     except OverflowError:
         return math.inf
 
 
 def bounded_sums(radii: np.ndarray, a: float, rows: np.ndarray):
     """``(lo, hi)``: per row of nonnegative ``rows`` (row, site) an interval of
-    doubles that holds its exact weighted sum, so also its :func:`weighted_sum`.
+    doubles that holds the exact sum of its :func:`weighted_sum` terms.
 
     The interval is the ``np.sum`` of the row's terms e^(-a |x|) v_x widened
-    by 2 gamma_n + 4u, and by one more ulp for the rounding of the widening; a
-    row whose sum is 0 has [0, 0].  A row whose interval is not finite (an inf
-    or NaN term, or a sum near the float maximum) is summed with
-    :func:`weighted_sum` instead, lo = hi = its value, and so are all rows when
-    they hold at most _EXACT_TERMS terms in all.  Callers overflow quietly under
-    ``np.errstate(over="ignore", invalid="ignore")``.
+    by 2 gamma_n + 4u, and by one more ulp for the rounding of the widening.
+    Its normal weights come from ``np.exp``, within an ulp (2u) of
+    weighted_sum's ``math.exp`` (tested), so each term is within 4u of that
+    function's, or 2^-1074 where a product underflows: on a row that sums to
+    n 2^-1020 or more, the exact sum is within gamma_(n-1) + 5u + O(u^2) of
+    the ``np.sum``, inside the play.  A row with a smaller sum, or whose
+    interval is not finite (an inf or NaN term, or a sum near the float
+    maximum), is summed with :func:`weighted_sum` instead, lo = hi = its value,
+    and so are all rows when they hold at most _EXACT_TERMS terms in all.
+    Callers overflow quietly under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     if rows.size <= _EXACT_TERMS:
         exact = np.array([weighted_sum(radii, a, row) for row in rows])
         return exact, exact
+    weights = np.exp(-a * radii)
+    tiny = np.flatnonzero(weights < 2.0**-1022)   # subnormal, where an ulp is more than 2u
+    if tiny.size:
+        weights[tiny] = _libm(math.exp, -a * radii[tiny])
     # terms lives until the return: freed before lo and hi are built, it left
     # verify's heap such that an address-space cap at its peak mostly ended in
     # numpy's SIGSEGV instead of MemoryError (test_out_of_memory_exits_2_or_runs_unchanged)
-    terms = np.exp(-a * radii) * rows
+    terms = weights * rows
     sums = np.sum(terms, axis=1)
     nu = rows.shape[1] * _U
     play = 2.0 * nu / (1.0 - nu) + 4.0 * _U
     lo = np.nextafter(sums * (1.0 - play), 0.0)
     hi = np.nextafter(sums * (1.0 + play), np.inf)
-    hi[sums == 0.0] = 0.0
-    for i in np.flatnonzero(~np.isfinite(hi)):
+    for i in np.flatnonzero(~np.isfinite(hi) | (sums < rows.shape[1] * 2.0**-1020)):
         lo[i] = hi[i] = weighted_sum(radii, a, rows[i])
     return lo, hi
 

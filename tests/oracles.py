@@ -7,9 +7,60 @@ from dataclasses import dataclass
 import numpy as np
 
 from latticesde.geometry import Configuration
-from latticesde.ovsjannikov import BandedOperator, GridFunction, _grid
+from latticesde.ovsjannikov import _WINDOW_NATS, BandedOperator, GridFunction, _grid
 from latticesde.sde import ModelSpec, PathEnsemble, _noise_block, _NoiseSource, simulate_truncated
 from latticesde.spaces import WeightedSeq, weighted_sum
+
+
+def libm(fn, values) -> np.ndarray:
+    """``fn`` of each element from the C library: the weights exp(-a |x|) and
+    the log1p of the growth constant as the package takes them."""
+    return np.array([fn(v) for v in np.asarray(values, dtype=float).tolist()])
+
+
+def log_term(n: int, log_a: float, q: float, per_term: bool) -> float:
+    """log(A^n n^p / n!) with power p = q n (per_term) or q, and 0^p = 1 at n = 0."""
+    if n == 0:
+        return 0.0
+    return n * log_a + (q * n if per_term else q) * math.log(n) - math.lgamma(n + 1)
+
+
+def log_sum(A: float, q: float, per_term: bool, start: float, cap=math.inf):
+    """``(top, rest, last)``: the bound series' window sum one term at a time,
+    with ``math.lgamma`` for every log n!, and the largest index it summed.
+
+    top is l(c), c the largest term of sum_n A^n n^p / n! found by climbing
+    from ``start``, and rest the fsum over n != c of e^(l(n) - l(c)); a side
+    ends at the first term _WINDOW_NATS below l(c) and still falling.  A
+    saddle term above ``cap`` gives (inf, 0.0, -1) before anything is summed.
+    """
+    if not math.isfinite(start):
+        return math.inf, 0.0, -1
+    log_a = math.log(A) if A else -math.inf
+    c = int(start)
+    top = log_term(c, log_a, q, per_term)
+    if top > cap:
+        return math.inf, 0.0, -1
+    for step in (1, -1):
+        while c + step >= 0:
+            log_t = log_term(c + step, log_a, q, per_term)
+            if log_t <= top:
+                break
+            c, top = c + step, log_t
+    floor = top - _WINDOW_NATS
+    scaled, last = [], c
+    for step in (1, -1):
+        prev = top
+        n = c + step
+        while n >= 0:
+            log_t = log_term(n, log_a, q, per_term)
+            scaled.append(math.exp(log_t - top))
+            last = max(last, n)
+            if log_t < floor and log_t < prev:
+                break
+            prev = log_t
+            n += step
+    return top, math.fsum(scaled), last
 
 
 def write_table_per_row(path, header, blocks, sep=",") -> None:
@@ -263,7 +314,7 @@ def uniqueness_crosscheck(
             )
         )
     p = model.p
-    weights = np.exp(-alpha * config.radii)
+    weights = libm(math.exp, -alpha * config.radii)
 
     def distance(fine: PathEnsemble, coarse: PathEnsemble, stride: int) -> float:
         sub = fine.paths[:, :, ::stride]

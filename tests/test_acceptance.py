@@ -31,7 +31,7 @@ def report(criterion, ok, detail, elapsed, limit):
 
 
 def weighted_l1(config, values, a):
-    return math.fsum((np.exp(-a * config.radii) * np.abs(values)).tolist())
+    return math.fsum((oracles.libm(math.exp, -a * config.radii) * np.abs(values)).tolist())
 
 
 def origin_free_config(seed, intensity=2.0, box=5.0, rho=1.0):

@@ -46,8 +46,8 @@ def fsum_verdicts(config, values, alpha, beta, p):
     out = []
     for row in values:
         powed = np.abs(row) ** p
-        norm_alpha = fsum_of(np.exp(-alpha * radii), powed) ** (1.0 / p)
-        norm_beta = fsum_of(np.exp(-beta * radii), powed) ** (1.0 / p)
+        norm_alpha = fsum_of(oracles.libm(math.exp, -alpha * radii), powed) ** (1.0 / p)
+        norm_beta = fsum_of(oracles.libm(math.exp, -beta * radii), powed) ** (1.0 / p)
         out.append(norm_beta <= norm_alpha + spaces.NORM_SLACK)
     return out
 
@@ -55,8 +55,8 @@ def fsum_verdicts(config, values, alpha, beta, p):
 def fsum_max_ratio(Q, values, alpha, beta):
     """max ||Qv||_beta / ||v||_alpha over rows with ||v||_alpha != 0, one fsum per norm."""
     radii = Q.config.radii
-    denoms = [fsum_of(np.exp(-alpha * radii), np.abs(v)) for v in values]
-    numers = [fsum_of(np.exp(-beta * radii), np.abs(Q.matvec(v))) for v in values]
+    denoms = [fsum_of(oracles.libm(math.exp, -alpha * radii), np.abs(v)) for v in values]
+    numers = [fsum_of(oracles.libm(math.exp, -beta * radii), np.abs(Q.matvec(v))) for v in values]
     best = 0.0
     for numer, denom in zip(numers, denoms):
         if denom != 0.0:
@@ -73,12 +73,13 @@ def fsum_solve(Q, z0, T, tol, beta=0.0, n_nodes=33):
     power, coeff = z0.values.copy(), np.ones(times.size)
     total = np.outer(coeff, power)
     below, increments = 0, []
+    weights = oracles.libm(math.exp, -beta * Q.config.radii)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iter + 1):
             power = Q.matvec(power)
             coeff = coeff * times / k
             total += np.outer(coeff, power)
-            increment = coeff[-1] * fsum_of(np.exp(-beta * Q.config.radii), np.abs(power))
+            increment = coeff[-1] * fsum_of(weights, np.abs(power))
             increments.append(increment)
             if not math.isfinite(increment):
                 return f"Picard iterate {k} left the float range", k, increments
@@ -185,6 +186,50 @@ class TestBoundedSums:
                 assert math.isnan(low) and math.isnan(high)
             elif exact_all or exact in (0.0, math.inf):   # summed exactly, or [0, 0]
                 assert low == high == exact
+            else:
+                assert low <= exact <= high
+
+
+    def test_numpy_exp_within_an_ulp_of_libm(self):
+        # bounded_sums takes np.exp where the weights are normal, weighted_sum
+        # math.exp: its play holds weighted_sum's value only while the two lie
+        # within one ulp of each other
+        rng = np.random.default_rng(3)
+        x = np.concatenate([-708.0 * rng.random(400_000), -rng.random(100_000), [0.0, -708.0]])
+        fast, libm = np.exp(x), oracles.libm(math.exp, x)
+        assert np.all((fast == libm) | (np.nextafter(fast, libm) == libm))
+
+    @pytest.mark.parametrize("toward", [0.0, math.inf])
+    def test_interval_holds_weighted_sum_with_exp_an_ulp_off(self, monkeypatch, toward):
+        # the play needs np.exp within an ulp of math.exp only where the
+        # weights are normal: here it is one ulp off everywhere, the
+        # subnormal weights too, against terms up to 1e300
+        exp = lambda x: np.nextafter(oracles.libm(math.exp, x), toward)   # noqa: E731
+        monkeypatch.setattr(np, "exp", exp)
+        radii = np.linspace(0.0, 760.0, 400)
+        rng = np.random.default_rng(4)
+        rows = [np.where(radii > 720.0, 1e300, 0.0),   # weights of 36 bits or fewer, and 0
+                10.0 ** rng.uniform(-300.0, 300.0, radii.size), np.ones(radii.size)]
+        with np.errstate(over="ignore"):
+            lo, hi = bounded_sums(radii, 1.0, np.array(rows))
+        want = [weighted_sum(radii, 1.0, row) for row in rows]
+        assert np.all((lo <= want) & (want <= hi))
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(690.0, 760.0), min_size=2, max_size=40), st.data())
+    def test_interval_holds_weighted_sum_of_subnormal_weights(self, radii, data):
+        # at a = 1 the weights run from the normal range through the
+        # subnormals to 0, against values up to the float maximum
+        radii = np.array(radii)
+        value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(0.0, sys.float_info.max))
+        rows = np.array([[data.draw(value) for _ in radii] for _ in range(data.draw(st.integers(1, 4)))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [weighted_sum(radii, 1.0, row) for row in rows]
+            lo, hi = bounded_sums(radii, 1.0, rows)
+        for low, high, exact in zip(lo.tolist(), hi.tolist(), want):
+            if math.isnan(exact):
+                assert math.isnan(low) and math.isnan(high)
             else:
                 assert low <= exact <= high
 

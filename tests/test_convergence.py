@@ -264,7 +264,7 @@ class TestTailBound:
         ]
         report = lat.tail_bound_check(ensembles, 0.5, model=model, zeta=zeta, a_low=0.25)
         exact = math.fsum(
-            (np.exp(-0.5 * poisson_1d.radii) * np.abs(zeta.values) ** 4).tolist()
+            (oracles.libm(math.exp, -0.5 * poisson_1d.radii) * np.abs(zeta.values) ** 4).tolist()
         )
         assert report.sup_sum == pytest.approx(exact, rel=1e-14)
         assert report.level_sums[0] == report.level_sums[1] == report.level_sums[2]
@@ -293,6 +293,23 @@ class TestTailBound:
         )
         with pytest.raises(ValueError):
             lat.tail_bound_check([ens] * 2, 0.5, model=model, zeta=zeta, a_low=0.25)
+
+
+def test_moment_ceiling_powers_zeta_with_libm(monkeypatch):
+    # numpy's AVX-512 power gives other last bits than libm's pow for about
+    # one |zeta|^4 in twenty, and the ceiling reaches verify_report.json; a
+    # short horizon keeps A4 from rounding them away
+    from latticesde import convergence
+
+    config = lat.sample_configuration(2.0, 100.0, 1, 1.0, 42)   # about 400 sites
+    model = lat.make_model("cubic", 0.0, kernel_cap=0.05, rho=1.0, p=4.0, sigma0=0.1)
+    zeta = lat.WeightedSeq(config, np.random.default_rng(8).uniform(-2.0, 2.0, config.n_sites))
+    summed = []
+    monkeypatch.setattr(convergence, "weighted_sum", lambda radii, a, v: summed.append(v) or 1.0)
+    convergence.moment_ceiling(model, config, zeta, 0.25, 0.5, 1e-9)
+    A4 = convergence.moment_constants(model, 1e-9)["A4"]
+    want = oracles.libm(lambda z: abs(z) ** 4.0, zeta.values) + A4
+    assert summed[0].tobytes() == want.tobytes()
 
 
 def test_blown_up_levels_rejected(poisson_1d):
@@ -333,7 +350,7 @@ class TestCauchy:
         )
         p = model.p
         report = cauchy_table(ensembles, 0.5, model=model, a_low=0.25)
-        weights = np.exp(-0.5 * config.radii)
+        weights = oracles.libm(math.exp, -0.5 * config.radii)
         for row in report.rows:
             big = ensembles[row.level_m]
             thawed = np.setdiff1d(levels[row.level_m], levels[row.level_n])

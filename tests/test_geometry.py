@@ -12,6 +12,7 @@ from conftest import brute_force_neighbors, corrupt_table, lattice_1d, small_ban
 from latticesde import geometry
 from latticesde.geometry import configuration_bytes
 from latticesde.sde import _nested_levels
+import oracles
 from oracles import lexsort_band
 
 LOG2 = math.log(2.0)
@@ -268,10 +269,18 @@ class TestGrowthConstant:
     def test_minimality(self):
         cfg = lat.sample_configuration(2.0, 4.0, 1, 1.0, 23)
         n_hat = lat.estimate_growth_constant(cfg)
-        guard = np.maximum(np.log1p(cfg.radii), LOG2)
+        guard = np.maximum(oracles.libm(math.log1p, cfg.radii), LOG2)
+        assert n_hat == np.max(cfg.degrees / guard)   # libm's log1p, bitwise
         assert np.all(cfg.degrees <= n_hat * guard + 1e-12)
         shrunk = n_hat * (1.0 - 1e-9)
         assert np.any(cfg.degrees > shrunk * guard)
+
+    def test_lone_points_take_libm_log1p(self):
+        # numpy's AVX-512 log1p differs from libm's in the last bit for about
+        # one radius in forty; a lone point's constant is 1 / log1p(|x|)
+        for r in np.random.default_rng(6).uniform(1.0, 200.0, 400).tolist():
+            cfg = lat.configuration_from_points([[r]], rho=0.5)
+            assert lat.estimate_growth_constant(cfg) == 1.0 / math.log1p(r)
 
     def test_empty_configuration_rejected(self):
         cfg = lat.sample_configuration(0.0, 5.0, 1, 1.0, 7)

@@ -1,4 +1,5 @@
-"""The bytes of the output files, pinned, and the same under every BLAS core.
+"""The bytes of the output files, pinned, and the same under every BLAS core
+and SIMD dispatch level.
 
 ``output_bytes.json`` holds the SHA-256 of every file ``generate``,
 ``simulate``, ``verify`` and ``picard`` write for ``configs/demo.cfg``, the
@@ -8,11 +9,12 @@ theory bounds are finite (the demo, levels1d, window2d, demo2d, demo-zeta and
 demo-finite cases of ``tools/same_bytes.py``; all but demo2d-dump), run in
 process.  Every sum that reaches them is added in a fixed order by
 elementwise ufuncs or ``math.fsum``, never by a BLAS kernel, and over the
-paths in path order, so the simulated files come out the same under every
-OpenBLAS core and however the paths are split into blocks.  numpy does not
-promise the same ``Generator`` streams across versions (NEP 19), so the
-manifest names the numpy version it was written under, and on any other the
-test fails.
+paths in path order, and every exp, log, log1p, lgamma and power in them
+comes from libm or from products, so the files come out the same under
+every OpenBLAS core, with numpy's AVX-512 loops on or off, and however the
+paths are split into blocks.  numpy does not promise the same ``Generator``
+streams across versions (NEP 19), so the manifest names the numpy version
+it was written under, and on any other the test fails.
 
 After a change that moves these bytes on purpose, rewrite the manifest with
 
@@ -37,12 +39,13 @@ CASES = ("demo", "levels1d", "demo2d", "demo-zeta", "demo-finite", "window2d")
 CORE_CASES = ("demo", "demo2d")   # the 1-d and 2-d cases run under each BLAS core
 COMMANDS = ("generate", "simulate", "verify", "picard")
 CORES = (None, "Haswell", "Sandybridge", "Prescott")   # None: the core OpenBLAS detects
-CHILD = f"""
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"   # numpy's AVX-512 dispatch targets
+CHILD = """
 import json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from test_output_bytes import output_hashes
-print(json.dumps(output_hashes(Path(sys.argv[2]), ("simulate", "verify"), {CORE_CASES!r})))
+print(json.dumps(output_hashes(Path(sys.argv[2]), *json.loads(sys.argv[3]))))
 """
 
 
@@ -89,28 +92,41 @@ def test_uneven_path_blocks_write_the_manifest_bytes(tmp_path, monkeypatch):
     assert not differ, f"in blocks of 7 paths the bytes differ in {', '.join(differ)}"
 
 
+def child_hashes(work: Path, commands, names, **env) -> dict:
+    """:func:`output_hashes` in a child process with one BLAS thread and the
+    environment variables ``env``."""
+    env = {**{key: value for key, value in os.environ.items()
+              if key not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")},
+           "OPENBLAS_NUM_THREADS": "1", **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    work.mkdir()
+    child = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).parent), str(work),
+                            json.dumps([commands, names])], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
 def test_simulated_bytes_are_the_same_under_every_blas_core(tmp_path):
     # simulate and verify of each case in a child process per OpenBLAS core
-    trees = {}
-    for core in CORES:
-        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                          env.get("PYTHONPATH")]))
-        env["OPENBLAS_NUM_THREADS"] = "1"
-        if core:
-            env["OPENBLAS_CORETYPE"] = core
-        work = tmp_path / (core or "detected")
-        work.mkdir()
-        child = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).parent), str(work)],
-                               env=env, capture_output=True, text=True)
-        assert child.returncode == 0, child.stderr
-        trees[core] = json.loads(child.stdout.splitlines()[-1])
+    trees = {core: child_hashes(tmp_path / (core or "detected"), ("simulate", "verify"), CORE_CASES,
+                                **({"OPENBLAS_CORETYPE": core} if core else {}))
+             for core in CORES}
     detected = trees.pop(None)
     assert len(detected) > 2 * len(CORE_CASES)
     for core, tree in trees.items():
         differ = sorted(name for name in tree.keys() | detected.keys()
                         if tree.get(name) != detected.get(name))
         assert not differ, f"under OPENBLAS_CORETYPE={core} the bytes differ in {', '.join(differ)}"
+
+
+def test_bytes_are_the_same_without_avx512_dispatch(tmp_path):
+    # numpy's AVX-512 exp, log, log1p and power differ from its AVX2 ones in
+    # the last bit; on a host without AVX-512 this runs the manifest cases once more
+    got = child_hashes(tmp_path / "no-avx512", COMMANDS, CASES, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    want = pinned()
+    differ = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    assert not differ, (f"under NPY_DISABLE_CPU_FEATURES={NO_AVX512!r} the bytes differ from "
+                        f"the manifest in {', '.join(differ)}")
 
 
 if __name__ == "__main__":

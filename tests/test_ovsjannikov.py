@@ -1,11 +1,12 @@
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latticesde as lat
@@ -34,7 +35,7 @@ def banded_from_dense(config, dense, C, q):
 
 
 def weighted_l1(config, values, a):
-    return math.fsum((np.exp(-a * config.radii) * np.abs(values)).tolist())
+    return math.fsum((oracles.libm(math.exp, -a * config.radii) * np.abs(values)).tolist())
 
 
 class TestBandedOperator:
@@ -565,7 +566,8 @@ class TestNormBoundSeries:
         for series in (lat.norm_bound_series, norm_bound_series_alt, norm_bound_series_log10):
             for args in ((-1.0, 1.0, 0.5, 0.0, 1.0), (1.0, -1.0, 0.5, 0.0, 1.0),
                          (math.nan, 1.0, 0.5, 0.0, 1.0), (1.0, 1.0, math.nan, 0.0, 1.0),
-                         (1.0, 1.0, 0.5, 1.0, math.nan), (1.0, 1.0, 0.5, 1.0, 1.0)):
+                         (1.0, 1.0, 0.5, 1.0, math.nan), (1.0, 1.0, 0.5, 1.0, 1.0),
+                         (0.0, math.inf, 0.5, 0.0, 1.0), (math.inf, 0.0, 0.5, 0.0, 1.0)):
                 with pytest.raises(ValueError):
                     series(*args)
 
@@ -595,6 +597,49 @@ class TestNormBoundSeries:
             # log10(K) of a K within an ulp or two of 1 is only that close
             assert norm_bound_series_log10(L, T, q, alpha, alpha + gap) == pytest.approx(
                 math.log10(K), rel=1e-12, abs=1e-15)
+
+
+class TestWindowWalk:
+    """The chunked walk of ``_log_sum`` against the scalar walk of ``oracles.log_sum``."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(st.integers(0, 2**14), st.integers(2**14, 10**6)), st.floats(0.0, 0.9),
+           st.booleans(), st.sampled_from([math.inf, LOG_MAX, 30.0]))
+    @example(2**14 - 300, 0.5, True, math.inf)   # windows across _STIRLING_N
+    @example(2**14 - 300, 0.5, False, math.inf)
+    def test_walk_matches_the_scalar_walk(self, peak, q, per_term, cap):
+        # A puts the largest term near index peak
+        if per_term:
+            A = math.exp((1.0 - q) * math.log(peak) - q) if peak else 0.0
+            start = ovsjannikov._series_A(A, 1.0, q, 0.0, 1.0)[1]
+        else:
+            A = start = peak
+        top, rest, last = oracles.log_sum(A, q, per_term, start, cap)
+        with mock.patch.object(ovsjannikov, "_STIRLING_N", math.inf):   # math.lgamma throughout
+            assert ovsjannikov._log_sum(A, q, per_term, start, cap) == (top, rest)
+        got = ovsjannikov._log_sum(A, q, per_term, start, cap)
+        if last < ovsjannikov._STIRLING_N:
+            assert got == (top, rest)
+        else:
+            assert got[0] + math.log1p(got[1]) == pytest.approx(top + math.log1p(rest), rel=4e-15)
+
+    def test_stirling_log_factorial_against_mpmath(self):
+        # 1.6 ulp is the bound the exact n (ln n - 1) gives; without it the
+        # sum reaches 1.95 ulp just past n = e^16
+        import mpmath as mp
+
+        rng = np.random.default_rng(11)
+        n = np.unique(np.concatenate([
+            np.arange(2**14, 2**14 + 1000),
+            np.exp(rng.uniform(math.log(2**14), math.log(1e7), 4000)).astype(np.int64),
+            np.arange(8_886_111, 8_888_111),   # ln n just past 16: there its ulp doubles
+            np.arange(10**7 - 1000, 10**7 + 1),
+        ])).astype(float)
+        got = -ovsjannikov._log_terms(n, 0.0, 0.0, False)   # 0 + 0 - log n!
+        with mp.workdps(30):
+            want = [mp.loggamma(k + 1) for k in n.tolist()]
+            ulps = [float(abs(g - w)) / math.ulp(float(w)) for g, w in zip(got.tolist(), want)]
+        assert max(ulps) <= 1.6
 
 
 @pytest.fixture(scope="module")

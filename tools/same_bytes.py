@@ -27,8 +27,9 @@ BLAS thread.  The script compares the trees, the exit codes and stderr, lists
 each difference (for a CSV or text table, with the largest relative
 difference of its numeric fields), and exits 1 on any difference, else 0.
 Before its verdict the script prints the numpy version, BLAS library and
-OpenBLAS core it ran under; the bytes depend on the numpy version, not on
-the BLAS kernel.  Standard library only, apart from the child process that
+OpenBLAS core it ran under, and the SIMD extensions numpy found; the bytes
+depend on the numpy version and on libm, not on the BLAS kernel or on
+numpy's SIMD dispatch.  Standard library only, apart from the child process that
 reads that line from numpy.
 """
 
@@ -191,11 +192,18 @@ for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):   # whe
         core = corename().decode()
         break
 print(f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, core {core}")
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = " ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name)) or "none"
+except ImportError:
+    found = "unknown"
+print(f"numpy SIMD extensions found: {found}")
 """
 
 
 def blas_line() -> str:
-    """The numpy version, BLAS library and OpenBLAS core of a child run with ``THREAD_ENV``."""
+    """The numpy version, BLAS library and OpenBLAS core of a child run with
+    ``THREAD_ENV``, and on a second line the SIMD extensions numpy dispatches to."""
     probe = subprocess.run([sys.executable, "-c", BLAS_PROBE], env={**os.environ, **THREAD_ENV},
                            capture_output=True, text=True)
     if probe.returncode:
