@@ -19,8 +19,9 @@ sitewise no matter which truncation set is active -- the coupling the
 finite-volume diagnostics rely on.  A run with another M (a longer horizon,
 say) gives every path after the first other increments, not a longer
 prefix.  Nested levels share one site order, level 0's sites and then those
-each next level adds, so each level's sites, states and noise rows are a
-prefix of the next level's.
+each next level adds, each part ranked by falling degree, so each level's
+sites, states and noise rows are a prefix of the next level's, and each band
+column of a level's step stops at its last real row.
 """
 
 from __future__ import annotations
@@ -326,8 +327,11 @@ def step_count(T, dt) -> int:
 
 def _nested_levels(config: Configuration, levels):
     """The sites in nested-prefix order (level 0's, then those each next level
-    adds, each part sorted) and each level's count of them; ValueError unless
-    all are the configuration's sites and each level lies inside the next."""
+    adds, each part ranked by falling degree, ties in site order) and each
+    level's count of them; ValueError unless all are the configuration's
+    sites and each level lies inside the next.  Ranked so, few rows of a
+    level have fewer than j neighbors before its last row with more, where
+    :class:`_Level` cuts band column j."""
     seen, added = np.zeros(config.n_sites, dtype=bool), []
     for level in levels:
         level = np.asarray(level)
@@ -340,7 +344,8 @@ def _nested_levels(config: Configuration, levels):
         mask[level.astype(np.int64)] = True   # numpy types an empty level as float
         if np.any(seen & ~mask):
             raise ValueError("truncation levels must be nested")
-        added.append(np.flatnonzero(mask & ~seen))
+        part = np.flatnonzero(mask & ~seen)
+        added.append(part[np.argsort(-config.degrees[part], kind="stable")])
         seen = mask
     order = np.concatenate(added) if added else np.empty(0, dtype=np.int64)
     return order, np.cumsum([part.size for part in added], dtype=np.int64)
@@ -496,12 +501,15 @@ class _Level:
     state a run starts from (zeta, then the last node of the previous run),
     and each node is stepped straight from the row above it.  The tail rows
     hold zeta at the frozen sites of the band and then one zero row, written
-    once per block.  ``columns`` lists per band column the rows of each
-    active site's neighbor in that column, the zero row past its degree, so
+    once per block.  ``columns`` lists per band column j the rows of each
+    active site's neighbor in that column, up to the last site with more
+    than j neighbors and the zero row for a site before it with fewer (as
+    ``weighted`` lists their kernel weights, 0.0 at the zero row), so
     :func:`band_sum` adds each site's band in band order whatever the block
-    width.  The sums cover only the active sites: of |xi|^p and of its
-    squared deviations from the shift, path 0's |xi|^p, in path order; a
-    frozen site's moment is its |zeta|^p, computed once.  The band is
+    width, and a padding entry adds +0.0 to a sum that starts at +0.0.  The
+    sums cover only the active sites: of |xi|^p and of its squared
+    deviations from the shift, path 0's |xi|^p, in path order; a frozen
+    site's moment is its |zeta|^p, computed once.  The band is
     range-checked once, before it is remapped (the active sites are in
     range by construction), so the step gathers with ``mode="clip"``, which
     skips numpy's checking copy.
@@ -529,11 +537,14 @@ class _Level:
         row_of = np.empty(n_sites, dtype=np.int64)
         row_of[np.concatenate([active, self.tail])] = np.arange(active.size + self.tail.size)
         rows = np.where(real, row_of[slots], active.size + self.tail.size).T.copy()
-        self.columns = [(column, None) for column in rows]
+        # column j stops after its last real row, the last with more than j neighbors
+        ends = np.max(real * np.arange(1, active.size + 1)[:, None], axis=0, initial=0)
+        self.columns = [(column[:end], None) for column, end in zip(rows, ends)]
         weights = kernel[real]
         self.weighted = None   # a kernel equal over the band drifts by cap times the band sum
         if weights.size and weights.min() != weights.max():
-            self.weighted = list(zip(rows, kernel.T[:, :, None].copy()))
+            self.weighted = [(column[:end], weight[:end, None])
+                             for column, weight, end in zip(rows, kernel.T.copy(), ends)]
         self.cap = weights[0] if weights.size else 0.0
         self.zeta = zeta_values
         self.frozen = np.delete(np.arange(n_sites), active)
@@ -678,9 +689,13 @@ def simulate_levels(model: ModelSpec, config: Configuration, levels, zeta: Weigh
     in [0, 2**64); ValueError otherwise.  Per block
     of paths, the site streams of the last level are drawn once, continuing
     from the previous block, in nested-prefix order (level 0's sites, then
-    those each next level adds), so every level steps from the first rows
-    of that block.  States are reduced while stepping into per (node, site)
-    sums at the model's moment order: |xi|^p for every level and, with
+    those each next level adds, each part ranked by falling degree), so
+    every level steps from the first rows of that block, and the band
+    columns of its step stop at their last real rows.  No byte depends on
+    the order inside a part: each site draws from its own stream and every
+    per-site result is mapped back through the sites.  States are reduced
+    while stepping into per (node, site) sums at the model's moment order:
+    |xi|^p for every level and, with
     ``cauchy``, |xi^n - xi^m|^p for each pair (n, m) of
     :func:`cauchy_pairs`, one reduction per pair (see :class:`_Pair`); then
     each is reduced over the nodes to the per-site sups of

@@ -226,8 +226,9 @@ class TestBandSlots:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_rows_match_brute_force(self, dim):
         # the far point is its own only neighbor; the site lists are sorted,
-        # in the simulator's nested-prefix order, ranked by falling degree as
-        # the matvec ranks them, that lone site, and empty
+        # in the simulator's nested-prefix order (each part ranked by falling
+        # degree), all ranked by falling degree as the matvec ranks them,
+        # that lone site, and empty
         rng = np.random.default_rng(dim)
         pts = np.concatenate([rng.uniform(-3.0, 3.0, size=(60, dim)), np.full((1, dim), 50.0)])
         config = lat.configuration_from_points(pts, 1.2, box_halfwidth=3.0)

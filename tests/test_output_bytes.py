@@ -12,9 +12,12 @@ elementwise ufuncs or ``math.fsum``, never by a BLAS kernel, and over the
 paths in path order, and every exp, log, log1p, lgamma and power in them
 comes from libm or from products, so the files come out the same under
 every OpenBLAS core, with numpy's AVX-512 loops on or off, and however the
-paths are split into blocks.  numpy does not promise the same ``Generator``
-streams across versions (NEP 19), so the manifest names the numpy version
-it was written under, and on any other the test fails.
+paths are split into blocks.  glibc picks its libm variants by the CPU's
+features, and its variants without FMA round some results otherwise, so a
+child process writes every case once more on them.  numpy does not promise
+the same ``Generator`` streams across versions (NEP 19), so the manifest
+names the numpy version it was written under, and on any other the test
+fails.
 
 After a change that moves these bytes on purpose, rewrite the manifest with
 
@@ -40,6 +43,7 @@ CORE_CASES = ("demo", "demo2d")   # the 1-d and 2-d cases run under each BLAS co
 COMMANDS = ("generate", "simulate", "verify", "picard")
 CORES = (None, "Haswell", "Sandybridge", "Prescott")   # None: the core OpenBLAS detects
 NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"   # numpy's AVX-512 dispatch targets
+NO_FMA = "glibc.cpu.hwcaps=-AVX2,-FMA"   # glibc's libm on its code paths without FMA
 CHILD = """
 import json, sys
 from pathlib import Path
@@ -96,7 +100,8 @@ def child_hashes(work: Path, commands, names, **env) -> dict:
     """:func:`output_hashes` in a child process with one BLAS thread and the
     environment variables ``env``."""
     env = {**{key: value for key, value in os.environ.items()
-              if key not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")},
+              if key not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES",
+                             "GLIBC_TUNABLES")},
            "OPENBLAS_NUM_THREADS": "1", **env}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     work.mkdir()
@@ -127,6 +132,17 @@ def test_bytes_are_the_same_without_avx512_dispatch(tmp_path):
     differ = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
     assert not differ, (f"under NPY_DISABLE_CPU_FEATURES={NO_AVX512!r} the bytes differ from "
                         f"the manifest in {', '.join(differ)}")
+
+
+def test_bytes_are_the_same_under_libm_without_fma(tmp_path):
+    # glibc picks libm's exp, log, log1p and pow variants by the CPU's
+    # features, and without FMA they give other last bits on some arguments
+    # (lgamma does not); the output files must not see them
+    got = child_hashes(tmp_path / "no-fma", COMMANDS, CASES, GLIBC_TUNABLES=NO_FMA)
+    want = pinned()
+    differ = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    assert not differ, (f"under GLIBC_TUNABLES={NO_FMA} the bytes differ from the manifest "
+                        f"in {', '.join(differ)}")
 
 
 if __name__ == "__main__":

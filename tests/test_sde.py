@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import latticesde as lat
+from conftest import brute_force_neighbors
 from latticesde import sde
 from latticesde.sde import (
     _NOISE_GROUP,
@@ -67,11 +68,13 @@ def full_site_step(config):
     return step
 
 
-def prefix_order(levels):
+def prefix_order(config, levels):
     """The sites of nested levels in the order a coupled run draws them: the
-    first level's, then those each next level adds, each part sorted."""
+    first level's, then those each next level adds, each part ranked by
+    falling degree, ties by site index."""
     parts = [np.unique(levels[0])] + [np.setdiff1d(b, a) for a, b in zip(levels, levels[1:])]
-    return np.concatenate(parts)
+    ranked = [sorted(part.tolist(), key=lambda x: (-int(config.degrees[x]), x)) for part in parts]
+    return np.array([x for part in ranked for x in part], dtype=np.int64)
 
 
 def site_stream(seed, site, n_paths, n_fine):
@@ -741,7 +744,8 @@ class TestNoiseLayout:
         simulate_levels(model, poisson_1d, sets, zeta, 0.1, 0.01, 10, 31,
                         noise_refine=noise_refine, cauchy=False)
         assert len(drawn) == -(-10 // path_block)
-        whole = noise_block(_NoiseSource(31), 10, prefix_order(sets), 10, 0.01, noise_refine)
+        whole = noise_block(_NoiseSource(31), 10, prefix_order(poisson_1d, sets), 10, 0.01,
+                            noise_refine)
         assert np.concatenate(drawn, axis=2).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("noise_refine", [1, 2])
@@ -771,7 +775,8 @@ class TestNoiseLayout:
                                 noise_refine=noise_refine, cauchy=False, keep_paths=True)
         assert [block.shape[2] for block in drawn] == [4, 4, 2]
         assert sorted(carried) == sorted(2 * sets[-1].tolist())
-        one_block = noise_block(_NoiseSource(31), 10, prefix_order(sets), 10, 0.01, noise_refine)
+        one_block = noise_block(_NoiseSource(31), 10, prefix_order(poisson_1d, sets), 10, 0.01,
+                                noise_refine)
         assert np.concatenate(drawn, axis=2).tobytes() == one_block.tobytes()
         for a, b in zip(whole, split):
             assert a.paths.tobytes() == b.paths.tobytes()
@@ -837,6 +842,96 @@ class TestNoiseLayout:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             simulate_levels(model, poisson_1d, sets, zeta, 0.1, 0.01, 40, 31)
+
+
+def ranked_window(kernel):
+    """A 2-d window, three nested levels of it, a model with the given kernel
+    and initial data."""
+    cfg = lat.sample_configuration(2.0, 4.0, 2, 1.0, 12)
+    sets = [np.flatnonzero(cfg.radii <= r) for r in (1.5, 3.0, np.inf)]
+    model = lat.make_model("cubic", 0.1, kernel=kernel, kernel_cap=0.3, rho=1.0,
+                           sigma0=0.2, sigma1=0.1, sigma2=0.05, p=3.0)
+    zeta = lat.WeightedSeq(cfg, np.random.default_rng(4).uniform(-1.0, 1.0, cfg.n_sites))
+    return cfg, sets, model, zeta
+
+
+def parts_arranged(nested, arrange, orders):
+    """``_nested_levels`` with each part put in the order ``arrange`` gives it;
+    each order it returns is appended to ``orders``."""
+    def levels_in(config, levels):
+        order, counts = nested(config, levels)
+        bounds = np.concatenate([[0], counts])
+        order = np.concatenate([arrange(order[a:b]) for a, b in zip(bounds, bounds[1:])])
+        orders.append(order)
+        return order, counts
+    return levels_in
+
+
+class TestRankedParts:
+    """Each nested part runs ranked by falling degree, and each band column
+    of the step stops at its last real row."""
+
+    @pytest.mark.parametrize("scheme", sde.SCHEMES)
+    @pytest.mark.parametrize("kernel", ["constant", "triangular"])
+    def test_row_order_leaves_every_byte(self, monkeypatch, kernel, scheme):
+        # each part in site order and in a drawn order: a site draws from its
+        # own stream, a padding entry adds +0.0 to a sum that starts at +0.0
+        # and every per-site result is mapped back through the sites, so every
+        # field of every ensemble is bitwise that of the ranked parts
+        cfg, sets, model, zeta = ranked_window(kernel)
+        monkeypatch.setattr(sde, "_PATH_BLOCK", 3)
+        nested, orders, runs = sde._nested_levels, [], []
+        for arrange in (lambda part: part, np.sort, np.random.default_rng(5).permutation):
+            monkeypatch.setattr(sde, "_nested_levels", parts_arranged(nested, arrange, orders))
+            runs.append(simulate_levels(model, cfg, sets, zeta, 0.05, 0.01, 7, 19, scheme=scheme,
+                                        cauchy=True, keep_paths=True))
+        ranked = runs[0]
+        for run in runs[1:]:
+            for ours, want in zip(run, ranked, strict=True):
+                for field in dataclasses.fields(want):
+                    got, expected = getattr(ours, field.name), getattr(want, field.name)
+                    if isinstance(expected, np.ndarray):
+                        assert got.dtype == expected.dtype and got.shape == expected.shape
+                        assert got.tobytes() == expected.tobytes(), field.name
+                    elif isinstance(expected, dict):
+                        assert got.keys() == expected.keys()
+                        assert all(got[m].tobytes() == expected[m].tobytes() for m in expected)
+                    else:
+                        assert got == expected, field.name
+        assert len({order.tobytes() for order in orders}) == 3
+        assert np.any(ranked[0].diffs[1] > 0.0)
+
+    @pytest.mark.parametrize("kernel", ["constant", "triangular"])
+    def test_each_column_stops_at_its_last_real_row(self, kernel):
+        # column j of a level (and of its weights) holds every row up to the
+        # last with more than j neighbors, and each real band entry once, in
+        # its own row and slot; the rows between name the zero row
+        cfg, sets, model, zeta = ranked_window(kernel)
+        oracle = brute_force_neighbors(cfg.points, 1.0)
+        order, counts = sde._nested_levels(cfg, sets)
+        lengths, full = [], []
+        for count in counts.tolist():
+            active = order[:count]
+            level = sde._Level(model, True, 0.01, cfg, zeta.values, active, 7, 6, False)
+            degrees = [oracle[x].size for x in active.tolist()]
+            rows = np.concatenate([active, level.tail]).tolist()
+            row_of, zero = {x: i for i, x in enumerate(rows)}, len(rows)
+            want = sorted((i, j, row_of[y]) for i, x in enumerate(active.tolist())
+                          for j, y in enumerate(oracle[x].tolist()))
+            assert (level.weighted is None) == (kernel == "constant")
+            for columns in filter(None, (level.columns, level.weighted)):
+                assert len(columns) == max(degrees)
+                got = []
+                for j, (column, weights) in enumerate(columns):
+                    assert column.size == 1 + max(i for i, d in enumerate(degrees) if d > j)
+                    got += [(i, j, r) for i, r in enumerate(column.tolist()) if r != zero]
+                    if weights is not None:
+                        assert weights.shape == (column.size, 1)
+                        np.testing.assert_array_equal(weights[column == zero], 0.0)
+                assert sorted(got) == want
+            lengths.append(sum(column.size for column, _ in level.columns))
+            full.append(count * max(degrees))
+        assert any(length < size for length, size in zip(lengths, full))
 
 
 class TestOuOracle:
