@@ -33,6 +33,7 @@ from .convergence import (
     z_norm,
 )
 from .geometry import (
+    _abs_power,
     check_sampling_args,
     configuration_bytes,
     estimate_growth_constant,
@@ -203,10 +204,6 @@ def _sanitize(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if math.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
     return obj
 
 
@@ -336,103 +333,98 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     constants: dict = {}
     if config.n_sites == 0:
         checks.append({"name": "empty_configuration", "ok": True})
-        _write_json(
-            {"checks": checks, "constants": constants, "config": asdict(cfg)},
-            out_dir / "verify_report.json",
-        )
-        return 0
-
-    levels = _simulation_levels(cfg, config, cauchy=True, keep_paths=False)
-    model = cfg.build_model()
-    rng = np.random.default_rng(cfg.seed)
-    alpha_lo = min(cfg.alphas)
-    alpha_hi = max(cfg.alphas)
-    pair = (alpha_lo, alpha_hi) if alpha_lo < alpha_hi else (cfg.a_low, cfg.a_high)
-
-    # scale axioms on 100 random sequences, drawn as one array and checked together
-    trials = rng.standard_normal((100, config.n_sites))
-    mono_ok = bool(np.all(verify_scale_monotonicity(config, trials, pair[0], pair[1], cfg.p)))
-    checks.append({"name": "scale_monotonicity", "ok": mono_ok})
-
-    # degree summability
-    partial, tail = degree_summability_check(config, cfg.a_low)
-    summ_ok = math.isfinite(partial) and math.isfinite(tail)
-    checks.append(
-        {"name": "degree_summability", "ok": summ_ok,
-         "window_sum": partial, "tail_bound": tail}
-    )
-    n_hat = estimate_growth_constant(config)
-    constants["N_hat"] = n_hat
-
-    # scale bound of a random banded operator
-    bound_report = verify_ovs_bound(
-        random_banded_operator(config, 0.5, 1.0, cfg.seed + 1),
-        pair[0], pair[1], trials=200, seed=cfg.seed + 2, a_low=cfg.a_low,
-    )
-    checks.append(
-        {"name": "scale_bound", "ok": bound_report.ok,
-         "max_ratio": bound_report.max_ratio, "bound": bound_report.bound}
-    )
-    constants["L"] = bound_report.L
-
-    # series majorant for the first report weight
-    K = norm_bound_series(bound_report.L, cfg.horizon, cfg.order, cfg.a_low, cfg.alphas[0])
-    K_alt = norm_bound_series_alt(
-        bound_report.L, cfg.horizon, cfg.order, cfg.a_low, cfg.alphas[0]
-    )
-    constants["K"] = K
-    constants["K_single_exponent_variant"] = K_alt
-    constants["log10_K"] = norm_bound_series_log10(
-        bound_report.L, cfg.horizon, cfg.order, cfg.a_low, cfg.alphas[0]
-    )
-    checks.append({"name": "series_majorant", "ok": K >= 1.0, "K": K})
-
-    # comparison: sub-solution built from shrunken initial data
-    Qpos = random_banded_operator(config, 0.3, 1.0, cfg.seed + 3, nonnegative=True)
-    z0 = WeightedSeq(config, 1.0 + np.abs(rng.standard_normal(config.n_sites)))
-    try:
-        g = solve_linear_evolution(
-            Qpos, WeightedSeq(config, 0.9 * z0.values), cfg.horizon, 1e-12, n_nodes=65
-        )
-        comp = comparison_check(Qpos, z0, g)
-    except RuntimeError as exc:  # a Picard solve left its convergent regime
-        print(f"error: {exc}", file=sys.stderr)
-        checks.append({"name": "comparison", "ok": False, "error": str(exc)})
     else:
-        checks.append(
-            {"name": "comparison", "ok": bool(comp.hypothesis_ok and comp.ok),
-             "margin": comp.margin}
-        )
-    del Qpos   # with its matvec tables, before the ensembles are simulated
+        levels = _simulation_levels(cfg, config, cauchy=True, keep_paths=False)
+        model = cfg.build_model()
+        rng = np.random.default_rng(cfg.seed)
+        alpha_lo = min(cfg.alphas)
+        alpha_hi = max(cfg.alphas)
+        pair = (alpha_lo, alpha_hi) if alpha_lo < alpha_hi else (cfg.a_low, cfg.a_high)
 
-    # simulations: uniform moments and level distances
-    zeta = WeightedSeq(config, np.full(config.n_sites, cfg.zeta))
-    ensembles = simulate_levels(model, config, levels, zeta, cfg.horizon, cfg.dt, cfg.n_paths,
-                                cfg.seed, scheme=cfg.scheme)
-    blowups = int(sum(np.sum(e.blowup) for e in ensembles))
-    if blowups:
-        checks.append({"name": "simulation", "ok": False, "blowup_paths": blowups})
-    else:
-        ensembles = [moment_field(e) for e in ensembles]
-        tb = tail_bound_check(ensembles, cfg.alphas[0], model=model, zeta=zeta, a_low=cfg.a_low)
+        # scale axioms on 100 random sequences, drawn as one array and checked together
+        trials = rng.standard_normal((100, config.n_sites))
+        mono_ok = bool(np.all(verify_scale_monotonicity(config, trials, pair[0], pair[1], cfg.p)))
+        checks.append({"name": "scale_monotonicity", "ok": mono_ok})
+
+        # degree summability
+        partial, tail = degree_summability_check(config, cfg.a_low)
+        summ_ok = math.isfinite(partial) and math.isfinite(tail)
         checks.append(
-            {"name": "tail_bound", "ok": bool(tb.plateau_ok and tb.ceiling_ok),
-             "sup_sum": tb.sup_sum, "ceiling": tb.ceiling,
-             "log10_ceiling_factor": tb.log10_K}
+            {"name": "degree_summability", "ok": summ_ok,
+             "window_sum": partial, "tail_bound": tail}
         )
-        cr = cauchy_table(ensembles, cfg.alphas[0], model=model, a_low=cfg.a_low)
+        n_hat = estimate_growth_constant(config)
+        constants["N_hat"] = n_hat
+
+        # scale bound of a random banded operator
+        bound_report = verify_ovs_bound(
+            random_banded_operator(config, 0.5, 1.0, cfg.seed + 1),
+            pair[0], pair[1], trials=200, seed=cfg.seed + 2, a_low=cfg.a_low,
+        )
         checks.append(
-            {"name": "cauchy", "ok": bool(cr.decreasing_ok and cr.dominated_ok),
-             "decreasing": cr.decreasing_ok, "dominated": cr.dominated_ok}
+            {"name": "scale_bound", "ok": bound_report.ok,
+             "max_ratio": bound_report.max_ratio, "bound": bound_report.bound}
         )
-        keys = [f"{r.level_n},{r.level_m}," for r in cr.rows]
-        columns = ([r.distance for r in cr.rows], [r.dominator for r in cr.rows])
-        write_table(out_dir / "cauchy_table.csv", "n,m,D,dominator", [("", keys, *columns)])
-        _write_moments_csv(ensembles[-1], out_dir / "moments.csv")
-        mc = moment_constants(model, cfg.horizon)
-        cc = cauchy_constants(model)
-        constants.update(mc)
-        constants.update(cc)
+        constants["L"] = bound_report.L
+
+        # series majorant for the first report weight
+        K = norm_bound_series(bound_report.L, cfg.horizon, cfg.order, cfg.a_low, cfg.alphas[0])
+        K_alt = norm_bound_series_alt(
+            bound_report.L, cfg.horizon, cfg.order, cfg.a_low, cfg.alphas[0]
+        )
+        constants["K"] = K
+        constants["K_single_exponent_variant"] = K_alt
+        constants["log10_K"] = norm_bound_series_log10(
+            bound_report.L, cfg.horizon, cfg.order, cfg.a_low, cfg.alphas[0]
+        )
+        checks.append({"name": "series_majorant", "ok": K >= 1.0, "K": K})
+
+        # comparison: sub-solution built from shrunken initial data
+        Qpos = random_banded_operator(config, 0.3, 1.0, cfg.seed + 3, nonnegative=True)
+        z0 = WeightedSeq(config, 1.0 + np.abs(rng.standard_normal(config.n_sites)))
+        try:
+            g = solve_linear_evolution(
+                Qpos, WeightedSeq(config, 0.9 * z0.values), cfg.horizon, 1e-12, n_nodes=65
+            )
+            comp = comparison_check(Qpos, z0, g)
+        except RuntimeError as exc:  # a Picard solve left its convergent regime
+            print(f"error: {exc}", file=sys.stderr)
+            checks.append({"name": "comparison", "ok": False, "error": str(exc)})
+        else:
+            checks.append(
+                {"name": "comparison", "ok": bool(comp.hypothesis_ok and comp.ok),
+                 "margin": comp.margin}
+            )
+        del Qpos   # with its matvec tables, before the ensembles are simulated
+
+        # simulations: uniform moments and level distances
+        zeta = WeightedSeq(config, np.full(config.n_sites, cfg.zeta))
+        ensembles = simulate_levels(model, config, levels, zeta, cfg.horizon, cfg.dt, cfg.n_paths,
+                                    cfg.seed, scheme=cfg.scheme)
+        blowups = int(sum(np.sum(e.blowup) for e in ensembles))
+        if blowups:
+            checks.append({"name": "simulation", "ok": False, "blowup_paths": blowups})
+        else:
+            ensembles = [moment_field(e) for e in ensembles]
+            tb = tail_bound_check(ensembles, cfg.alphas[0], model=model, zeta=zeta, a_low=cfg.a_low)
+            checks.append(
+                {"name": "tail_bound", "ok": bool(tb.plateau_ok and tb.ceiling_ok),
+                 "sup_sum": tb.sup_sum, "ceiling": tb.ceiling,
+                 "log10_ceiling_factor": tb.log10_K}
+            )
+            cr = cauchy_table(ensembles, cfg.alphas[0], model=model, a_low=cfg.a_low)
+            checks.append(
+                {"name": "cauchy", "ok": bool(cr.decreasing_ok and cr.dominated_ok),
+                 "decreasing": cr.decreasing_ok, "dominated": cr.dominated_ok}
+            )
+            keys = [f"{r.level_n},{r.level_m}," for r in cr.rows]
+            columns = ([r.distance for r in cr.rows], [r.dominator for r in cr.rows])
+            write_table(out_dir / "cauchy_table.csv", "n,m,D,dominator", [("", keys, *columns)])
+            _write_moments_csv(ensembles[-1], out_dir / "moments.csv")
+            mc = moment_constants(model, cfg.horizon)
+            cc = cauchy_constants(model)
+            constants.update(mc)
+            constants.update(cc)
 
     all_ok = all(c["ok"] for c in checks)
     _write_json(
@@ -450,7 +442,7 @@ def cmd_picard(cfg: ExperimentConfig, out_dir: Path) -> int:
         return 0
     model = cfg.build_model()
     consts = moment_constants(model, cfg.horizon)
-    z0 = WeightedSeq(config, np.full(config.n_sites, abs(cfg.zeta) ** cfg.p + consts["A4"]))
+    z0 = WeightedSeq(config, _abs_power(np.full(config.n_sites, cfg.zeta), cfg.p) + consts["A4"])
     Q = random_banded_operator(config, 0.05, 1.0, cfg.seed + 5, nonnegative=True)
     beta = max(cfg.alphas)
     f = solve_linear_evolution(Q, z0, cfg.horizon, 1e-10, beta=beta, n_nodes=65)
@@ -512,10 +504,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a solver left its convergent regime: a failed check

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _libm, estimate_growth_constant
+from .geometry import _abs_power, estimate_growth_constant
 from .ovsjannikov import norm_bound_series, norm_bound_series_log10, ovs_constant
 from .sde import ModelSpec, PathEnsemble, cauchy_pairs
 from .sde import simulate_truncated  # noqa: F401 -- bench/tracer.py wraps it under this name
@@ -90,8 +90,7 @@ def moment_ceiling(model, config, zeta, a_low, alpha, T):
     L = ovs_constant(band_c, 4.0, n_hat, config.rho, a_low)
     K = norm_bound_series(L, T, 0.5, a_low, alpha)
     log10_K = norm_bound_series_log10(L, T, 0.5, a_low, alpha)
-    powed = _libm(lambda z: abs(z) ** p, zeta.values)   # libm's pow, not numpy's SIMD one
-    weighted = weighted_sum(config.radii, a_low, powed + consts["A4"])
+    weighted = weighted_sum(config.radii, a_low, _abs_power(zeta.values, p) + consts["A4"])
     return K * weighted if weighted else 0.0, log10_K
 
 

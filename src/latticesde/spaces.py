@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, _libm, estimate_growth_constant
+from .geometry import Configuration, _abs_power, _libm, estimate_growth_constant
 
 __all__ = [
     "WeightedSeq",
@@ -131,9 +131,10 @@ def verify_scale_monotonicity(config: Configuration, values, alpha: float, beta:
         raise ValueError("weight a must be > 0")
     if p < 1.0:
         raise ValueError("need p >= 1")
-    powed = np.abs(np.asarray(values, dtype=float)) ** p
-    if powed.ndim != 2 or powed.shape[1] != config.n_sites:
-        raise ValueError(f"values of shape {powed.shape} are not rows of {config.n_sites} sites")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != config.n_sites:
+        raise ValueError(f"values of shape {values.shape} are not rows of {config.n_sites} sites")
+    powed = _abs_power(values, p)
     radii = config.radii
     with np.errstate(over="ignore", invalid="ignore"):
         alpha_low, alpha_high = _power_bounds(*bounded_sums(radii, alpha, powed), p)

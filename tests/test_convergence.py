@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import latticesde as lat
 from latticesde import sde
 from latticesde.convergence import cauchy_constants, cauchy_table, moment_constants
+from latticesde.geometry import _abs_power
 from latticesde.sde import cauchy_pairs, simulate_levels
 from latticesde.spaces import weighted_sum
 import oracles
@@ -19,7 +20,7 @@ def frozen_power(ens, p):
     0: the mean of n samples that all hold it, without a sum over the paths."""
     frozen = np.setdiff1d(np.arange(ens.config.n_sites), ens.active)
     zeta = ens.paths[0, frozen, 0]
-    return frozen, sde._abs_power(zeta, p, np.empty_like(zeta))
+    return frozen, _abs_power(zeta, p)
 
 
 def reference_moment_field(ens, p):
@@ -27,10 +28,10 @@ def reference_moment_field(ens, p):
     path tensor of ``ens``, by the formulas the moment field used before the
     simulator reduced while stepping: one mean over the paths, then np.std
     at the argmax node; a frozen site's moment is its |zeta|^p.  |xi|^p is
-    taken as the simulator takes it (sde._abs_power, which test_sde checks
-    against np.power)."""
+    taken as the simulator takes it (geometry._abs_power, which test_geometry
+    checks against np.power)."""
     paths = ens.paths
-    powed = sde._abs_power(paths, p, np.empty_like(paths))
+    powed = _abs_power(paths, p)
     means = powed.mean(axis=0)
     argmax = means.argmax(axis=1)
     sites = np.arange(paths.shape[1])
@@ -45,14 +46,14 @@ def reference_moment_field(ens, p):
 def reference_pair_sup(a, b, p):
     """Per-site sup over the grid of the sample E|xi^a - xi^b|^p, from stored paths."""
     diff = a.paths - b.paths
-    return sde._abs_power(diff, p, out=diff).mean(axis=0).max(axis=1)
+    return _abs_power(diff, p, out=diff).mean(axis=0).max(axis=1)
 
 
 def reference_sums(paths, p):
     """power, shift and S2 from a stored path tensor (path, site, node), as
     (node, site) at every site and node: |xi|^p summed path by path, path
     0's |xi|^p, and the squares of the deviations from it summed path by path."""
-    powed = sde._abs_power(paths, p, np.empty_like(paths))
+    powed = _abs_power(paths, p)
     shift = powed[0].T
     power, s2 = np.zeros_like(shift), np.zeros_like(shift)
     for path in powed:
@@ -83,7 +84,7 @@ def reference_diffs(a, b, p):
     """Per site, the sup over the nodes of the path-order mean of |xi^a - xi^b|^p,
     from two stored path tensors, and the nodes where it peaks."""
     diff = a - b
-    means = sde._abs_power(diff, p, out=diff).sum(axis=0).T / a.shape[0]
+    means = _abs_power(diff, p, out=diff).sum(axis=0).T / a.shape[0]
     return means.max(axis=0), means.argmax(axis=0)
 
 
@@ -135,8 +136,8 @@ class TestMomentField:
         rng = np.random.default_rng(1)
         zeta = lat.WeightedSeq(poisson_1d, rng.standard_normal(poisson_1d.n_sites))
         ens = lat.simulate_truncated(model, poisson_1d, [0], zeta, 0.5, 0.01, 16, 2)
-        # the simulator's own power of zeta, which test_sde checks against np.power
-        power = sde._abs_power(zeta.values, 4.0, np.empty(poisson_1d.n_sites))
+        # the simulator's own power of zeta, which test_geometry checks against np.power
+        power = _abs_power(zeta.values, 4.0)
         assert ens.moment[1:].tobytes() == power[1:].tobytes()
         assert ens.stderr[1:].tobytes() == np.zeros(poisson_1d.n_sites - 1).tobytes()
 
@@ -150,7 +151,7 @@ class TestMomentField:
         zeta = lat.WeightedSeq(poisson_1d, np.full(n, 0.9))
         monkeypatch.setattr(sde, "_PATH_BLOCK", path_block)
         ens, = simulate_levels(model, poisson_1d, [np.arange(n // 2)], zeta, 0.02, 0.01, 400, 3)
-        power = sde._abs_power(np.full(n - n // 2, 0.9), 4.0, np.empty(n - n // 2))
+        power = _abs_power(np.full(n - n // 2, 0.9), 4.0)
         assert ens.moment[n // 2 :].tobytes() == power.tobytes()
         assert ens.stderr[n // 2 :].tobytes() == np.zeros(n - n // 2).tobytes()
 
@@ -295,21 +296,30 @@ class TestTailBound:
             lat.tail_bound_check([ens] * 2, 0.5, model=model, zeta=zeta, a_low=0.25)
 
 
-def test_moment_ceiling_powers_zeta_with_libm(monkeypatch):
-    # numpy's AVX-512 power gives other last bits than libm's pow for about
-    # one |zeta|^4 in twenty, and the ceiling reaches verify_report.json; a
-    # short horizon keeps A4 from rounding them away
+def test_moment_ceiling_powers_zeta_as_the_simulator_does(monkeypatch):
+    # |zeta|^4 is two squarings, bitwise the moment the simulator reports at
+    # a frozen site, not numpy's SIMD power nor libm's pow (which give other
+    # last bits, 0.9^4 among them); a short horizon keeps A4 from rounding
+    # them away, and the ceiling reaches verify_report.json
     from latticesde import convergence
 
     config = lat.sample_configuration(2.0, 100.0, 1, 1.0, 42)   # about 400 sites
     model = lat.make_model("cubic", 0.0, kernel_cap=0.05, rho=1.0, p=4.0, sigma0=0.1)
-    zeta = lat.WeightedSeq(config, np.random.default_rng(8).uniform(-2.0, 2.0, config.n_sites))
+    values = np.random.default_rng(8).uniform(-2.0, 2.0, config.n_sites)
+    values[::5] = 0.9
+    zeta = lat.WeightedSeq(config, values)
+    squared = np.abs(values) * np.abs(values)
+    products = squared * squared
+    assert np.any(products != oracles.libm(lambda z: abs(z) ** 4.0, values))
+    levels = [np.arange(3), np.arange(6)]
+    ensembles = simulate_levels(model, config, levels, zeta, 0.01, 0.01, 2, 3)
+    for ens in ensembles:
+        assert ens.moment[6:].tobytes() == products[6:].tobytes()
     summed = []
     monkeypatch.setattr(convergence, "weighted_sum", lambda radii, a, v: summed.append(v) or 1.0)
     convergence.moment_ceiling(model, config, zeta, 0.25, 0.5, 1e-9)
     A4 = convergence.moment_constants(model, 1e-9)["A4"]
-    want = oracles.libm(lambda z: abs(z) ** 4.0, zeta.values) + A4
-    assert summed[0].tobytes() == want.tobytes()
+    assert summed[0].tobytes() == (products + A4).tobytes()
 
 
 def test_blown_up_levels_rejected(poisson_1d):

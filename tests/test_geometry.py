@@ -289,6 +289,24 @@ class TestGrowthConstant:
             lat.estimate_growth_constant(cfg)
 
 
+class TestAbsPower:
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0])
+    def test_integer_power_is_a_chain_of_squares(self, p):
+        x = np.random.default_rng(3).standard_normal(10_000) * 4.0
+        x[:3] = [0.0, -0.0, -2.5]
+        kept = x.copy()
+        got = geometry._abs_power(x, p)
+        np.testing.assert_allclose(got, np.abs(x) ** p, rtol=1e-15, atol=0.0)
+        assert x.tobytes() == kept.tobytes()
+        # in place, as the reductions call it
+        assert geometry._abs_power(x, p, out=x).tobytes() == got.tobytes()
+
+    def test_other_powers_are_np_power(self):
+        x = np.random.default_rng(4).standard_normal(10_000)
+        got = geometry._abs_power(x, 2.5)
+        assert got.tobytes() == np.power(np.abs(x), 2.5).tobytes()
+
+
 class TestExhaustion:
     def test_single_level_is_everything(self):
         cfg = lat.sample_configuration(2.0, 4.0, 1, 1.0, 5)

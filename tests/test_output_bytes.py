@@ -9,8 +9,9 @@ theory bounds are finite (the demo, levels1d, window2d, demo2d, demo-zeta and
 demo-finite cases of ``tools/same_bytes.py``; all but demo2d-dump), run in
 process.  Every sum that reaches them is added in a fixed order by
 elementwise ufuncs or ``math.fsum``, never by a BLAS kernel, and over the
-paths in path order, and every exp, log, log1p, lgamma and power in them
-comes from libm or from products, so the files come out the same under
+paths in path order; every exp, log, log1p and lgamma in them comes from
+libm, and every moment-order |x|^p (at p = 2 or 4 in every case) from the
+products of ``geometry._abs_power``, so the files come out the same under
 every OpenBLAS core, with numpy's AVX-512 loops on or off, and however the
 paths are split into blocks.  glibc picks its libm variants by the CPU's
 features, and its variants without FMA round some results otherwise, so a

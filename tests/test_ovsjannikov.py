@@ -162,6 +162,33 @@ class TestVerifyOvsBound:
         with pytest.raises(ValueError):
             lat.verify_ovs_bound(Q, 1.5, 0.5, 10, 1)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(small_bands(), st.floats(0.05, 1.0), st.floats(0.01, 2.0), st.integers(0, 2**32 - 1))
+    def test_max_ratio_is_at_most_the_largest_weighted_column_sum(self, case, alpha, gap, seed):
+        # sup_z ||Q z||_beta / ||z||_alpha is the induced l1 norm under the
+        # weights, max_y e^(alpha|y|) sum_x e^(-beta|x|) |Q_xy| (the largest
+        # weighted column sum), taken at the unit vector of that column: no
+        # random trial exceeds it beyond the rounding of its float ratio
+        import mpmath as mp
+
+        points, rho = case
+        cfg = lat.configuration_from_points(points, rho)
+        beta = alpha + gap
+        Q = lat.random_banded_operator(cfg, 0.5, 1.0, seed)
+        radii = cfg.radii.tolist()
+        with mp.workdps(40):
+            sums = [mp.mpf(0)] * cfg.n_sites
+            for x, y, q in zip(cfg.rows.tolist(), cfg.indices.tolist(), Q.vals.tolist()):
+                sums[y] += mp.exp(-mp.mpf(beta) * radii[x]) * abs(q)
+            columns = [mp.exp(mp.mpf(alpha) * r) * s for r, s in zip(radii, sums)]
+            top = max(range(cfg.n_sites), key=columns.__getitem__)
+            bound = float(columns[top])
+        trials = np.random.default_rng(seed).standard_normal((50, cfg.n_sites))
+        assert ovsjannikov._max_ratio(Q, trials, alpha, beta) <= bound * (1.0 + 1e-12)
+        unit = np.zeros((1, cfg.n_sites))
+        unit[0, top] = 1.0
+        assert ovsjannikov._max_ratio(Q, unit, alpha, beta) == pytest.approx(bound, rel=1e-12)
+
     @pytest.mark.parametrize("terms", [1, 500, None])
     def test_batched_trials_match_per_trial_loop(self, monkeypatch, terms):
         # one trial per matvec, two per matvec (218 sites), and all at once

@@ -690,22 +690,6 @@ class TestSimulation:
         assert err_c / err_h >= math.sqrt(2.0) * 0.95
 
 
-class TestAbsPower:
-    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0])
-    def test_integer_power_is_a_chain_of_squares(self, p):
-        x = np.random.default_rng(3).standard_normal(10_000) * 4.0
-        x[:3] = [0.0, -0.0, -2.5]
-        got = sde._abs_power(x, p, out=np.empty_like(x))
-        np.testing.assert_allclose(got, np.abs(x) ** p, rtol=1e-15, atol=0.0)
-        # in place, as the reductions call it
-        assert sde._abs_power(x, p, out=x).tobytes() == got.tobytes()
-
-    def test_other_powers_are_np_power(self):
-        x = np.random.default_rng(4).standard_normal(10_000)
-        got = sde._abs_power(x, 2.5, out=np.empty_like(x))
-        assert got.tobytes() == np.power(np.abs(x), 2.5).tobytes()
-
-
 class TestNoiseLayout:
     """One counter-based stream per site, keyed (seed, site) and drawn path-major."""
 

@@ -107,6 +107,24 @@ class TestScaleMonotonicity:
         with pytest.raises(ValueError):
             lat.verify_scale_monotonicity(cfg, rows[:, 1:], 0.5, 1.25, p)
 
+    def test_trial_powers_are_the_products(self, monkeypatch):
+        # at p = 4 the rows the verdicts are summed from are two squarings of
+        # |z|, as the simulator forms |xi|^4, not numpy's power (whose AVX-512
+        # loop gives other last bits for about half of these draws), and the
+        # trials themselves are left as they were
+        cfg = lat.sample_configuration(2.0, 100.0, 1, 1.0, 42)   # about 400 sites
+        values = np.random.default_rng(5).standard_normal((500, cfg.n_sites))
+        kept = values.copy()
+        summed, bounded_sums = [], lat.spaces.bounded_sums
+        monkeypatch.setattr(lat.spaces, "bounded_sums",
+                            lambda radii, a, rows: summed.append(rows) or bounded_sums(radii, a, rows))
+        lat.verify_scale_monotonicity(cfg, values, 0.5, 1.25, 4.0)
+        squared = np.abs(values) * np.abs(values)
+        assert len(summed) == 2
+        for rows in summed:
+            assert rows.tobytes() == (squared * squared).tobytes()
+        assert values.tobytes() == kept.tobytes()
+
     def test_random_sequences_hold_strictly(self):
         cfg = lat.sample_configuration(2.0, 5.0, 1, 1.0, 101)  # about 20 sites
         assert cfg.n_sites > 0
